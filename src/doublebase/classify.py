@@ -28,12 +28,11 @@ from .config import Config, resolve
 from .critical import generalized_golden_ratio, komornik_loreti, Case
 from .expansions import regular
 from .substitution import (
-    _branch0,
-    _branch1,
     BR_STOP_L,
     BR_STOP_R,
     LimitWordStream,
     is_primitive,
+    split_descent,
 )
 from .words import Word, LetterStream, compare, ZERO_ONE, ONE_ZERO, W_010, W_101
 
@@ -74,10 +73,6 @@ def label_rank(label: Label) -> int:
     return _ORDER_INDEX[label]
 
 
-def _cmp(u, v, exact: bool):
-    return compare(u, v) if exact else compare(u, v, None)
-
-
 def classify_omega(a, b, max_depth: int = 48) -> Classification:
     """Classify Omega_{a,b} for a starting 0 and b starting 1.
 
@@ -85,7 +80,6 @@ def classify_omega(a, b, max_depth: int = 48) -> Classification:
     common primitive directive are recognized directly, other streams
     are classified up to comparison depth (Undecided when ties persist).
     """
-    exact_a, exact_b = isinstance(a, Word), isinstance(b, Word)
     if a.prefix(1) != "0":
         raise ValueError("a must start with 0")
     if b.prefix(1) != "1":
@@ -96,10 +90,10 @@ def classify_omega(a, b, max_depth: int = 48) -> Classification:
             return Classification(Label.UNCOUNTABLE_ZERO_ENTROPY)
 
     # corner cells of the s-map partition
-    a_max = _cmp(a, ZERO_ONE, exact_a)      # a = 0 1^inf has s(a) = R^inf
-    b_min = _cmp(b, ONE_ZERO, exact_b)      # b = 1 0^inf has s(b) = L^inf
-    a_low = _cmp(a, W_010, exact_a)         # a <= 01 0^inf has s(a) = L^inf
-    b_high = _cmp(b, W_101, exact_b)        # b >= 10 1^inf has s(b) = R^inf
+    a_max = compare(a, ZERO_ONE)      # a = 0 1^inf has s(a) = R^inf
+    b_min = compare(b, ONE_ZERO)      # b = 1 0^inf has s(b) = L^inf
+    a_low = compare(a, W_010)         # a <= 01 0^inf has s(a) = L^inf
+    b_high = compare(b, W_101)        # b >= 10 1^inf has s(b) = R^inf
     if a_max is None or b_min is None or a_low is None or b_high is None:
         return Classification(Label.UNDECIDED, 0)
     a_is_top, b_is_bottom = a_max == 0, b_min == 0
@@ -120,27 +114,21 @@ def classify_omega(a, b, max_depth: int = 48) -> Classification:
         # s(a) = L^inf below every window, or s(b) = R^inf above it
         return Classification(Label.TRIVIAL)
 
-    w = ""
-    witness = False  # some {L,R}*M node has a >= sigma(0^inf), b <= sigma(1^inf)
-    for depth in range(max_depth):
-        ba = _branch0(a, w, exact_a)
-        bb = _branch1(b, w, exact_b)
-        if ba is None or bb is None:
-            return Classification(Label.UNDECIDED, depth)
-        if "M" not in w and ba >= BR_STOP_L and bb <= BR_STOP_R:
-            witness = True
-        if ba > bb:
-            return Classification(Label.POSITIVE_ENTROPY)
-        if ba < bb:
-            return Classification(
-                Label.COUNTABLE_NONTRIVIAL if witness else Label.TRIVIAL
-            )
-        if ba in (BR_STOP_L, BR_STOP_R):
-            # s(a) = s(b) ends with a repeat tail: countable, and the stop
-            # node itself (or the first M step) witnesses nontriviality
-            return Classification(Label.COUNTABLE_NONTRIVIAL)
-        w += "LMR"[ba // 2]
-    return Classification(Label.UNDECIDED, max_depth)
+    order, w, ba, bb = split_descent(a, b, max_depth)
+    if order == ">":
+        return Classification(Label.POSITIVE_ENTROPY)
+    if order == "<":
+        # some {L,R}*M node has a >= sigma(0^inf) and b <= sigma(1^inf):
+        # a joint M step before the split, or the split node itself
+        witness = "M" in w or (ba >= BR_STOP_L and bb <= BR_STOP_R)
+        return Classification(
+            Label.COUNTABLE_NONTRIVIAL if witness else Label.TRIVIAL
+        )
+    if ba is None:
+        return Classification(Label.UNDECIDED, len(w))
+    # s(a) = s(b) ends with a repeat tail: countable, and the stop node
+    # itself (or the first M step) witnesses nontriviality
+    return Classification(Label.COUNTABLE_NONTRIVIAL)
 
 
 def _prepend(letter: str, x):

@@ -16,13 +16,11 @@ class Config:
                   certifying or refining root brackets (>= 15)
     tol        -- default bracket width for root solvers (> 0)
     max_depth  -- default directive-tree descent depth (>= 1)
-    output     -- default output path for table writers (None = stdout)
     """
 
     precision: int = 30
     tol: float = 1e-12
     max_depth: int = 48
-    output: str | None = None
 
     def __post_init__(self):
         if self.precision < 15:

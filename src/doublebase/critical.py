@@ -28,28 +28,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-import mpmath as mp
-
 from .config import Config, resolve
 from .expansions import expansion_bounds, regular
 from .series import node_pi, f_from_pi, f_tilde_from_pi
-from .solvers import (
-    Bracket,
-    _bisect_float,
-    _certify_mp,
-    _bisect_mp,
-    expand_upper,
-    solve_decreasing,
-    _FLOAT_TOL_FLOOR,
-)
-from .substitution import (
-    _branch0,
-    _branch1,
-    BR_STOP_L,
-    BR_STOP_R,
-    apply,
-    image_lengths,
-)
+from .solvers import Bracket, crossing, root_q1, _FLOAT_TOL_FLOOR
+from .substitution import NODE_SEEDS, _NodeLetters, apply, split_descent
 from .words import Word
 
 _BOUNDARY_WORD_CAP = 200_000  # letters; larger node words are not materialized
@@ -60,16 +43,6 @@ class Case(Enum):
     RIGHT_FORMULA = "RightFormula"
     PRIMITIVE_LIMIT = "PrimitiveLimit"
     DEPTH_EXHAUSTED = "DepthExhausted"
-
-
-_SEED_OF_KEY = {
-    "s0": Word("", "0"),
-    "s010": Word("01", "0"),
-    "s01": Word("0", "1"),
-    "s10": Word("1", "0"),
-    "s101": Word("10", "1"),
-    "s1": Word("", "1"),
-}
 
 
 @dataclass(frozen=True)
@@ -101,116 +74,58 @@ def _node_f(w: str, key: str, kind: str):
     return fn
 
 
-def _node_root(w: str, key: str, kind: str, q0: float, tol: float, dps: int) -> Bracket:
-    """Root in q1 of the node equation; the formula value at q0."""
-    fn = _node_f(w, key, kind)
-    lo = 1.0 + 1e-12
-    if fn(q0, lo) <= 0:
-        return Bracket(1.0, lo)
-    hi = expand_upper(lambda y: fn(q0, y), q0 / (q0 - 1) + 1.0)
-    q0m = mp.mpf(q0)
-    return solve_decreasing(
-        lambda y: fn(q0, y), lambda y: fn(q0m, y), lo, hi, tol, dps
-    )
-
-
-def _node_mu(w: str, ukey: str, vkey: str, tol: float, dps: int) -> Bracket:
-    """Crossing of the node equations g_{u} = g~_{v}; cached by the caller.
-
-    Sign of g_u(x) - g~_v(x) read off f~_v(x, g_u(x)): f~ is decreasing
-    in q1, so a positive value means g_u(x) < g~_v(x) (right of the
-    crossing)."""
-    fu = _node_f(w, ukey, "f")
-    fv = _node_f(w, vkey, "ft")
-
-    def sign(x: float, inner: float) -> float:
-        if fu(x, 1.0) <= 0:
-            return -1.0
-        lo = 1.0 + 1e-12
-        hi = expand_upper(lambda y: fu(x, y), 8.0)
-        glo, ghi = _bisect_float(lambda y: fu(x, y), lo, hi, inner)
-        return -1.0 if fv(x, 0.5 * (glo + ghi)) > 0 else 1.0
-
-    def sign_mp(x: float, inner: float) -> float:
-        xm = mp.mpf(x)
-        with mp.workdps(dps):
-            if fu(xm, mp.mpf(1)) <= 0:
-                return -1.0
-            glo, ghi = _bisect_float(lambda y: fu(x, y), 1.0 + 1e-12,
-                                     expand_upper(lambda y: fu(x, y), 8.0), 1e-9)
-            glo, ghi = _certify_mp(lambda y: fu(xm, y), glo, ghi, dps)
-            glo, ghi = _bisect_mp(lambda y: fu(xm, y), glo, ghi, inner, dps)
-            s_lo, s_hi = fv(xm, mp.mpf(glo)), fv(xm, mp.mpf(ghi))
-            if (s_lo > 0) != (s_hi > 0):
-                return 0.0
-            return -1.0 if s_lo > 0 else 1.0
-
-    lo, hi = 1.0 + 1e-9, 4.0
-    while sign(lo, 1e-9) < 0:
-        lo = 1.0 + (lo - 1.0) / 100
-        if lo - 1.0 < 1e-15:
-            raise ArithmeticError(f"node {w!r} crossing {ukey}/{vkey} not above 1")
-    for _ in range(60):
-        if sign(hi, 1e-9) < 0:
-            break
-        hi *= 2
-    inner = 1e-13 if tol >= _FLOAT_TOL_FLOOR else tol * 1e-3
-    flo, fhi = _bisect_float(lambda x: sign(x, inner), lo, hi, max(tol, _FLOAT_TOL_FLOOR))
-    step = max(fhi - flo, 1e-15)
-    for _ in range(60):
-        if sign_mp(flo, 1e-20) > 0:
-            break
-        flo -= step
-        step *= 2
-    step = max(fhi - flo, 1e-15)
-    for _ in range(60):
-        if sign_mp(fhi, 1e-20) < 0:
-            break
-        fhi += step
-        step *= 2
-    return Bracket(flo, fhi)
-
-
 _MU_CACHE: dict = {}
 
 
 def node_mu(w: str, ukey: str, vkey: str, config: Config | None = None) -> Bracket:
-    """Cached crossing value of a node pair; keyed on the directive head.
+    """Cached crossing value of a node pair; keyed on the directive head,
+    the precision and the solving tolerance.
 
     The cache is shared across descents (crossings do not depend on q0);
     concurrent readers are safe, concurrent writers at worst recompute.
     """
     cfg = resolve(config)
-    key = (w, ukey, vkey, cfg.precision)
+    tol = min(cfg.tol, 1e-13)
+    key = (w, ukey, vkey, cfg.precision, tol)
     hit = _MU_CACHE.get(key)
     if hit is None:
-        hit = _node_mu(w, ukey, vkey, min(cfg.tol, 1e-13), cfg.precision)
+        hit = crossing(_node_f(w, ukey, "f"), _node_f(w, vkey, "ft"), tol, cfg.precision)
         _MU_CACHE[key] = hit
     return hit
 
 
 def _boundary_word(w: str, key: str) -> Optional[Word]:
-    n0, n1 = image_lengths(w + "M")
-    seed = _SEED_OF_KEY[key]
-    size = sum(n0 if c == "0" else n1 for c in seed.pre + seed.per)
-    if size > _BOUNDARY_WORD_CAP:
+    if sum(_NodeLetters(w).structure(key)) > _BOUNDARY_WORD_CAP:
         return None
-    return apply(w + "M", seed)
+    return apply(w + "M", NODE_SEEDS[key])
 
 
-def _slope_estimate(w: str, key: str, kind: str, q0: float, val: float, tol: float, dps: int) -> float:
-    h = 1e-6
-    other = _node_root(w, key, kind, q0 + h, tol, dps).mid
-    return abs(other - val) / h
+def _slack(mu: Bracket) -> float:
+    """Distance within which q0 is too close to a crossing to place."""
+    return max(mu.width, _FLOAT_TOL_FLOOR)
+
+
+def _ambiguity(q0: float, left: Bracket, right: Bracket) -> float:
+    """Membership uncertainty of q0 in the formula interval spanned by
+    the crossings left and right: twice the slack of an endpoint q0 is
+    close to, else 0."""
+    ambiguity = 0.0
+    if q0 <= left.hi + _slack(left):
+        ambiguity = max(ambiguity, 2 * _slack(left))
+    if q0 >= right.lo - _slack(right):
+        ambiguity = max(ambiguity, 2 * _slack(right))
+    return ambiguity
 
 
 def _formula_result(w: str, key: str, kind: str, q0: float, case: Case,
                     tol: float, dps: int, ambiguity: float) -> CriticalResult:
-    val = _node_root(w, key, kind, q0, tol, dps)
+    fn = _node_f(w, key, kind)
+    val = root_q1(fn, q0, tol, dps)
     if ambiguity > 0:
         # q0 could belong to an adjacent cell: widen by the local slope of
         # the critical map times the membership uncertainty
-        slope = _slope_estimate(w, key, kind, q0, val.mid, tol, dps) + 1.0
+        h = 1e-6
+        slope = abs(root_q1(fn, q0 + h, tol, dps).mid - val.mid) / h + 1.0
         pad = 8.0 * slope * ambiguity
         val = Bracket(val.lo - pad, val.hi + pad)
     return CriticalResult(
@@ -227,10 +142,10 @@ def _exhausted_result(q0, lo_bound, hi_bound, tol, dps) -> CriticalResult:
     hi_val = math.inf
     if lo_bound is not None:
         w, key, kind, at = lo_bound
-        lo_val = _node_root(w, key, kind, at, tol, dps).lo
+        lo_val = root_q1(_node_f(w, key, kind), at, tol, dps).lo
     if hi_bound is not None:
         w, key, kind, at = hi_bound
-        hi_val = _node_root(w, key, kind, at, tol, dps).hi
+        hi_val = root_q1(_node_f(w, key, kind), at, tol, dps).hi
     lo_val, hi_val = min(lo_val, hi_val), max(lo_val, hi_val)
     width = hi_val - lo_val
     case = Case.PRIMITIVE_LIMIT if width <= 1e4 * max(tol, _FLOAT_TOL_FLOOR) else Case.DEPTH_EXHAUSTED
@@ -254,23 +169,16 @@ def generalized_golden_ratio(q0: float, tol: float | None = None,
     for _ in range(max_depth):
         mu1 = node_mu(w, "s0", "s10", cfg)
         mu2 = node_mu(w, "s01", "s1", cfg)
-        slack1 = max(mu1.width, _FLOAT_TOL_FLOOR)
-        slack2 = max(mu2.width, _FLOAT_TOL_FLOOR)
-        if q0 < mu1.lo - slack1:
+        if q0 < mu1.lo - _slack(mu1):
             lo_bound = (w, "s0", "f", mu1.mid)  # G(q0) > G(mu1) = left formula there
             w += "L"
             continue
-        if q0 > mu2.hi + slack2:
+        if q0 > mu2.hi + _slack(mu2):
             hi_bound = (w, "s1", "ft", mu2.mid)
             w += "R"
             continue
-        ambiguity = 0.0
-        if q0 <= mu1.hi + slack1:
-            ambiguity = max(ambiguity, 2 * slack1)
-        if q0 >= mu2.lo - slack2:
-            ambiguity = max(ambiguity, 2 * slack2)
-        mumid = node_mu(w, "s0", "s1", cfg)
-        if q0 <= mumid.mid:
+        ambiguity = _ambiguity(q0, mu1, mu2)
+        if q0 <= node_mu(w, "s0", "s1", cfg).mid:
             return _formula_result(w, "s0", "f", q0, Case.LEFT_FORMULA, tol, dps, ambiguity)
         return _formula_result(w, "s1", "ft", q0, Case.RIGHT_FORMULA, tol, dps, ambiguity)
     return _exhausted_result(q0, lo_bound, hi_bound, tol, dps)
@@ -292,34 +200,22 @@ def komornik_loreti(q0: float, tol: float | None = None,
     for _ in range(max_depth):
         muL1 = node_mu(w, "s0", "s10", cfg)
         muR2 = node_mu(w, "s01", "s1", cfg)
-        slackL1 = max(muL1.width, _FLOAT_TOL_FLOOR)
-        slackR2 = max(muR2.width, _FLOAT_TOL_FLOOR)
-        if q0 < muL1.lo - slackL1:
+        if q0 < muL1.lo - _slack(muL1):
             lo_bound = (w, "s10", "ft", muL1.mid)
             w += "L"
             continue
-        if q0 > muR2.hi + slackR2:
+        if q0 > muR2.hi + _slack(muR2):
             hi_bound = (w, "s01", "f", muR2.mid)
             w += "R"
             continue
         muL2 = node_mu(w, "s010", "s10", cfg)
-        slackL2 = max(muL2.width, _FLOAT_TOL_FLOOR)
-        if q0 <= muL2.hi + slackL2:
-            ambiguity = 0.0
-            if q0 <= muL1.hi + slackL1:
-                ambiguity = max(ambiguity, 2 * slackL1)
-            if q0 >= muL2.lo - slackL2:
-                ambiguity = max(ambiguity, 2 * slackL2)
-            return _formula_result(w, "s10", "ft", q0, Case.LEFT_FORMULA, tol, dps, ambiguity)
+        if q0 <= muL2.hi + _slack(muL2):
+            return _formula_result(w, "s10", "ft", q0, Case.LEFT_FORMULA, tol, dps,
+                                   _ambiguity(q0, muL1, muL2))
         muR1 = node_mu(w, "s01", "s101", cfg)
-        slackR1 = max(muR1.width, _FLOAT_TOL_FLOOR)
-        if q0 >= muR1.lo - slackR1:
-            ambiguity = 0.0
-            if q0 <= muR1.hi + slackR1:
-                ambiguity = max(ambiguity, 2 * slackR1)
-            if q0 >= muR2.lo - slackR2:
-                ambiguity = max(ambiguity, 2 * slackR2)
-            return _formula_result(w, "s01", "f", q0, Case.RIGHT_FORMULA, tol, dps, ambiguity)
+        if q0 >= muR1.lo - _slack(muR1):
+            return _formula_result(w, "s01", "f", q0, Case.RIGHT_FORMULA, tol, dps,
+                                   _ambiguity(q0, muR1, muR2))
         # strictly between the formula intervals: the cell is below node wM
         hi_bound = (w, "s10", "ft", muL2.mid)
         lo_bound = (w, "s01", "f", muR1.mid)
@@ -353,31 +249,6 @@ class KsResult:
     order: str          # "<", "=", ">" (or "Undecided" for blocked digits)
     node: str           # common directive prefix walked before the verdict
     depth: int          # directive letters examined
-
-
-def split_descent(a, b, max_depth: int):
-    """Simultaneous s-map descent of a 0-word a and a 1-word b.
-
-    Returns (order, w, ba, bb): order ">" when s(a) > s(b) certified at
-    node w with branch pair (ba, bb), "<" symmetrically, "=" when the
-    walk stayed joint (including repeat-tail stops) for max_depth levels
-    or hit undecidable stream ties.
-    """
-    exact_a, exact_b = isinstance(a, Word), isinstance(b, Word)
-    w = ""
-    for depth in range(max_depth):
-        ba = _branch0(a, w, exact_a)
-        bb = _branch1(b, w, exact_b)
-        if ba is None or bb is None:
-            return "=", w, None, None
-        if ba > bb:
-            return ">", w, ba, bb
-        if ba < bb:
-            return "<", w, ba, bb
-        if ba in (BR_STOP_L, BR_STOP_R):
-            return "=", w, ba, bb
-        w += "LMR"[ba // 2]
-    return "=", w, None, None
 
 
 def ks_crosscheck(q0, q1, depth: int = 24, config: Config | None = None) -> KsResult:

@@ -17,41 +17,12 @@ materializing the words.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .substitution import Directive, PERIODIC, DirectiveError, image_string
 from .words import Word
 
 
 class DegenerateSystemError(ValueError):
     """Alphabet-base system whose expansions all have the same value."""
-
-
-def _affine_over(letters: Iterable[str], q0, q1):
-    """Compose the per-letter maps x -> (d + x)/q over a finite word.
-
-    Returns (a, s) with pi(word . tail) = a + s * pi(tail).
-    """
-    one = q0 / q0
-    a, s = one - one, one
-    for c in letters:
-        if c == "0":
-            a, s = a, s / q0
-        else:
-            a, s = a + s / q1, s / q1
-    return a, s
-
-
-def _affine_over_tilde(letters: Iterable[str], q0, q1):
-    """Same composition for pit (numerators 1 - digit)."""
-    one = q0 / q0
-    a, s = one - one, one
-    for c in letters:
-        if c == "0":
-            a, s = a + s / q0, s / q0
-        else:
-            a, s = a, s / q1
-    return a, s
 
 
 def pi(q0, q1, u: Word):
@@ -61,16 +32,14 @@ def pi(q0, q1, u: Word):
     (q1 = 1 is allowed when the period contains a 0, as used by the
     solver boundary checks).
     """
-    a_pre, s_pre = _affine_over(u.pre, q0, q1)
-    a_per, s_per = _affine_over(u.per, q0, q1)
-    return a_pre + s_pre * (a_per / (1 - s_per))
+    return AffinePair.identity(q0, q1).of_word(u)
 
 
 def pi_tilde(q0, q1, v: Word):
-    """Mirror value sum_k (1 - v_k)/(q_{v_1}...q_{v_k})."""
-    a_pre, s_pre = _affine_over_tilde(v.pre, q0, q1)
-    a_per, s_per = _affine_over_tilde(v.per, q0, q1)
-    return a_pre + s_pre * (a_per / (1 - s_per))
+    """Mirror value sum_k (1 - v_k)/(q_{v_1}...q_{v_k}): the letter maps
+    are x -> (1 + x)/q0 and x -> x/q1."""
+    one = q0 / q0
+    return AffinePair(one / q0, one / q0, one - one, one / q1).of_word(v)
 
 
 def f(u: Word, q0, q1):
@@ -161,16 +130,6 @@ def directive_affine(w: str, q0, q1) -> AffinePair:
     return pair
 
 
-_NODE_SEED = {
-    "s0": Word("", "0"),
-    "s010": Word("01", "0"),
-    "s01": Word("0", "1"),
-    "s10": Word("1", "0"),
-    "s101": Word("10", "1"),
-    "s1": Word("", "1"),
-}
-
-
 def node_pi(w: str, q0, q1) -> dict:
     """pi of the six boundary words of node sigma = wM, from affine forms."""
     pair = directive_affine(w + "M", q0, q1)
@@ -216,12 +175,5 @@ def pi_limit(d: Directive, seed, q0, q1, scale_eps: float = 1e-60):
         a, s = (psi.a0, psi.s0) if seed == "0" else (psi.a1, psi.s1)
         if abs(s) < scale_eps:
             return a
-        nxt = {}
-        for c in "01":
-            aa, ss = (0 * psi.a0), (psi.s0 / psi.s0)
-            for b in block_words[c]:
-                ca, cs = (psi.a0, psi.s0) if b == "0" else (psi.a1, psi.s1)
-                aa, ss = aa + ss * ca, ss * cs
-            nxt[c] = (aa, ss)
-        psi = AffinePair(nxt["0"][0], nxt["0"][1], nxt["1"][0], nxt["1"][1])
+        psi = AffinePair(*psi._over(block_words["0"]), *psi._over(block_words["1"]))
     return (psi.a0 if seed == "0" else psi.a1)

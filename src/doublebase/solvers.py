@@ -12,6 +12,10 @@ g(u, q0)   -- the unique q1 > 1 with f_u(q0, q1) = 0, or BELOW_ONE
 gt(v, q0)  -- the unique q1 > 1 with f~_v(q0, q1) = 0
 mu(u, v)   -- the unique crossing g_u(x) = g~_v(x), with
               g_u > g~_v left of the crossing and < right of it
+
+All of them, and the node formulas and crossings of the critical-value
+descent, go through one q1-root routine (root_q1) and one crossing
+solver (crossing) on value functions of (q0, q1).
 """
 
 from __future__ import annotations
@@ -176,6 +180,19 @@ def _value_fn(u, kind: str):
 # ----------------------------------------------------------------------
 
 
+def root_q1(fn, q0: float, tol: float, dps: int) -> Bracket:
+    """The unique q1 > 1 with fn(q0, q1) = 0, fn strictly decreasing in
+    q1 and positive at q1 = 1 (the caller's precondition)."""
+    lo = 1.0 + min(tol, 1e-12)
+    if fn(q0, lo) <= 0:
+        return Bracket(1.0, lo)
+    hi = expand_upper(lambda y: fn(q0, y), q0 / (q0 - 1) + 1.0)
+    q0m = mp.mpf(q0)
+    return solve_decreasing(
+        lambda y: fn(q0, y), lambda y: fn(q0m, y), lo, hi, tol, dps
+    )
+
+
 def g(u, q0: float, tol: float | None = None, config: Config | None = None):
     """The unique q1 > 1 with f_u(q0, q1) = 0, or BELOW_ONE when
     f_u(q0, 1) <= 0 (i.e. q0 at or past the critical base of u)."""
@@ -188,14 +205,7 @@ def g(u, q0: float, tol: float | None = None, config: Config | None = None):
         raise PreconditionError("q0 must exceed 1")
     if fu(q0, 1.0) <= 0:
         return BELOW_ONE
-    lo = 1.0 + min(tol, 1e-12)
-    if fu(q0, lo) <= 0:
-        return Bracket(1.0, lo)
-    hi = expand_upper(lambda y: fu(q0, y), q0 / (q0 - 1) + 1.0)
-    q0m = mp.mpf(q0)
-    return solve_decreasing(
-        lambda y: fu(q0, y), lambda y: fu(q0m, y), lo, hi, tol, cfg.precision
-    )
+    return root_q1(fu, q0, tol, cfg.precision)
 
 
 def g_tilde(v, q0: float, tol: float | None = None, config: Config | None = None) -> Bracket:
@@ -206,15 +216,7 @@ def g_tilde(v, q0: float, tol: float | None = None, config: Config | None = None
         raise PreconditionError(f"{v} is not inf1-fixed aperiodic-tail (not in W~)")
     if q0 <= 1:
         raise PreconditionError("q0 must exceed 1")
-    fv = _value_fn(v, "ft")
-    lo = 1.0 + min(tol, 1e-12)
-    if fv(q0, lo) <= 0:
-        return Bracket(1.0, lo)
-    hi = expand_upper(lambda y: fv(q0, y), q0 / (q0 - 1) + 1.0)
-    q0m = mp.mpf(q0)
-    return solve_decreasing(
-        lambda y: fv(q0, y), lambda y: fv(q0m, y), lo, hi, tol, cfg.precision
-    )
+    return root_q1(_value_fn(v, "ft"), q0, tol, cfg.precision)
 
 
 def critical_base(u, tol: float | None = None, config: Config | None = None) -> Bracket:
@@ -252,74 +254,71 @@ def _validate_mu_pair(u, v):
         )
 
 
-def mu(u, v, tol: float | None = None, config: Config | None = None) -> Bracket:
-    """The unique x > 1 where g_u and g~_v cross.
+def crossing(fu, fv, tol: float, dps: int) -> Bracket:
+    """The unique x > 1 where the roots in q1 of fu(x, .) and fv(x, .)
+    cross, fu being an f and fv an f~ function of (q0, q1).
 
     The sign of g_u(x) - g~_v(x) is read off f~_v(x, g_u(x)) without
     forming the difference: f~_v is strictly decreasing in q1, so
-    f~_v(x, g_u(x)) > 0 exactly when g_u(x) < g~_v(x).
+    f~_v(x, g_u(x)) > 0 exactly when g_u(x) < g~_v(x).  The float
+    bisection uses inner root brackets of 1e-13 (tol * 1e-3 below the
+    float floor); the endpoints are then certified at dps digits.
     """
-    cfg = resolve(config)
-    tol = cfg.tol if tol is None else tol
-    _validate_mu_pair(u, v)
-    fu, fv = _value_fn(u, "f"), _value_fn(v, "ft")
 
-    def crossing_sign(x, inner_tol, dps=None):
+    def sign(x: float, inner: float) -> float:
         # +1 while g_u(x) > g~_v(x) (left of the crossing), else -1
-        if fu(x, 1.0 if dps is None else mp.mpf(1)) <= 0:
+        if fu(x, 1.0) <= 0:
             return -1.0  # x >= q_u, g_u = 1 < g~_v
-        lo = 1.0 + 1e-12
-        hi = expand_upper(lambda y: fu(float(x), y), 8.0)
-        if dps is None:
-            glo, ghi = _bisect_float(lambda y: fu(x, y), lo, hi, inner_tol)
-            val = fv(x, 0.5 * (glo + ghi))
-            return -1.0 if val > 0 else 1.0
+        hi = expand_upper(lambda y: fu(x, y), 8.0)
+        glo, ghi = _bisect_float(lambda y: fu(x, y), 1.0 + 1e-12, hi, inner)
+        return -1.0 if fv(x, 0.5 * (glo + ghi)) > 0 else 1.0
+
+    def sign_mp(x, inner) -> float:
+        # as sign, certified at dps digits; 0 when too close to call
         with mp.workdps(dps):
-            xm = mp.mpf(x)
-            xf = float(x)
-            glo, ghi = _bisect_float(lambda y: fu(xf, y), lo, hi, 1e-9)
+            xm, xf = mp.mpf(x), float(x)
+            if fu(xm, mp.mpf(1)) <= 0:
+                return -1.0
+            hi = expand_upper(lambda y: fu(xf, y), 8.0)
+            glo, ghi = _bisect_float(lambda y: fu(xf, y), 1.0 + 1e-12, hi, 1e-9)
             glo, ghi = _certify_mp(lambda y: fu(xm, y), glo, ghi, dps)
-            glo, ghi = _bisect_mp(lambda y: fu(xm, y), glo, ghi, inner_tol, dps)
-            s_lo = fv(xm, mp.mpf(glo))
-            s_hi = fv(xm, mp.mpf(ghi))
+            glo, ghi = _bisect_mp(lambda y: fu(xm, y), glo, ghi, inner, dps)
+            s_lo, s_hi = fv(xm, mp.mpf(glo)), fv(xm, mp.mpf(ghi))
             if (s_lo > 0) != (s_hi > 0):
-                return 0.0  # too close to the crossing to certify at this x
+                return 0.0
             return -1.0 if s_lo > 0 else 1.0
 
-    inner = min(tol * 1e-3, 1e-13)
-    lo = 1.0 + 1e-9
-    while crossing_sign(lo, 1e-9) < 0:
+    lo, hi = 1.0 + 1e-9, 4.0
+    while sign(lo, 1e-9) < 0:
         lo = 1.0 + (lo - 1.0) / 100
         if lo - 1.0 < 1e-15:
             raise PreconditionError("no crossing found above 1")
-    hi = 4.0
     for _ in range(60):
-        if crossing_sign(hi, 1e-9) < 0:
+        if sign(hi, 1e-9) < 0:
             break
         hi *= 2
-    flo, fhi = _bisect_float(lambda x: crossing_sign(x, inner), lo, hi, max(tol, _FLOAT_TOL_FLOOR))
+    inner = 1e-13 if tol >= _FLOAT_TOL_FLOOR else tol * 1e-3
+    flo, fhi = _bisect_float(lambda x: sign(x, inner), lo, hi, max(tol, _FLOAT_TOL_FLOOR))
     # multiprecision endpoint certification, nudging outward as needed
     step = max(fhi - flo, 1e-15)
     for _ in range(60):
-        s = crossing_sign(flo, 1e-20, cfg.precision)
-        if s > 0:
+        if sign_mp(flo, 1e-20) > 0:
             break
         flo -= step
         step *= 2
     step = max(fhi - flo, 1e-15)
     for _ in range(60):
-        s = crossing_sign(fhi, 1e-20, cfg.precision)
-        if s < 0:
+        if sign_mp(fhi, 1e-20) < 0:
             break
         fhi += step
         step *= 2
     if tol < _FLOAT_TOL_FLOOR:
-        with mp.workdps(cfg.precision):
+        with mp.workdps(dps):
             a, b = mp.mpf(flo), mp.mpf(fhi)
             inner_deep = tol * mp.mpf("1e-4")
             while b - a > tol:
                 m = (a + b) / 2
-                sg = crossing_sign(m, inner_deep, cfg.precision)
+                sg = sign_mp(m, inner_deep)
                 if sg > 0:
                     a = m
                 elif sg < 0:
@@ -328,3 +327,11 @@ def mu(u, v, tol: float | None = None, config: Config | None = None) -> Bracket:
                     break
             flo, fhi = a, b
     return Bracket(flo, fhi)
+
+
+def mu(u, v, tol: float | None = None, config: Config | None = None) -> Bracket:
+    """The unique x > 1 where g_u and g~_v cross (see :func:`crossing`)."""
+    cfg = resolve(config)
+    tol = cfg.tol if tol is None else tol
+    _validate_mu_pair(u, v)
+    return crossing(_value_fn(u, "f"), _value_fn(v, "ft"), tol, cfg.precision)

@@ -18,10 +18,10 @@ import math
 import numpy as np
 
 from .config import Config, resolve
-from .critical import komornik_loreti, split_descent
+from .critical import komornik_loreti
 from .expansions import expansion_bounds, quasi_greedy, quasi_lazy, regular
 from .solvers import PreconditionError
-from .substitution import BR_L, BR_R, apply, image_string
+from .substitution import BR_L, BR_R, apply, image_string, split_descent
 from .words import Word, compare, sup0, inf1
 
 

@@ -24,7 +24,6 @@ from typing import Iterator, Optional
 from .words import (
     Word,
     LetterStream,
-    STREAM_COMPARE_DEPTH,
     compare,
     ZERO,
     ONE,
@@ -189,9 +188,6 @@ class Directive:
             out += {REPEAT_L: "L", REPEAT_R: "R"}.get(self.tail, self.block)
         return out[:n]
 
-    def is_infinite(self) -> bool:
-        return self.tail != FINITE
-
 
 def parse_directive(text: str) -> Directive:
     """Parse directive text: 'LM', 'LM(R)', '(M)', '(LR)'."""
@@ -303,7 +299,7 @@ def limit_word(d: Directive, seed, n: Optional[int] = None):
 # node boundary words
 # ----------------------------------------------------------------------
 
-_SEEDS = {
+NODE_SEEDS = {
     "s0": ZERO,        # sigma(0^inf)
     "s010": W_010,     # sigma(01 0^inf)
     "s01": ZERO_ONE,   # sigma(0 1^inf)
@@ -325,12 +321,12 @@ class NodeBoundaries:
     s1: Word
 
     def as_dict(self):
-        return {k: getattr(self, k) for k in _SEEDS}
+        return {k: getattr(self, k) for k in NODE_SEEDS}
 
 
 def node_boundaries(w: str) -> NodeBoundaries:
     sigma = w + "M"
-    return NodeBoundaries(**{k: apply(sigma, v) for k, v in _SEEDS.items()})
+    return NodeBoundaries(**{k: apply(sigma, v) for k, v in NODE_SEEDS.items()})
 
 
 class _NodeLetters:
@@ -341,12 +337,12 @@ class _NodeLetters:
         self.n0, self.n1 = image_lengths(self.sigma)
 
     def stream(self, key: str) -> LetterStream:
-        seed = _SEEDS[key]
+        seed = NODE_SEEDS[key]
         return lazy_image(self.sigma, seed)
 
     def structure(self, key: str) -> tuple[int, int]:
         """(|preperiod|, |period|) of the image word, before canonicalization."""
-        seed = _SEEDS[key]
+        seed = NODE_SEEDS[key]
         pre = sum(self.n0 if c == "0" else self.n1 for c in seed.pre)
         per = sum(self.n0 if c == "0" else self.n1 for c in seed.per)
         return pre, per
@@ -455,20 +451,20 @@ def s_map(u, max_depth: int = 48) -> SMapResult:
     first = u.letter(0) if exact else u.prefix(1)
     if first == "0":
         # corner cells: [0^inf, 010^inf] -> L^inf, {01^inf} -> R^inf
-        c = compare(u, W_010) if exact else _cmp_prefix(u, W_010)
+        c = compare(u, W_010)
         if c is not None and c <= 0:
             return SMapResult(Directive("", REPEAT_L), False)
-        c = compare(u, ZERO_ONE) if exact else _cmp_prefix(u, ZERO_ONE)
+        c = compare(u, ZERO_ONE)
         if c == 0:
             return SMapResult(Directive("", REPEAT_R), False)
         if c is None:
             return SMapResult(Directive("", FINITE), True)
         branch = _branch0
     else:
-        c = compare(u, W_101) if exact else _cmp_prefix(u, W_101)
+        c = compare(u, W_101)
         if c is not None and c >= 0:
             return SMapResult(Directive("", REPEAT_R), False)
-        c = compare(u, ONE_ZERO) if exact else _cmp_prefix(u, ONE_ZERO)
+        c = compare(u, ONE_ZERO)
         if c == 0:
             return SMapResult(Directive("", REPEAT_L), False)
         if c is None:
@@ -487,8 +483,30 @@ def s_map(u, max_depth: int = 48) -> SMapResult:
     return SMapResult(Directive(w, FINITE), True)
 
 
-def _cmp_prefix(stream, word: Word, depth: int = STREAM_COMPARE_DEPTH):
-    return compare(stream, word, depth)
+def split_descent(a, b, max_depth: int):
+    """Joint s-map descent of a 0-word a and a 1-word b.
+
+    Returns (order, w, ba, bb): order ">" when s(a) > s(b) certified at
+    node w with branch pair (ba, bb), "<" symmetrically, "=" when the
+    walk stayed joint (including repeat-tail stops, which keep their
+    branch pair) for max_depth levels or hit undecidable stream ties
+    (ba = bb = None, with len(w) the depth reached).
+    """
+    exact_a, exact_b = isinstance(a, Word), isinstance(b, Word)
+    w = ""
+    for _ in range(max_depth):
+        ba = _branch0(a, w, exact_a)
+        bb = _branch1(b, w, exact_b)
+        if ba is None or bb is None:
+            return "=", w, None, None
+        if ba > bb:
+            return ">", w, ba, bb
+        if ba < bb:
+            return "<", w, ba, bb
+        if ba in (BR_STOP_L, BR_STOP_R):
+            return "=", w, ba, bb
+        w += "LMR"[ba // 2]
+    return "=", w, None, None
 
 
 # ----------------------------------------------------------------------

@@ -91,12 +91,6 @@ class Word:
     def complexity(self) -> int:
         return len(self.pre) + len(self.per)
 
-    def is_constant(self) -> bool:
-        return len(self.per) == 1 and not self.pre
-
-    def eventually_constant(self) -> bool:
-        return len(self.per) == 1
-
     # -- text format --------------------------------------------------
     def __str__(self) -> str:
         return f"{self.pre}({self.per})"

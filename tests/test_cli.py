@@ -134,7 +134,13 @@ def test_undecided_exit_code(capsys):
 def test_precision_env_var(tmp_path):
     import subprocess, sys, os
 
-    env = dict(os.environ, DOUBLEBASE_PRECISION="42")
+    import doublebase
+
+    # the child imports the same package as this process, however the
+    # test run put it on the path
+    src = os.path.dirname(os.path.dirname(doublebase.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, DOUBLEBASE_PRECISION="42", PYTHONPATH=path)
     out = subprocess.run(
         [sys.executable, "-c", "from doublebase.config import DEFAULT; print(DEFAULT.precision)"],
         capture_output=True, text=True, env=env,

@@ -1,7 +1,9 @@
 import math
 
+import mpmath as mp
 import pytest
 
+from doublebase.config import Config
 from doublebase.critical import (
     Case,
     curve_csv,
@@ -9,9 +11,11 @@ from doublebase.critical import (
     kl_fixed_point,
     komornik_loreti,
     ks_crosscheck,
+    node_mu,
     parse_curve_csv,
     sample_curve,
 )
+from doublebase.solvers import mu
 from doublebase.substitution import node_boundaries
 
 PHI = (1 + 5 ** 0.5) / 2
@@ -48,6 +52,31 @@ def test_interval_memberships_deeper_node():
     assert r.case is Case.LEFT_FORMULA
     # boundary word is the node's sigma(1 0^inf)
     assert r.boundary_word == node_boundaries("ML").s10
+
+
+NODE_PAIRS = [("s0", "s1"), ("s0", "s10"), ("s01", "s1"), ("s010", "s10"), ("s01", "s101")]
+
+
+def test_node_mu_agrees_with_word_mu():
+    # the affine node path and the materialized-word path solve the same
+    # crossing: their brackets overlap and both are tight
+    for w in ["", "L", "R", "LR", "RRL"]:
+        nb = node_boundaries(w)
+        for u, v in NODE_PAIRS:
+            by_word = mu(getattr(nb, u), getattr(nb, v), tol=1e-13)
+            by_node = node_mu(w, u, v)
+            assert by_word.lo <= by_node.hi and by_node.lo <= by_word.hi, (w, u, v)
+            assert by_word.width <= 1e-12 and by_node.width <= 1e-12, (w, u, v)
+
+
+def test_node_mu_honours_tight_tolerance_after_warm_cache():
+    # a crossing cached at the default tolerance must not answer a
+    # request for a tighter one
+    node_mu("", "s0", "s1")
+    br = node_mu("", "s0", "s1", Config(tol=1e-15))
+    assert br.width <= 1e-15
+    with mp.workdps(30):
+        assert (1 + mp.sqrt(5)) / 2 in br
 
 
 def test_result_invariants():
