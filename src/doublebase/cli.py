@@ -32,7 +32,7 @@ from .spectral import (
     univoque_dimension_lower_bound,
 )
 from .substitution import DirectiveError, limit_word, parse_directive, s_map
-from .words import Word, WordError, parse_word
+from .words import WordError, parse_word
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2

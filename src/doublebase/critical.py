@@ -10,13 +10,21 @@ crossing mu_{s0,s1}.  The K descent walks {L,M,R}* nodes with the two
 formula intervals [mu_{s0,s10}, mu_{s010,s10}] and [mu_{s01,s101},
 mu_{s01,s1}]; strictly between them it appends M.
 
+Both descents cross a constant L^k or R^k spine by galloping (_run_end):
+the spine crossings are monotone along the run, so an exponential search
+followed by a binary search finds where q0 stops being beyond the node
+cells with O(log k) crossings, and the skipped nodes change neither the
+node nor the case reached.  max_depth still counts directive letters.
+
 Membership is decided against certified mu brackets; a q0 within bracket
 width of an endpoint is resolved into the adjacent closed formula
 interval (the formulas agree at shared endpoints, so this is the
 tightest enclosure) and the returned value bracket is padded by a local
 slope estimate times the ambiguity.  At max_depth the result is the
 enclosure of the two adjacent formula values, which is valid because the
-critical maps are strictly decreasing.
+critical maps are strictly decreasing, intersected with the product
+chain of the curve (1/(q0+1) <= (q0-1)(G-1) <= 1/2 <= (q0-1)(K-1) <
+q0/(q0+1)), so a walk down one spine still returns a finite bracket.
 """
 
 from __future__ import annotations
@@ -26,11 +34,14 @@ import io
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Optional
+
+import mpmath as mp
 
 from .config import Config, resolve
 from .expansions import expansion_bounds, regular
-from .series import node_pi, f_from_pi, f_tilde_from_pi
+from .series import letter_runs, node_pi, f_from_pi, f_tilde_from_pi
 from .solvers import Bracket, crossing, root_q1, _FLOAT_TOL_FLOOR
 from .substitution import NODE_SEEDS, _NodeLetters, apply, split_descent
 from .words import Word
@@ -64,13 +75,15 @@ class CriticalResult:
 
 def _node_f(w: str, key: str, kind: str):
     """f or f~ of a node boundary word as a function of (q0, q1), via the
-    composed affine forms (no word materialization)."""
+    composed affine forms (no word materialization); the node's letter
+    runs are encoded once, not per evaluation."""
+    runs = letter_runs(w + "M")
     if kind == "f":
         def fn(q0, q1):
-            return f_from_pi(node_pi(w, q0, q1)[key], q0, q1)
+            return f_from_pi(node_pi(runs, q0, q1, key), q0, q1)
     else:
         def fn(q0, q1):
-            return f_tilde_from_pi(node_pi(w, q0, q1)[key], q0, q1)
+            return f_tilde_from_pi(node_pi(runs, q0, q1, key), q0, q1)
     return fn
 
 
@@ -117,6 +130,59 @@ def _ambiguity(q0: float, left: Bracket, right: Bracket) -> float:
     return ambiguity
 
 
+# the crossing that ends a node's cell on the side of a spine letter
+_SPINE_PAIR = {"L": ("s0", "s10"), "R": ("s01", "s1")}
+
+
+def _beyond(q0: float, mu: Bracket, letter: str) -> bool:
+    """q0 lies left (letter L) or right (R) of crossing mu by more than
+    its slack, so the descent appends that letter."""
+    if letter == "L":
+        return q0 < mu.lo - _slack(mu)
+    return q0 > mu.hi + _slack(mu)
+
+
+def _run_end(w: str, letter: str, q0: float, cfg: Config, max_depth: int) -> int:
+    """Length k of the run the descent appends at node w, where q0 lies
+    beyond w's cell on the side of letter: every node w letter^j, j < k,
+    sends q0 on by letter, and w letter^k does not or has max_depth
+    letters.
+
+    Along a constant run the spine crossings are monotone (the cell of
+    w c^(j+1) lies in the range that w c^j sends on by c), so "beyond"
+    holds for a prefix of the run; an exponential search followed by a
+    binary search finds its end with O(log k) crossings (Bentley and
+    Yao's unbounded search), and the skipped nodes change nothing.
+    """
+    pair = _SPINE_PAIR[letter]
+
+    def beyond(j: int) -> bool:
+        return _beyond(q0, node_mu(w + letter * j, *pair, cfg), letter)
+
+    cap = max_depth - len(w)
+    lo, hi = 0, cap  # beyond at lo; hi is the first node not beyond, or the cap
+    while lo < cap - 1:
+        j = min(max(2 * lo, 1), cap - 1)
+        if not beyond(j):
+            hi = j
+            break
+        lo = j
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if beyond(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _spine_bound(w: str, key: str, kind: str, cfg: Config) -> tuple:
+    """Exhaustion bound of the last spine step of head w: the node
+    formula (key, kind) of the node the step left, at its spine crossing."""
+    last, letter = w[:-1], w[-1]
+    return (last, key, kind, node_mu(last, *_SPINE_PAIR[letter], cfg).mid)
+
+
 def _formula_result(w: str, key: str, kind: str, q0: float, case: Case,
                     tol: float, dps: int, ambiguity: float) -> CriticalResult:
     fn = _node_f(w, key, kind)
@@ -137,7 +203,33 @@ def _formula_result(w: str, key: str, kind: str, q0: float, case: Case,
     )
 
 
-def _exhausted_result(q0, lo_bound, hi_bound, tol, dps) -> CriticalResult:
+def _outward(x: Fraction, up: bool) -> float:
+    """The float nearest the exact x, stepped once when on the wrong side."""
+    near = float(x)
+    if (near < x) if up else (near > x):
+        near = math.nextafter(near, math.inf if up else -math.inf)
+    return near
+
+
+def _exact(x) -> Fraction:
+    """x as an exact Fraction: floats, ints and Fractions directly, mpf
+    values from their binary mantissa and exponent."""
+    if isinstance(x, mp.mpf):
+        man, exp = x.man_exp
+        return Fraction(int(man)) * Fraction(2) ** exp
+    return Fraction(x)
+
+
+def _chain(x: Fraction, lo_product: Fraction, hi_product: Fraction) -> tuple[float, float]:
+    """The values c with lo_product <= (x - 1)(c - 1) <= hi_product,
+    rounded outward."""
+    return _outward(1 + lo_product / (x - 1), False), _outward(1 + hi_product / (x - 1), True)
+
+
+def _exhausted_result(q0, lo_bound, hi_bound, chain, tol, dps) -> CriticalResult:
+    """Enclosure from the last spine bounds of the walk, intersected with
+    the product chain (lo, hi) of the curve, which keeps it finite on a
+    one-letter walk; the case is read off the spine bounds alone."""
     lo_val = 1.0
     hi_val = math.inf
     if lo_bound is not None:
@@ -149,7 +241,7 @@ def _exhausted_result(q0, lo_bound, hi_bound, tol, dps) -> CriticalResult:
     lo_val, hi_val = min(lo_val, hi_val), max(lo_val, hi_val)
     width = hi_val - lo_val
     case = Case.PRIMITIVE_LIMIT if width <= 1e4 * max(tol, _FLOAT_TOL_FLOOR) else Case.DEPTH_EXHAUSTED
-    val = Bracket(lo_val, hi_val)
+    val = Bracket(max(lo_val, chain[0]), min(hi_val, chain[1]))
     return CriticalResult(val, "", case, None, (q0 - 1.0) * (val.mid - 1.0))
 
 
@@ -166,22 +258,24 @@ def generalized_golden_ratio(q0: float, tol: float | None = None,
     dps = cfg.precision
     w = ""
     lo_bound = hi_bound = None  # lazy value bounds for exhaustion
-    for _ in range(max_depth):
+    while len(w) < max_depth:
         mu1 = node_mu(w, "s0", "s10", cfg)
-        mu2 = node_mu(w, "s01", "s1", cfg)
-        if q0 < mu1.lo - _slack(mu1):
-            lo_bound = (w, "s0", "f", mu1.mid)  # G(q0) > G(mu1) = left formula there
-            w += "L"
+        if _beyond(q0, mu1, "L"):
+            w += "L" * _run_end(w, "L", q0, cfg, max_depth)
+            lo_bound = _spine_bound(w, "s0", "f", cfg)  # G(q0) > G(mu1) = left formula there
             continue
-        if q0 > mu2.hi + _slack(mu2):
-            hi_bound = (w, "s1", "ft", mu2.mid)
-            w += "R"
+        mu2 = node_mu(w, "s01", "s1", cfg)
+        if _beyond(q0, mu2, "R"):
+            w += "R" * _run_end(w, "R", q0, cfg, max_depth)
+            hi_bound = _spine_bound(w, "s1", "ft", cfg)
             continue
         ambiguity = _ambiguity(q0, mu1, mu2)
         if q0 <= node_mu(w, "s0", "s1", cfg).mid:
             return _formula_result(w, "s0", "f", q0, Case.LEFT_FORMULA, tol, dps, ambiguity)
         return _formula_result(w, "s1", "ft", q0, Case.RIGHT_FORMULA, tol, dps, ambiguity)
-    return _exhausted_result(q0, lo_bound, hi_bound, tol, dps)
+    x = _exact(q0)  # 1/(q0+1) <= (q0-1)(G-1) <= 1/2
+    chain = _chain(x, 1 / (x + 1), Fraction(1, 2))
+    return _exhausted_result(q0, lo_bound, hi_bound, chain, tol, dps)
 
 
 def komornik_loreti(q0: float, tol: float | None = None,
@@ -197,16 +291,16 @@ def komornik_loreti(q0: float, tol: float | None = None,
     dps = cfg.precision
     w = ""
     lo_bound = hi_bound = None
-    for _ in range(max_depth):
+    while len(w) < max_depth:
         muL1 = node_mu(w, "s0", "s10", cfg)
-        muR2 = node_mu(w, "s01", "s1", cfg)
-        if q0 < muL1.lo - _slack(muL1):
-            lo_bound = (w, "s10", "ft", muL1.mid)
-            w += "L"
+        if _beyond(q0, muL1, "L"):
+            w += "L" * _run_end(w, "L", q0, cfg, max_depth)
+            lo_bound = _spine_bound(w, "s10", "ft", cfg)
             continue
-        if q0 > muR2.hi + _slack(muR2):
-            hi_bound = (w, "s01", "f", muR2.mid)
-            w += "R"
+        muR2 = node_mu(w, "s01", "s1", cfg)
+        if _beyond(q0, muR2, "R"):
+            w += "R" * _run_end(w, "R", q0, cfg, max_depth)
+            hi_bound = _spine_bound(w, "s01", "f", cfg)
             continue
         muL2 = node_mu(w, "s010", "s10", cfg)
         if q0 <= muL2.hi + _slack(muL2):
@@ -220,7 +314,9 @@ def komornik_loreti(q0: float, tol: float | None = None,
         hi_bound = (w, "s10", "ft", muL2.mid)
         lo_bound = (w, "s01", "f", muR1.mid)
         w += "M"
-    return _exhausted_result(q0, lo_bound, hi_bound, tol, dps)
+    x = _exact(q0)  # 1/2 <= (q0-1)(K-1) < q0/(q0+1)
+    chain = _chain(x, Fraction(1, 2), x / (x + 1))
+    return _exhausted_result(q0, lo_bound, hi_bound, chain, tol, dps)
 
 
 def kl_fixed_point(tol: float = 1e-9, lo: float = 1.7, hi: float = 1.9,

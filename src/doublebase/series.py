@@ -11,13 +11,18 @@ and multiprecision solving.
 The module also provides the affine forms used by the critical-value
 descent: reading a letter c maps the value of the remaining tail x to
 a_c + s_c * x, and substitution images compose these maps, so pi of huge
-node boundary words costs O(|directive|) arithmetic instead of
-materializing the words.
+node boundary words costs arithmetic in the directive, not in the
+exponential word lengths.  directive_affine composes over the runs of
+the directive: a run L^k or R^k applies the k-th power of one letter map,
+taken by squaring, so one evaluation costs O(runs * log run) operations
+(M letters and runs of length one still take one `step` each).
 """
 
 from __future__ import annotations
 
-from .substitution import Directive, PERIODIC, DirectiveError, image_string
+from itertools import groupby
+
+from .substitution import NODE_SEEDS, PERIODIC, Directive, DirectiveError, image_string
 from .words import Word
 
 
@@ -81,8 +86,8 @@ def reduce_system(d0, q0, d1, q1):
 class AffinePair:
     """Maps (a0,s0), (a1,s1) with pi(w(c) . tail) = a_c + s_c * pi(tail).
 
-    Building the pair for a directive word w costs O(|w|) regardless of
-    the exponential image lengths.
+    Building the pair for a directive word w (directive_affine) costs
+    O(runs * log run) regardless of the exponential image lengths.
     """
 
     __slots__ = ("a0", "s0", "a1", "s1")
@@ -123,28 +128,67 @@ class AffinePair:
         return a, s
 
 
-def directive_affine(w: str, q0, q1) -> AffinePair:
+def _power(a, s, k: int):
+    """(A, S) such that x -> A + S * x is the k-fold (k >= 1) power of
+    x -> a + s * x, by squaring.  No geometric-series closed form: it
+    cancels badly for s near 1 and squaring stays exact on Fraction."""
+    pa = ps = None
+    while True:
+        if k & 1:
+            pa, ps = (a, s) if pa is None else (pa + ps * a, ps * s)
+        k >>= 1
+        if not k:
+            return pa, ps
+        a, s = a + s * a, s * s
+
+
+def letter_runs(w: str) -> tuple:
+    """Run-length encoding ((letter, count), ...) of a directive word."""
+    return tuple((c, sum(1 for _ in g)) for c, g in groupby(w))
+
+
+def directive_affine(w, q0, q1) -> AffinePair:
+    """Affine pair of the directive w, given as a word or as its
+    letter_runs: a run L^k fixes (a0, s0) and maps (a1, s1) to
+    (a1 + s1 * A, s1 * S), (A, S) the k-th power of x -> a0 + s0 * x;
+    R^k is the mirror; M letters and single letters take one step."""
     pair = AffinePair.identity(q0, q1)
-    for letter in w:
-        pair = pair.step(letter)
+    for letter, k in (letter_runs(w) if isinstance(w, str) else w):
+        if k == 1 or letter == "M":
+            for _ in range(k):
+                pair = pair.step(letter)
+        elif letter == "L":
+            a, s = _power(pair.a0, pair.s0, k)
+            pair = AffinePair(pair.a0, pair.s0, pair.a1 + pair.s1 * a, pair.s1 * s)
+        elif letter == "R":
+            a, s = _power(pair.a1, pair.s1, k)
+            pair = AffinePair(pair.a0 + pair.s0 * a, pair.s0 * s, pair.a1, pair.s1)
+        else:
+            raise DirectiveError(f"bad directive letter {letter!r}")
     return pair
 
 
-def node_pi(w: str, q0, q1) -> dict:
-    """pi of the six boundary words of node sigma = wM, from affine forms."""
-    pair = directive_affine(w + "M", q0, q1)
-    p0 = pair.a0 / (1 - pair.s0)
-    p1 = pair.a1 / (1 - pair.s1)
-    p10 = pair.a1 + pair.s1 * p0
-    p01 = pair.a0 + pair.s0 * p1
-    return {
-        "s0": p0,
-        "s1": p1,
-        "s10": p10,
-        "s01": p01,
-        "s010": pair.a0 + pair.s0 * p10,
-        "s101": pair.a1 + pair.s1 * p01,
-    }
+def _seed_value(pair: AffinePair, seed: Word):
+    # pi(sigma(seed)) for a node seed pre.c^inf: the periodic tail, then
+    # the prefix letters from the right
+    p = pair.a0 / (1 - pair.s0) if seed.per == "0" else pair.a1 / (1 - pair.s1)
+    for c in reversed(seed.pre):
+        p = pair.a0 + pair.s0 * p if c == "0" else pair.a1 + pair.s1 * p
+    return p
+
+
+def node_pi(w, q0, q1, key: str | None = None):
+    """pi of the boundary words of node sigma = wM, from affine forms.
+
+    w is the directive head or letter_runs(w + "M"), which a caller
+    evaluating one node many times computes once.  With a key of
+    NODE_SEEDS the value of that boundary word alone; without one, the
+    dict of all six.
+    """
+    pair = directive_affine(w + "M" if isinstance(w, str) else w, q0, q1)
+    if key is None:
+        return {k: _seed_value(pair, seed) for k, seed in NODE_SEEDS.items()}
+    return _seed_value(pair, NODE_SEEDS[key])
 
 
 def f_from_pi(p, q0, q1):

@@ -3,8 +3,13 @@ import math
 import mpmath as mp
 import pytest
 
-from doublebase.config import Config
+from doublebase import critical
+from doublebase.config import DEFAULT, Config
 from doublebase.critical import (
+    _SPINE_PAIR,
+    _beyond,
+    _run_end,
+    _slack,
     Case,
     curve_csv,
     generalized_golden_ratio,
@@ -207,3 +212,58 @@ def test_random_grid_robustness():
         pg = (q0 - 1) * (rg.value.mid - 1)
         pk = (q0 - 1) * (rk.value.mid - 1)
         assert pg <= 0.5 + 1e-9 <= pk + 2e-9
+
+
+def _walked_run(w, letter, q0, cfg, max_depth):
+    # the reference for _run_end: one node at a time with the same test
+    k = 1
+    while len(w) + k < max_depth and _beyond(q0, node_mu(w + letter * k, *_SPINE_PAIR[letter], cfg), letter):
+        k += 1
+    return k
+
+
+def test_run_end_matches_node_by_node_walk():
+    cfg = DEFAULT
+    probes = [("R", q0, 40) for q0 in (3.0, 6.0, 10.0, 16.0)]
+    probes += [("L", q0, 40) for q0 in (1.05, 1.1, 1.2)]
+    probes += [("R", 16.0, 9), ("L", 1.05, 5)]  # runs cut at max_depth
+    # q0 within and just outside the slack of a spine crossing
+    for letter, j in (("R", 3), ("R", 7), ("L", 4), ("L", 9)):
+        mu = node_mu(letter * j, *_SPINE_PAIR[letter], cfg)
+        edge = mu.hi + _slack(mu) if letter == "R" else mu.lo - _slack(mu)
+        for q0 in (edge, math.nextafter(edge, 1.0), math.nextafter(edge, 100.0), mu.lo, mu.hi):
+            probes.append((letter, q0, 40))
+    for letter, q0, max_depth in probes:
+        assert _run_end("", letter, q0, cfg, max_depth) == _walked_run("", letter, q0, cfg, max_depth), (letter, q0)
+
+
+def _left_spine_value(q0, k):
+    # G on the cell of node L^k M: the root of f at sigma(0^inf) = (0 1 0^k)^inf
+    with mp.workdps(40):
+        q = mp.mpf(q0)
+        return 1 / (q ** k * (q - 1))
+
+
+def test_near_one_left_spine_cell():
+    r = generalized_golden_ratio(1.01, max_depth=100)
+    assert r.node == "L" * 68 and r.case is Case.LEFT_FORMULA
+    assert r.value.lo <= _left_spine_value(1.01, 68) <= r.value.hi
+
+
+def test_near_one_default_depth_is_finite():
+    r = generalized_golden_ratio(1.01)
+    assert r.case is Case.DEPTH_EXHAUSTED
+    assert math.isfinite(r.value.lo) and math.isfinite(r.value.hi)
+    assert r.value.lo <= _left_spine_value(1.01, 68) <= r.value.hi
+    # the product chain 1/(q0+1) <= (q0-1)(G-1) <= 1/2 bounds the enclosure
+    assert r.value.width < 0.3
+
+
+@pytest.mark.parametrize("q0, max_depth", [(1.01, None), (50.0, 100)])
+def test_spine_descent_solves_logarithmically_many_crossings(monkeypatch, q0, max_depth):
+    # a cold spine descent solves O(log depth) crossings, not one per node
+    cache = {}
+    monkeypatch.setattr(critical, "_MU_CACHE", cache)
+    depth = DEFAULT.max_depth if max_depth is None else max_depth
+    generalized_golden_ratio(q0, max_depth=max_depth)
+    assert len(cache) <= 2 * math.ceil(math.log2(depth)) + 4

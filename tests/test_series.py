@@ -5,9 +5,12 @@ import mpmath as mp
 import pytest
 
 from doublebase.series import (
+    AffinePair,
     DegenerateSystemError,
+    directive_affine,
     f,
     f_tilde,
+    letter_runs,
     node_pi,
     pi,
     pi_limit,
@@ -153,6 +156,74 @@ def test_node_pi_matches_word_pi(rng):
         vals = node_pi(w, q0, q1)
         for key, word in nb.as_dict().items():
             assert vals[key] == pytest.approx(pi(q0, q1, word), rel=1e-13, abs=1e-13)
+
+
+def _stepwise_affine(w, q0, q1):
+    # the reference composer: one AffinePair.step per directive letter
+    pair = AffinePair.identity(q0, q1)
+    for letter in w:
+        pair = pair.step(letter)
+    return pair
+
+
+def _image_length(w):
+    # max(|w(0)|, |w(1)|): the power of q in the denominators of w's pair
+    n0 = n1 = 1
+    for letter in w:
+        if letter == "L":
+            n1 += n0
+        elif letter == "R":
+            n0 += n1
+        else:
+            n0 = n1 = n0 + n1
+    return max(n0, n1)
+
+
+def _random_directive(rng, max_image=None):
+    # L and R runs of length 1 to 70, with M letters between some of
+    # them; max_image keeps exact Fraction entries to a few thousand digits
+    while True:
+        parts = []
+        for _ in range(rng.randrange(1, 6)):
+            parts.append(rng.choice("LR") * rng.randrange(1, 71))
+            if rng.random() < 0.5:
+                parts.append("M" * rng.randrange(1, 3))
+        w = "".join(parts)
+        if max_image is None or _image_length(w) <= max_image:
+            return w
+
+
+def _entries(pair):
+    return pair.a0, pair.s0, pair.a1, pair.s1
+
+
+def test_run_composer_is_exact_on_fractions(rng):
+    for _ in range(30):
+        w = _random_directive(rng, max_image=3000)
+        q0 = Fraction(rng.randrange(11, 40), 10)
+        q1 = Fraction(rng.randrange(11, 40), 10)
+        assert _entries(directive_affine(w, q0, q1)) == _entries(_stepwise_affine(w, q0, q1)), w
+
+
+def test_run_composer_matches_steps_in_multiprecision(rng):
+    with mp.workdps(30):
+        for _ in range(30):
+            w = _random_directive(rng)
+            q0 = mp.mpf(1.05 + 2.5 * rng.random())
+            q1 = mp.mpf(1.05 + 2.5 * rng.random())
+            got = _entries(directive_affine(w, q0, q1))
+            want = _entries(_stepwise_affine(w, q0, q1))
+            for x, y in zip(got, want):
+                assert abs(x - y) < mp.mpf("1e-25"), w
+
+
+def test_node_pi_by_key_and_by_runs():
+    for w in ["", "M", "LLLLR", "R" * 40 + "MLL", "L" * 67]:
+        q0, q1 = Fraction(3, 2), Fraction(7, 4)
+        vals = node_pi(w, q0, q1)
+        assert node_pi(letter_runs(w + "M"), q0, q1) == vals
+        for key, val in vals.items():
+            assert node_pi(letter_runs(w + "M"), q0, q1, key) == val
 
 
 def test_pi_limit_against_direct_sum():
