@@ -42,7 +42,7 @@ import mpmath as mp
 from .config import Config, resolve
 from .expansions import expansion_bounds, regular
 from .series import letter_runs, node_pi, f_from_pi, f_tilde_from_pi
-from .solvers import Bracket, crossing, root_q1, _FLOAT_TOL_FLOOR
+from .solvers import Bracket, bracket_root, crossing, root_q1, _certify_mp, _FLOAT_TOL_FLOOR
 from .substitution import NODE_SEEDS, _NodeLetters, apply, split_descent
 from .words import Word
 
@@ -321,18 +321,27 @@ def komornik_loreti(q0: float, tol: float | None = None,
 
 def kl_fixed_point(tol: float = 1e-9, lo: float = 1.7, hi: float = 1.9,
                    config: Config | None = None) -> Bracket:
-    """The unique base q* with K(q*) = q* (K is strictly decreasing, so
-    bisection on K(q) - q is safe)."""
+    """The unique base q* with K(q*) = q*: the root of the continuous,
+    strictly decreasing q -> K(q) - q on [lo, hi], solved to tol / 2 by
+    solvers.bracket_root.  An end that lands within K's bracket of q* is
+    then pushed outward until the whole K bracket lies on its side, so
+    both ends are sign-verified."""
     cfg = resolve(config)
-    if not komornik_loreti(lo, config=cfg).value.mid > lo:
+
+    def excess(q: float) -> float:
+        return komornik_loreti(q, config=cfg).value.mid - q
+
+    def verified(q) -> float:
+        # the sign of K(q) - q where the K bracket decides it, else 0
+        value = komornik_loreti(float(q), config=cfg).value
+        return max(value.lo - q, 0.0) + min(value.hi - q, 0.0)
+
+    if not excess(lo) > 0:
         raise ValueError("K(lo) - lo must be positive")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if komornik_loreti(mid, config=cfg).value.mid > mid:
-            lo = mid
-        else:
-            hi = mid
-    return Bracket(lo, hi)
+    if excess(hi) > 0:
+        raise ValueError("K(hi) - hi must not be positive")
+    lo, hi = bracket_root(excess, lo, hi, tol / 2)
+    return Bracket(*_certify_mp(verified, lo, hi, cfg.precision))
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Bracketed root solvers for the base equations.
 
 All roots are reported as closed brackets, never bare points.  The
-functions solved here are strictly monotone (proven properties of the
-value maps), so plain bisection is unconditionally safe: a float64
-bisection does the bulk of the work and the endpoint signs are then
-re-verified in multiprecision arithmetic (config.precision decimal
-digits).  Tolerances below the float64 floor switch to multiprecision
-bisection seeded by the certified float bracket.
+functions solved here are continuous and strictly monotone (proven
+properties of the value maps), so one bracketing routine, Brent's
+zeroin (bracket_root), serves every level: it keeps a sign-verified
+bracket and converges superlinearly, falling back to bisection when an
+interpolation step would not shrink the bracket fast enough.  The same
+code runs on floats and on mpf values.  A float64 solve does the bulk
+of the work and the endpoint signs are then re-verified in
+multiprecision arithmetic (config.precision decimal digits); tolerances
+below the float64 floor continue in multiprecision from the certified
+float bracket.
 
 g(u, q0)   -- the unique q1 > 1 with f_u(q0, q1) = 0, or BELOW_ONE
 gt(v, q0)  -- the unique q1 > 1 with f~_v(q0, q1) = 0
@@ -20,6 +24,7 @@ solver (crossing) on value functions of (q0, q1).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -73,17 +78,61 @@ class _BelowOne:
 BELOW_ONE = _BelowOne()
 
 
-def _bisect_float(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    # fn(lo) > 0 >= fn(hi) assumed
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+def bracket_root(fn, lo, hi, tol):
+    """Brent's zeroin (Brent 1973, ch. 4, after Dekker 1969) on a
+    continuous fn with fn(lo) > 0 >= fn(hi): returns evaluated points
+    (lo, hi) with the same signs and hi - lo <= tol, or adjacent
+    representable points when tol is below their spacing.
+
+    Floats and mpf values (at the caller's working precision) run the
+    same code.  Each step takes an inverse quadratic or secant step when
+    it lands well inside the bracket and shrinks it fast enough, else
+    bisects; steps shorter than t = eps*|b| + tol/2 are lengthened to t,
+    and a bracket within 2t of closing is bisected, so the loop ends
+    even when tol is below one ulp of the root.
+    """
+    eps = 2 * mp.eps if isinstance(lo, mp.mpf) else sys.float_info.epsilon
+    a, fa = lo, fn(lo)
+    b, fb = hi, fn(hi)
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0) == (fc > 0):  # keep c on the other side of the root
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):  # b is the better of the two ends
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        m = 0.5 * (c - b)
+        mid = b + m
+        if abs(c - b) <= tol or mid == b or mid == c:
             break
-        if fn(mid) > 0:
-            lo = mid
+        t = eps * abs(b) + 0.5 * tol
+        if abs(m) > t and abs(e) >= t and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2 * m * s, 1 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2 * m * q * (q - r) - (b - a) * (r - 1))
+                q = (q - 1) * (r - 1) * (s - 1)
+            if p > 0:
+                q = -q
+            p = abs(p)
+            if 2 * p < min(3 * m * q - abs(t * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                e = d = m
         else:
-            hi = mid
-    return lo, hi
+            e = d = m  # bisection
+        if abs(m) > t and abs(d) <= t:
+            d = t if m > 0 else -t
+        x = b + d
+        if not min(b, c) < x < max(b, c):
+            x = mid
+        a, fa = b, fb
+        b, fb = x, fn(x)
+    return (b, c) if fb > 0 else (c, b)
 
 
 def _certify_mp(fn_mp, lo: float, hi: float, dps: int, floor: float = 1.0) -> tuple[float, float]:
@@ -110,28 +159,19 @@ def _certify_mp(fn_mp, lo: float, hi: float, dps: int, floor: float = 1.0) -> tu
     return lo, hi
 
 
-def _bisect_mp(fn_mp, lo, hi, tol, dps):
-    with mp.workdps(dps):
-        lo, hi = mp.mpf(lo), mp.mpf(hi)
-        while hi - lo > tol:
-            mid = (lo + hi) / 2
-            if fn_mp(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        return lo, hi
-
-
 def solve_decreasing(fn, fn_mp, lo: float, hi: float, tol: float, dps: int) -> Bracket:
     """Bracket the root of a strictly decreasing function.
 
     fn is the float64 evaluation, fn_mp the same function on mpf inputs.
     Precondition: fn(lo) > 0 >= fn(hi).
     """
-    flo, fhi = _bisect_float(fn, lo, hi, max(tol, _FLOAT_TOL_FLOOR))
+    # half the width, so that one outward nudge of the certification,
+    # needed when an end lands within float noise of the root, keeps it
+    flo, fhi = bracket_root(fn, lo, hi, max(tol, _FLOAT_TOL_FLOOR) / 2)
     flo, fhi = _certify_mp(fn_mp, flo, fhi, dps)
     if tol < _FLOAT_TOL_FLOOR:
-        flo, fhi = _bisect_mp(fn_mp, flo, fhi, tol, dps)
+        with mp.workdps(dps):
+            flo, fhi = bracket_root(fn_mp, mp.mpf(flo), mp.mpf(fhi), tol)
     return Bracket(flo, fhi)
 
 
@@ -258,47 +298,51 @@ def crossing(fu, fv, tol: float, dps: int) -> Bracket:
     """The unique x > 1 where the roots in q1 of fu(x, .) and fv(x, .)
     cross, fu being an f and fv an f~ function of (q0, q1).
 
-    The sign of g_u(x) - g~_v(x) is read off f~_v(x, g_u(x)) without
-    forming the difference: f~_v is strictly decreasing in q1, so
-    f~_v(x, g_u(x)) > 0 exactly when g_u(x) < g~_v(x).  The float
-    bisection uses inner root brackets of 1e-13 (tol * 1e-3 below the
-    float floor); the endpoints are then certified at dps digits.
+    The outer solve is bracket_root on the discriminant
+    -f~_v(x, g_u(x)), continuous and of the sign of g_u(x) - g~_v(x)
+    (f~_v is strictly decreasing in q1), with g_u(x) itself an inner
+    bracket_root of width 1e-13 (tol * 1e-3 below the float floor); past
+    the critical base q_u of fu, where g_u = 1, the discriminant is
+    -f~_v(x, 1), which keeps it continuous and negative.  The float
+    bracket's endpoints are then certified at dps digits by signs read
+    off an inner root refined to 1e-20.
     """
 
-    def sign(x: float, inner: float) -> float:
-        # +1 while g_u(x) > g~_v(x) (left of the crossing), else -1
+    def disc(x: float, inner: float) -> float:
+        # > 0 while g_u(x) > g~_v(x) (left of the crossing), else <= 0
         if fu(x, 1.0) <= 0:
-            return -1.0  # x >= q_u, g_u = 1 < g~_v
+            return -fv(x, 1.0)  # x >= q_u, g_u = 1 < g~_v
         hi = expand_upper(lambda y: fu(x, y), 8.0)
-        glo, ghi = _bisect_float(lambda y: fu(x, y), 1.0 + 1e-12, hi, inner)
-        return -1.0 if fv(x, 0.5 * (glo + ghi)) > 0 else 1.0
+        glo, ghi = bracket_root(lambda y: fu(x, y), 1.0 + 1e-12, hi, inner)
+        return -fv(x, 0.5 * (glo + ghi))
 
     def sign_mp(x, inner) -> float:
-        # as sign, certified at dps digits; 0 when too close to call
+        # +1 left of the crossing, -1 right of it, certified at dps
+        # digits; 0 when too close to call
         with mp.workdps(dps):
             xm, xf = mp.mpf(x), float(x)
             if fu(xm, mp.mpf(1)) <= 0:
                 return -1.0
             hi = expand_upper(lambda y: fu(xf, y), 8.0)
-            glo, ghi = _bisect_float(lambda y: fu(xf, y), 1.0 + 1e-12, hi, 1e-9)
+            glo, ghi = bracket_root(lambda y: fu(xf, y), 1.0 + 1e-12, hi, 1e-9)
             glo, ghi = _certify_mp(lambda y: fu(xm, y), glo, ghi, dps)
-            glo, ghi = _bisect_mp(lambda y: fu(xm, y), glo, ghi, inner, dps)
-            s_lo, s_hi = fv(xm, mp.mpf(glo)), fv(xm, mp.mpf(ghi))
+            glo, ghi = bracket_root(lambda y: fu(xm, y), mp.mpf(glo), mp.mpf(ghi), inner)
+            s_lo, s_hi = fv(xm, glo), fv(xm, ghi)
             if (s_lo > 0) != (s_hi > 0):
                 return 0.0
             return -1.0 if s_lo > 0 else 1.0
 
     lo, hi = 1.0 + 1e-9, 4.0
-    while sign(lo, 1e-9) < 0:
+    while not disc(lo, 1e-9) > 0:
         lo = 1.0 + (lo - 1.0) / 100
         if lo - 1.0 < 1e-15:
             raise PreconditionError("no crossing found above 1")
     for _ in range(60):
-        if sign(hi, 1e-9) < 0:
+        if disc(hi, 1e-9) <= 0:
             break
         hi *= 2
     inner = 1e-13 if tol >= _FLOAT_TOL_FLOOR else tol * 1e-3
-    flo, fhi = _bisect_float(lambda x: sign(x, inner), lo, hi, max(tol, _FLOAT_TOL_FLOOR))
+    flo, fhi = bracket_root(lambda x: disc(x, inner), lo, hi, max(tol, _FLOAT_TOL_FLOOR))
     # multiprecision endpoint certification, nudging outward as needed
     step = max(fhi - flo, 1e-15)
     for _ in range(60):

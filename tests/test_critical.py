@@ -101,6 +101,16 @@ def test_kl_fixed_point():
     assert abs(r.value.mid - br.mid) < 1e-8
 
 
+def test_kl_fixed_point_brackets_the_constant():
+    # the Komornik-Loreti constant, root of sum_{k>=1} t_k q^-k = 1 with
+    # t the Thue-Morse sequence; the ends are verified against K's bracket
+    br = kl_fixed_point(tol=1e-9)
+    assert br.width <= 1e-9
+    assert br.lo <= 1.7872316501829659 <= br.hi
+    with pytest.raises(ValueError):
+        kl_fixed_point(lo=1.7, hi=1.75)  # K(hi) > hi: no fixed point inside
+
+
 def test_ks_crosscheck_examples():
     assert ks_crosscheck(1.9, 1.70).order == ">"
     assert ks_crosscheck(1.9, 1.55).order == "<"
@@ -267,3 +277,19 @@ def test_spine_descent_solves_logarithmically_many_crossings(monkeypatch, q0, ma
     depth = DEFAULT.max_depth if max_depth is None else max_depth
     generalized_golden_ratio(q0, max_depth=max_depth)
     assert len(cache) <= 2 * math.ceil(math.log2(depth)) + 4
+
+
+def test_cold_deep_descent_evaluation_budget(monkeypatch):
+    # a cold crossing costs at most 1,000 node evaluations, float and mp
+    # together (17 crossings here); the nested bisection took about 3,200
+    monkeypatch.setattr(critical, "_MU_CACHE", {})
+    calls = [0]
+    node_pi = critical.node_pi
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return node_pi(*args, **kwargs)
+
+    monkeypatch.setattr(critical, "node_pi", counted)
+    generalized_golden_ratio(50.0, max_depth=100)
+    assert calls[0] <= 17_000, calls[0]

@@ -4,13 +4,16 @@ import mpmath as mp
 import pytest
 
 from doublebase.config import Config
+from doublebase.critical import _node_f
 from doublebase.solvers import (
     BELOW_ONE,
     PreconditionError,
+    bracket_root,
     critical_base,
     g,
     g_tilde,
     mu,
+    root_q1,
 )
 from doublebase.series import f
 from doublebase.substitution import apply, limit_word, node_boundaries, parse_directive
@@ -215,3 +218,73 @@ def test_mu_deep_tolerance_at_interval_endpoint():
     assert br.width <= 1e-14
     expected = poly_root([3, -8, 5, -1], 1.75, 2.0)
     assert abs(br.mid - expected) < 1e-12
+
+
+# ---------------------------------------------------------------- bracket_root
+
+
+def _counted(fn):
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        assert len(calls) < 1000, "bracket_root does not terminate"
+        return fn(x)
+
+    return wrapped, calls
+
+
+BRACKET_CASES = [
+    # (name, float fn, mpf fn, lo, hi, float evaluations allowed at tol
+    # 1e-13; bisection takes 46, 50 and 57)
+    ("2 - x^2", lambda x: 2 - x * x, lambda x: 2 - x * x, 1, 8, 12),
+    ("exp(-x) - 0.3", lambda x: math.exp(-x) - 0.3, lambda x: mp.exp(-x) - mp.mpf("0.3"), 0, 80, 20),
+    ("1/x - 1e-3", lambda x: 1 / x - 1e-3, lambda x: 1 / x - mp.mpf("1e-3"), 1, 10 ** 4, 20),
+]
+
+
+def _mp_ulp(x):
+    return mp.ldexp(1, mp.frexp(x)[1] - mp.mp.prec)
+
+
+def _assert_contract(fn, lo, hi, tol, ulp):
+    # the signs hold, and the width is tol or, below the spacing of the
+    # representable points at the root, one or two ulps
+    assert fn(lo) > 0 >= fn(hi)
+    assert lo < hi and (hi - lo <= tol or hi - lo <= 2 * ulp)
+
+
+@pytest.mark.parametrize("name, fn, fn_mp, lo, hi, budget", BRACKET_CASES)
+def test_bracket_root_contract_on_floats(name, fn, fn_mp, lo, hi, budget):
+    # tol 1e-13 is below one ulp of the root 1000 of 1/x - 1e-3: the
+    # routine must still stop, at adjacent floats
+    counted, calls = _counted(fn)
+    a, b = bracket_root(counted, float(lo), float(hi), 1e-13)
+    _assert_contract(fn, a, b, 1e-13, math.ulp(b))
+    assert a in calls and b in calls  # both ends were evaluated
+    assert len(calls) <= budget, (name, len(calls))
+
+
+@pytest.mark.parametrize("name, fn, fn_mp, lo, hi, budget", BRACKET_CASES)
+@pytest.mark.parametrize("tol", ["1e-25", "1e-40"])
+def test_bracket_root_contract_on_mpf(name, fn, fn_mp, lo, hi, budget, tol):
+    with mp.workdps(30):
+        tol = mp.mpf(tol)
+        counted, calls = _counted(fn_mp)
+        a, b = bracket_root(counted, mp.mpf(lo), mp.mpf(hi), tol)
+        _assert_contract(fn_mp, a, b, tol, _mp_ulp(b))
+        assert a in calls and b in calls
+        if tol > _mp_ulp(b):
+            assert len(calls) <= math.ceil(math.log2((hi - lo) / tol))
+
+
+def test_root_q1_far_root_below_the_float_spacing():
+    # G's left formula on node L^k M at q0 = 1.001 has the closed form
+    # 1/(q0^k (q0 - 1)), about 500 at k = 693; tol 1e-15 is below the
+    # float spacing there (5.7e-14), so the multiprecision stage finishes
+    q0, k = 1.001, 693
+    br = root_q1(_node_f("L" * k, "s0", "f"), q0, 1e-15, 30)
+    assert br.width <= 1e-15
+    with mp.workdps(40):
+        q = mp.mpf(q0)
+        assert br.lo <= 1 / (q ** k * (q - 1)) <= br.hi
