@@ -21,7 +21,7 @@ from .critical import (
     ks_crosscheck,
     sample_curve,
 )
-from .expansions import quasi_greedy, quasi_lazy
+from .expansions import BasePair, hole, quasi_greedy, quasi_lazy
 from .oracle import verify_membership
 from .series import reduce_system, DegenerateSystemError
 from .solvers import PreconditionError, mu
@@ -91,12 +91,12 @@ def _cmd_classify_u(args) -> int:
 
 def _cmd_expand(args) -> int:
     fn = quasi_greedy if args.mode == "quasi-greedy" else quasi_lazy
+    BasePair(args.q0, args.q1)  # rejects bases <= 1
     if args.x is not None:
         x = Fraction(args.x)
-    elif args.mode == "quasi-greedy":
-        x = Fraction(1, 1) / Fraction(args.q1)
     else:
-        x = 1 / (Fraction(args.q0) * (Fraction(args.q1) - 1))
+        left, right = hole(Fraction(args.q0), Fraction(args.q1))
+        x = left if args.mode == "quasi-greedy" else right
     run = fn(args.q0, args.q1, x, args.digits)
     marks = "".join("^" if run.flagged(i) else " " for i in range(len(run.digits)))
     print(run.digits)

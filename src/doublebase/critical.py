@@ -43,7 +43,7 @@ from .config import Config, resolve
 from .expansions import expansion_bounds, regular
 from .series import letter_runs, node_pi, f_from_pi, f_tilde_from_pi
 from .solvers import Bracket, bracket_root, crossing, root_q1, _certify_mp, _FLOAT_TOL_FLOOR
-from .substitution import NODE_SEEDS, _NodeLetters, apply, split_descent
+from .substitution import NODE_SEEDS, apply, image_lengths, split_descent
 from .words import Word
 
 _BOUNDARY_WORD_CAP = 200_000  # letters; larger node words are not materialized
@@ -108,9 +108,10 @@ def node_mu(w: str, ukey: str, vkey: str, config: Config | None = None) -> Brack
 
 
 def _boundary_word(w: str, key: str) -> Optional[Word]:
-    if sum(_NodeLetters(w).structure(key)) > _BOUNDARY_WORD_CAP:
+    n, seed = image_lengths(w + "M"), NODE_SEEDS[key]
+    if sum(n[int(c)] for c in seed.pre + seed.per) > _BOUNDARY_WORD_CAP:
         return None
-    return apply(w + "M", NODE_SEEDS[key])
+    return apply(w + "M", seed)
 
 
 def _slack(mu: Bracket) -> float:

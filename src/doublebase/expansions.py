@@ -191,6 +191,5 @@ def expansion_bounds(q0, q1) -> tuple[ExpansionStream, ExpansionStream]:
     expansion of 1/(q0(q1-1)), which bound the unique-expansion shift:
     a sequence is a unique expansion iff all its suffixes fall strictly
     below a or strictly above b."""
-    a = ExpansionStream(q0, q1, Fraction(1, 1) / Fraction(q1), lazy=False)
-    b = ExpansionStream(q0, q1, 1 / (Fraction(q0) * (Fraction(q1) - 1)), lazy=True)
-    return a, b
+    left, right = hole(Fraction(q0), Fraction(q1))
+    return ExpansionStream(q0, q1, left, lazy=False), ExpansionStream(q0, q1, right, lazy=True)

@@ -305,7 +305,8 @@ def crossing(fu, fv, tol: float, dps: int) -> Bracket:
     the critical base q_u of fu, where g_u = 1, the discriminant is
     -f~_v(x, 1), which keeps it continuous and negative.  The float
     bracket's endpoints are then certified at dps digits by signs read
-    off an inner root refined to 1e-20.
+    off an inner root refined to 1e-20, nudged outward by _certify_mp,
+    which raises ArithmeticError for an end it cannot certify.
     """
 
     def disc(x: float, inner: float) -> float:
@@ -343,19 +344,7 @@ def crossing(fu, fv, tol: float, dps: int) -> Bracket:
         hi *= 2
     inner = 1e-13 if tol >= _FLOAT_TOL_FLOOR else tol * 1e-3
     flo, fhi = bracket_root(lambda x: disc(x, inner), lo, hi, max(tol, _FLOAT_TOL_FLOOR))
-    # multiprecision endpoint certification, nudging outward as needed
-    step = max(fhi - flo, 1e-15)
-    for _ in range(60):
-        if sign_mp(flo, 1e-20) > 0:
-            break
-        flo -= step
-        step *= 2
-    step = max(fhi - flo, 1e-15)
-    for _ in range(60):
-        if sign_mp(fhi, 1e-20) < 0:
-            break
-        fhi += step
-        step *= 2
+    flo, fhi = _certify_mp(lambda x: sign_mp(x, 1e-20), flo, fhi, dps)
     if tol < _FLOAT_TOL_FLOOR:
         with mp.workdps(dps):
             a, b = mp.mpf(flo), mp.mpf(fhi)

@@ -14,13 +14,14 @@ iteration (the +identity shift makes each component primitive).
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from .config import Config, resolve
 from .critical import komornik_loreti
-from .expansions import expansion_bounds, quasi_greedy, quasi_lazy, regular
-from .solvers import PreconditionError
+from .expansions import expansion_bounds, hole, quasi_greedy, quasi_lazy, regular
+from .solvers import PreconditionError, bracket_root, expand_upper
 from .substitution import BR_L, BR_R, apply, image_string, split_descent
 from .words import Word, compare, sup0, inf1
 
@@ -313,22 +314,11 @@ def entropy_estimate(q0: float, q1: float, digits: int = 48, tol: float = 1e-12)
     (entropy is continuous in the bounds).  Truncations need not stay
     sup0/inf1-fixed, which the subset construction does not require.
     """
-    ra = quasi_greedy(q0, q1, _one_over(q1), digits)
-    rb = quasi_lazy(q0, q1, _inv_hole_right(q0, q1), digits)
+    left, right = hole(Fraction(q0), Fraction(q1))
+    ra = quasi_greedy(q0, q1, left, digits)
+    rb = quasi_lazy(q0, q1, right, digits)
     a, b = Word("", ra.digits), Word("", rb.digits)
     return entropy(build_automaton(a, b, validate=False), tol)
-
-
-def _one_over(q1):
-    from fractions import Fraction
-
-    return Fraction(1, 1) / Fraction(q1)
-
-
-def _inv_hole_right(q0, q1):
-    from fractions import Fraction
-
-    return 1 / (Fraction(q0) * (Fraction(q1) - 1))
 
 
 # ----------------------------------------------------------------------
@@ -341,15 +331,7 @@ def _moran_exponent(log_r0: float, log_r1: float, tol: float) -> float:
     def F(s):
         return math.exp(s * log_r0) + math.exp(s * log_r1) - 1.0
 
-    lo, hi = 0.0, 1.0
-    while F(hi) > 0:
-        hi *= 2
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if F(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bracket_root(F, 0.0, expand_upper(F, 1.0), tol)
     return 0.5 * (lo + hi)
 
 
@@ -376,7 +358,7 @@ def univoque_dimension_lower_bound(q0: float, q1: float,
     cfg = resolve(config)
     if not regular(q0, q1):
         # every expansion is unique; use the unconstrained generator pair
-        return _generator_dimension(q0, q1, "", "0", "001")
+        return _generator_dimension(q0, q1, "0", "001")
     kres = komornik_loreti(q0, config=cfg)
     if q1 <= kres.value.hi:
         raise PreconditionError(
@@ -393,7 +375,7 @@ def univoque_dimension_lower_bound(q0: float, q1: float,
             if compare(b, marker, digits) == -1:
                 g0 = image_string(w, "0" + "01" * k)
                 g1 = image_string(w, "0" + "01" * (k + 1))
-                return _generator_dimension(q0, q1, w, g0, g1, raw=True)
+                return _generator_dimension(q0, q1, g0, g1)
         raise ArithmeticError("no separating marker word found; raise digits")
     if ba == BR_R:
         # reflected construction: a > wM(0 1^inf) side
@@ -402,14 +384,12 @@ def univoque_dimension_lower_bound(q0: float, q1: float,
             if compare(a, marker, digits) == 1:
                 g0 = image_string(w, "1" + "10" * k)
                 g1 = image_string(w, "1" + "10" * (k + 1))
-                return _generator_dimension(q0, q1, w, g0, g1, raw=True)
+                return _generator_dimension(q0, q1, g0, g1)
         raise ArithmeticError("no separating marker word found; raise digits")
     raise ArithmeticError(f"unexpected split branches ({ba}, {bb})")
 
 
-def _generator_dimension(q0, q1, w, g0, g1, raw=False):
-    if not raw:
-        g0, g1 = image_string(w, g0), image_string(w, g1)
+def _generator_dimension(q0, q1, g0, g1):
     log_r0 = -(g0.count("0") * math.log(q0) + g0.count("1") * math.log(q1))
     log_r1 = -(g1.count("0") * math.log(q0) + g1.count("1") * math.log(q1))
     return _moran_exponent(log_r0, log_r1, 1e-12)

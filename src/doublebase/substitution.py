@@ -12,13 +12,17 @@ primitive directives (not ending in L^inf or R^inf) are aperiodic
 
 The s-map sends a binary sequence to the directive sequence of the
 partition cell containing it; it is the workhorse of the subshift
-classifier and of the critical-value descent.
+classifier and of the critical-value descent.  The substitutions
+preserve lexicographic order, so the s-map walks by desubstitution: at
+each level the input's preimage under the directive walked so far is
+compared with the six root words M(seed), then decoded by the letter
+taken (decode).  Words stay exact at every depth, limit words decode
+symbolically, and other streams decode lazily.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterator, Optional
 
 from .words import (
@@ -98,10 +102,6 @@ def morphic_letters(w: str, source) -> Iterator[str]:
     for letter in reversed(w):
         it = _expand(letter, it)
     return it
-
-
-def lazy_image(w: str, source, describe: str = "") -> LetterStream:
-    return LetterStream(lambda: morphic_letters(w, source), describe or f"{w}(...)")
 
 
 # ----------------------------------------------------------------------
@@ -329,75 +329,49 @@ def node_boundaries(w: str) -> NodeBoundaries:
     return NodeBoundaries(**{k: apply(sigma, v) for k, v in NODE_SEEDS.items()})
 
 
-class _NodeLetters:
-    """Lazy letters and exact structure parameters of node boundary words."""
-
-    def __init__(self, w: str):
-        self.sigma = w + "M"
-        self.n0, self.n1 = image_lengths(self.sigma)
-
-    def stream(self, key: str) -> LetterStream:
-        seed = NODE_SEEDS[key]
-        return lazy_image(self.sigma, seed)
-
-    def structure(self, key: str) -> tuple[int, int]:
-        """(|preperiod|, |period|) of the image word, before canonicalization."""
-        seed = NODE_SEEDS[key]
-        pre = sum(self.n0 if c == "0" else self.n1 for c in seed.pre)
-        per = sum(self.n0 if c == "0" else self.n1 for c in seed.per)
-        return pre, per
-
-
-def _cmp_stream_vs_node(u, node: _NodeLetters, key: str, exact: bool, budget_cap: int = 2_000_000):
-    """Compare u with a node boundary word.
-
-    For eventually periodic u the comparison is exact (letters up to the
-    structural bound decide equality).  For stream u, ties deeper than
-    the budget return None.
-    """
-    npre, nper = node.structure(key)
-    # exact bound: |pre_u| + |pre_N| + lcm(|per_u|, |per_N|); cap it
-    if exact:
-        lcm = len(u.per) * nper // gcd(len(u.per), nper)
-        bound = len(u.pre) + npre + lcm + 1
-        capped = bound > budget_cap
-        bound = min(bound, budget_cap)
-    else:
-        bound = min(npre + 2 * nper + 64, budget_cap)
-        capped = True
-    it_u = u.letters()
-    it_n = node.stream(key).letters()
-    for _ in range(bound):
-        a, b = next(it_u), next(it_n)
-        if a != b:
-            return -1 if a < b else 1
-    return None if capped else 0
-
-
 # ----------------------------------------------------------------------
 # the s-map
 # ----------------------------------------------------------------------
+
+# the root node's boundary words M(seed), with the letters a stream is
+# compared over before a tie: |pre| + 2|per| + 64 of M(seed) as built
+_ROOT_WORDS = {
+    key: (apply("M", seed), 2 * len(seed.pre) + 4 * len(seed.per) + 64)
+    for key, seed in NODE_SEEDS.items()
+}
+
+
+def _cmp_root(u, key: str):
+    """Sign of u against the root boundary word M(seed), None on a
+    stream tie.  Words and sentinel strings compare exactly."""
+    v, depth = _ROOT_WORDS[key]
+    if isinstance(u, str):
+        return -1 if u < v.prefix(len(u)) else 1
+    return compare(u, v, depth)
+
 
 # branch outcomes at a node, in directive order
 BR_L, BR_STOP_L, BR_M, BR_STOP_R, BR_R = range(5)
 
 
-def _branch0(u, w: str, exact: bool):
-    """Locate a 0-word relative to node w: partition of (w(010^inf), w(01^inf))
-    into the L-subtree, [s0, s010] (directive wM L^inf), the open M-subtree,
-    {s01} (directive wM R^inf), and the R-subtree."""
-    node = _NodeLetters(w)
-    c0 = _cmp_stream_vs_node(u, node, "s0", exact)
+def _branch0(u):
+    """Locate a 0-word, given by its preimage u under the node's head w,
+    relative to the node wM: the partition of (w(010^inf), w(01^inf))
+    into the L-subtree, [s0, s010] (directive wM L^inf), the open
+    M-subtree, {s01} (directive wM R^inf), and the R-subtree.  The
+    substitutions preserve order, so u is compared with the root
+    words M(seed) in place of wM(seed)."""
+    c0 = _cmp_root(u, "s0")
     if c0 is None:
         return None
     if c0 < 0:
         return BR_L
-    c010 = _cmp_stream_vs_node(u, node, "s010", exact)
+    c010 = _cmp_root(u, "s010")
     if c010 is None:
         return None
     if c010 <= 0:
         return BR_STOP_L
-    c01 = _cmp_stream_vs_node(u, node, "s01", exact)
+    c01 = _cmp_root(u, "s01")
     if c01 is None:
         return None
     if c01 < 0:
@@ -407,22 +381,21 @@ def _branch0(u, w: str, exact: bool):
     return BR_R
 
 
-def _branch1(u, w: str, exact: bool):
+def _branch1(u):
     """Dual location of a 1-word: {s10} is wM L^inf, [s101, s1] is wM R^inf."""
-    node = _NodeLetters(w)
-    c10 = _cmp_stream_vs_node(u, node, "s10", exact)
+    c10 = _cmp_root(u, "s10")
     if c10 is None:
         return None
     if c10 < 0:
         return BR_L
     if c10 == 0:
         return BR_STOP_L
-    c101 = _cmp_stream_vs_node(u, node, "s101", exact)
+    c101 = _cmp_root(u, "s101")
     if c101 is None:
         return None
     if c101 < 0:
         return BR_M
-    c1 = _cmp_stream_vs_node(u, node, "s1", exact)
+    c1 = _cmp_root(u, "s1")
     if c1 is None:
         return None
     if c1 <= 0:
@@ -443,12 +416,13 @@ def s_map(u, max_depth: int = 48) -> SMapResult:
     """Directive sequence of the partition cell containing u.
 
     For u starting 0 this is the sequence s with s(0^inf) <= u <= s(01^inf);
-    for u starting 1, s(10^inf) <= u <= s(1^inf).  Eventually periodic
+    for u starting 1, s(10^inf) <= u <= s(1^inf).  Each level compares
+    u's preimage under the directive walked so far with the root words
+    and then desubstitutes it by the letter taken.  Eventually periodic
     inputs terminate with a repeat tail unless max_depth is hit; streams
-    may come back truncated.
+    come back truncated when a comparison ties.
     """
-    exact = isinstance(u, Word)
-    first = u.letter(0) if exact else u.prefix(1)
+    first = u.letter(0) if isinstance(u, Word) else u.prefix(1)
     if first == "0":
         # corner cells: [0^inf, 010^inf] -> L^inf, {01^inf} -> R^inf
         c = compare(u, W_010)
@@ -472,7 +446,7 @@ def s_map(u, max_depth: int = 48) -> SMapResult:
         branch = _branch1
     w = ""
     for _ in range(max_depth):
-        b = branch(u, w, exact)
+        b = branch(u)
         if b is None:
             return SMapResult(Directive(w, FINITE), True)
         if b == BR_STOP_L:
@@ -480,6 +454,7 @@ def s_map(u, max_depth: int = 48) -> SMapResult:
         if b == BR_STOP_R:
             return SMapResult(Directive(w + "M", REPEAT_R), False)
         w += "LMR"[b // 2]
+        u = _preimage(u, w[-1])
     return SMapResult(Directive(w, FINITE), True)
 
 
@@ -492,11 +467,9 @@ def split_descent(a, b, max_depth: int):
     branch pair) for max_depth levels or hit undecidable stream ties
     (ba = bb = None, with len(w) the depth reached).
     """
-    exact_a, exact_b = isinstance(a, Word), isinstance(b, Word)
     w = ""
     for _ in range(max_depth):
-        ba = _branch0(a, w, exact_a)
-        bb = _branch1(b, w, exact_b)
+        ba, bb = _branch0(a), _branch1(b)
         if ba is None or bb is None:
             return "=", w, None, None
         if ba > bb:
@@ -506,67 +479,81 @@ def split_descent(a, b, max_depth: int):
         if ba in (BR_STOP_L, BR_STOP_R):
             return "=", w, ba, bb
         w += "LMR"[ba // 2]
+        a, b = _preimage(a, w[-1]), _preimage(b, w[-1])
     return "=", w, None, None
 
 
 # ----------------------------------------------------------------------
-# desubstitution (inverse parsing), used to validate mu's precondition
+# desubstitution (inverse parsing): the s-map's descent and mu's precondition
 # ----------------------------------------------------------------------
+
+TOP, BOTTOM = "2", "/"  # sentinels: above and below both letters in string order
+
+
+def decode(letter: str, letters) -> Iterator[str]:
+    """Preimage of a letter sequence under one substitution, lazily.
+
+    Every block of L, M and R starts with the letter it encodes, so each
+    block's letter is yielded as soon as it is read.  Where the input
+    leaves the image inside a block, one sentinel follows and decoding
+    stops: TOP if the letter read is above the expected one, BOTTOM if
+    below.  The input then lies above (below) the image of every
+    continuation of what was decoded, so for every binary v the input
+    compares with letter(v) as the decoded sequence compares with v.  A
+    sentinel in the input passes through the same rule, which makes
+    decoding compose.  The input must be infinite or end with a sentinel.
+    """
+    table = SUBS[letter]
+    it = iter(letters)
+    for c in it:
+        yield c
+        if c not in table:
+            return
+        for expected in table[c][1:]:
+            got = next(it)
+            if got != expected:
+                yield TOP if got > expected else BOTTOM
+                return
 
 
 def desubstitute(u: Word, letter: str) -> Optional[Word]:
     """Preimage of u under one substitution letter, or None.
 
     The block codes {0,10} (L), {01,10} (M), {01,1} (R) are prefix
-    decodable, so the preimage is unique when it exists.
+    decodable, so the preimage is unique when it exists.  Past the
+    preperiod, the first block start whose phase in the period repeats
+    closes the preimage's period.
     """
-    table = SUBS[letter]
-    b0, b1 = table["0"], table["1"]
-
-    def decode(pos_letters, start, steps):
-        # decode `steps` blocks from an explicit letter list
-        out = []
-        i = start
-        for _ in range(steps):
-            if pos_letters[i : i + len(b0)] == b0:
-                out.append("0")
-                i += len(b0)
-            elif pos_letters[i : i + len(b1)] == b1:
-                out.append("1")
-                i += len(b1)
-            else:
-                return None, i
-        return "".join(out), i
-
-    # decode over pre + enough periods, tracking the phase inside the period
-    lp, lq = len(u.pre), len(u.per)
-    horizon = lp + lq * (max(len(b0), len(b1)) + 2) + 4
-    text = u.prefix(horizon + 2)
-    seen = {}
-    decoded = []
-    i = 0
-    while True:
+    table, lp, lq = SUBS[letter], len(u.pre), len(u.per)
+    decoded, seen, i = [], {}, 0
+    for c in decode(letter, u.letters()):
+        if c not in table:
+            return None
         if i >= lp:
             phase = (i - lp) % lq
             if phase in seen:
-                start_blocks = seen[phase]
-                pre = "".join(decoded[:start_blocks])
-                per = "".join(decoded[start_blocks:])
-                if not per:
-                    return None
-                return Word(pre, per)
+                k = seen[phase]
+                return Word("".join(decoded[:k]), "".join(decoded[k:]))
             seen[phase] = len(decoded)
-        if text.startswith(b1, i) and (letter != "M" or text[i] == "1"):
-            # for M both blocks have length 2 and distinct first letters
-            decoded.append("1")
-            i += len(b1)
-        elif text.startswith(b0, i):
-            decoded.append("0")
-            i += len(b0)
-        else:
-            return None
-        if i > horizon:
-            return None
+        decoded.append(c)
+        i += len(table[c])
+
+
+def _preimage(u, letter: str):
+    """u's preimage under one substitution letter, in a form whose order
+    against every v is u's order against letter(v): a Word, a finite
+    sentinel-terminated string where a word or string leaves the image,
+    the limit word of the directive's tail, or a lazily decoded stream."""
+    if isinstance(u, Word):
+        return desubstitute(u, letter) or "".join(decode(letter, u.letters()))
+    if isinstance(u, str):
+        return "".join(decode(letter, u))
+    if isinstance(u, LimitWordStream) and u.directive.letters(1) == letter:
+        d = u.directive
+        if d.head:
+            return limit_word(Directive(d.head[1:], PERIODIC, d.block), u.seed)
+        return limit_word(Directive("", PERIODIC, d.block[1:] + d.block[0]), u.seed)
+    return LetterStream(lambda: decode(letter, u.letters()), f"{letter}^-1 {u!r}")
 
 
 def common_node_image(u: Word, v: Word, max_depth: int = 64) -> bool:

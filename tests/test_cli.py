@@ -121,6 +121,9 @@ def test_error_exit_codes(capsys):
     assert "error" in err
     code, _, _ = run(capsys, "nonsense")
     assert code == 2
+    code, _, err = run(capsys, "expand", "--q0", "1.5", "--q1", "1")
+    assert code == 2
+    assert "error" in err
     # Undecided exits with 3: a primitive-directive point at shallow depth
     code, out, _ = run(capsys, "--max-depth", "4", "kl", "1.78723165")
     assert code in (0, 3)  # 3 when the enclosure stays wide

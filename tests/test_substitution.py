@@ -1,5 +1,6 @@
 import itertools
 import random
+from itertools import islice
 
 import pytest
 
@@ -10,6 +11,7 @@ from doublebase.substitution import (
     REPEAT_R,
     apply,
     common_node_image,
+    decode,
     desubstitute,
     directive_compare,
     image_lengths,
@@ -169,6 +171,47 @@ def test_s_map_round_trip(rng):
         res = s_map(word, 64)
         assert not res.truncated, (d, word)
         assert res.directive == d, (head, tail, word)
+
+
+@pytest.mark.parametrize("text", ["(M)", "(LR)", "(RL)", "(LMR)", "(RRL)", "L(MR)", "(LLM)"])
+@pytest.mark.parametrize("seed", "01")
+def test_s_map_of_limit_word_reads_its_directive(text, seed):
+    d = parse_directive(text)
+    res = s_map(limit_word(d, seed), 32)
+    assert res.truncated
+    assert res.directive.head == d.letters(32)
+
+
+def _sign(a: str, b: str) -> int:
+    # order over the first len(a) letters; 0 when they agree that far
+    b = b[: len(a)]
+    return (a > b) - (a < b)
+
+
+def test_decode_preserves_order(rng):
+    # u orders against w(v) as its decoded preimage under w orders against
+    # v, for u inside the image, off it by one letter, or random; the
+    # two-letter w checks that sentinel-terminated preimages decode on
+    n, m = 400, 100
+    directives = list("LMR") + [x + y for x in "LMR" for y in "LMR"]
+    for _ in range(600):
+        w = rng.choice(directives)
+        v = random_word(rng, 4, 4)
+        image = naive_image(w, naive_expand(v.pre, v.per, n))
+        kind = rng.randrange(3)
+        if kind == 0:
+            u = apply(w, v)
+        elif kind == 1:
+            k = rng.randrange(1, 40)
+            flipped = "1" if image[k] == "0" else "0"
+            u = Word(image[:k] + flipped, random_word(rng, 0, 4).per)
+        else:
+            u = random_word(rng, 4, 4)
+        letters = u.letters()
+        for x in w:
+            letters = decode(x, letters)
+        decoded = "".join(islice(letters, m))
+        assert _sign(decoded, v.prefix(m)) == _sign(u.prefix(n), image), (w, u, v, decoded)
 
 
 def test_commutation_with_extremal_suffix(rng):
