@@ -11,6 +11,14 @@ sequences of a and b:
     s(a) = s(b) repeat tail     countable, nontrivial
     s(a) = s(b) primitive       uncountable with zero entropy
 
+The walk starts in the root's corner cells (substitution.corner):
+s(a) = L^inf for a <= 01 0^inf and R^inf for a = 0 1^inf, s(b) = L^inf
+for b = 1 0^inf and R^inf for b >= 10 1^inf, otherwise the tree under
+the root node M.  Corners are ordered as the descent orders its
+branches: a ahead of b gives positive entropy, a behind b a trivial set,
+equal stops a countable nontrivial one, and two M corners go on to the
+joint descent (substitution.split_descent).
+
 The trivial/nontrivial refinement depends only on the walk before the
 first M step: a node sigma = wM with w over {L,R} witnesses nontriviality
 as soon as a >= sigma(0^inf) and b <= sigma(1^inf); if the walks diverge
@@ -28,13 +36,15 @@ from .config import Config, resolve
 from .critical import generalized_golden_ratio, komornik_loreti, Case
 from .expansions import regular
 from .substitution import (
+    BR_M,
     BR_STOP_L,
     BR_STOP_R,
     LimitWordStream,
+    corner,
     is_primitive,
     split_descent,
 )
-from .words import Word, LetterStream, compare, ZERO_ONE, ONE_ZERO, W_010, W_101
+from .words import Word, LetterStream
 
 
 class Label(Enum):
@@ -89,30 +99,18 @@ def classify_omega(a, b, max_depth: int = 48) -> Classification:
         if a.directive == b.directive and is_primitive(a.directive) and (a.seed, b.seed) == ("0", "1"):
             return Classification(Label.UNCOUNTABLE_ZERO_ENTROPY)
 
-    # corner cells of the s-map partition
-    a_max = compare(a, ZERO_ONE)      # a = 0 1^inf has s(a) = R^inf
-    b_min = compare(b, ONE_ZERO)      # b = 1 0^inf has s(b) = L^inf
-    a_low = compare(a, W_010)         # a <= 01 0^inf has s(a) = L^inf
-    b_high = compare(b, W_101)        # b >= 10 1^inf has s(b) = R^inf
-    if a_max is None or b_min is None or a_low is None or b_high is None:
+    # the root's corner cells, ordered as the descent orders its branches
+    ca, cb = corner(a, "0"), corner(b, "1")
+    if ca is None or cb is None:
         return Classification(Label.UNDECIDED, 0)
-    a_is_top, b_is_bottom = a_max == 0, b_min == 0
-    a_is_low, b_is_high = a_low <= 0, b_high >= 0
-
-    if a_is_top and b_is_bottom:
-        return Classification(Label.POSITIVE_ENTROPY)  # no constraint binds
-    if a_is_top:
-        # every window is witnessed on the a side; countable iff s(b) = R^inf
-        return Classification(
-            Label.COUNTABLE_NONTRIVIAL if b_is_high else Label.POSITIVE_ENTROPY
-        )
-    if b_is_bottom:
-        return Classification(
-            Label.COUNTABLE_NONTRIVIAL if a_is_low else Label.POSITIVE_ENTROPY
-        )
-    if a_is_low or b_is_high:
+    if ca > cb:
+        return Classification(Label.POSITIVE_ENTROPY)
+    if ca < cb:
         # s(a) = L^inf below every window, or s(b) = R^inf above it
         return Classification(Label.TRIVIAL)
+    if ca != BR_M:
+        # s(a) = s(b) = L^inf or R^inf, a repeat tail
+        return Classification(Label.COUNTABLE_NONTRIVIAL)
 
     order, w, ba, bb = split_descent(a, b, max_depth)
     if order == ">":

@@ -158,7 +158,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_ks(args) -> int:
     res = ks_crosscheck(args.q0, args.q1, args.directive_depth)
     print(f"{res.order}  node={res.node}")
-    return EXIT_UNDECIDED if res.order == "Undecided" else EXIT_OK
+    return EXIT_UNDECIDED if res.order == "=" else EXIT_OK
 
 
 def _cmd_verify(args) -> int:

@@ -37,10 +37,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-import mpmath as mp
-
 from .config import Config, resolve
-from .expansions import expansion_bounds, regular
+from .expansions import _to_fraction, expansion_bounds, regular
 from .series import letter_runs, node_pi, f_from_pi, f_tilde_from_pi
 from .solvers import Bracket, bracket_root, crossing, root_q1, _certify_mp, _FLOAT_TOL_FLOOR
 from .substitution import NODE_SEEDS, apply, image_lengths, split_descent
@@ -212,15 +210,6 @@ def _outward(x: Fraction, up: bool) -> float:
     return near
 
 
-def _exact(x) -> Fraction:
-    """x as an exact Fraction: floats, ints and Fractions directly, mpf
-    values from their binary mantissa and exponent."""
-    if isinstance(x, mp.mpf):
-        man, exp = x.man_exp
-        return Fraction(int(man)) * Fraction(2) ** exp
-    return Fraction(x)
-
-
 def _chain(x: Fraction, lo_product: Fraction, hi_product: Fraction) -> tuple[float, float]:
     """The values c with lo_product <= (x - 1)(c - 1) <= hi_product,
     rounded outward."""
@@ -274,7 +263,7 @@ def generalized_golden_ratio(q0: float, tol: float | None = None,
         if q0 <= node_mu(w, "s0", "s1", cfg).mid:
             return _formula_result(w, "s0", "f", q0, Case.LEFT_FORMULA, tol, dps, ambiguity)
         return _formula_result(w, "s1", "ft", q0, Case.RIGHT_FORMULA, tol, dps, ambiguity)
-    x = _exact(q0)  # 1/(q0+1) <= (q0-1)(G-1) <= 1/2
+    x = _to_fraction(q0)  # 1/(q0+1) <= (q0-1)(G-1) <= 1/2
     chain = _chain(x, 1 / (x + 1), Fraction(1, 2))
     return _exhausted_result(q0, lo_bound, hi_bound, chain, tol, dps)
 
@@ -315,7 +304,7 @@ def komornik_loreti(q0: float, tol: float | None = None,
         hi_bound = (w, "s10", "ft", muL2.mid)
         lo_bound = (w, "s01", "f", muR1.mid)
         w += "M"
-    x = _exact(q0)  # 1/2 <= (q0-1)(K-1) < q0/(q0+1)
+    x = _to_fraction(q0)  # 1/2 <= (q0-1)(K-1) < q0/(q0+1)
     chain = _chain(x, Fraction(1, 2), x / (x + 1))
     return _exhausted_result(q0, lo_bound, hi_bound, chain, tol, dps)
 
@@ -352,7 +341,7 @@ def kl_fixed_point(tol: float = 1e-9, lo: float = 1.7, hi: float = 1.9,
 
 @dataclass(frozen=True)
 class KsResult:
-    order: str          # "<", "=", ">" (or "Undecided" for blocked digits)
+    order: str          # "<", ">", or "=" when the streams tie
     node: str           # common directive prefix walked before the verdict
     depth: int          # directive letters examined
 

@@ -333,15 +333,12 @@ def crossing(fu, fv, tol: float, dps: int) -> Bracket:
                 return 0.0
             return -1.0 if s_lo > 0 else 1.0
 
-    lo, hi = 1.0 + 1e-9, 4.0
+    lo = 1.0 + 1e-9
     while not disc(lo, 1e-9) > 0:
         lo = 1.0 + (lo - 1.0) / 100
         if lo - 1.0 < 1e-15:
             raise PreconditionError("no crossing found above 1")
-    for _ in range(60):
-        if disc(hi, 1e-9) <= 0:
-            break
-        hi *= 2
+    hi = expand_upper(lambda x: disc(x, 1e-9), 4.0, limit=60)
     inner = 1e-13 if tol >= _FLOAT_TOL_FLOOR else tol * 1e-3
     flo, fhi = bracket_root(lambda x: disc(x, inner), lo, hi, max(tol, _FLOAT_TOL_FLOOR))
     flo, fhi = _certify_mp(lambda x: sign_mp(x, 1e-20), flo, fhi, dps)

@@ -146,7 +146,9 @@ class SubshiftAutomaton:
         return sum(k for s, k in counts.items() if s in self.live)
 
     def minimized(self) -> "SubshiftAutomaton":
-        """Moore partition refinement over the live part."""
+        """Moore partition refinement over the live part.  Classes are
+        numbered by their first live state, so a live start state 0 stays
+        state 0."""
         live = sorted(self.live)
         if not live:
             return self
@@ -171,31 +173,15 @@ class SubshiftAutomaton:
         for s in live:
             reps.setdefault(cls_of[s], s)
         order = [reps[c] for c in range(n_classes)]
-        remap = {cls_of[s]: i for i, s in enumerate(order)}
         states = [self.states[s] for s in order]
         transitions = []
         for s in order:
             row = {}
             for c, t in self.transitions[s].items():
                 if t in self.live:
-                    row[c] = remap[cls_of[t]]
+                    row[c] = cls_of[t]
             transitions.append(row)
-        out = SubshiftAutomaton(states, transitions, frozenset(range(n_classes)), self.a, self.b)
-        if 0 in self.live:
-            # keep the start state first
-            start = remap[cls_of[0]]
-            if start != 0:
-                perm = list(range(n_classes))
-                perm[0], perm[start] = perm[start], perm[0]
-                inv = {old: new for new, old in enumerate(perm)}
-                out = SubshiftAutomaton(
-                    [states[p] for p in perm],
-                    [{c: inv[t] for c, t in transitions[p].items()} for p in perm],
-                    frozenset(range(n_classes)),
-                    self.a,
-                    self.b,
-                )
-        return out
+        return SubshiftAutomaton(states, transitions, frozenset(range(n_classes)), self.a, self.b)
 
     def dump_lines(self) -> list[str]:
         lines = []

@@ -12,12 +12,16 @@ primitive directives (not ending in L^inf or R^inf) are aperiodic
 
 The s-map sends a binary sequence to the directive sequence of the
 partition cell containing it; it is the workhorse of the subshift
-classifier and of the critical-value descent.  The substitutions
-preserve lexicographic order, so the s-map walks by desubstitution: at
-each level the input's preimage under the directive walked so far is
-compared with the six root words M(seed), then decoded by the letter
-taken (decode).  Words stay exact at every depth, limit words decode
-symbolically, and other streams decode lazily.
+classifier and of the critical-value descent.  Its partition is stated
+once, as one cut table per side: the boundary words in increasing
+order, each with the branch taken below and at it.  The root's corner
+cells are the cuts at the seed words themselves; a node wM has the cuts
+at wM(seed).  The substitutions preserve lexicographic order, so the
+s-map walks by desubstitution: at each level the input's preimage under
+the directive walked so far is located among the root words M(seed)
+(one routine, _locate, for corners and nodes), then decoded by the
+letter taken (decode).  Words stay exact at every depth, limit words
+decode symbolically, and other streams decode lazily.
 """
 
 from __future__ import annotations
@@ -333,74 +337,75 @@ def node_boundaries(w: str) -> NodeBoundaries:
 # the s-map
 # ----------------------------------------------------------------------
 
-# the root node's boundary words M(seed), with the letters a stream is
-# compared over before a tie: |pre| + 2|per| + 64 of M(seed) as built
-_ROOT_WORDS = {
-    key: (apply("M", seed), 2 * len(seed.pre) + 4 * len(seed.per) + 64)
-    for key, seed in NODE_SEEDS.items()
-}
-
-
-def _cmp_root(u, key: str):
-    """Sign of u against the root boundary word M(seed), None on a
-    stream tie.  Words and sentinel strings compare exactly."""
-    v, depth = _ROOT_WORDS[key]
-    if isinstance(u, str):
-        return -1 if u < v.prefix(len(u)) else 1
-    return compare(u, v, depth)
-
-
 # branch outcomes at a node, in directive order
 BR_L, BR_STOP_L, BR_M, BR_STOP_R, BR_R = range(5)
 
-
-def _branch0(u):
-    """Locate a 0-word, given by its preimage u under the node's head w,
-    relative to the node wM: the partition of (w(010^inf), w(01^inf))
-    into the L-subtree, [s0, s010] (directive wM L^inf), the open
-    M-subtree, {s01} (directive wM R^inf), and the R-subtree.  The
-    substitutions preserve order, so u is compared with the root
-    words M(seed) in place of wM(seed)."""
-    c0 = _cmp_root(u, "s0")
-    if c0 is None:
-        return None
-    if c0 < 0:
-        return BR_L
-    c010 = _cmp_root(u, "s010")
-    if c010 is None:
-        return None
-    if c010 <= 0:
-        return BR_STOP_L
-    c01 = _cmp_root(u, "s01")
-    if c01 is None:
-        return None
-    if c01 < 0:
-        return BR_M
-    if c01 == 0:
-        return BR_STOP_R
-    return BR_R
+# The partition at a node wM, one cut table per side: the seeds of its
+# boundary words wM(seed) in increasing order, each with the branch taken
+# below and at the word, then the branch taken past them all.  0-words
+# split into the L-subtree, [s0, s010] (directive wM L^inf), the open
+# M-subtree, {s01} (wM R^inf) and the R-subtree; 1-words dually, with
+# {s10} for wM L^inf and [s101, s1] for wM R^inf.
+_PARTITION = {
+    "0": ((("s0", BR_L, BR_STOP_L), ("s010", BR_STOP_L, BR_STOP_L), ("s01", BR_M, BR_STOP_R)), BR_R),
+    "1": ((("s10", BR_L, BR_STOP_L), ("s101", BR_M, BR_STOP_R), ("s1", BR_STOP_R, BR_STOP_R)), BR_R),
+}
 
 
-def _branch1(u):
-    """Dual location of a 1-word: {s10} is wM L^inf, [s101, s1] is wM R^inf."""
-    c10 = _cmp_root(u, "s10")
-    if c10 is None:
-        return None
-    if c10 < 0:
-        return BR_L
-    if c10 == 0:
-        return BR_STOP_L
-    c101 = _cmp_root(u, "s101")
-    if c101 is None:
-        return None
-    if c101 < 0:
-        return BR_M
-    c1 = _cmp_root(u, "s1")
-    if c1 is None:
-        return None
-    if c1 <= 0:
-        return BR_STOP_R
-    return BR_R
+def _cuts(side: str, word, depth) -> list:
+    """side's cuts as (word(seed), depth(seed), branch below, branch at)."""
+    return [(word(NODE_SEEDS[k]), depth(NODE_SEEDS[k]), below, at) for k, below, at in _PARTITION[side][0]]
+
+
+# The substitutions preserve order, so a node's preimage under its head w
+# is located among the root words M(seed).  A stream is compared with
+# M(seed) over |pre| + 2|per| + 64 letters (of M(seed) as built) before
+# the comparison counts as a tie.
+_NODE_CUTS = {
+    side: (_cuts(side, lambda s: apply("M", s), lambda s: 2 * len(s.pre) + 4 * len(s.per) + 64),
+           _PARTITION[side][1])
+    for side in "01"
+}
+
+# The root's corner cells [0^inf, 010^inf] (L^inf), {01^inf} (R^inf),
+# {10^inf} (L^inf) and [101^inf, 1^inf] (R^inf) are the same cuts at the
+# seeds themselves, compared over the default stream depth; their M
+# branch is the tree under the root node M.  No sequence lies below
+# 0^inf or above 1^inf, so those two cuts are left out, which keeps a
+# stream that agrees with 0^inf or 1^inf decided.
+_CORNER_CUTS = {
+    "0": (_cuts("0", lambda s: s, lambda s: None)[1:], BR_R),
+    "1": (_cuts("1", lambda s: s, lambda s: None)[:-1], BR_STOP_R),
+}
+
+
+def _locate(u, cuts):
+    """The branch of the cell holding u in a cut table, None on a stream
+    tie.  Words compare exactly; a sentinel-terminated string never
+    equals a cut, so its order is that of the cut's prefix."""
+    table, past = cuts
+    for v, depth, below, at in table:
+        if isinstance(u, str):
+            c = -1 if u < v.prefix(len(u)) else 1
+        else:
+            c = compare(u, v, depth)
+            if c is None:
+                return None
+        if c < 0:
+            return below
+        if c == 0:
+            return at
+    return past
+
+
+def corner(u, side: str):
+    """The root's corner cell holding u, a word starting with `side`:
+    BR_STOP_L for s(u) = L^inf, BR_STOP_R for R^inf, BR_M for the tree
+    under the root node M, None on a stream tie."""
+    return _locate(u, _CORNER_CUTS[side])
+
+
+_TAILS = {BR_STOP_L: REPEAT_L, BR_STOP_R: REPEAT_R}
 
 
 @dataclass(frozen=True)
@@ -416,45 +421,27 @@ def s_map(u, max_depth: int = 48) -> SMapResult:
     """Directive sequence of the partition cell containing u.
 
     For u starting 0 this is the sequence s with s(0^inf) <= u <= s(01^inf);
-    for u starting 1, s(10^inf) <= u <= s(1^inf).  Each level compares
-    u's preimage under the directive walked so far with the root words
-    and then desubstitutes it by the letter taken.  Eventually periodic
-    inputs terminate with a repeat tail unless max_depth is hit; streams
-    come back truncated when a comparison ties.
+    for u starting 1, s(10^inf) <= u <= s(1^inf).  Past the root's corner
+    cells, each level locates u's preimage under the directive walked so
+    far among the root words and then desubstitutes it by the letter
+    taken.  Eventually periodic inputs terminate with a repeat tail
+    unless max_depth is hit; streams come back truncated when a
+    comparison ties.
     """
-    first = u.letter(0) if isinstance(u, Word) else u.prefix(1)
-    if first == "0":
-        # corner cells: [0^inf, 010^inf] -> L^inf, {01^inf} -> R^inf
-        c = compare(u, W_010)
-        if c is not None and c <= 0:
-            return SMapResult(Directive("", REPEAT_L), False)
-        c = compare(u, ZERO_ONE)
-        if c == 0:
-            return SMapResult(Directive("", REPEAT_R), False)
-        if c is None:
-            return SMapResult(Directive("", FINITE), True)
-        branch = _branch0
-    else:
-        c = compare(u, W_101)
-        if c is not None and c >= 0:
-            return SMapResult(Directive("", REPEAT_R), False)
-        c = compare(u, ONE_ZERO)
-        if c == 0:
-            return SMapResult(Directive("", REPEAT_L), False)
-        if c is None:
-            return SMapResult(Directive("", FINITE), True)
-        branch = _branch1
-    w = ""
-    for _ in range(max_depth):
-        b = branch(u)
-        if b is None:
-            return SMapResult(Directive(w, FINITE), True)
-        if b == BR_STOP_L:
-            return SMapResult(Directive(w + "M", REPEAT_L), False)
-        if b == BR_STOP_R:
-            return SMapResult(Directive(w + "M", REPEAT_R), False)
-        w += "LMR"[b // 2]
-        u = _preimage(u, w[-1])
+    side = u.letter(0) if isinstance(u, Word) else u.prefix(1)
+    b, w = corner(u, side), ""
+    if b in _TAILS:
+        return SMapResult(Directive("", _TAILS[b]), False)
+    if b == BR_M:
+        cuts = _NODE_CUTS[side]
+        for _ in range(max_depth):
+            b = _locate(u, cuts)
+            if b in _TAILS:
+                return SMapResult(Directive(w + "M", _TAILS[b]), False)
+            if b is None:
+                break
+            w += "LMR"[b // 2]
+            u = _preimage(u, w[-1])
     return SMapResult(Directive(w, FINITE), True)
 
 
@@ -467,16 +454,17 @@ def split_descent(a, b, max_depth: int):
     branch pair) for max_depth levels or hit undecidable stream ties
     (ba = bb = None, with len(w) the depth reached).
     """
+    cuts_a, cuts_b = _NODE_CUTS["0"], _NODE_CUTS["1"]
     w = ""
     for _ in range(max_depth):
-        ba, bb = _branch0(a), _branch1(b)
+        ba, bb = _locate(a, cuts_a), _locate(b, cuts_b)
         if ba is None or bb is None:
             return "=", w, None, None
         if ba > bb:
             return ">", w, ba, bb
         if ba < bb:
             return "<", w, ba, bb
-        if ba in (BR_STOP_L, BR_STOP_R):
+        if ba in _TAILS:
             return "=", w, ba, bb
         w += "LMR"[ba // 2]
         a, b = _preimage(a, w[-1]), _preimage(b, w[-1])

@@ -9,7 +9,7 @@ from doublebase.classify import (
     label_rank,
 )
 from doublebase.oracle import block_counts
-from doublebase.substitution import limit_word, parse_directive
+from doublebase.substitution import directive_compare, limit_word, parse_directive, s_map
 from doublebase.words import Word, parse_word
 
 from conftest import word_corpus
@@ -121,3 +121,19 @@ def test_classify_omega_double_corner():
     assert classify_omega(parse_word("0(1)"), parse_word("10(1)")).label is Label.COUNTABLE_NONTRIVIAL
     # b minimal with a in the bottom corner cell, symmetric
     assert classify_omega(parse_word("01(0)"), parse_word("1(0)")).label is Label.COUNTABLE_NONTRIVIAL
+
+
+def test_classify_omega_follows_s_map_order():
+    # the classifier's corner cells and joint descent agree with comparing
+    # the two s-map directives on the complexity-5 corpus
+    allowed = {
+        1: {Label.POSITIVE_ENTROPY},
+        -1: {Label.TRIVIAL, Label.COUNTABLE_NONTRIVIAL},
+        0: {Label.COUNTABLE_NONTRIVIAL},
+    }
+    b_words = [(b, s_map(b).directive) for b in word_corpus("1", 5)]
+    for a in word_corpus("0", 5):
+        sa = s_map(a).directive
+        for b, sb in b_words:
+            label = classify_omega(a, b).label
+            assert label in allowed[directive_compare(sa, sb)], (a, b, label)

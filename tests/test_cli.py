@@ -109,6 +109,14 @@ def test_ks(capsys):
     assert out.strip().startswith(">")
 
 
+def test_ks_tie_exits_undecided(capsys):
+    # at K(2) = 1.5 the digit streams agree as far as they are compared:
+    # "=" is a stream tie, not a certified equality
+    code, out, _ = run(capsys, "ks", "--q0", "2", "--q1", "1.5")
+    assert code == 3
+    assert out.strip().startswith("=")
+
+
 def test_verify(capsys):
     code, out, _ = run(capsys, "verify", "--q0", "2", "--q1", "1.6", "--word", "1(0)")
     assert code == 0
