@@ -9,7 +9,6 @@ Everything downstream rests on exact eventually periodic binary words
 from doublebase import (
     Word,
     apply,
-    compare,
     inf1,
     limit_word,
     node_boundaries,

@@ -171,23 +171,15 @@ def classify_univoque(q0: float, q1: float, tol: float = 1e-9,
     window_g = max(tol, gres.value.width)
     if q1 < gres.value.lo - window_g:
         return Classification(Label.TRIVIAL)
-    at_g = abs(q1 - gres.value.mid) <= window_g
-    kres = komornik_loreti(q0, config=cfg, max_depth=max_depth)
-    window_k = max(tol, kres.value.width)
-    at_k = abs(q1 - kres.value.mid) <= window_k
-    if at_g and at_k:
-        # G(q0) = K(q0): a coincidence point, where the set is trivial at
-        # the critical base iff the node is a finite formula node
-        if gres.case in (Case.LEFT_FORMULA, Case.RIGHT_FORMULA):
-            return Classification(Label.TRIVIAL)
-        return Classification(Label.UNDECIDED, max_depth or cfg.max_depth)
-    if at_g:
+    if abs(q1 - gres.value.mid) <= window_g:
         if gres.case in (Case.LEFT_FORMULA, Case.RIGHT_FORMULA):
             return Classification(Label.TRIVIAL)
         # at G over a primitive Sturmian point the set is already uncountable,
         # but that cannot be certified from a numeric q0
         return Classification(Label.UNDECIDED, max_depth or cfg.max_depth)
-    if at_k:
+    kres = komornik_loreti(q0, config=cfg, max_depth=max_depth)
+    window_k = max(tol, kres.value.width)
+    if abs(q1 - kres.value.mid) <= window_k:
         if kres.case in (Case.LEFT_FORMULA, Case.RIGHT_FORMULA):
             return Classification(Label.COUNTABLE_NONTRIVIAL)
         return Classification(Label.UNDECIDED, max_depth or cfg.max_depth)

@@ -41,11 +41,11 @@ EXIT_UNDECIDED = 3
 
 def _config(args) -> Config:
     cfg = DEFAULT
-    if getattr(args, "precision", None):
+    if getattr(args, "precision", None) is not None:
         cfg = cfg.with_(precision=args.precision)
-    if getattr(args, "tol", None):
+    if getattr(args, "tol", None) is not None:
         cfg = cfg.with_(tol=args.tol)
-    if getattr(args, "max_depth", None):
+    if getattr(args, "max_depth", None) is not None:
         cfg = cfg.with_(max_depth=args.max_depth)
     return cfg
 
@@ -72,13 +72,13 @@ def _cmd_mu(args) -> int:
 
 
 def _cmd_classify_omega(args) -> int:
-    res = classify_omega(parse_word(args.a), parse_word(args.b), args.max_depth or DEFAULT.max_depth)
+    res = classify_omega(parse_word(args.a), parse_word(args.b), _config(args).max_depth)
     print(res)
     return EXIT_UNDECIDED if res.label is Label.UNDECIDED else EXIT_OK
 
 
 def _cmd_classify_sigma(args) -> int:
-    res = classify_sigma(parse_word(args.a), parse_word(args.b), args.max_depth or DEFAULT.max_depth)
+    res = classify_sigma(parse_word(args.a), parse_word(args.b), _config(args).max_depth)
     print(res)
     return EXIT_UNDECIDED if res.label is Label.UNDECIDED else EXIT_OK
 

@@ -201,13 +201,13 @@ def f_tilde_from_pi(p, q0, q1):
     return q1 * (q0 * pt - 1)
 
 
-def pi_limit(d: Directive, seed, q0, q1, scale_eps: float = 1e-60):
+def pi_limit(d: Directive, seed, q0, q1):
     """pi of the limit word of a periodic-tail directive.
 
     Uses the self-similarity F = head(Fix), Fix = block(Fix): composing
     the affine pair of the block squares its contraction at every round,
     so a handful of rounds pushes the unknown-tail contribution (bounded
-    by scale * sup pi) below any fixed threshold.  Comparing consecutive
+    by scale * sup pi) below a scale of 1e-60.  Comparing consecutive
     values would be wrong here: prepended zeros leave the value unchanged.
     """
     if d.tail != PERIODIC:
@@ -217,7 +217,7 @@ def pi_limit(d: Directive, seed, q0, q1, scale_eps: float = 1e-60):
     block_words = {c: image_string(d.block, c) for c in "01"}
     for _ in range(160):
         a, s = (psi.a0, psi.s0) if seed == "0" else (psi.a1, psi.s1)
-        if abs(s) < scale_eps:
+        if abs(s) < 1e-60:
             return a
         psi = AffinePair(*psi._over(block_words["0"]), *psi._over(block_words["1"]))
     return (psi.a0 if seed == "0" else psi.a1)

@@ -135,16 +135,16 @@ def bracket_root(fn, lo, hi, tol):
     return (b, c) if fb > 0 else (c, b)
 
 
-def _certify_mp(fn_mp, lo: float, hi: float, dps: int, floor: float = 1.0) -> tuple[float, float]:
+def _certify_mp(fn_mp, lo: float, hi: float, dps: int) -> tuple[float, float]:
     """Verify fn(lo) > 0 > fn(hi) at dps digits, nudging endpoints outward
-    past any float rounding haze near the root (never below the domain
-    floor, the functions being roots in a base > 1)."""
+    past any float rounding haze near the root (never below 1, the
+    functions being roots in a base > 1)."""
     with mp.workdps(dps):
         step = max(hi - lo, 1e-15)
         for _ in range(80):
             if fn_mp(mp.mpf(lo)) > 0:
                 break
-            lo = max(lo - step, 0.5 * (lo + floor))
+            lo = max(lo - step, 0.5 * (lo + 1.0))
             step *= 2
         else:
             raise ArithmeticError("could not certify lower bracket endpoint")
@@ -175,11 +175,11 @@ def solve_decreasing(fn, fn_mp, lo: float, hi: float, tol: float, dps: int) -> B
     return Bracket(flo, fhi)
 
 
-def expand_upper(fn, hi: float, factor: float = 2.0, limit: int = 200) -> float:
+def expand_upper(fn, hi: float, limit: int = 200) -> float:
     for _ in range(limit):
         if fn(hi) <= 0:
             return hi
-        hi *= factor
+        hi *= 2.0
     raise ArithmeticError("no sign change found while expanding the bracket")
 
 

@@ -39,6 +39,7 @@ from .words import (
     ONE_ZERO,
     W_010,
     W_101,
+    _minimal_period,
 )
 
 SUBS = {
@@ -118,14 +119,6 @@ REPEAT_R = "repeat_R"
 PERIODIC = "periodic"
 
 
-def _minimal_block(block: str) -> str:
-    n = len(block)
-    for d in range(1, n + 1):
-        if n % d == 0 and block == block[:d] * (n // d):
-            return block[:d]
-    return block
-
-
 @dataclass(frozen=True)
 class Directive:
     """Directive sequence ``head . tail`` over {L,M,R}, canonicalized.
@@ -150,7 +143,7 @@ class Directive:
         if tail == PERIODIC:
             if not block or not set(block) <= set("LMR"):
                 raise DirectiveError(f"bad periodic block {block!r}")
-            block = _minimal_block(block)
+            block = _minimal_period(block)
             if block == "L":
                 tail, block = REPEAT_L, ""
             elif block == "R":

@@ -6,6 +6,7 @@ import pytest
 from doublebase.oracle import block_count
 from doublebase.solvers import PreconditionError
 from doublebase.spectral import (
+    SubshiftAutomaton,
     build_automaton,
     entropy,
     entropy_estimate,
@@ -109,6 +110,51 @@ def test_zero_entropy_for_countable_pairs():
             if label in (Label.TRIVIAL, Label.COUNTABLE_NONTRIVIAL):
                 m = build_automaton(a, b, validate=False)
                 assert entropy(m) == pytest.approx(0.0, abs=1e-12)
+
+
+def _shuffled_automaton(edges, n, rng):
+    # all n states live, relabelled by a random permutation
+    perm = list(range(n))
+    rng.shuffle(perm)
+    transitions = [dict() for _ in range(n)]
+    for s, c, t in edges:
+        transitions[perm[s]][c] = perm[t]
+    return SubshiftAutomaton(list(range(n)), transitions, frozenset(range(n)), None, None)
+
+
+def _cycle_chain(lengths, rng):
+    # k-cycles on letter 0, each linked to the next by one 1-edge
+    edges, first = [], 0
+    for j, k in enumerate(lengths):
+        edges += [(first + i, "0", first + (i + 1) % k) for i in range(k)]
+        if j + 1 < len(lengths):
+            edges.append((first, "1", first + k))
+        first += k
+    return _shuffled_automaton(edges, first, rng)
+
+
+def _golden_chain(blocks, rng):
+    # A -0-> A, A -1-> B, B -0-> A, and B -1-> the next block's A
+    edges = []
+    for j in range(blocks):
+        a, b = 2 * j, 2 * j + 1
+        edges += [(a, "0", a), (a, "1", b), (b, "0", a)]
+        if j + 1 < blocks:
+            edges.append((b, "1", b + 2))
+    return _shuffled_automaton(edges, 2 * blocks, rng)
+
+
+def test_entropy_of_chained_components(rng):
+    # chained components with equal Perron roots form Jordan blocks of the
+    # whole matrix, whose computed eigenvalues split; each component's
+    # root must still be read exactly
+    chains = [(k,) * copies for k in (3, 5, 7) for copies in (2, 3, 4)] + [(3, 5, 7) * 2]
+    for _ in range(10):
+        for lengths in chains:
+            assert entropy(_cycle_chain(lengths, rng)) <= 1e-12, lengths
+        for blocks in (2, 3, 4):
+            h = entropy(_golden_chain(blocks, rng))
+            assert abs(h - math.log(PHI)) <= 1e-12, blocks
 
 
 def test_validation():

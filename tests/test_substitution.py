@@ -1,5 +1,4 @@
 import itertools
-import random
 from itertools import islice
 
 import pytest
@@ -21,7 +20,7 @@ from doublebase.substitution import (
     parse_directive,
     s_map,
 )
-from doublebase.words import Word, parse_word, compare, sup0, inf1
+from doublebase.words import Word, parse_word, sup0, inf1
 
 from conftest import naive_image, naive_expand, random_word
 

@@ -7,7 +7,6 @@ from doublebase.words import (
     compare,
     reflect,
     shift,
-    extremal_suffix,
     sup0,
     inf1,
     LetterStream,
