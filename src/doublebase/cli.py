@@ -263,7 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--q1", type=float, required=True)
     s.add_argument("--word", required=True)
     s.add_argument("--shifts", type=int, default=None)
-    s.add_argument("--tol", type=float, default=0.0)
+    # the global --tol, also accepted after the subcommand; unset, it is 0
+    s.add_argument("--tol", type=float, default=argparse.SUPPRESS,
+                   help="hole tolerance (default 0)")
     s.set_defaults(fn=_cmd_verify)
 
     return p

@@ -10,12 +10,15 @@ code runs on floats and on mpf values.  A float64 solve does the bulk
 of the work and the endpoint signs are then re-verified in
 multiprecision arithmetic (config.precision decimal digits); tolerances
 below the float64 floor continue in multiprecision from the certified
-float bracket.
+float bracket.  A crossing end is certified by one sign test (side):
+two evaluations at one q1 that separates the two roots.
 
 g(u, q0)   -- the unique q1 > 1 with f_u(q0, q1) = 0, or BELOW_ONE
 gt(v, q0)  -- the unique q1 > 1 with f~_v(q0, q1) = 0
 mu(u, v)   -- the unique crossing g_u(x) = g~_v(x), with
               g_u > g~_v left of the crossing and < right of it
+side(...)  -- the side of x relative to such a crossing, certified at
+              the working precision: +1 left, -1 right, 0 too close
 
 All of them, and the node formulas and crossings of the critical-value
 descent, go through one q1-root routine (root_q1) and one crossing
@@ -24,6 +27,7 @@ solver (crossing) on value functions of (q0, q1).
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -35,6 +39,7 @@ from .substitution import Directive, is_primitive, common_node_image
 from .words import Word, sup0, inf1
 
 _FLOAT_TOL_FLOOR = 1e-13
+_FLOAT_Q1_TOL = 1e-15  # crossing's float roots in q1, at about the float spacing
 
 
 class PreconditionError(ValueError):
@@ -183,6 +188,27 @@ def expand_upper(fn, hi: float, limit: int = 200) -> float:
     raise ArithmeticError("no sign change found while expanding the bracket")
 
 
+def _q1_start(fn, x: float, tol: float):
+    """Start bracket (lo, hi) of the root in q1 of fn(x, .), or None when
+    fn(x, lo) <= 0 already, the root lying within tol (at most 1e-12)
+    of 1 or below it.  The upper end starts from x/(x-1) + 1, above
+    the root for every value function met here, and doubles if not."""
+    lo = 1.0 + min(tol, 1e-12)
+    if fn(x, lo) <= 0:
+        return None
+    return lo, expand_upper(lambda y: fn(x, y), x / (x - 1) + 1.0)
+
+
+def _float_q1(fn, x: float, tol: float) -> float:
+    """The root in q1 of fn(x, .) to tol in floats, 1.0 when it is at or
+    below 1 (past the critical base of an f function)."""
+    start = _q1_start(fn, x, tol)
+    if start is None:
+        return 1.0
+    lo, hi = bracket_root(lambda y: fn(x, y), *start, tol)
+    return 0.5 * (lo + hi)
+
+
 # ----------------------------------------------------------------------
 # domain validation
 # ----------------------------------------------------------------------
@@ -220,16 +246,18 @@ def _value_fn(u, kind: str):
 # ----------------------------------------------------------------------
 
 
-def root_q1(fn, q0: float, tol: float, dps: int) -> Bracket:
+def root_q1(fn, q0, tol: float, dps: int) -> Bracket:
     """The unique q1 > 1 with fn(q0, q1) = 0, fn strictly decreasing in
-    q1 and positive at q1 = 1 (the caller's precondition)."""
-    lo = 1.0 + min(tol, 1e-12)
-    if fn(q0, lo) <= 0:
-        return Bracket(1.0, lo)
-    hi = expand_upper(lambda y: fn(q0, y), q0 / (q0 - 1) + 1.0)
-    q0m = mp.mpf(q0)
+    q1 and positive at q1 = 1 (the caller's precondition).  q0 may be an
+    mpf: the float stage then runs at float(q0), and the certification
+    and any multiprecision refinement at q0 itself."""
+    qf = float(q0)
+    start = _q1_start(fn, qf, tol)
+    if start is None:
+        return Bracket(1.0, 1.0 + min(tol, 1e-12))
+    qm = mp.mpf(q0)
     return solve_decreasing(
-        lambda y: fn(q0, y), lambda y: fn(q0m, y), lo, hi, tol, dps
+        lambda y: fn(qf, y), lambda y: fn(qm, y), *start, tol, dps
     )
 
 
@@ -294,61 +322,84 @@ def _validate_mu_pair(u, v):
         )
 
 
+def side(fu, fv, x, dps: int, tol=None) -> int:
+    """The side of x relative to the crossing of g_u (the root in q1 of
+    fu(x, .)) and g~_v (of fv(x, .)), certified at dps digits: +1 left
+    of it (g_u(x) > g~_v(x)), -1 right of it, 0 when too close to call.
+
+    Both functions are strictly decreasing in q1, so at any y >= 1
+    between the two roots the signs of fu(x, y) and fv(x, y) order
+    them: fu > 0 > fv means g_u > y > g~_v, and fu < 0 < fv means
+    g_u < y < g~_v.  y is the midpoint of the two roots, in floats at
+    float(x), or solved to tol at x itself when tol is given (the
+    multiprecision stage of crossing).  Past the critical base of fu,
+    where fu(x, 1) <= 0, g_u is taken as 1 and x is right of the
+    crossing; that third evaluation is needed only when the two at y
+    do not decide.
+    """
+    with mp.workdps(dps):
+        xm = mp.mpf(x)
+        if tol is None:
+            xf = float(x)
+            y = 0.5 * (_float_q1(fu, xf, _FLOAT_Q1_TOL) + _float_q1(fv, xf, _FLOAT_Q1_TOL))
+        else:
+            y = 0.5 * (root_q1(fu, xm, tol, dps).mid + root_q1(fv, xm, tol, dps).mid)
+        y = mp.mpf(y)
+        at_u, at_v = fu(xm, y), fv(xm, y)
+        if at_u > 0 > at_v:
+            return 1
+        if at_u < 0 < at_v or (at_v <= 0 and fu(xm, mp.mpf(1)) <= 0):
+            return -1
+        return 0
+
+
 def crossing(fu, fv, tol: float, dps: int) -> Bracket:
     """The unique x > 1 where the roots in q1 of fu(x, .) and fv(x, .)
     cross, fu being an f and fv an f~ function of (q0, q1).
 
     The outer solve is bracket_root on the discriminant
     -f~_v(x, g_u(x)), continuous and of the sign of g_u(x) - g~_v(x)
-    (f~_v is strictly decreasing in q1), with g_u(x) itself an inner
-    bracket_root of width 1e-13 (tol * 1e-3 below the float floor); past
-    the critical base q_u of fu, where g_u = 1, the discriminant is
-    -f~_v(x, 1), which keeps it continuous and negative.  The float
-    bracket's endpoints are then certified at dps digits by signs read
-    off an inner root refined to 1e-20, nudged outward by _certify_mp,
-    which raises ArithmeticError for an end it cannot certify.
+    (f~_v is strictly decreasing in q1), with g_u(x) a float root at
+    about the float spacing; past the critical base q_u of fu, where
+    g_u = 1, the discriminant is -f~_v(x, 1), which keeps it continuous
+    and negative.  Its start bracket is found from x = 1.5 by doubling
+    x - 1 or cutting it to an eighth, so the ends sit near the crossing
+    and not near 1, where g_u grows like 1/(x - 1).  Each end of the
+    float bracket is then certified by side at dps digits, two or three
+    evaluations, and nudged outward by _certify_mp while side cannot
+    call it; an end that cannot be certified raises ArithmeticError.
+    Below the float floor the certified bracket is bisected on side
+    with multiprecision roots.
     """
 
-    def disc(x: float, inner: float) -> float:
+    # side and bracket_root solve g_u again at x where disc already
+    # did, which replays the same evaluations; typed, so that an mpf
+    # evaluation never answers for a float one or the other way round
+    fu = functools.lru_cache(maxsize=None, typed=True)(fu)
+
+    def disc(x: float) -> float:
         # > 0 while g_u(x) > g~_v(x) (left of the crossing), else <= 0
-        if fu(x, 1.0) <= 0:
-            return -fv(x, 1.0)  # x >= q_u, g_u = 1 < g~_v
-        hi = expand_upper(lambda y: fu(x, y), 8.0)
-        glo, ghi = bracket_root(lambda y: fu(x, y), 1.0 + 1e-12, hi, inner)
-        return -fv(x, 0.5 * (glo + ghi))
+        return -fv(x, _float_q1(fu, x, _FLOAT_Q1_TOL))
 
-    def sign_mp(x, inner) -> float:
-        # +1 left of the crossing, -1 right of it, certified at dps
-        # digits; 0 when too close to call
-        with mp.workdps(dps):
-            xm, xf = mp.mpf(x), float(x)
-            if fu(xm, mp.mpf(1)) <= 0:
-                return -1.0
-            hi = expand_upper(lambda y: fu(xf, y), 8.0)
-            glo, ghi = bracket_root(lambda y: fu(xf, y), 1.0 + 1e-12, hi, 1e-9)
-            glo, ghi = _certify_mp(lambda y: fu(xm, y), glo, ghi, dps)
-            glo, ghi = bracket_root(lambda y: fu(xm, y), mp.mpf(glo), mp.mpf(ghi), inner)
-            s_lo, s_hi = fv(xm, glo), fv(xm, ghi)
-            if (s_lo > 0) != (s_hi > 0):
-                return 0.0
-            return -1.0 if s_lo > 0 else 1.0
-
-    lo = 1.0 + 1e-9
-    while not disc(lo, 1e-9) > 0:
-        lo = 1.0 + (lo - 1.0) / 100
-        if lo - 1.0 < 1e-15:
-            raise PreconditionError("no crossing found above 1")
-    hi = expand_upper(lambda x: disc(x, 1e-9), 4.0, limit=60)
-    inner = 1e-13 if tol >= _FLOAT_TOL_FLOOR else tol * 1e-3
-    flo, fhi = bracket_root(lambda x: disc(x, inner), lo, hi, max(tol, _FLOAT_TOL_FLOOR))
-    flo, fhi = _certify_mp(lambda x: sign_mp(x, 1e-20), flo, fhi, dps)
+    # start bracket from t = x - 1 = 0.5: doubled while x is left of
+    # the crossing, else cut to an eighth until it is
+    t = expand_upper(lambda t: disc(1.0 + t), 0.5, limit=60)
+    if t > 0.5:
+        lo, hi = 1.0 + t / 2, 1.0 + t
+    else:
+        while not disc(1.0 + t) > 0:
+            t /= 8
+            if t < 1e-15:
+                raise PreconditionError("no crossing found above 1")
+        lo, hi = 1.0 + t, 1.0 + 8 * t
+    flo, fhi = bracket_root(disc, lo, hi, max(tol, _FLOAT_TOL_FLOOR))
+    flo, fhi = _certify_mp(lambda x: side(fu, fv, x, dps), flo, fhi, dps)
     if tol < _FLOAT_TOL_FLOOR:
         with mp.workdps(dps):
             a, b = mp.mpf(flo), mp.mpf(fhi)
-            inner_deep = tol * mp.mpf("1e-4")
             while b - a > tol:
                 m = (a + b) / 2
-                sg = sign_mp(m, inner_deep)
+                sg = side(fu, fv, m, dps, tol * 1e-4)
                 if sg > 0:
                     a = m
                 elif sg < 0:

@@ -123,6 +123,19 @@ def test_verify(capsys):
     assert out.strip() == "Boundary"
 
 
+def test_verify_tol_before_or_after_the_subcommand(capsys):
+    # the global --tol and verify's own spelling set the same tolerance;
+    # without either the hole is closed (tolerance 0)
+    word = ("--q0", "1.9", "--q1", "1.7", "--word", "(01)")
+    for argv in (("--tol", "0.5", "verify", *word), ("verify", *word, "--tol", "0.5")):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.strip() == "Boundary", argv
+    code, out, _ = run(capsys, "verify", *word)
+    assert code == 0
+    assert out.strip() == "In"
+
+
 def test_error_exit_codes(capsys):
     code, _, err = run(capsys, "classify-omega", "--a", "bogus", "--b", "1(0)")
     assert code == 2

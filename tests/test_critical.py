@@ -293,3 +293,20 @@ def test_cold_deep_descent_evaluation_budget(monkeypatch):
     monkeypatch.setattr(critical, "node_pi", counted)
     generalized_golden_ratio(50.0, max_depth=100)
     assert calls[0] <= 17_000, calls[0]
+
+
+@pytest.mark.parametrize("q0, max_depth, budget", [(1.75, None, 30), (50.0, 100, 500)])
+def test_cold_descent_multiprecision_budget(monkeypatch, q0, max_depth, budget):
+    # a crossing end is certified by two or three mp evaluations at one
+    # separating q1; the nested mp root refinement took 77 and 1,234
+    monkeypatch.setattr(critical, "_MU_CACHE", {})
+    calls = [0]
+    node_pi = critical.node_pi
+
+    def counted(*args, **kwargs):
+        calls[0] += any(isinstance(a, mp.mpf) for a in args)
+        return node_pi(*args, **kwargs)
+
+    monkeypatch.setattr(critical, "node_pi", counted)
+    generalized_golden_ratio(q0, max_depth=max_depth)
+    assert calls[0] <= budget, calls[0]

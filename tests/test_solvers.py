@@ -4,16 +4,18 @@ import mpmath as mp
 import pytest
 
 from doublebase.config import Config
-from doublebase.critical import _node_f
+from doublebase.critical import _node_f, node_mu
 from doublebase.solvers import (
     BELOW_ONE,
     PreconditionError,
     bracket_root,
     critical_base,
+    crossing,
     g,
     g_tilde,
     mu,
     root_q1,
+    side,
 )
 from doublebase.series import f
 from doublebase.substitution import apply, limit_word, node_boundaries, parse_directive
@@ -218,6 +220,48 @@ def test_mu_deep_tolerance_at_interval_endpoint():
     assert br.width <= 1e-14
     expected = poly_root([3, -8, 5, -1], 1.75, 2.0)
     assert abs(br.mid - expected) < 1e-12
+
+
+# ---------------------------------------------------------------- side
+
+SIDE_NODES = ["", "R" * 6, "RRLR", "LMR", "R" * 20]
+SIDE_PAIRS = [("s0", "s10"), ("s0", "s1"), ("s01", "s1")]  # the crossings of G
+
+
+@pytest.mark.parametrize("w", SIDE_NODES)
+@pytest.mark.parametrize("u, v", SIDE_PAIRS)
+def test_side_of_node_crossings(w, u, v):
+    fu, fv = _node_f(w, u, "f"), _node_f(w, v, "ft")
+    m = node_mu(w, u, v)
+    # the certified ends, and points 1e-10 relative off the crossing
+    assert side(fu, fv, m.lo, 30) == 1
+    assert side(fu, fv, m.hi, 30) == -1
+    assert side(fu, fv, m.mid * (1 - 1e-10), 30) == 1
+    assert side(fu, fv, m.mid * (1 + 1e-10), 30) == -1
+    # past the critical base of u, where g_u = 1 < g~_v
+    q_u = critical_base(getattr(node_boundaries(w), u))
+    for x in (q_u.hi * (1 + 1e-9), 2 * q_u.hi):
+        assert fu(x, 1.0) < 0
+        assert side(fu, fv, x, 30) == -1
+
+
+def test_side_outcomes_on_linear_functions():
+    # g_u = 2/x and g~_v = 1: left of the crossing x = 2
+    assert side(lambda x, y: 2 - x * y, lambda x, y: 1 - y, 1.5, 30) == 1
+    # a tie below the float spacing is too close to call
+    assert side(lambda x, y: 2 - x * y, lambda x, y: 2 / x + 1e-25 - y, 1.5, 30) == 0
+    # g_u = 1/x < 1 is taken as 1, and the evaluations at y = 1 do not
+    # separate the roots: fu(x, 1) <= 0 alone puts x on the right
+    assert side(lambda x, y: 1 - x * y, lambda x, y: 1 - y, 1.5, 30) == -1
+
+
+def test_crossing_exits_without_a_sign_change():
+    # g_u = 2 below g~_v = 3 everywhere: the search toward 1 gives up
+    with pytest.raises(PreconditionError):
+        crossing(lambda x, y: 2 - y, lambda x, y: 3 - y, 1e-12, 30)
+    # g_u = 3 above g~_v = 2 everywhere: the search upward gives up
+    with pytest.raises(ArithmeticError):
+        crossing(lambda x, y: 3 - y, lambda x, y: 2 - y, 1e-12, 30)
 
 
 # ---------------------------------------------------------------- bracket_root
