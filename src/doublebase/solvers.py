@@ -5,13 +5,17 @@ functions solved here are continuous and strictly monotone (proven
 properties of the value maps), so one bracketing routine, Brent's
 zeroin (bracket_root), serves every level: it keeps a sign-verified
 bracket and converges superlinearly, falling back to bisection when an
-interpolation step would not shrink the bracket fast enough.  The same
-code runs on floats and on mpf values.  A float64 solve does the bulk
-of the work and the endpoint signs are then re-verified in
-multiprecision arithmetic (config.precision decimal digits); tolerances
-below the float64 floor continue in multiprecision from the certified
-float bracket.  A crossing end is certified by one sign test (side):
-two evaluations at one q1 that separates the two roots.
+interpolation step would not shrink the bracket fast enough, and steps
+out of the few ulps around a root where rounding makes a function
+exactly 0 by growing steps.  The same code runs on floats and on mpf
+values.  A float64 solve does the bulk of the work and the endpoint
+signs are then re-verified in multiprecision arithmetic
+(config.precision decimal digits); tolerances below the float64 floor
+continue in multiprecision from the certified float bracket.  The
+roots in q1 nested in one crossing solve start from those already
+solved at the nearest x on both sides (g_u decreases in x), and a
+crossing end is certified by one sign test (side): two evaluations at
+one q1 that separates the two roots.
 
 g(u, q0)   -- the unique q1 > 1 with f_u(q0, q1) = 0, or BELOW_ONE
 gt(v, q0)  -- the unique q1 > 1 with f~_v(q0, q1) = 0
@@ -27,6 +31,7 @@ solver (crossing) on value functions of (q0, q1).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import sys
 from dataclasses import dataclass
@@ -95,12 +100,21 @@ def bracket_root(fn, lo, hi, tol):
     bisects; steps shorter than t = eps*|b| + tol/2 are lengthened to t,
     and a bracket within 2t of closing is bisected, so the loop ends
     even when tol is below one ulp of the root.
+
+    Rounding can make fn exactly 0 on a haze of points around the root.
+    An exact zero at b is a valid hi, but the other end c may still be
+    far off, and interpolation from a zero only gives steps of t back
+    into the haze.  So after a zero the steps from b toward c grow as
+    t, 4t, 16t, ..., alternating with bisections of [b, c]: a haze of a
+    few ulps is left in a few evaluations, and a wide one costs at most
+    about twice as many as bisection.
     """
     eps = 2 * mp.eps if isinstance(lo, mp.mpf) else sys.float_info.epsilon
     a, fa = lo, fn(lo)
     b, fb = hi, fn(hi)
     c, fc = a, fa
     d = e = b - a
+    z, galloped = 0, False  # the step out of a haze of exact zeros
     while True:
         if (fb > 0) == (fc > 0):  # keep c on the other side of the root
             c, fc = a, fa
@@ -113,7 +127,11 @@ def bracket_root(fn, lo, hi, tol):
         if abs(c - b) <= tol or mid == b or mid == c:
             break
         t = eps * abs(b) + 0.5 * tol
-        if abs(m) > t and abs(e) >= t and abs(fa) > abs(fb):
+        if fb == 0:  # steps of t, 4t, 16t, ... from b toward c, between bisections
+            galloped = not galloped
+            z = 2 * z or t
+            e = d = (z if m > 0 else -z) if galloped else m
+        elif abs(m) > t and abs(e) >= t and abs(fa) > abs(fb):
             s = fb / fa
             if a == c:  # secant
                 p, q = 2 * m * s, 1 - s
@@ -201,12 +219,29 @@ def _q1_start(fn, x: float, tol: float):
 
 def _float_q1(fn, x: float, tol: float) -> float:
     """The root in q1 of fn(x, .) to tol in floats, 1.0 when it is at or
-    below 1 (past the critical base of an f function)."""
-    start = _q1_start(fn, x, tol)
-    if start is None:
-        return 1.0
-    lo, hi = bracket_root(lambda y: fn(x, y), *start, tol)
-    return 0.5 * (lo + hi)
+    below 1 (past the critical base of an f function), started cold
+    from 1 + min(tol, 1e-12) with x/(x-1) + 1 as the first upper end,
+    as in _q1_start."""
+    return _float_q1_near(fn, x, 1.0, 1.0 + min(tol, 1e-12), x / (x - 1) + 1.0, tol)
+
+
+def _float_q1_near(fn, x: float, lo: float, p: float, hi: float, tol: float) -> float:
+    """_float_q1 started at a guess p in an expected bracket [lo, hi]
+    (either end may be p): the sign at p picks the side of the root, and
+    the far end steps out from p on that side, to lo or hi first and
+    then four times as far each time, until its sign is right."""
+    fx = lambda y: fn(x, y)
+    floor = 1.0 + min(tol, 1e-12)
+    up = fx(p) > 0  # the root lies above p
+    near, step = p, max(hi - p if up else p - lo, tol)
+    for _ in range(200):
+        far = p + step if up else max(p - step, floor)
+        if (fx(far) > 0) != up:
+            return 0.5 * sum(bracket_root(fx, *((near, far) if up else (far, near)), tol))
+        if not up and far == floor:
+            return 1.0
+        near, step = far, 4 * step
+    raise ArithmeticError("no sign change found while expanding the bracket")
 
 
 # ----------------------------------------------------------------------
@@ -331,7 +366,8 @@ def side(fu, fv, x, dps: int, tol=None) -> int:
     between the two roots the signs of fu(x, y) and fv(x, y) order
     them: fu > 0 > fv means g_u > y > g~_v, and fu < 0 < fv means
     g_u < y < g~_v.  y is the midpoint of the two roots, in floats at
-    float(x), or solved to tol at x itself when tol is given (the
+    float(x) (g~_v started next to g_u, near which it lies at a crossing
+    end), or solved to tol at x itself when tol is given (the
     multiprecision stage of crossing).  Past the critical base of fu,
     where fu(x, 1) <= 0, g_u is taken as 1 and x is right of the
     crossing; that third evaluation is needed only when the two at y
@@ -341,7 +377,8 @@ def side(fu, fv, x, dps: int, tol=None) -> int:
         xm = mp.mpf(x)
         if tol is None:
             xf = float(x)
-            y = 0.5 * (_float_q1(fu, xf, _FLOAT_Q1_TOL) + _float_q1(fv, xf, _FLOAT_Q1_TOL))
+            yu = _float_q1(fu, xf, _FLOAT_Q1_TOL)
+            y = 0.5 * (yu + _float_q1_near(fv, xf, yu, yu, yu, _FLOAT_Q1_TOL))
         else:
             y = 0.5 * (root_q1(fu, xm, tol, dps).mid + root_q1(fv, xm, tol, dps).mid)
         y = mp.mpf(y)
@@ -360,26 +397,54 @@ def crossing(fu, fv, tol: float, dps: int) -> Bracket:
     The outer solve is bracket_root on the discriminant
     -f~_v(x, g_u(x)), continuous and of the sign of g_u(x) - g~_v(x)
     (f~_v is strictly decreasing in q1), with g_u(x) a float root at
-    about the float spacing; past the critical base q_u of fu, where
-    g_u = 1, the discriminant is -f~_v(x, 1), which keeps it continuous
-    and negative.  Its start bracket is found from x = 1.5 by doubling
-    x - 1 or cutting it to an eighth, so the ends sit near the crossing
-    and not near 1, where g_u grows like 1/(x - 1).  Each end of the
-    float bracket is then certified by side at dps digits, two or three
-    evaluations, and nudged outward by _certify_mp while side cannot
-    call it; an end that cannot be certified raises ArithmeticError.
-    Below the float floor the certified bracket is bisected on side
-    with multiprecision roots.
+    about the float spacing.  g_u decreases in x, so the roots already
+    solved at the nearest x on both sides bracket g_u(x): its solve
+    starts at their linear interpolation, from that bracket widened
+    where its signs are wrong (_float_q1_near), and starts cold only
+    where a neighbour is missing or at 1.  Past the critical base q_u
+    of fu, where g_u = 1, the discriminant is -f~_v(x, 1), which keeps
+    it continuous and negative.  Its start bracket is found from
+    x = 1.5 by doubling x - 1 or cutting it to an eighth, so the ends
+    sit near the crossing and not near 1, where g_u grows like
+    1/(x - 1).  Each end of the float bracket is then certified by side
+    at dps digits, two or three evaluations, and nudged outward by
+    _certify_mp while side cannot call it; an end that cannot be
+    certified raises ArithmeticError.  side solves g_u at the end cold,
+    not from the discriminant's root there: within the haze of exact
+    zeros a float root depends on its start bracket, and the ends must
+    be ones that side, called alone, certifies.  Below the float floor
+    the certified bracket is bisected on side with multiprecision
+    roots.
     """
 
-    # side and bracket_root solve g_u again at x where disc already
-    # did, which replays the same evaluations; typed, so that an mpf
-    # evaluation never answers for a float one or the other way round
+    # bracket_root evaluates again the ends that a start search has just
+    # evaluated, and side solves g_u cold where disc may have done so;
+    # typed, so that an mpf evaluation never answers for a float one or
+    # the other way round
     fu = functools.lru_cache(maxsize=None, typed=True)(fu)
+    fv = functools.lru_cache(maxsize=None, typed=True)(fv)
+    roots = {}  # x -> float g_u(x), and the solved x in increasing order
+    xs = []
+
+    def gu(x: float) -> float:
+        if x in roots:
+            return roots[x]
+        i = bisect.bisect(xs, x)
+        if 0 < i < len(xs) and roots[xs[i]] > 1.0:
+            # g_u decreases in x: start between the neighbours' roots
+            xl, xr = xs[i - 1], xs[i]
+            hi, lo = roots[xl], roots[xr]
+            p = lo + (hi - lo) * (xr - x) / (xr - xl)
+            y = _float_q1_near(fu, x, lo, p, hi, _FLOAT_Q1_TOL)
+        else:
+            y = _float_q1(fu, x, _FLOAT_Q1_TOL)
+        roots[x] = y
+        xs.insert(i, x)
+        return y
 
     def disc(x: float) -> float:
         # > 0 while g_u(x) > g~_v(x) (left of the crossing), else <= 0
-        return -fv(x, _float_q1(fu, x, _FLOAT_Q1_TOL))
+        return -fv(x, gu(x))
 
     # start bracket from t = x - 1 = 0.5: doubled while x is left of
     # the crossing, else cut to an eighth until it is

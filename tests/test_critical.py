@@ -279,34 +279,43 @@ def test_spine_descent_solves_logarithmically_many_crossings(monkeypatch, q0, ma
     assert len(cache) <= 2 * math.ceil(math.log2(depth)) + 4
 
 
-def test_cold_deep_descent_evaluation_budget(monkeypatch):
-    # a cold crossing costs at most 1,000 node evaluations, float and mp
-    # together (17 crossings here); the nested bisection took about 3,200
+def _cold_node_evaluations(monkeypatch, q0, max_depth):
+    """Node evaluations (all, and those in mp) of one G call from an
+    empty _MU_CACHE."""
     monkeypatch.setattr(critical, "_MU_CACHE", {})
-    calls = [0]
+    calls = [0, 0]
     node_pi = critical.node_pi
 
     def counted(*args, **kwargs):
         calls[0] += 1
+        calls[1] += any(isinstance(a, mp.mpf) for a in args)
         return node_pi(*args, **kwargs)
 
     monkeypatch.setattr(critical, "node_pi", counted)
-    generalized_golden_ratio(50.0, max_depth=100)
-    assert calls[0] <= 17_000, calls[0]
+    generalized_golden_ratio(q0, max_depth=max_depth)
+    return calls
+
+
+def test_cold_deep_descent_evaluation_budget(monkeypatch):
+    # 17 crossings at about 200 node evaluations each, float and mp
+    # together; with every root in q1 started cold and Brent crawling
+    # through exact zeros they took 4,894
+    evaluations, _ = _cold_node_evaluations(monkeypatch, 50.0, 100)
+    assert evaluations <= 4_000, evaluations
+
+
+@pytest.mark.parametrize("q0, budget", [(1.01, 2_000), (1.75, 340)])
+def test_cold_descent_float_budget(monkeypatch, q0, budget):
+    # 8 and 3 crossings, whose nested roots in q1 start from the roots
+    # already solved at the nearest x; they took 2,457 and 413 when every
+    # root started cold and Brent crawled through exact zeros
+    evaluations, _ = _cold_node_evaluations(monkeypatch, q0, None)
+    assert evaluations <= budget, evaluations
 
 
 @pytest.mark.parametrize("q0, max_depth, budget", [(1.75, None, 30), (50.0, 100, 500)])
 def test_cold_descent_multiprecision_budget(monkeypatch, q0, max_depth, budget):
     # a crossing end is certified by two or three mp evaluations at one
     # separating q1; the nested mp root refinement took 77 and 1,234
-    monkeypatch.setattr(critical, "_MU_CACHE", {})
-    calls = [0]
-    node_pi = critical.node_pi
-
-    def counted(*args, **kwargs):
-        calls[0] += any(isinstance(a, mp.mpf) for a in args)
-        return node_pi(*args, **kwargs)
-
-    monkeypatch.setattr(critical, "node_pi", counted)
-    generalized_golden_ratio(q0, max_depth=max_depth)
-    assert calls[0] <= budget, calls[0]
+    _, evaluations = _cold_node_evaluations(monkeypatch, q0, max_depth)
+    assert evaluations <= budget, evaluations

@@ -8,6 +8,8 @@ from doublebase.critical import _node_f, node_mu
 from doublebase.solvers import (
     BELOW_ONE,
     PreconditionError,
+    _float_q1,
+    _float_q1_near,
     bracket_root,
     critical_base,
     crossing,
@@ -320,6 +322,50 @@ def test_bracket_root_contract_on_mpf(name, fn, fn_mp, lo, hi, budget, tol):
         assert a in calls and b in calls
         if tol > _mp_ulp(b):
             assert len(calls) <= math.ceil(math.log2((hi - lo) / tol))
+
+
+PLATEAU_CASES = [
+    # (name, fn, lo, hi): fn is exactly 0 on a plateau at its root, 1e-12,
+    # 1e-13 and 1.6e-5 wide
+    ("floor((1.5 - x) 1e12) / 1e12", lambda x: math.floor((1.5 - x) * 1e12) / 1e12, 1.0, 2.0),
+    ("round(0.7 - x/2, 13)", lambda x: round(0.7 - 0.5 * x, 13), 1.0, 100.0),
+    ("round(-(x - 1.3)^3, 15)", lambda x: round(-(x - 1.3) ** 3, 15), 1.0, 4.0),
+]
+
+
+@pytest.mark.parametrize("name, fn, lo, hi", PLATEAU_CASES)
+@pytest.mark.parametrize("tol", [1e-13, 1e-15])
+def test_bracket_root_steps_out_of_exact_zeros(name, fn, lo, hi, tol):
+    # after a zero, steps of t, 4t, 16t, ... leave a narrow plateau in a
+    # few evaluations, and the bisections between them keep a wide one
+    # (the cube's) within twice the cost of bisection
+    counted, calls = _counted(fn)
+    a, b = bracket_root(counted, lo, hi, tol)
+    _assert_contract(fn, a, b, tol, math.ulp(b))
+    assert a in calls and b in calls
+    budget = 2 * math.ceil(math.log2((hi - lo) / tol)) if "^3" in name else 30
+    assert len(calls) <= budget, (name, len(calls))
+
+
+def test_warm_q1_root_from_a_wrong_bracket():
+    # a guessed bracket on the wrong side of the root, or a bare guess
+    # far from it, is widened until its signs are right: the root is the
+    # cold one (2/x; tol below the float spacing, so both end at
+    # adjacent floats)
+    fn = lambda x, y: 2 - x * y
+    for x in (1.1, 1.3, 1.7):
+        cold = _float_q1(fn, x, 1e-17)
+        r = 2 / x
+        for guess in [
+            (r + 1e-3, r + 2e-3, r + 3e-3),
+            (r - 3e-3, r - 2e-3, r - 1e-3),
+            (r - 1e-9, r + 1e-3, r + 2e-3),
+            (r + 0.5, r + 0.5, r + 0.5),
+            (1.0, 1.0, 1.0),
+        ]:
+            assert abs(_float_q1_near(fn, x, *guess, 1e-17) - cold) <= 2 * math.ulp(cold)
+    # a root below 1 is reported as 1, as by the cold start
+    assert _float_q1_near(lambda x, y: 0.5 - y, 1.5, 1.2, 1.3, 1.4, 1e-15) == 1.0
 
 
 def test_root_q1_far_root_below_the_float_spacing():
