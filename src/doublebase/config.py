@@ -35,10 +35,14 @@ class Config:
 
 
 def _default_precision() -> int:
+    """DOUBLEBASE_PRECISION as an int, 30 when unset; Config checks it."""
     raw = os.environ.get(_ENV_PRECISION)
     if raw is None:
         return 30
-    return max(15, int(raw))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{_ENV_PRECISION} must be an integer, not {raw!r}") from None
 
 
 DEFAULT = Config(precision=_default_precision())

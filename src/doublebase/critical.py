@@ -40,7 +40,7 @@ from typing import Optional
 from .config import Config, resolve
 from .expansions import _to_fraction, expansion_bounds, regular
 from .series import letter_runs, node_pi, f_from_pi, f_tilde_from_pi
-from .solvers import Bracket, bracket_root, crossing, root_q1, _certify_mp, _FLOAT_TOL_FLOOR
+from .solvers import Bracket, crossing, root_q1, _certify_mp, _zeroin, _FLOAT_TOL_FLOOR
 from .substitution import NODE_SEEDS, apply, image_lengths, split_descent
 from .words import Word
 
@@ -71,17 +71,16 @@ class CriticalResult:
 # ----------------------------------------------------------------------
 
 
-def _node_f(w: str, key: str, kind: str):
-    """f or f~ of a node boundary word as a function of (q0, q1), via the
-    composed affine forms (no word materialization); the node's letter
-    runs are encoded once, not per evaluation."""
+def _node_f(w: str, key: str):
+    """f (seeds s0, s010, s01) or f~ (s10, s101, s1) of a node boundary
+    word as a function of (q0, q1), via the composed affine forms (no
+    word materialization); the node's letter runs are encoded once, not
+    per evaluation."""
     runs = letter_runs(w + "M")
-    if kind == "f":
-        def fn(q0, q1):
-            return f_from_pi(node_pi(runs, q0, q1, key), q0, q1)
-    else:
-        def fn(q0, q1):
-            return f_tilde_from_pi(node_pi(runs, q0, q1, key), q0, q1)
+    from_pi = f_from_pi if key.startswith("s0") else f_tilde_from_pi
+
+    def fn(q0, q1):
+        return from_pi(node_pi(runs, q0, q1, key), q0, q1)
     return fn
 
 
@@ -100,7 +99,7 @@ def node_mu(w: str, ukey: str, vkey: str, config: Config | None = None) -> Brack
     key = (w, ukey, vkey, cfg.precision, tol)
     hit = _MU_CACHE.get(key)
     if hit is None:
-        hit = crossing(_node_f(w, ukey, "f"), _node_f(w, vkey, "ft"), tol, cfg.precision)
+        hit = crossing(_node_f(w, ukey), _node_f(w, vkey), tol, cfg.precision)
         _MU_CACHE[key] = hit
     return hit
 
@@ -175,16 +174,16 @@ def _run_end(w: str, letter: str, q0: float, cfg: Config, max_depth: int) -> int
     return hi
 
 
-def _spine_bound(w: str, key: str, kind: str, cfg: Config) -> tuple:
+def _spine_bound(w: str, key: str, cfg: Config) -> tuple:
     """Exhaustion bound of the last spine step of head w: the node
-    formula (key, kind) of the node the step left, at its spine crossing."""
+    formula key of the node the step left, at its spine crossing."""
     last, letter = w[:-1], w[-1]
-    return (last, key, kind, node_mu(last, *_SPINE_PAIR[letter], cfg).mid)
+    return (last, key, node_mu(last, *_SPINE_PAIR[letter], cfg).mid)
 
 
-def _formula_result(w: str, key: str, kind: str, q0: float, case: Case,
+def _formula_result(w: str, key: str, q0: float, case: Case,
                     tol: float, dps: int, ambiguity: float) -> CriticalResult:
-    fn = _node_f(w, key, kind)
+    fn = _node_f(w, key)
     val = root_q1(fn, q0, tol, dps)
     if ambiguity > 0:
         # q0 could belong to an adjacent cell: widen by the local slope of
@@ -223,11 +222,11 @@ def _exhausted_result(q0, lo_bound, hi_bound, chain, tol, dps) -> CriticalResult
     lo_val = 1.0
     hi_val = math.inf
     if lo_bound is not None:
-        w, key, kind, at = lo_bound
-        lo_val = root_q1(_node_f(w, key, kind), at, tol, dps).lo
+        w, key, at = lo_bound
+        lo_val = root_q1(_node_f(w, key), at, tol, dps).lo
     if hi_bound is not None:
-        w, key, kind, at = hi_bound
-        hi_val = root_q1(_node_f(w, key, kind), at, tol, dps).hi
+        w, key, at = hi_bound
+        hi_val = root_q1(_node_f(w, key), at, tol, dps).hi
     lo_val, hi_val = min(lo_val, hi_val), max(lo_val, hi_val)
     width = hi_val - lo_val
     case = Case.PRIMITIVE_LIMIT if width <= 1e4 * max(tol, _FLOAT_TOL_FLOOR) else Case.DEPTH_EXHAUSTED
@@ -252,17 +251,17 @@ def generalized_golden_ratio(q0: float, tol: float | None = None,
         mu1 = node_mu(w, "s0", "s10", cfg)
         if _beyond(q0, mu1, "L"):
             w += "L" * _run_end(w, "L", q0, cfg, max_depth)
-            lo_bound = _spine_bound(w, "s0", "f", cfg)  # G(q0) > G(mu1) = left formula there
+            lo_bound = _spine_bound(w, "s0", cfg)  # G(q0) > G(mu1) = left formula there
             continue
         mu2 = node_mu(w, "s01", "s1", cfg)
         if _beyond(q0, mu2, "R"):
             w += "R" * _run_end(w, "R", q0, cfg, max_depth)
-            hi_bound = _spine_bound(w, "s1", "ft", cfg)
+            hi_bound = _spine_bound(w, "s1", cfg)
             continue
         ambiguity = _ambiguity(q0, mu1, mu2)
         if q0 <= node_mu(w, "s0", "s1", cfg).mid:
-            return _formula_result(w, "s0", "f", q0, Case.LEFT_FORMULA, tol, dps, ambiguity)
-        return _formula_result(w, "s1", "ft", q0, Case.RIGHT_FORMULA, tol, dps, ambiguity)
+            return _formula_result(w, "s0", q0, Case.LEFT_FORMULA, tol, dps, ambiguity)
+        return _formula_result(w, "s1", q0, Case.RIGHT_FORMULA, tol, dps, ambiguity)
     x = _to_fraction(q0)  # 1/(q0+1) <= (q0-1)(G-1) <= 1/2
     chain = _chain(x, 1 / (x + 1), Fraction(1, 2))
     return _exhausted_result(q0, lo_bound, hi_bound, chain, tol, dps)
@@ -285,24 +284,24 @@ def komornik_loreti(q0: float, tol: float | None = None,
         muL1 = node_mu(w, "s0", "s10", cfg)
         if _beyond(q0, muL1, "L"):
             w += "L" * _run_end(w, "L", q0, cfg, max_depth)
-            lo_bound = _spine_bound(w, "s10", "ft", cfg)
+            lo_bound = _spine_bound(w, "s10", cfg)
             continue
         muR2 = node_mu(w, "s01", "s1", cfg)
         if _beyond(q0, muR2, "R"):
             w += "R" * _run_end(w, "R", q0, cfg, max_depth)
-            hi_bound = _spine_bound(w, "s01", "f", cfg)
+            hi_bound = _spine_bound(w, "s01", cfg)
             continue
         muL2 = node_mu(w, "s010", "s10", cfg)
         if q0 <= muL2.hi + _slack(muL2):
-            return _formula_result(w, "s10", "ft", q0, Case.LEFT_FORMULA, tol, dps,
+            return _formula_result(w, "s10", q0, Case.LEFT_FORMULA, tol, dps,
                                    _ambiguity(q0, muL1, muL2))
         muR1 = node_mu(w, "s01", "s101", cfg)
         if q0 >= muR1.lo - _slack(muR1):
-            return _formula_result(w, "s01", "f", q0, Case.RIGHT_FORMULA, tol, dps,
+            return _formula_result(w, "s01", q0, Case.RIGHT_FORMULA, tol, dps,
                                    _ambiguity(q0, muR1, muR2))
         # strictly between the formula intervals: the cell is below node wM
-        hi_bound = (w, "s10", "ft", muL2.mid)
-        lo_bound = (w, "s01", "f", muR1.mid)
+        hi_bound = (w, "s10", muL2.mid)
+        lo_bound = (w, "s01", muR1.mid)
         w += "M"
     x = _to_fraction(q0)  # 1/2 <= (q0-1)(K-1) < q0/(q0+1)
     chain = _chain(x, Fraction(1, 2), x / (x + 1))
@@ -313,9 +312,10 @@ def kl_fixed_point(tol: float = 1e-9, lo: float = 1.7, hi: float = 1.9,
                    config: Config | None = None) -> Bracket:
     """The unique base q* with K(q*) = q*: the root of the continuous,
     strictly decreasing q -> K(q) - q on [lo, hi], solved to tol / 2 by
-    solvers.bracket_root.  An end that lands within K's bracket of q* is
-    then pushed outward until the whole K bracket lies on its side, so
-    both ends are sign-verified."""
+    the Brent loop of solvers.bracket_root from the values checked at lo
+    and hi.  An end that lands within K's bracket of q* is then pushed
+    outward until the whole K bracket lies on its side, so both ends are
+    sign-verified."""
     cfg = resolve(config)
 
     def excess(q: float) -> float:
@@ -326,11 +326,12 @@ def kl_fixed_point(tol: float = 1e-9, lo: float = 1.7, hi: float = 1.9,
         value = komornik_loreti(float(q), config=cfg).value
         return max(value.lo - q, 0.0) + min(value.hi - q, 0.0)
 
-    if not excess(lo) > 0:
+    at_lo, at_hi = excess(lo), excess(hi)
+    if not at_lo > 0:
         raise ValueError("K(lo) - lo must be positive")
-    if excess(hi) > 0:
+    if at_hi > 0:
         raise ValueError("K(hi) - hi must not be positive")
-    lo, hi = bracket_root(excess, lo, hi, tol / 2)
+    lo, hi = _zeroin(excess, lo, at_lo, hi, at_hi, tol / 2)
     return Bracket(*_certify_mp(verified, lo, hi, cfg.precision))
 
 

@@ -1,10 +1,11 @@
 """Bracketed root solvers for the base equations.
 
-All roots are reported as closed brackets, never bare points.  The
-functions solved here are continuous and strictly monotone (proven
-properties of the value maps), so one bracketing routine, Brent's
-zeroin (bracket_root), serves every level: it keeps a sign-verified
-bracket and converges superlinearly, falling back to bisection when an
+All roots are reported as closed brackets, never bare points.  Each
+function solved here is continuous and strictly monotone on a
+half-line (proven properties of the value maps), so one search
+(_step_out) steps out from a guess to a sign change and hands the two
+ends it evaluated to one Brent loop (bracket_root, Brent's zeroin): it
+keeps a sign-verified bracket, converges superlinearly, bisects when an
 interpolation step would not shrink the bracket fast enough, and steps
 out of the few ulps around a root where rounding makes a function
 exactly 0 by growing steps.  The same code runs on floats and on mpf
@@ -26,13 +27,13 @@ side(...)  -- the side of x relative to such a crossing, certified at
 
 All of them, and the node formulas and crossings of the critical-value
 descent, go through one q1-root routine (root_q1) and one crossing
-solver (crossing) on value functions of (q0, q1).
+solver (crossing) on value functions of (q0, q1); critical_base and the
+Moran exponent of spectral use the same search.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import sys
 from dataclasses import dataclass
 
@@ -109,9 +110,12 @@ def bracket_root(fn, lo, hi, tol):
     few ulps is left in a few evaluations, and a wide one costs at most
     about twice as many as bisection.
     """
-    eps = 2 * mp.eps if isinstance(lo, mp.mpf) else sys.float_info.epsilon
-    a, fa = lo, fn(lo)
-    b, fb = hi, fn(hi)
+    return _zeroin(fn, lo, fn(lo), hi, fn(hi), tol)
+
+
+def _zeroin(fn, a, fa, b, fb, tol):
+    """bracket_root from ends a, b already evaluated: fa = fn(a) > 0 >= fb = fn(b)."""
+    eps = 2 * mp.eps if isinstance(a, mp.mpf) else sys.float_info.epsilon
     c, fc = a, fa
     d = e = b - a
     z, galloped = 0, False  # the step out of a haze of exact zeros
@@ -182,66 +186,66 @@ def _certify_mp(fn_mp, lo: float, hi: float, dps: int) -> tuple[float, float]:
     return lo, hi
 
 
-def solve_decreasing(fn, fn_mp, lo: float, hi: float, tol: float, dps: int) -> Bracket:
-    """Bracket the root of a strictly decreasing function.
+def _step_out(fn, floor, lo, p, hi, tol):
+    """The ends (lo, hi) that bracket_root returns for the root of a
+    strictly decreasing fn, searched from a guess p in an expected
+    bracket [lo, hi] (either end may be p), or None when the root lies
+    at or below floor.
+
+    The sign at p picks the side of the root.  The far end on that side
+    is hi (or lo, at least floor) first and then steps out from p, four
+    times as far each time, until its sign is right.  The Brent loop
+    starts from the two ends the search evaluated last, so no point is
+    evaluated twice.
+    """
+    near, fnear = p, fn(p)
+    up = fnear > 0  # the root lies above p
+    sign = 1 if up else -1
+    far = hi if up else lo
+    step = max(sign * (far - p), tol)
+    if far == p:
+        far = p + sign * step
+    for _ in range(200):
+        if not up and near <= floor:
+            return None
+        far = far if up else max(far, floor)
+        ffar = fn(far)
+        if (ffar > 0) != up:
+            return _zeroin(fn, *((near, fnear, far, ffar) if up else (far, ffar, near, fnear)), tol)
+        near, fnear, step = far, ffar, 4 * step
+        far = p + sign * step
+    raise ArithmeticError("no sign change found while expanding the bracket")
+
+
+def solve_decreasing(fn, fn_mp, floor: float, hi: float, tol: float, dps: int) -> Bracket | None:
+    """Bracket the root of a strictly decreasing function, or None when
+    it lies at or below floor.
 
     fn is the float64 evaluation, fn_mp the same function on mpf inputs.
-    Precondition: fn(lo) > 0 >= fn(hi).
+    The float search starts at floor, with hi as its first upper end
+    (_step_out).
     """
     # half the width, so that one outward nudge of the certification,
     # needed when an end lands within float noise of the root, keeps it
-    flo, fhi = bracket_root(fn, lo, hi, max(tol, _FLOAT_TOL_FLOOR) / 2)
-    flo, fhi = _certify_mp(fn_mp, flo, fhi, dps)
+    ends = _step_out(fn, floor, floor, floor, hi, max(tol, _FLOAT_TOL_FLOOR) / 2)
+    if ends is None:
+        return None
+    flo, fhi = _certify_mp(fn_mp, *ends, dps)
     if tol < _FLOAT_TOL_FLOOR:
         with mp.workdps(dps):
             flo, fhi = bracket_root(fn_mp, mp.mpf(flo), mp.mpf(fhi), tol)
     return Bracket(flo, fhi)
 
 
-def expand_upper(fn, hi: float, limit: int = 200) -> float:
-    for _ in range(limit):
-        if fn(hi) <= 0:
-            return hi
-        hi *= 2.0
-    raise ArithmeticError("no sign change found while expanding the bracket")
-
-
-def _q1_start(fn, x: float, tol: float):
-    """Start bracket (lo, hi) of the root in q1 of fn(x, .), or None when
-    fn(x, lo) <= 0 already, the root lying within tol (at most 1e-12)
-    of 1 or below it.  The upper end starts from x/(x-1) + 1, above
-    the root for every value function met here, and doubles if not."""
-    lo = 1.0 + min(tol, 1e-12)
-    if fn(x, lo) <= 0:
-        return None
-    return lo, expand_upper(lambda y: fn(x, y), x / (x - 1) + 1.0)
-
-
-def _float_q1(fn, x: float, tol: float) -> float:
+def _float_q1(fn, x: float, tol: float, near=None) -> float:
     """The root in q1 of fn(x, .) to tol in floats, 1.0 when it is at or
-    below 1 (past the critical base of an f function), started cold
-    from 1 + min(tol, 1e-12) with x/(x-1) + 1 as the first upper end,
-    as in _q1_start."""
-    return _float_q1_near(fn, x, 1.0, 1.0 + min(tol, 1e-12), x / (x - 1) + 1.0, tol)
-
-
-def _float_q1_near(fn, x: float, lo: float, p: float, hi: float, tol: float) -> float:
-    """_float_q1 started at a guess p in an expected bracket [lo, hi]
-    (either end may be p): the sign at p picks the side of the root, and
-    the far end steps out from p on that side, to lo or hi first and
-    then four times as far each time, until its sign is right."""
-    fx = lambda y: fn(x, y)
+    below 1 (past the critical base of an f function).  It starts cold
+    from 1 + min(tol, 1e-12), with x/(x-1) + 1 as the first upper end
+    (above the root for every value function met here), or from a
+    guess near = (lo, p, hi) as _step_out does."""
     floor = 1.0 + min(tol, 1e-12)
-    up = fx(p) > 0  # the root lies above p
-    near, step = p, max(hi - p if up else p - lo, tol)
-    for _ in range(200):
-        far = p + step if up else max(p - step, floor)
-        if (fx(far) > 0) != up:
-            return 0.5 * sum(bracket_root(fx, *((near, far) if up else (far, near)), tol))
-        if not up and far == floor:
-            return 1.0
-        near, step = far, 4 * step
-    raise ArithmeticError("no sign change found while expanding the bracket")
+    ends = _step_out(lambda y: fn(x, y), floor, *(near or (floor, floor, x / (x - 1) + 1.0)), tol)
+    return 1.0 if ends is None else 0.5 * (ends[0] + ends[1])
 
 
 # ----------------------------------------------------------------------
@@ -283,17 +287,14 @@ def _value_fn(u, kind: str):
 
 def root_q1(fn, q0, tol: float, dps: int) -> Bracket:
     """The unique q1 > 1 with fn(q0, q1) = 0, fn strictly decreasing in
-    q1 and positive at q1 = 1 (the caller's precondition).  q0 may be an
-    mpf: the float stage then runs at float(q0), and the certification
-    and any multiprecision refinement at q0 itself."""
-    qf = float(q0)
-    start = _q1_start(fn, qf, tol)
-    if start is None:
-        return Bracket(1.0, 1.0 + min(tol, 1e-12))
-    qm = mp.mpf(q0)
-    return solve_decreasing(
-        lambda y: fn(qf, y), lambda y: fn(qm, y), *start, tol, dps
-    )
+    q1, or [1, 1 + min(tol, 1e-12)] when the root lies that close to 1 or
+    below it.  q0 may be an mpf: the float stage then runs at float(q0),
+    and the certification and any multiprecision refinement at q0
+    itself."""
+    qf, qm = float(q0), mp.mpf(q0)
+    floor = 1.0 + min(tol, 1e-12)
+    br = solve_decreasing(lambda y: fn(qf, y), lambda y: fn(qm, y), floor, qf / (qf - 1) + 1.0, tol, dps)
+    return Bracket(1.0, floor) if br is None else br
 
 
 def g(u, q0: float, tol: float | None = None, config: Config | None = None):
@@ -327,13 +328,9 @@ def critical_base(u, tol: float | None = None, config: Config | None = None) -> 
     cfg = resolve(config)
     tol = cfg.tol if tol is None else tol
     fu = _value_fn(u, "f")
-    lo = 1.0 + 1e-9
-    if fu(lo, 1.0) <= 0:
-        return Bracket(1.0, lo)
-    hi = expand_upper(lambda x: fu(x, 1.0), 4.0)
-    return solve_decreasing(
-        lambda x: fu(x, 1.0), lambda x: fu(x, mp.mpf(1)), lo, hi, tol, cfg.precision
-    )
+    floor = 1.0 + 1e-9
+    br = solve_decreasing(lambda x: fu(x, 1.0), lambda x: fu(x, mp.mpf(1)), floor, 4.0, tol, cfg.precision)
+    return Bracket(1.0, floor) if br is None else br
 
 
 def _validate_mu_pair(u, v):
@@ -366,9 +363,9 @@ def side(fu, fv, x, dps: int, tol=None) -> int:
     between the two roots the signs of fu(x, y) and fv(x, y) order
     them: fu > 0 > fv means g_u > y > g~_v, and fu < 0 < fv means
     g_u < y < g~_v.  y is the midpoint of the two roots, in floats at
-    float(x) (g~_v started next to g_u, near which it lies at a crossing
-    end), or solved to tol at x itself when tol is given (the
-    multiprecision stage of crossing).  Past the critical base of fu,
+    float(x) (_float_q1: g_u cold, g~_v from a guess at g_u, near which
+    it lies at a crossing end), or solved to tol at x itself when tol
+    is given (the multiprecision stage of crossing).  Past the critical base of fu,
     where fu(x, 1) <= 0, g_u is taken as 1 and x is right of the
     crossing; that third evaluation is needed only when the two at y
     do not decide.
@@ -378,7 +375,7 @@ def side(fu, fv, x, dps: int, tol=None) -> int:
         if tol is None:
             xf = float(x)
             yu = _float_q1(fu, xf, _FLOAT_Q1_TOL)
-            y = 0.5 * (yu + _float_q1_near(fv, xf, yu, yu, yu, _FLOAT_Q1_TOL))
+            y = 0.5 * (yu + _float_q1(fv, xf, _FLOAT_Q1_TOL, near=(yu, yu, yu)))
         else:
             y = 0.5 * (root_q1(fu, xm, tol, dps).mid + root_q1(fv, xm, tol, dps).mid)
         y = mp.mpf(y)
@@ -394,52 +391,41 @@ def crossing(fu, fv, tol: float, dps: int) -> Bracket:
     """The unique x > 1 where the roots in q1 of fu(x, .) and fv(x, .)
     cross, fu being an f and fv an f~ function of (q0, q1).
 
-    The outer solve is bracket_root on the discriminant
+    The outer solve is Brent's loop on the discriminant
     -f~_v(x, g_u(x)), continuous and of the sign of g_u(x) - g~_v(x)
     (f~_v is strictly decreasing in q1), with g_u(x) a float root at
-    about the float spacing.  g_u decreases in x, so the roots already
-    solved at the nearest x on both sides bracket g_u(x): its solve
-    starts at their linear interpolation, from that bracket widened
-    where its signs are wrong (_float_q1_near), and starts cold only
-    where a neighbour is missing or at 1.  Past the critical base q_u
-    of fu, where g_u = 1, the discriminant is -f~_v(x, 1), which keeps
-    it continuous and negative.  Its start bracket is found from
-    x = 1.5 by doubling x - 1 or cutting it to an eighth, so the ends
-    sit near the crossing and not near 1, where g_u grows like
-    1/(x - 1).  Each end of the float bracket is then certified by side
-    at dps digits, two or three evaluations, and nudged outward by
-    _certify_mp while side cannot call it; an end that cannot be
-    certified raises ArithmeticError.  side solves g_u at the end cold,
-    not from the discriminant's root there: within the haze of exact
-    zeros a float root depends on its start bracket, and the ends must
-    be ones that side, called alone, certifies.  Below the float floor
-    the certified bracket is bisected on side with multiprecision
+    about the float spacing (_float_q1).  g_u decreases in x, so the
+    roots already solved at the nearest x on both sides bracket g_u(x):
+    its search starts at their linear interpolation, and cold only where
+    a neighbour is missing or at 1.  Past the critical base q_u of fu,
+    where g_u = 1, the discriminant is -f~_v(x, 1), which keeps it
+    continuous and negative.  One loop from x = 1.5 doubles x - 1 while
+    x is left of the crossing and otherwise cuts it to an eighth, and
+    Brent's loop starts from its last two points: the ends sit near the
+    crossing, not near 1, where g_u grows like 1/(x - 1) and a search
+    by added steps would jump onto 1.  Each end of the float bracket is
+    then certified by side at dps digits, two or three evaluations, and
+    nudged outward by _certify_mp while side cannot call it; an end that
+    cannot be certified raises ArithmeticError.  side solves g_u at the
+    end cold, not from the discriminant's root there: within the haze of
+    exact zeros a float root depends on its start bracket, and the ends
+    must be ones that side, called alone, certifies.  Below the float
+    floor the certified bracket is bisected on side with multiprecision
     roots.
     """
-
-    # bracket_root evaluates again the ends that a start search has just
-    # evaluated, and side solves g_u cold where disc may have done so;
-    # typed, so that an mpf evaluation never answers for a float one or
-    # the other way round
-    fu = functools.lru_cache(maxsize=None, typed=True)(fu)
-    fv = functools.lru_cache(maxsize=None, typed=True)(fv)
-    roots = {}  # x -> float g_u(x), and the solved x in increasing order
-    xs = []
+    xs, ys = [], []  # the x solved so far in increasing order, and g_u there
 
     def gu(x: float) -> float:
-        if x in roots:
-            return roots[x]
         i = bisect.bisect(xs, x)
-        if 0 < i < len(xs) and roots[xs[i]] > 1.0:
+        near = None
+        if 0 < i < len(xs) and ys[i] > 1.0:
             # g_u decreases in x: start between the neighbours' roots
             xl, xr = xs[i - 1], xs[i]
-            hi, lo = roots[xl], roots[xr]
-            p = lo + (hi - lo) * (xr - x) / (xr - xl)
-            y = _float_q1_near(fu, x, lo, p, hi, _FLOAT_Q1_TOL)
-        else:
-            y = _float_q1(fu, x, _FLOAT_Q1_TOL)
-        roots[x] = y
+            hi, lo = ys[i - 1], ys[i]
+            near = (lo, lo + (hi - lo) * (xr - x) / (xr - xl), hi)
+        y = _float_q1(fu, x, _FLOAT_Q1_TOL, near)
         xs.insert(i, x)
+        ys.insert(i, y)
         return y
 
     def disc(x: float) -> float:
@@ -448,16 +434,21 @@ def crossing(fu, fv, tol: float, dps: int) -> Bracket:
 
     # start bracket from t = x - 1 = 0.5: doubled while x is left of
     # the crossing, else cut to an eighth until it is
-    t = expand_upper(lambda t: disc(1.0 + t), 0.5, limit=60)
-    if t > 0.5:
-        lo, hi = 1.0 + t / 2, 1.0 + t
+    t, left, right = 0.5, None, None
+    for _ in range(60):
+        x = 1.0 + t
+        dx = disc(x)
+        if dx > 0:
+            left, t = (x, dx), 2 * t
+        else:
+            right, t = (x, dx), t / 8
+        if left and right:
+            break
+        if t < 1e-15:
+            raise PreconditionError("no crossing found above 1")
     else:
-        while not disc(1.0 + t) > 0:
-            t /= 8
-            if t < 1e-15:
-                raise PreconditionError("no crossing found above 1")
-        lo, hi = 1.0 + t, 1.0 + 8 * t
-    flo, fhi = bracket_root(disc, lo, hi, max(tol, _FLOAT_TOL_FLOOR))
+        raise ArithmeticError("no sign change found while expanding the bracket")
+    flo, fhi = _zeroin(disc, *left, *right, max(tol, _FLOAT_TOL_FLOOR))
     flo, fhi = _certify_mp(lambda x: side(fu, fv, x, dps), flo, fhi, dps)
     if tol < _FLOAT_TOL_FLOOR:
         with mp.workdps(dps):

@@ -22,7 +22,7 @@ import numpy as np
 from .config import Config, resolve
 from .critical import komornik_loreti
 from .expansions import expansion_bounds, hole, quasi_greedy, quasi_lazy, regular
-from .solvers import PreconditionError, bracket_root, expand_upper
+from .solvers import PreconditionError, _step_out
 from .substitution import BR_L, BR_R, apply, image_string, split_descent
 from .words import Word, compare, sup0, inf1
 
@@ -262,7 +262,7 @@ def _moran_exponent(log_r0: float, log_r1: float, tol: float) -> float:
     def F(s):
         return math.exp(s * log_r0) + math.exp(s * log_r1) - 1.0
 
-    lo, hi = bracket_root(F, 0.0, expand_upper(F, 1.0), tol)
+    lo, hi = _step_out(F, 0.0, 0.0, 0.0, 1.0, tol)  # F(0) = 1 > 0
     return 0.5 * (lo + hi)
 
 

@@ -296,6 +296,25 @@ def _cold_node_evaluations(monkeypatch, q0, max_depth):
     return calls
 
 
+@pytest.mark.parametrize("curve", [generalized_golden_ratio, komornik_loreti])
+@pytest.mark.parametrize("q0", [1.3, 1.75, 2.2])
+def test_warm_call_evaluates_no_point_twice(monkeypatch, curve, q0):
+    # the search for a root's start bracket hands its evaluated ends to
+    # Brent's loop, and the certification evaluates in mp: no node
+    # evaluation repeats an earlier one with the same typed arguments
+    curve(q0)
+    points = []
+    node_pi = critical.node_pi
+
+    def counted(*args):
+        points.append(tuple((type(a), a) for a in args))
+        return node_pi(*args)
+
+    monkeypatch.setattr(critical, "node_pi", counted)
+    curve(q0)
+    assert points and len(set(points)) == len(points)
+
+
 def test_cold_deep_descent_evaluation_budget(monkeypatch):
     # 17 crossings at about 200 node evaluations each, float and mp
     # together; with every root in q1 started cold and Brent crawling

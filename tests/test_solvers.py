@@ -9,7 +9,6 @@ from doublebase.solvers import (
     BELOW_ONE,
     PreconditionError,
     _float_q1,
-    _float_q1_near,
     bracket_root,
     critical_base,
     crossing,
@@ -233,7 +232,7 @@ SIDE_PAIRS = [("s0", "s10"), ("s0", "s1"), ("s01", "s1")]  # the crossings of G
 @pytest.mark.parametrize("w", SIDE_NODES)
 @pytest.mark.parametrize("u, v", SIDE_PAIRS)
 def test_side_of_node_crossings(w, u, v):
-    fu, fv = _node_f(w, u, "f"), _node_f(w, v, "ft")
+    fu, fv = _node_f(w, u), _node_f(w, v)
     m = node_mu(w, u, v)
     # the certified ends, and points 1e-10 relative off the crossing
     assert side(fu, fv, m.lo, 30) == 1
@@ -347,7 +346,7 @@ def test_bracket_root_steps_out_of_exact_zeros(name, fn, lo, hi, tol):
     assert len(calls) <= budget, (name, len(calls))
 
 
-def test_warm_q1_root_from_a_wrong_bracket():
+def test_float_q1_from_a_wrong_guess():
     # a guessed bracket on the wrong side of the root, or a bare guess
     # far from it, is widened until its signs are right: the root is the
     # cold one (2/x; tol below the float spacing, so both end at
@@ -363,9 +362,31 @@ def test_warm_q1_root_from_a_wrong_bracket():
             (r + 0.5, r + 0.5, r + 0.5),
             (1.0, 1.0, 1.0),
         ]:
-            assert abs(_float_q1_near(fn, x, *guess, 1e-17) - cold) <= 2 * math.ulp(cold)
+            assert abs(_float_q1(fn, x, 1e-17, near=guess) - cold) <= 2 * math.ulp(cold)
     # a root below 1 is reported as 1, as by the cold start
-    assert _float_q1_near(lambda x, y: 0.5 - y, 1.5, 1.2, 1.3, 1.4, 1e-15) == 1.0
+    assert _float_q1(lambda x, y: 0.5 - y, 1.5, 1e-15, near=(1.2, 1.3, 1.4)) == 1.0
+    # from a guess above it, the search steps down onto the floor
+    # 1 + 1e-15, whose sign is right, and brackets a root just above it
+    r = 1 + 1e-9
+    fn = lambda x, y: r - y
+    assert abs(_float_q1(fn, 1.5, 1e-15, near=(1.2, 1.3, 1.4)) - r) <= 1e-15
+    assert abs(_float_q1(fn, 1.5, 1e-15) - r) <= 1e-15
+
+
+def test_root_q1_evaluates_each_float_point_once():
+    # the start search evaluates 1 + 1e-12 and x/(x-1) + 1 = 4, and
+    # Brent's loop goes on from those two values: on the linear 2 - x y
+    # two more points close the bracket
+    points = []
+
+    def fn(x, y):
+        if not isinstance(y, mp.mpf):
+            points.append(y)
+        return 2 - x * y
+
+    br = root_q1(fn, 1.5, 1e-12, 30)
+    assert br.lo <= 4 / 3 <= br.hi
+    assert len(points) == len(set(points)) == 4
 
 
 def test_root_q1_far_root_below_the_float_spacing():
@@ -373,7 +394,7 @@ def test_root_q1_far_root_below_the_float_spacing():
     # 1/(q0^k (q0 - 1)), about 500 at k = 693; tol 1e-15 is below the
     # float spacing there (5.7e-14), so the multiprecision stage finishes
     q0, k = 1.001, 693
-    br = root_q1(_node_f("L" * k, "s0", "f"), q0, 1e-15, 30)
+    br = root_q1(_node_f("L" * k, "s0"), q0, 1e-15, 30)
     assert br.width <= 1e-15
     with mp.workdps(40):
         q = mp.mpf(q0)
