@@ -169,14 +169,14 @@ def classify_univoque(q0: float, q1: float, tol: float = 1e-9,
         return Classification(Label.POSITIVE_ENTROPY)
     gres = generalized_golden_ratio(q0, config=cfg, max_depth=max_depth)
     window_g = max(tol, gres.value.width)
-    if q1 < gres.value.lo - window_g:
-        return Classification(Label.TRIVIAL)
     if abs(q1 - gres.value.mid) <= window_g:
         if gres.case in (Case.LEFT_FORMULA, Case.RIGHT_FORMULA):
             return Classification(Label.TRIVIAL)
         # at G over a primitive Sturmian point the set is already uncountable,
         # but that cannot be certified from a numeric q0
         return Classification(Label.UNDECIDED, max_depth or cfg.max_depth)
+    if q1 < gres.value.mid:  # below the window, so below G(q0)
+        return Classification(Label.TRIVIAL)
     kres = komornik_loreti(q0, config=cfg, max_depth=max_depth)
     window_k = max(tol, kres.value.width)
     if abs(q1 - kres.value.mid) <= window_k:

@@ -39,8 +39,8 @@ from typing import Optional
 
 from .config import Config, resolve
 from .expansions import _to_fraction, expansion_bounds, regular
-from .series import letter_runs, node_pi, f_from_pi, f_tilde_from_pi
-from .solvers import Bracket, crossing, root_q1, _certify_mp, _zeroin, _FLOAT_TOL_FLOOR
+from .series import directive_roundings, letter_runs, node_f_bound, node_pi, f_from_pi, f_tilde_from_pi
+from .solvers import Bracket, crossing, root_q1, _certify, _zeroin, _FLOAT_TOL_FLOOR
 from .substitution import NODE_SEEDS, apply, image_lengths, split_descent
 from .words import Word
 
@@ -59,8 +59,19 @@ class CriticalResult:
     value: Bracket
     node: str                      # directive head w; the node is sigma = wM
     case: Case
-    boundary_word: Optional[Word]  # sigma(seed) for formula cases, when small
+    key: Optional[str]             # the formula's NODE_SEEDS key, for formula cases
     inequality_witness: float      # (q0-1) * (value.mid - 1)
+
+    @property
+    def boundary_word(self) -> Optional[Word]:
+        """sigma(seed) of the formula, built when read; None for other
+        cases and for words longer than _BOUNDARY_WORD_CAP letters."""
+        if self.key is None:
+            return None
+        n, seed = image_lengths(self.node + "M"), NODE_SEEDS[self.key]
+        if sum(n[int(c)] for c in seed.pre + seed.per) > _BOUNDARY_WORD_CAP:
+            return None
+        return apply(self.node + "M", seed)
 
     def __str__(self):
         return f"{self.value} node={self.node} case={self.case.value}"
@@ -75,12 +86,16 @@ def _node_f(w: str, key: str):
     """f (seeds s0, s010, s01) or f~ (s10, s101, s1) of a node boundary
     word as a function of (q0, q1), via the composed affine forms (no
     word materialization); the node's letter runs are encoded once, not
-    per evaluation."""
+    per evaluation.  Its attribute bounded(q0, q1) is the same float
+    evaluation with a proven error bound (series.node_f_bound), which
+    solvers._sign reads to prove signs in floats."""
     runs = letter_runs(w + "M")
+    roundings = directive_roundings(runs)
     from_pi = f_from_pi if key.startswith("s0") else f_tilde_from_pi
 
     def fn(q0, q1):
         return from_pi(node_pi(runs, q0, q1, key), q0, q1)
+    fn.bounded = lambda q0, q1: node_f_bound(runs, roundings, key, q0, q1)
     return fn
 
 
@@ -102,13 +117,6 @@ def node_mu(w: str, ukey: str, vkey: str, config: Config | None = None) -> Brack
         hit = crossing(_node_f(w, ukey), _node_f(w, vkey), tol, cfg.precision)
         _MU_CACHE[key] = hit
     return hit
-
-
-def _boundary_word(w: str, key: str) -> Optional[Word]:
-    n, seed = image_lengths(w + "M"), NODE_SEEDS[key]
-    if sum(n[int(c)] for c in seed.pre + seed.per) > _BOUNDARY_WORD_CAP:
-        return None
-    return apply(w + "M", seed)
 
 
 def _slack(mu: Bracket) -> float:
@@ -196,7 +204,7 @@ def _formula_result(w: str, key: str, q0: float, case: Case,
         value=val,
         node=w,
         case=case,
-        boundary_word=_boundary_word(w, key),
+        key=key,
         inequality_witness=(q0 - 1.0) * (val.mid - 1.0),
     )
 
@@ -323,7 +331,7 @@ def kl_fixed_point(tol: float = 1e-9, lo: float = 1.7, hi: float = 1.9,
 
     def verified(q) -> float:
         # the sign of K(q) - q where the K bracket decides it, else 0
-        value = komornik_loreti(float(q), config=cfg).value
+        value = komornik_loreti(q, config=cfg).value
         return max(value.lo - q, 0.0) + min(value.hi - q, 0.0)
 
     at_lo, at_hi = excess(lo), excess(hi)
@@ -332,7 +340,7 @@ def kl_fixed_point(tol: float = 1e-9, lo: float = 1.7, hi: float = 1.9,
     if at_hi > 0:
         raise ValueError("K(hi) - hi must not be positive")
     lo, hi = _zeroin(excess, lo, at_lo, hi, at_hi, tol / 2)
-    return Bracket(*_certify_mp(verified, lo, hi, cfg.precision))
+    return Bracket(*_certify(verified, lo, hi))
 
 
 # ----------------------------------------------------------------------

@@ -16,10 +16,18 @@ exponential word lengths.  directive_affine composes over the runs of
 the directive: a run L^k or R^k applies the k-th power of one letter map,
 taken by squaring, so one evaluation costs O(runs * log run) operations
 (M letters and runs of length one still take one `step` each).
+
+For float bases, node_f_bound repeats the float evaluation of a node
+function and returns a proven bound on its error: the affine pairs are
+nonnegative, so their roundings are counted once per directive
+(directive_roundings, Higham's gamma_n), and a running error bound
+covers the three subtractions that cancel.
 """
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from itertools import groupby
 
 from .substitution import NODE_SEEDS, PERIODIC, Directive, DirectiveError, image_string
@@ -152,7 +160,10 @@ def directive_affine(w, q0, q1) -> AffinePair:
     letter_runs: a run L^k fixes (a0, s0) and maps (a1, s1) to
     (a1 + s1 * A, s1 * S), (A, S) the k-th power of x -> a0 + s0 * x;
     R^k is the mirror; M letters and single letters take one step."""
-    pair = AffinePair.identity(q0, q1)
+    return _compose(AffinePair.identity(q0, q1), w)
+
+
+def _compose(pair: AffinePair, w) -> AffinePair:
     for letter, k in (letter_runs(w) if isinstance(w, str) else w):
         if k == 1 or letter == "M":
             for _ in range(k):
@@ -199,6 +210,109 @@ def f_tilde_from_pi(p, q0, q1):
     # pit(v) = (1 - (q1-1) pi(v)) / (q0-1), the reflection identity
     pt = (1 - (q1 - 1) * p) / (q0 - 1)
     return q1 * (q0 * pt - 1)
+
+
+# ----------------------------------------------------------------------
+# float node values with a proven error bound
+# ----------------------------------------------------------------------
+
+# The unit roundoff 2^-53 = 1.1102e-16, raised by 0.9%: every term of the
+# bounds below carries this factor and takes a few dozen float sums,
+# products and quotients of nonnegative numbers, whose own roundings the
+# margin covers, so the computed bounds are never below the exact ones.
+_U = 1.12e-16
+
+
+class _Roundings(int):
+    """The rounding count n of a float x_hat computed from exact inputs by
+    sums and products of nonnegative floats: (1-u)^n <= x_hat/x <=
+    (1-u)^-n (Higham 2002, Lemma 3.1).  A sum takes max(n_a, n_b) + 1
+    (the exact sum of two nonnegative terms has a ratio between theirs)
+    and a product n_a + n_b + 1.  For bases q0, q1 >= 1 the affine pairs
+    are nonnegative, so the composition code run on counts counts the
+    roundings of every float it computes; the counts do not depend on
+    the bases."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _Roundings(max(int(self), int(other)) + 1)
+
+    def __mul__(self, other):
+        return _Roundings(int(self) + int(other) + 1)
+
+
+@lru_cache(maxsize=1024)
+def directive_roundings(w) -> AffinePair:
+    """Rounding counts of the four floats of directive_affine(w, q0, q1)
+    for any float q0, q1 >= 1: the identity's 0 is exact and its three
+    reciprocals round once.  Cached, since they cost a few float
+    evaluations and a warm descent asks again for the nodes it reaches."""
+    n = _compose(AffinePair(*map(_Roundings, (0, 1, 1, 1))), w)
+    return AffinePair(int(n.a0), int(n.s0), int(n.a1), int(n.s1))
+
+
+def _grown(r):
+    # e^r - 1 <= r / (1 - r): the relative error of a value whose log is
+    # within r of the exact one
+    return r / (1 - r) if r < 1 else math.inf
+
+
+def node_f_bound(runs, roundings: AffinePair, key: str, q0: float, q1: float) -> tuple:
+    """(f_hat, err) with |f - f_hat| <= err, f the node function of seed
+    key (f for s0, s010 and s01, f~ for s10, s101 and s1) of the node with
+    letter runs `runs` (letter_runs(w + "M")), at floats q0 > 1, q1 >= 1;
+    roundings is directive_roundings(runs).  f_hat is computed by the
+    operations of node_pi and f_from_pi / f_tilde_from_pi, in their order,
+    so it equals that float evaluation bit for bit.
+
+    Through the sums and products of nonnegative numbers, r bounds
+    |log(x_hat / x)|: one u per rounding, added over products and
+    quotients, the larger over sums.  At the subtractions that cancel
+    (1 - s of the periodic tail, the last subtractions of f and f~) the
+    bound becomes absolute, a running error bound (Wilkinson 1963).
+    err is inf where a product could have underflowed.
+    """
+    pair = directive_affine(runs, q0, q1)
+    seed = NODE_SEEDS[key]
+
+    def digit(c):  # the map x -> a + s x of digit c and the counts of a and s
+        if c == "0":
+            return pair.a0, pair.s0, roundings.a0, roundings.s0
+        return pair.a1, pair.s1, roundings.a1, roundings.s1
+
+    a, s, ra, rs = digit(seed.per)
+    d = 1 - s
+    p = a / d
+    # d is within s (e^(rs u) - 1) + u d of 1 - s_exact
+    r = ra * _U + _grown((s * _grown(rs * _U) + _U * d) / d) + _U
+    for c in reversed(seed.pre):
+        a, s, ra, rs = digit(c)
+        p = a + s * p
+        r = max(ra * _U, rs * _U + r + _U) + _U
+    # every product or quotient formed is 0 or at least min(s)^2 / q1,
+    # (q1 - 1) min(s) / q1 or 2^-106 / q0: in these ranges none underflows,
+    # so every rounding is relative
+    normal = min(pair.s0, pair.s1) ** 2 >= q1 * 2.0 ** -960 and q0 < 2.0 ** 400
+    if key.startswith("s0"):  # q0 (q1 p - 1)
+        t = q1 * p
+        d = t - 1
+        f = q0 * d
+        err = q0 * (t * _grown(r + _U) + _U * abs(d)) + _U * abs(f)
+    else:  # q1 (q0 pt - 1), pt = (1 - (q1 - 1) p) / (q0 - 1)
+        # q - 1 is exact for q <= 2 (Sterbenz) and rounds once above
+        t = (q1 - 1) * p
+        n = 1 - t
+        k = q0 - 1
+        pt = n / k
+        e = t * _grown((_U if q1 > 2 else 0.0) + r + _U) + _U * abs(n)
+        e = (e + (abs(n) + e) * _grown(_U if q0 > 2 else 0.0)) / k + _U * abs(pt)
+        x = q0 * pt
+        y = x - 1
+        f = q1 * y
+        err = q1 * (q0 * e + _U * abs(x) + _U * abs(y)) + _U * abs(f)
+    # inf, not nan, where an infinite bound met a zero factor
+    return f, (err if normal and err < math.inf else math.inf)
 
 
 def pi_limit(d: Directive, seed, q0, q1):

@@ -10,20 +10,24 @@ interpolation step would not shrink the bracket fast enough, and steps
 out of the few ulps around a root where rounding makes a function
 exactly 0 by growing steps.  The same code runs on floats and on mpf
 values.  A float64 solve does the bulk of the work and the endpoint
-signs are then re-verified in multiprecision arithmetic
-(config.precision decimal digits); tolerances below the float64 floor
-continue in multiprecision from the certified float bracket.  The
-roots in q1 nested in one crossing solve start from those already
-solved at the nearest x on both sides (g_u decreases in x), and a
-crossing end is certified by one sign test (side): two evaluations at
-one q1 that separates the two roots.
+signs are then certified by one sign routine (_sign): where the
+function carries a proven float error bound (the node functions of
+critical, series.node_f_bound) and the point is a float, a float value
+larger than its bound proves the sign; otherwise the sign is that of a
+multiprecision evaluation (config.precision decimal digits), which is
+not a proof.  Tolerances below the float64 floor continue in
+multiprecision from the certified float bracket.  The roots in q1
+nested in one crossing solve start from those already solved at the
+nearest x on both sides (g_u decreases in x), and a crossing end is
+certified by one sign test (side): two signs at one q1 that separates
+the two roots.
 
 g(u, q0)   -- the unique q1 > 1 with f_u(q0, q1) = 0, or BELOW_ONE
 gt(v, q0)  -- the unique q1 > 1 with f~_v(q0, q1) = 0
 mu(u, v)   -- the unique crossing g_u(x) = g~_v(x), with
               g_u > g~_v left of the crossing and < right of it
-side(...)  -- the side of x relative to such a crossing, certified at
-              the working precision: +1 left, -1 right, 0 too close
+side(...)  -- the side of x relative to such a crossing, by certified
+              signs: +1 left, -1 right, 0 too close
 
 All of them, and the node formulas and crossings of the critical-value
 descent, go through one q1-root routine (root_q1) and one crossing
@@ -162,27 +166,43 @@ def _zeroin(fn, a, fa, b, fb, tol):
     return (b, c) if fb > 0 else (c, b)
 
 
-def _certify_mp(fn_mp, lo: float, hi: float, dps: int) -> tuple[float, float]:
-    """Verify fn(lo) > 0 > fn(hi) at dps digits, nudging endpoints outward
-    past any float rounding haze near the root (never below 1, the
-    functions being roots in a base > 1)."""
+def _sign(fn, x, y, dps: int):
+    """fn(x, y) or a float of the same sign: where fn carries a proven
+    error bound (fn.bounded(x, y) -> (value, err), as the node functions
+    of critical do) and x and y are floats, the float value when
+    |value| > err, which proves its sign; otherwise, as for every
+    function without a bound and every mpf point, fn on mpf inputs at
+    dps digits."""
+    bounded = getattr(fn, "bounded", None)
+    if bounded is not None and isinstance(x, float) and isinstance(y, float):
+        value, err = bounded(x, y)
+        if abs(value) > err:
+            return value
     with mp.workdps(dps):
-        step = max(hi - lo, 1e-15)
-        for _ in range(80):
-            if fn_mp(mp.mpf(lo)) > 0:
-                break
-            lo = max(lo - step, 0.5 * (lo + 1.0))
-            step *= 2
-        else:
-            raise ArithmeticError("could not certify lower bracket endpoint")
-        step = max(hi - lo, 1e-15)
-        for _ in range(80):
-            if fn_mp(mp.mpf(hi)) < 0:
-                break
-            hi += step
-            step *= 2
-        else:
-            raise ArithmeticError("could not certify upper bracket endpoint")
+        return fn(mp.mpf(x), mp.mpf(y))
+
+
+def _certify(sign, lo: float, hi: float) -> tuple[float, float]:
+    """Verify sign(lo) > 0 > sign(hi), sign giving a certified sign at a
+    float point (from _sign or side), nudging endpoints outward past any
+    float rounding haze near the root (never below 1, the functions being
+    roots in a base > 1)."""
+    step = max(hi - lo, 1e-15)
+    for _ in range(80):
+        if sign(lo) > 0:
+            break
+        lo = max(lo - step, 0.5 * (lo + 1.0))
+        step *= 2
+    else:
+        raise ArithmeticError("could not certify lower bracket endpoint")
+    step = max(hi - lo, 1e-15)
+    for _ in range(80):
+        if sign(hi) < 0:
+            break
+        hi += step
+        step *= 2
+    else:
+        raise ArithmeticError("could not certify upper bracket endpoint")
     return lo, hi
 
 
@@ -221,16 +241,17 @@ def solve_decreasing(fn, fn_mp, floor: float, hi: float, tol: float, dps: int) -
     """Bracket the root of a strictly decreasing function, or None when
     it lies at or below floor.
 
-    fn is the float64 evaluation, fn_mp the same function on mpf inputs.
-    The float search starts at floor, with hi as its first upper end
-    (_step_out).
+    fn is the float64 evaluation.  fn_mp is the certified one: at a float
+    point a number of the proven sign of the function (_sign), at an mpf
+    point its value at dps digits.  The float search starts at floor,
+    with hi as its first upper end (_step_out).
     """
     # half the width, so that one outward nudge of the certification,
     # needed when an end lands within float noise of the root, keeps it
     ends = _step_out(fn, floor, floor, floor, hi, max(tol, _FLOAT_TOL_FLOOR) / 2)
     if ends is None:
         return None
-    flo, fhi = _certify_mp(fn_mp, *ends, dps)
+    flo, fhi = _certify(fn_mp, *ends)
     if tol < _FLOAT_TOL_FLOOR:
         with mp.workdps(dps):
             flo, fhi = bracket_root(fn_mp, mp.mpf(flo), mp.mpf(fhi), tol)
@@ -288,12 +309,13 @@ def _value_fn(u, kind: str):
 def root_q1(fn, q0, tol: float, dps: int) -> Bracket:
     """The unique q1 > 1 with fn(q0, q1) = 0, fn strictly decreasing in
     q1, or [1, 1 + min(tol, 1e-12)] when the root lies that close to 1 or
-    below it.  q0 may be an mpf: the float stage then runs at float(q0),
-    and the certification and any multiprecision refinement at q0
-    itself."""
-    qf, qm = float(q0), mp.mpf(q0)
+    below it.  The ends are certified by _sign, in floats where fn
+    carries an error bound that decides.  q0 may be an mpf: the float
+    stage then runs at float(q0), and the certification and any
+    multiprecision refinement in mp at q0 itself."""
+    qf = float(q0)
     floor = 1.0 + min(tol, 1e-12)
-    br = solve_decreasing(lambda y: fn(qf, y), lambda y: fn(qm, y), floor, qf / (qf - 1) + 1.0, tol, dps)
+    br = solve_decreasing(lambda y: fn(qf, y), lambda y: _sign(fn, q0, y, dps), floor, qf / (qf - 1) + 1.0, tol, dps)
     return Bracket(1.0, floor) if br is None else br
 
 
@@ -329,7 +351,7 @@ def critical_base(u, tol: float | None = None, config: Config | None = None) -> 
     tol = cfg.tol if tol is None else tol
     fu = _value_fn(u, "f")
     floor = 1.0 + 1e-9
-    br = solve_decreasing(lambda x: fu(x, 1.0), lambda x: fu(x, mp.mpf(1)), floor, 4.0, tol, cfg.precision)
+    br = solve_decreasing(lambda x: fu(x, 1.0), lambda x: _sign(fu, x, 1.0, cfg.precision), floor, 4.0, tol, cfg.precision)
     return Bracket(1.0, floor) if br is None else br
 
 
@@ -356,8 +378,10 @@ def _validate_mu_pair(u, v):
 
 def side(fu, fv, x, dps: int, tol=None) -> int:
     """The side of x relative to the crossing of g_u (the root in q1 of
-    fu(x, .)) and g~_v (of fv(x, .)), certified at dps digits: +1 left
-    of it (g_u(x) > g~_v(x)), -1 right of it, 0 when too close to call.
+    fu(x, .)) and g~_v (of fv(x, .)), from signs certified by _sign
+    (proven in floats where the error bound decides, else at dps
+    digits): +1 left of it (g_u(x) > g~_v(x)), -1 right of it, 0 when
+    too close to call.
 
     Both functions are strictly decreasing in q1, so at any y >= 1
     between the two roots the signs of fu(x, y) and fv(x, y) order
@@ -365,26 +389,25 @@ def side(fu, fv, x, dps: int, tol=None) -> int:
     g_u < y < g~_v.  y is the midpoint of the two roots, in floats at
     float(x) (_float_q1: g_u cold, g~_v from a guess at g_u, near which
     it lies at a crossing end), or solved to tol at x itself when tol
-    is given (the multiprecision stage of crossing).  Past the critical base of fu,
-    where fu(x, 1) <= 0, g_u is taken as 1 and x is right of the
-    crossing; that third evaluation is needed only when the two at y
-    do not decide.
+    is given (the multiprecision stage of crossing, whose mpf points
+    are signed in mp).  Past the critical base of fu, where
+    fu(x, 1) <= 0, g_u is taken as 1 and x is right of the crossing;
+    that third sign is needed only when the two at y do not decide.
     """
-    with mp.workdps(dps):
-        xm = mp.mpf(x)
-        if tol is None:
-            xf = float(x)
-            yu = _float_q1(fu, xf, _FLOAT_Q1_TOL)
-            y = 0.5 * (yu + _float_q1(fv, xf, _FLOAT_Q1_TOL, near=(yu, yu, yu)))
-        else:
+    if tol is None:
+        xf = float(x)
+        yu = _float_q1(fu, xf, _FLOAT_Q1_TOL)
+        y = 0.5 * (yu + _float_q1(fv, xf, _FLOAT_Q1_TOL, near=(yu, yu, yu)))
+    else:
+        with mp.workdps(dps):
+            xm = mp.mpf(x)
             y = 0.5 * (root_q1(fu, xm, tol, dps).mid + root_q1(fv, xm, tol, dps).mid)
-        y = mp.mpf(y)
-        at_u, at_v = fu(xm, y), fv(xm, y)
-        if at_u > 0 > at_v:
-            return 1
-        if at_u < 0 < at_v or (at_v <= 0 and fu(xm, mp.mpf(1)) <= 0):
-            return -1
-        return 0
+    at_u, at_v = _sign(fu, x, y, dps), _sign(fv, x, y, dps)
+    if at_u > 0 > at_v:
+        return 1
+    if at_u < 0 < at_v or (at_v <= 0 and _sign(fu, x, 1.0, dps) <= 0):
+        return -1
+    return 0
 
 
 def crossing(fu, fv, tol: float, dps: int) -> Bracket:
@@ -404,9 +427,10 @@ def crossing(fu, fv, tol: float, dps: int) -> Bracket:
     Brent's loop starts from its last two points: the ends sit near the
     crossing, not near 1, where g_u grows like 1/(x - 1) and a search
     by added steps would jump onto 1.  Each end of the float bracket is
-    then certified by side at dps digits, two or three evaluations, and
-    nudged outward by _certify_mp while side cannot call it; an end that
-    cannot be certified raises ArithmeticError.  side solves g_u at the
+    then certified by side, two or three signs, each proven in floats
+    where the error bound decides and else an evaluation at dps digits,
+    and nudged outward by _certify while side cannot call it; an end
+    that cannot be certified raises ArithmeticError.  side solves g_u at the
     end cold, not from the discriminant's root there: within the haze of
     exact zeros a float root depends on its start bracket, and the ends
     must be ones that side, called alone, certifies.  Below the float
@@ -449,7 +473,7 @@ def crossing(fu, fv, tol: float, dps: int) -> Bracket:
     else:
         raise ArithmeticError("no sign change found while expanding the bracket")
     flo, fhi = _zeroin(disc, *left, *right, max(tol, _FLOAT_TOL_FLOOR))
-    flo, fhi = _certify_mp(lambda x: side(fu, fv, x, dps), flo, fhi, dps)
+    flo, fhi = _certify(lambda x: side(fu, fv, x, dps), flo, fhi)
     if tol < _FLOAT_TOL_FLOOR:
         with mp.workdps(dps):
             a, b = mp.mpf(flo), mp.mpf(fhi)

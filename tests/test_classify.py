@@ -8,6 +8,7 @@ from doublebase.classify import (
     classify_univoque,
     label_rank,
 )
+from doublebase.critical import generalized_golden_ratio
 from doublebase.oracle import block_counts
 from doublebase.substitution import directive_compare, limit_word, parse_directive, s_map
 from doublebase.words import Word, parse_word
@@ -70,6 +71,16 @@ def test_classify_univoque_at_critical_values():
     # at a coincidence point G = K the set at the critical base is trivial
     assert classify_univoque(1.5, 2.0).label is Label.TRIVIAL
     assert classify_univoque(2.0, 1.5).label is Label.TRIVIAL
+
+
+def test_classify_univoque_just_below_the_g_window():
+    # a q1 in [G.lo - w, G.mid - w), w = max(tol, G.width), lies strictly
+    # below G(q0) but outside the window around it: the set is trivial
+    g = generalized_golden_ratio(1.75).value
+    w = max(1e-9, g.width)
+    q1 = g.lo - w + g.width / 4
+    assert q1 < g.mid - w
+    assert classify_univoque(1.75, q1).label is Label.TRIVIAL
 
 
 def test_classifier_monotonicity(rng):

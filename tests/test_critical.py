@@ -300,8 +300,9 @@ def _cold_node_evaluations(monkeypatch, q0, max_depth):
 @pytest.mark.parametrize("q0", [1.3, 1.75, 2.2])
 def test_warm_call_evaluates_no_point_twice(monkeypatch, curve, q0):
     # the search for a root's start bracket hands its evaluated ends to
-    # Brent's loop, and the certification evaluates in mp: no node
-    # evaluation repeats an earlier one with the same typed arguments
+    # Brent's loop, and the certification proves signs by the bounded
+    # float evaluation (series.node_f_bound, not node_pi) or in mp: no
+    # node evaluation repeats an earlier one with the same typed arguments
     curve(q0)
     points = []
     node_pi = critical.node_pi
@@ -332,9 +333,33 @@ def test_cold_descent_float_budget(monkeypatch, q0, budget):
     assert evaluations <= budget, evaluations
 
 
-@pytest.mark.parametrize("q0, max_depth, budget", [(1.75, None, 30), (50.0, 100, 500)])
+@pytest.mark.parametrize("q0, max_depth, budget", [(1.75, None, 12), (50.0, 100, 500)])
 def test_cold_descent_multiprecision_budget(monkeypatch, q0, max_depth, budget):
-    # a crossing end is certified by two or three mp evaluations at one
-    # separating q1; the nested mp root refinement took 77 and 1,234
+    # a crossing end is certified by one sign test at a separating q1 and
+    # a formula's ends by one sign each, proven in floats where the error
+    # bound decides and else by an mp evaluation; G(1.75) took 18 when
+    # every sign was an mp evaluation, and 77 and 1,234 with the nested
+    # mp root refinement
     _, evaluations = _cold_node_evaluations(monkeypatch, q0, max_depth)
     assert evaluations <= budget, evaluations
+
+
+def test_warm_descents_multiprecision_budget(monkeypatch):
+    # warm G and K calls solve no crossing: their mp evaluations are the
+    # signs at formula bracket ends that the float bound leaves open
+    # (443 when every such sign was an mp evaluation)
+    grid = [1.3 + 0.012 * i for i in range(100)]
+    for q0 in grid:
+        generalized_golden_ratio(q0)
+        komornik_loreti(q0)
+    node_pi, evaluations = critical.node_pi, [0]
+
+    def counted(*args):
+        evaluations[0] += any(isinstance(a, mp.mpf) for a in args)
+        return node_pi(*args)
+
+    monkeypatch.setattr(critical, "node_pi", counted)
+    for q0 in grid:
+        generalized_golden_ratio(q0)
+        komornik_loreti(q0)
+    assert evaluations[0] <= 200, evaluations[0]

@@ -1,22 +1,28 @@
+import math
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doublebase.series import (
     AffinePair,
     DegenerateSystemError,
     directive_affine,
+    directive_roundings,
     f,
+    f_from_pi,
     f_tilde,
+    f_tilde_from_pi,
     letter_runs,
+    node_f_bound,
     node_pi,
     pi,
     pi_limit,
     pi_tilde,
     reduce_system,
 )
-from doublebase.substitution import limit_word, node_boundaries, parse_directive
+from doublebase.substitution import NODE_SEEDS, limit_word, node_boundaries, parse_directive
 from doublebase.words import Word, parse_word, reflect
 
 from conftest import random_word
@@ -223,6 +229,38 @@ def test_node_pi_by_key_and_by_runs():
         assert node_pi(letter_runs(w + "M"), q0, q1) == vals
         for key, val in vals.items():
             assert node_pi(letter_runs(w + "M"), q0, q1, key) == val
+
+
+_BASES = st.floats(min_value=1.0, max_value=4.0, exclude_min=True)
+_DIRECTIVES = st.one_of(
+    st.text(alphabet="LMR", max_size=30),
+    st.builds(lambda c, k: c * k, st.sampled_from("LR"), st.integers(1, 70)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_DIRECTIVES, st.sampled_from(sorted(NODE_SEEDS)), _BASES, _BASES)
+def test_node_f_bound_encloses_the_exact_value(w, key, q0, q1):
+    # the float node function and its error bound against 60 digits;
+    # the bounded evaluation repeats the plain one bit for bit
+    runs = letter_runs(w + "M")
+    from_pi = f_from_pi if key.startswith("s0") else f_tilde_from_pi
+    value, err = node_f_bound(runs, directive_roundings(runs), key, q0, q1)
+    assert value == from_pi(node_pi(runs, q0, q1, key), q0, q1)
+    if "M" not in w and min(q0, q1) > 1.001:  # short images, no 1 - s near 0
+        assert err < 1e-9 * max(1.0, abs(value))
+    with mp.workdps(60):
+        x, y = mp.mpf(q0), mp.mpf(q1)
+        exact = from_pi(node_pi(runs, x, y, key), x, y)
+        assert abs(mp.mpf(value) - exact) <= err
+
+
+def test_node_f_bound_is_infinite_where_products_underflow():
+    # a mixed directive whose images are too long for float products
+    runs = letter_runs("LRLRLRMLRLRLRLRMLRLRLRM" * 2 + "M")
+    value, err = node_f_bound(runs, directive_roundings(runs), "s0", 1.5, 1.5)
+    assert directive_affine(runs, 1.5, 1.5).s0 == 0.0
+    assert math.isfinite(value) and err == math.inf
 
 
 def test_pi_limit_against_direct_sum():

@@ -9,6 +9,7 @@ from doublebase.solvers import (
     BELOW_ONE,
     PreconditionError,
     _float_q1,
+    _sign,
     bracket_root,
     critical_base,
     crossing,
@@ -254,6 +255,35 @@ def test_side_outcomes_on_linear_functions():
     # g_u = 1/x < 1 is taken as 1, and the evaluations at y = 1 do not
     # separate the roots: fu(x, 1) <= 0 alone puts x on the right
     assert side(lambda x, y: 1 - x * y, lambda x, y: 1 - y, 1.5, 30) == -1
+
+
+def test_sign_proves_in_floats_only_at_float_points():
+    seen = []
+
+    def fn(x, y):
+        return 2 - x * y
+
+    def bounded(x, y):
+        seen.append((x, y))
+        return fn(x, y), bound[0]
+
+    fn.bounded = bounded
+    bound = [1e-15]
+    # at float points a bound below |value| decides, with no mp evaluation
+    assert _sign(fn, 1.5, 1.0, 30) == 0.5 and seen == [(1.5, 1.0)]
+    # an mpf x that differs from float(x) is evaluated in mp only
+    with mp.workdps(30):
+        x = mp.mpf(1.5) + mp.mpf(2) ** -80
+        assert float(x) == 1.5 != x
+        at = _sign(fn, x, 1.0, 30)
+        assert isinstance(at, mp.mpf) and at == 2 - x
+        assert isinstance(_sign(fn, 1.5, mp.mpf(1), 30), mp.mpf)
+    assert seen == [(1.5, 1.0)]
+    # a bound that does not decide falls through to mp
+    bound[0] = 1.0
+    assert isinstance(_sign(fn, 1.5, 1.0, 30), mp.mpf) and len(seen) == 2
+    # functions without a bound are evaluated in mp
+    assert isinstance(_sign(lambda x, y: 2 - x * y, 1.5, 1.0, 30), mp.mpf)
 
 
 def test_crossing_exits_without_a_sign_change():
