@@ -91,7 +91,7 @@ def _cmd_classify_u(args) -> int:
 
 def _cmd_expand(args) -> int:
     fn = quasi_greedy if args.mode == "quasi-greedy" else quasi_lazy
-    BasePair(args.q0, args.q1)  # rejects bases <= 1
+    BasePair(args.q0, args.q1)  # rejects bases <= 1 and infinite ones
     if args.x is not None:
         x = Fraction(args.x)
     else:

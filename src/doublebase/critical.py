@@ -250,8 +250,8 @@ def generalized_golden_ratio(q0: float, tol: float | None = None,
     cfg = resolve(config)
     tol = cfg.tol if tol is None else tol
     max_depth = cfg.max_depth if max_depth is None else max_depth
-    if not q0 > 1:
-        raise ValueError("q0 must exceed 1")
+    if not 1 < q0 < math.inf:
+        raise ValueError("q0 must be finite and exceed 1")
     dps = cfg.precision
     w = ""
     lo_bound = hi_bound = None  # lazy value bounds for exhaustion
@@ -283,8 +283,8 @@ def komornik_loreti(q0: float, tol: float | None = None,
     cfg = resolve(config)
     tol = cfg.tol if tol is None else tol
     max_depth = cfg.max_depth if max_depth is None else max_depth
-    if not q0 > 1:
-        raise ValueError("q0 must exceed 1")
+    if not 1 < q0 < math.inf:
+        raise ValueError("q0 must be finite and exceed 1")
     dps = cfg.precision
     w = ""
     lo_bound = hi_bound = None

@@ -3,8 +3,9 @@
 All roots are reported as closed brackets, never bare points.  Each
 function solved here is continuous and strictly monotone on a
 half-line (proven properties of the value maps), so one search
-(_step_out) steps out from a guess to a sign change and hands the two
-ends it evaluated to one Brent loop (bracket_root, Brent's zeroin): it
+(_step_out) steps out from a guess to a sign change, by growing steps
+away from the floor of the half-line and geometrically toward it, and
+hands the two ends it evaluated to one Brent loop (bracket_root, Brent's zeroin): it
 keeps a sign-verified bracket, converges superlinearly, bisects when an
 interpolation step would not shrink the bracket fast enough, and steps
 out of the few ulps around a root where rounding makes a function
@@ -31,8 +32,9 @@ side(...)  -- the side of x relative to such a crossing, by certified
 
 All of them, and the node formulas and crossings of the critical-value
 descent, go through one q1-root routine (root_q1) and one crossing
-solver (crossing) on value functions of (q0, q1); critical_base and the
-Moran exponent of spectral use the same search.
+solver (crossing) on value functions of (q0, q1); the crossing's search
+in x, critical_base and the Moran exponent of spectral use the same
+search.
 """
 
 from __future__ import annotations
@@ -213,8 +215,10 @@ def _step_out(fn, floor, lo, p, hi, tol):
     at or below floor.
 
     The sign at p picks the side of the root.  The far end on that side
-    is hi (or lo, at least floor) first and then steps out from p, four
-    times as far each time, until its sign is right.  The Brent loop
+    is hi (or lo) first and then steps out from p, four times as far
+    each time, until its sign is right; toward the floor it keeps an
+    eighth of the last point's distance to floor, so a root just above
+    it is approached geometrically, not jumped over.  The Brent loop
     starts from the two ends the search evaluated last, so no point is
     evaluated twice.
     """
@@ -228,7 +232,7 @@ def _step_out(fn, floor, lo, p, hi, tol):
     for _ in range(200):
         if not up and near <= floor:
             return None
-        far = far if up else max(far, floor)
+        far = far if up else max(far, floor + (near - floor) / 8)
         ffar = fn(far)
         if (ffar > 0) != up:
             return _zeroin(fn, *((near, fnear, far, ffar) if up else (far, ffar, near, fnear)), tol)
@@ -422,16 +426,16 @@ def crossing(fu, fv, tol: float, dps: int) -> Bracket:
     its search starts at their linear interpolation, and cold only where
     a neighbour is missing or at 1.  Past the critical base q_u of fu,
     where g_u = 1, the discriminant is -f~_v(x, 1), which keeps it
-    continuous and negative.  One loop from x = 1.5 doubles x - 1 while
-    x is left of the crossing and otherwise cuts it to an eighth, and
-    Brent's loop starts from its last two points: the ends sit near the
-    crossing, not near 1, where g_u grows like 1/(x - 1) and a search
-    by added steps would jump onto 1.  Each end of the float bracket is
-    then certified by side, two or three signs, each proven in floats
-    where the error bound decides and else an evaluation at dps digits,
-    and nudged outward by _certify while side cannot call it; an end
-    that cannot be certified raises ArithmeticError.  side solves g_u at the
-    end cold, not from the discriminant's root there: within the haze of
+    continuous and negative.  The start search is _step_out from
+    x = 1.5, with 2 and 1.0625 as its first ends and 1 + 1e-15 as its
+    floor: toward 1 it keeps an eighth of the last distance, so the ends
+    sit near the crossing, not near 1, where g_u grows like 1/(x - 1),
+    and no crossing above the floor raises PreconditionError.  Each end
+    of the float bracket is then certified by side, two or three signs,
+    each proven in floats where the error bound decides and else an
+    evaluation at dps digits, and nudged outward by _certify while side
+    cannot call it; an end that cannot be certified raises
+    ArithmeticError.  side solves g_u at the end cold, not from the discriminant's root there: within the haze of
     exact zeros a float root depends on its start bracket, and the ends
     must be ones that side, called alone, certifies.  Below the float
     floor the certified bracket is bisected on side with multiprecision
@@ -456,24 +460,10 @@ def crossing(fu, fv, tol: float, dps: int) -> Bracket:
         # > 0 while g_u(x) > g~_v(x) (left of the crossing), else <= 0
         return -fv(x, gu(x))
 
-    # start bracket from t = x - 1 = 0.5: doubled while x is left of
-    # the crossing, else cut to an eighth until it is
-    t, left, right = 0.5, None, None
-    for _ in range(60):
-        x = 1.0 + t
-        dx = disc(x)
-        if dx > 0:
-            left, t = (x, dx), 2 * t
-        else:
-            right, t = (x, dx), t / 8
-        if left and right:
-            break
-        if t < 1e-15:
-            raise PreconditionError("no crossing found above 1")
-    else:
-        raise ArithmeticError("no sign change found while expanding the bracket")
-    flo, fhi = _zeroin(disc, *left, *right, max(tol, _FLOAT_TOL_FLOOR))
-    flo, fhi = _certify(lambda x: side(fu, fv, x, dps), flo, fhi)
+    ends = _step_out(disc, 1.0 + 1e-15, 1.0625, 1.5, 2.0, max(tol, _FLOAT_TOL_FLOOR))
+    if ends is None:
+        raise PreconditionError("no crossing found above 1")
+    flo, fhi = _certify(lambda x: side(fu, fv, x, dps), *ends)
     if tol < _FLOAT_TOL_FLOOR:
         with mp.workdps(dps):
             a, b = mp.mpf(flo), mp.mpf(fhi)

@@ -15,13 +15,12 @@ numpy's `eigvals`.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
 from .config import Config, resolve
 from .critical import komornik_loreti
-from .expansions import expansion_bounds, hole, quasi_greedy, quasi_lazy, regular
+from .expansions import expansion_bounds, regular
 from .solvers import PreconditionError, _step_out
 from .substitution import BR_L, BR_R, apply, image_string, split_descent
 from .words import Word, compare, sup0, inf1
@@ -245,10 +244,7 @@ def entropy_estimate(q0: float, q1: float, digits: int = 48) -> float:
     (entropy is continuous in the bounds).  Truncations need not stay
     sup0/inf1-fixed, which the subset construction does not require.
     """
-    left, right = hole(Fraction(q0), Fraction(q1))
-    ra = quasi_greedy(q0, q1, left, digits)
-    rb = quasi_lazy(q0, q1, right, digits)
-    a, b = Word("", ra.digits), Word("", rb.digits)
+    a, b = (Word("", bound.prefix(digits)) for bound in expansion_bounds(q0, q1))
     return entropy(build_automaton(a, b, validate=False))
 
 
@@ -299,25 +295,19 @@ def univoque_dimension_lower_bound(q0: float, q1: float,
     order, w, ba, bb = split_descent(a, b, max_depth)
     if order != ">":
         raise ArithmeticError("descent did not certify s(a) > s(b); raise depth/digits")
+    # b < wM(1 0^inf): the minimal k with b < w(1 (0(01)^k)^inf); or,
+    # reflected, a > wM(0 1^inf): the minimal k with a > w(0 (1(10)^k)^inf)
     if bb == BR_L:
-        # b < wM(1 0^inf): find minimal k with b < w(1 (0(01)^k)^inf)
-        for k in range(0, 64):
-            marker = apply(w, Word("1", "0" + "01" * k))
-            if compare(b, marker, digits) == -1:
-                g0 = image_string(w, "0" + "01" * k)
-                g1 = image_string(w, "0" + "01" * (k + 1))
-                return _generator_dimension(q0, q1, g0, g1)
-        raise ArithmeticError("no separating marker word found; raise digits")
-    if ba == BR_R:
-        # reflected construction: a > wM(0 1^inf) side
-        for k in range(0, 64):
-            marker = apply(w, Word("0", "1" + "10" * k))
-            if compare(a, marker, digits) == 1:
-                g0 = image_string(w, "1" + "10" * k)
-                g1 = image_string(w, "1" + "10" * (k + 1))
-                return _generator_dimension(q0, q1, g0, g1)
-        raise ArithmeticError("no separating marker word found; raise digits")
-    raise ArithmeticError(f"unexpected split branches ({ba}, {bb})")
+        word, c, d, want = b, "0", "1", -1
+    elif ba == BR_R:
+        word, c, d, want = a, "1", "0", 1
+    else:
+        raise ArithmeticError(f"unexpected split branches ({ba}, {bb})")
+    for k in range(0, 64):
+        tail = c + (c + d) * k
+        if compare(word, apply(w, Word(d, tail)), digits) == want:
+            return _generator_dimension(q0, q1, image_string(w, tail), image_string(w, tail + c + d))
+    raise ArithmeticError("no separating marker word found; raise digits")
 
 
 def _generator_dimension(q0, q1, g0, g1):

@@ -19,6 +19,19 @@ def test_gr(capsys):
     assert float(lo) <= float(hi)
 
 
+@pytest.mark.parametrize("argv", [
+    ("gr", "inf"),
+    ("kl", "inf"),
+    ("classify-u", "--q0", "inf", "--q1", "1.5"),
+    ("expand", "--q0", "inf", "--q1", "1.5"),
+    ("expand", "--q0", "2", "--q1", "inf"),
+], ids=" ".join)
+def test_infinite_base_is_a_precondition_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_kl(capsys):
     code, out, _ = run(capsys, "kl", "1.5")
     assert code == 0

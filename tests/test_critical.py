@@ -101,6 +101,15 @@ def test_kl_fixed_point():
     assert abs(r.value.mid - br.mid) < 1e-8
 
 
+@pytest.mark.parametrize("q0", [math.inf, mp.inf, math.nan, 1.0], ids=repr)
+def test_critical_maps_reject_bases_that_are_not_finite_above_one(q0):
+    # an infinite float base would end in OverflowError at the product
+    # chain, and an infinite mpf one descend to an inverted bracket
+    for fn in (generalized_golden_ratio, komornik_loreti):
+        with pytest.raises(ValueError):
+            fn(q0)
+
+
 def test_kl_fixed_point_brackets_the_constant():
     # the Komornik-Loreti constant, root of sum_{k>=1} t_k q^-k = 1 with
     # t the Thue-Morse sequence; the ends are verified against K's bracket

@@ -1,16 +1,22 @@
+from decimal import Decimal
 from fractions import Fraction
 
+import mpmath as mp
+import numpy as np
 import pytest
 
 from doublebase.expansions import (
+    BasePair,
     ExpansionStream,
     ExpansionError,
+    _to_fraction,
     expansion_bounds,
     hole,
     quasi_greedy,
     quasi_lazy,
     regular,
 )
+from doublebase.spectral import entropy_estimate
 
 
 def hand_quasi_greedy(q0, q1, x, n):
@@ -33,7 +39,6 @@ def test_quasi_greedy_examples():
     assert hand_quasi_greedy(2, Fraction(3, 2), Fraction(2, 3), 8) == "01101010"
     run = quasi_greedy(2, 1.5, Fraction(2, 3), 8)
     assert run.digits == "01101010"
-    assert run.exact
 
     assert hand_quasi_greedy(2, 2, Fraction(1, 2), 5) == "01111"
     assert quasi_greedy(2, 2, 0.5, 5).digits == "01111"
@@ -47,7 +52,6 @@ def test_quasi_greedy_boundary_flags():
     run = quasi_greedy(2, 1.5, Fraction(2, 3), 8)
     assert run.flagged(0)
     assert run.digits[0] == "0"
-    assert not run.uncertain()  # exact arithmetic keeps digits certain
 
 
 def test_quasi_lazy_examples():
@@ -116,19 +120,59 @@ def test_stream_determinism():
 
 def test_mpf_inputs_are_exact():
     # finite mpf values are dyadic rationals and run through the exact path
-    import mpmath as mp
-
     run = quasi_greedy(mp.mpf(2), mp.mpf("1.5"), mp.mpf(2) / 3, 8)
-    assert run.exact
     assert run.digits == "01101010"
 
 
 def test_base_pair_type():
-    from doublebase.expansions import BasePair
-
     p = BasePair(2.0, 1.5)
     assert p.regular
     assert p.hole[0] == pytest.approx(2 / 3)
     assert not BasePair(2.2, 2.2).regular
     with pytest.raises(ExpansionError):
         BasePair(1.0, 2.0)
+
+
+@pytest.mark.parametrize("convert", [
+    Decimal,
+    lambda v: np.float64(float(v)),
+    lambda v: np.float32(float(v)),
+    lambda v: np.int64(v) if float(v).is_integer() else Fraction(v),
+], ids=["Decimal", "float64", "float32", "int64"])
+def test_numeric_types_give_the_fraction_digits(convert):
+    # every finite input is one exact rational: its digits and boundary
+    # flags are those of the same value as a Fraction
+    for q0, q1 in [("2", "1.5"), ("1.5", "2"), ("1.875", "1.75"), ("2", "2")]:
+        exact = (Fraction(q0), Fraction(q1))
+        given = (convert(q0), convert(q1))
+        left, right = hole(*exact)
+        assert quasi_greedy(*given, left, 40) == quasi_greedy(*exact, left, 40)
+        assert quasi_lazy(*given, right, 40) == quasi_lazy(*exact, right, 40)
+        assert entropy_estimate(*given, 24) == entropy_estimate(*exact, 24)
+    # the point too: Decimal(2)/3 is a 28-digit rational, not 2/3
+    x = Decimal(2) / 3
+    assert quasi_greedy(Decimal(2), Decimal("1.5"), x, 60) == quasi_greedy(2, Fraction(3, 2), Fraction(x), 60)
+
+
+def test_quasi_lazy_rejects_a_mirrored_point_outside_the_attractor():
+    # x < 0 mirrors above 1/(q0-1), x > 1/(q1-1) mirrors below 0
+    with pytest.raises(ExpansionError):
+        quasi_lazy(2, 1.5, Fraction(-1, 10), 4)
+    with pytest.raises(ExpansionError):
+        quasi_lazy(2, 1.5, Fraction(21, 10), 4)
+    assert quasi_lazy(2, 1.5, 2, 4).digits == "1111"  # the right end 1/(q1-1) itself
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), Decimal("Infinity"),
+                                 np.float32("inf"), mp.inf, mp.nan], ids=repr)
+def test_non_finite_inputs_are_rejected(bad):
+    # an infinite mpf has a zero mantissa, like 0 itself, and Fraction
+    # raises OverflowError or ValueError on the others
+    with pytest.raises(ExpansionError):
+        _to_fraction(bad)
+    with pytest.raises(ExpansionError):
+        quasi_greedy(2, 1.5, bad, 4)
+    with pytest.raises(ExpansionError):
+        expansion_bounds(bad, 1.5)
+    with pytest.raises(ExpansionError):
+        BasePair(bad, 1.5)

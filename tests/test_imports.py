@@ -1,6 +1,9 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and
+every private module-level name is referenced by some module of the
+package.
 
-`__init__.py` is left out: it imports names to re-export them.
+`__init__.py` is left out of the import check: it imports names to
+re-export them.
 """
 
 import ast
@@ -10,7 +13,8 @@ import pytest
 
 import doublebase
 
-MODULES = sorted(p for p in Path(doublebase.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(Path(doublebase.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,3 +39,47 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level functions, classes and assigned names starting with
+    one underscore (dunders are left out), with their lines."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        found[name.id] = node.lineno
+    return {k: v for k, v in found.items() if k.startswith("_") and not k.startswith("__")}
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """The private module-level names of the given modules that no module
+    reads: as a name, as an attribute or in a from-import."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [f"{name}:{line} {defined}" for name, tree in trees.items()
+            for defined, line in private_definitions(tree).items() if defined not in read]
+
+
+def test_the_check_sees_an_unreferenced_private_name():
+    sources = {
+        "a.py": "_CAP = 3\n_gone, _kept = 1, 2\ndef _helper():\n    return _CAP\nclass _Old:\n    pass\n",
+        "b.py": "from .a import _helper\nimport a\nprint(_helper(), a._kept)\n__all__ = []\n",
+    }
+    assert unreferenced_private_names(sources) == ["a.py:2 _gone", "a.py:5 _Old"]
+
+
+def test_no_unreferenced_private_names():
+    assert unreferenced_private_names({p.name: p.read_text() for p in PACKAGE}) == []

@@ -10,6 +10,7 @@ from doublebase.solvers import (
     PreconditionError,
     _float_q1,
     _sign,
+    _step_out,
     bracket_root,
     critical_base,
     crossing,
@@ -395,12 +396,53 @@ def test_float_q1_from_a_wrong_guess():
             assert abs(_float_q1(fn, x, 1e-17, near=guess) - cold) <= 2 * math.ulp(cold)
     # a root below 1 is reported as 1, as by the cold start
     assert _float_q1(lambda x, y: 0.5 - y, 1.5, 1e-15, near=(1.2, 1.3, 1.4)) == 1.0
-    # from a guess above it, the search steps down onto the floor
-    # 1 + 1e-15, whose sign is right, and brackets a root just above it
+    # from a guess above it, the search steps down toward the floor
+    # 1 + 1e-15 by eighths of the distance and brackets a root just
+    # above it
     r = 1 + 1e-9
     fn = lambda x, y: r - y
     assert abs(_float_q1(fn, 1.5, 1e-15, near=(1.2, 1.3, 1.4)) - r) <= 1e-15
     assert abs(_float_q1(fn, 1.5, 1e-15) - r) <= 1e-15
+
+
+def test_step_out_approaches_the_floor_by_eighths():
+    # a root just above the floor, searched down from far above it: no
+    # point comes nearer the floor than an eighth of the last point's
+    # distance to it, so the root is bracketed without a jump onto floor
+    floor, root = 1.0, 1.0 + 1e-9
+    points = []
+
+    def fn(y):
+        points.append(y)
+        return root - y
+
+    lo, hi = _step_out(fn, floor, 1.5, 2.0, 2.5, 1e-15)
+    assert lo <= root <= hi and hi - lo <= 1e-15
+    assert floor not in points
+    nearest = points[0] - floor
+    for y in points[1:]:
+        assert y - floor >= nearest / 8
+        nearest = min(nearest, y - floor)
+    # and a root below the floor is reported once the floor is reached
+    assert _step_out(lambda y: 0.5 - y, floor, 1.5, 2.0, 2.5, 1e-15) is None
+
+
+def test_crossing_search_toward_one():
+    # g_u = 2 and g~_v(x) = 1 + 1e6 (x - 1) cross at x = 1 + 1e-6; the
+    # search in x from 1.5 keeps an eighth of the distance to 1 at each
+    # step down: 1.5, 1.0625, 1.0078, ...
+    xs = []
+
+    def fv(x, y):
+        if isinstance(x, float) and x not in xs:
+            xs.append(x)
+        return 1 + 1e6 * (x - 1) - y
+
+    br = crossing(lambda x, y: 2 - y, fv, 1e-12, 30)
+    assert br.lo <= 1 + 1e-6 <= br.hi
+    assert xs[:3] == [1.5, pytest.approx(1.0625, abs=1e-14), pytest.approx(1.0078125, abs=1e-14)]
+    steps = [x for x in xs if x < 1.5][: 6]
+    assert all(b - 1 >= (a - 1) / 8 - 1e-15 for a, b in zip(steps, steps[1:]))
 
 
 def test_root_q1_evaluates_each_float_point_once():

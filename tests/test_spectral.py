@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+from doublebase.critical import komornik_loreti
+from doublebase.expansions import expansion_bounds
 from doublebase.oracle import block_count
 from doublebase.solvers import PreconditionError
 from doublebase.spectral import (
@@ -13,6 +15,7 @@ from doublebase.spectral import (
     ifs_dimension,
     univoque_dimension_lower_bound,
 )
+from doublebase.substitution import BR_L, BR_R, split_descent
 from doublebase.classify import Label, classify_omega
 from doublebase.words import Word, parse_word
 
@@ -207,6 +210,23 @@ def test_dimension_lower_bound():
     assert 0 < d <= 1
     with pytest.raises(PreconditionError):
         univoque_dimension_lower_bound(1.7, 1.5)  # below K(1.7)
+
+
+@pytest.mark.parametrize("q0, branch, expected", [
+    (1.3, "L", 0.12380825381411123),
+    (2.4, "L", 0.2003495364078796),
+    (1.4, "R", 0.14137562281027857),
+    (2.9, "R", 0.27922575704039704),
+], ids=["L-1.3", "L-2.4", "R-1.4", "R-2.9"])
+def test_dimension_lower_bound_marker_branches(q0, branch, expected):
+    # just above K(q0) the split descent ends at b on the L branch (the
+    # markers w(1 (0(01)^k)^inf)) or at a on the R branch (their
+    # reflections); the one marker loop serves both, and the pinned
+    # bounds are those of one loop per branch
+    q1 = komornik_loreti(q0).value.hi + 0.01
+    _, _, ba, bb = split_descent(*expansion_bounds(q0, q1), 64)
+    assert ("L" if bb == BR_L else "R" if ba == BR_R else None) == branch
+    assert univoque_dimension_lower_bound(q0, q1) == pytest.approx(expected, rel=1e-12)
 
 
 def test_minimization_preserves_path_counts():
