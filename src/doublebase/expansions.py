@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator
+from typing import Callable, Iterator
 
 import mpmath as mp
 from mpmath.libmp import to_rational
@@ -91,12 +91,12 @@ class DigitRun:
         return i in self.boundary
 
 
-def _digit_steps(q0, q1, x, lazy: bool) -> Iterator[tuple[str, bool]]:
-    """Infinite (digit, at_boundary) pairs of the quasi-greedy expansion
-    of x, or with lazy of the quasi-lazy one: the reflected quasi-greedy
-    digits of the mirrored point (1 - (q1-1)x)/(q0-1) in bases (q1, q0).
-    The inputs are checked and converted to Fractions here, before the
-    first digit is drawn."""
+def _digit_steps(q0, q1, x, lazy: bool) -> Callable[[], Iterator[tuple[str, bool]]]:
+    """The infinite (digit, at_boundary) pairs of the quasi-greedy
+    expansion of x, or with lazy of the quasi-lazy one (the reflected
+    quasi-greedy digits of the mirrored point (1 - (q1-1)x)/(q0-1) in
+    bases (q1, q0)), as a function that starts them afresh on each call.
+    The inputs are checked and converted to Fractions once, here."""
     q0, q1, x = _to_fraction(q0), _to_fraction(q1), _to_fraction(x)
     if not regular(q0, q1):
         raise ExpansionError(f"pair ({q0}, {q1}) is not regular (q0+q1 < q0*q1)")
@@ -106,21 +106,22 @@ def _digit_steps(q0, q1, x, lazy: bool) -> Iterator[tuple[str, bool]]:
         q0, q1, x = q1, q0, (1 - (q1 - 1) * x) / (q0 - 1)
     one, zero = ("0", "1") if lazy else ("1", "0")
 
-    def steps(x):
+    def steps():
+        y = x
         while True:
-            t = q1 * x - 1
+            t = q1 * y - 1
             if t > 0:
                 yield one, False
-                x = t
+                y = t
             else:
                 yield zero, t == 0
-                x = q0 * x
+                y = q0 * y
 
-    return steps(x)
+    return steps
 
 
 def _digit_run(q0, q1, x, n: int, lazy: bool) -> DigitRun:
-    steps = list(islice(_digit_steps(q0, q1, x, lazy), n))
+    steps = list(islice(_digit_steps(q0, q1, x, lazy)(), n))
     return DigitRun("".join(d for d, _ in steps), frozenset(i for i, (_, b) in enumerate(steps) if b))
 
 
@@ -144,12 +145,11 @@ class ExpansionStream(LetterStream):
     """
 
     def __init__(self, q0, q1, x, lazy: bool = False):
+        steps = _digit_steps(q0, q1, x, lazy)
         self.q0, self.q1, self.x = _to_fraction(q0), _to_fraction(q1), _to_fraction(x)
         self.lazy = lazy
-        _digit_steps(self.q0, self.q1, self.x, lazy)  # rejects bad inputs now, not at the first digit
         kind = "quasi-lazy" if lazy else "quasi-greedy"
-        super().__init__(lambda: (d for d, _ in _digit_steps(self.q0, self.q1, self.x, lazy)),
-                         f"{kind}({self.q0},{self.q1},{self.x})")
+        super().__init__(lambda: (d for d, _ in steps()), f"{kind}({self.q0},{self.q1},{self.x})")
 
 
 def expansion_bounds(q0, q1) -> tuple[ExpansionStream, ExpansionStream]:
