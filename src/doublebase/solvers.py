@@ -5,23 +5,23 @@ function solved here is continuous and strictly monotone on a
 half-line (proven properties of the value maps), so one search
 (_step_out) steps out from a guess to a sign change, by growing steps
 away from the floor of the half-line and geometrically toward it, and
-hands the two ends it evaluated to one Brent loop (bracket_root, Brent's zeroin): it
-keeps a sign-verified bracket, converges superlinearly, bisects when an
-interpolation step would not shrink the bracket fast enough, and steps
-out of the few ulps around a root where rounding makes a function
-exactly 0 by growing steps.  The same code runs on floats and on mpf
-values.  A float64 solve does the bulk of the work and the endpoint
-signs are then certified by one sign routine (_sign): where the
-function carries a proven float error bound (the node functions of
-critical, series.node_f_bound) and the point is a float, a float value
-larger than its bound proves the sign; otherwise the sign is that of a
-multiprecision evaluation (config.precision decimal digits), which is
-not a proof.  Tolerances below the float64 floor continue in
-multiprecision from the certified float bracket.  The roots in q1
-nested in one crossing solve start from those already solved at the
-nearest x on both sides (g_u decreases in x), and a crossing end is
-certified by one sign test (side): two signs at one q1 that separates
-the two roots.
+hands the two ends it evaluated to one Brent loop (bracket_root,
+Brent's zeroin): it keeps a sign-verified bracket, converges
+superlinearly, bisects when an interpolation step would not shrink the
+bracket fast enough, and steps out of the few ulps around a root where
+rounding makes a function exactly 0 by growing steps.  The same code
+runs on floats and on mpf values.  A float64 solve does the bulk of
+the work and the endpoint signs are then certified by one sign routine
+(_sign): where the function carries a proven float error bound (the
+node functions of critical, series.node_f_bound) and the point is a
+float, a float value larger than its bound proves the sign; otherwise
+the sign is that of a multiprecision evaluation (config.precision
+decimal digits), which is not a proof.  Tolerances below the float64
+floor continue in multiprecision from the certified float bracket.  The
+roots in q1 nested in one crossing solve start from those already
+solved at the nearest x on both sides (g_u decreases in x), and a
+crossing end is certified by one sign test (side): two signs at one q1
+that separates the two roots.
 
 g(u, q0)   -- the unique q1 > 1 with f_u(q0, q1) = 0, or BELOW_ONE
 gt(v, q0)  -- the unique q1 > 1 with f~_v(q0, q1) = 0
@@ -435,11 +435,11 @@ def crossing(fu, fv, tol: float, dps: int) -> Bracket:
     each proven in floats where the error bound decides and else an
     evaluation at dps digits, and nudged outward by _certify while side
     cannot call it; an end that cannot be certified raises
-    ArithmeticError.  side solves g_u at the end cold, not from the discriminant's root there: within the haze of
-    exact zeros a float root depends on its start bracket, and the ends
-    must be ones that side, called alone, certifies.  Below the float
-    floor the certified bracket is bisected on side with multiprecision
-    roots.
+    ArithmeticError.  side solves g_u at the end cold, not from the
+    discriminant's root there: within the haze of exact zeros a float
+    root depends on its start bracket, and the ends must be ones that
+    side, called alone, certifies.  Below the float floor the certified
+    bracket is bisected on side with multiprecision roots.
     """
     xs, ys = [], []  # the x solved so far in increasing order, and g_u there
 

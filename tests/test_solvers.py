@@ -441,7 +441,7 @@ def test_crossing_search_toward_one():
     br = crossing(lambda x, y: 2 - y, fv, 1e-12, 30)
     assert br.lo <= 1 + 1e-6 <= br.hi
     assert xs[:3] == [1.5, pytest.approx(1.0625, abs=1e-14), pytest.approx(1.0078125, abs=1e-14)]
-    steps = [x for x in xs if x < 1.5][: 6]
+    steps = [x for x in xs if x < 1.5][:6]
     assert all(b - 1 >= (a - 1) / 8 - 1e-15 for a, b in zip(steps, steps[1:]))
 
 
