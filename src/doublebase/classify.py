@@ -163,9 +163,7 @@ def classify_univoque(q0: float, q1: float, tol: float = 1e-9,
     boundary behaviours where it can, else Undecided.
     """
     cfg = resolve(config)
-    if not (q0 > 1 and q1 > 1):
-        raise ValueError("need q0, q1 > 1")
-    if not regular(q0, q1):
+    if not regular(q0, q1):  # which rejects bases outside (1, inf)
         return Classification(Label.POSITIVE_ENTROPY)
     gres = generalized_golden_ratio(q0, config=cfg, max_depth=max_depth)
     window_g = max(tol, gres.value.width)

@@ -39,7 +39,7 @@ from typing import Optional
 
 from .config import Config, resolve
 from .expansions import _to_fraction, expansion_bounds, regular
-from .series import directive_roundings, letter_runs, node_f_bound, node_pi, f_from_pi, f_tilde_from_pi
+from .series import letter_runs, value_fn
 from .solvers import Bracket, crossing, root_q1, _certify, _zeroin, _FLOAT_TOL_FLOOR
 from .substitution import NODE_SEEDS, apply, image_lengths, split_descent
 from .words import Word
@@ -84,19 +84,8 @@ class CriticalResult:
 
 def _node_f(w: str, key: str):
     """f (seeds s0, s010, s01) or f~ (s10, s101, s1) of a node boundary
-    word as a function of (q0, q1), via the composed affine forms (no
-    word materialization); the node's letter runs are encoded once, not
-    per evaluation.  Its attribute bounded(q0, q1) is the same float
-    evaluation with a proven error bound (series.node_f_bound), which
-    solvers._sign reads to prove signs in floats."""
-    runs = letter_runs(w + "M")
-    roundings = directive_roundings(runs)
-    from_pi = f_from_pi if key.startswith("s0") else f_tilde_from_pi
-
-    def fn(q0, q1):
-        return from_pi(node_pi(runs, q0, q1, key), q0, q1)
-    fn.bounded = lambda q0, q1: node_f_bound(runs, roundings, key, q0, q1)
-    return fn
+    word, with a proven float error bound (series.value_fn)."""
+    return value_fn(letter_runs(w + "M"), NODE_SEEDS[key], not key.startswith("s0"))
 
 
 _MU_CACHE: dict = {}

@@ -45,10 +45,18 @@ def _to_fraction(x) -> Fraction:
         raise ExpansionError(f"{x} is not a finite number") from None
 
 
+def _check_bases(q0, q1) -> None:
+    """ExpansionError unless both bases are finite and exceed 1: the one
+    rule of every entry point taking a base pair (nan fails it too)."""
+    if not (1 < q0 < math.inf and 1 < q1 < math.inf):
+        raise ExpansionError(f"bases ({q0}, {q1}) must be finite and exceed 1")
+
+
 def regular(q0, q1) -> bool:
     """The pair admits expansions of every point of [0, 1/(q1-1)]:
     equivalent to the hole left endpoint 1/q1 not exceeding the right
-    endpoint 1/(q0(q1-1))."""
+    endpoint 1/(q0(q1-1)).  ExpansionError for bases outside (1, inf)."""
+    _check_bases(q0, q1)
     return q0 + q1 >= q0 * q1
 
 
@@ -60,8 +68,7 @@ class BasePair:
     q1: float
 
     def __post_init__(self):
-        if not (1 < self.q0 < math.inf and 1 < self.q1 < math.inf):
-            raise ExpansionError("bases must be finite and exceed 1")
+        _check_bases(self.q0, self.q1)
 
     @property
     def regular(self) -> bool:
@@ -74,7 +81,8 @@ class BasePair:
 
 def hole(q0, q1):
     """The interval [1/q1, 1/(q0(q1-1))] that orbits of unique expansions
-    must avoid."""
+    must avoid.  ExpansionError for bases outside (1, inf)."""
+    _check_bases(q0, q1)
     return 1 / q1, 1 / (q0 * (q1 - 1))
 
 
@@ -91,13 +99,15 @@ class DigitRun:
         return i in self.boundary
 
 
-def _digit_steps(q0, q1, x, lazy: bool) -> Callable[[], Iterator[tuple[str, bool]]]:
+def _digit_steps(q0, q1, x, lazy: bool) -> tuple[Callable[[], Iterator[tuple[str, bool]]], str]:
     """The infinite (digit, at_boundary) pairs of the quasi-greedy
     expansion of x, or with lazy of the quasi-lazy one (the reflected
     quasi-greedy digits of the mirrored point (1 - (q1-1)x)/(q0-1) in
-    bases (q1, q0)), as a function that starts them afresh on each call.
-    The inputs are checked and converted to Fractions once, here."""
+    bases (q1, q0)), as a function that starts them afresh on each call,
+    and a description of the expansion by its exact inputs.  The inputs
+    are checked and converted to Fractions once, here."""
     q0, q1, x = _to_fraction(q0), _to_fraction(q1), _to_fraction(x)
+    describe = f"{'quasi-lazy' if lazy else 'quasi-greedy'}({q0},{q1},{x})"
     if not regular(q0, q1):
         raise ExpansionError(f"pair ({q0}, {q1}) is not regular (q0+q1 < q0*q1)")
     if not (0 <= x and x * (q1 - 1) <= 1):  # so is the mirrored point, in bases (q1, q0)
@@ -117,11 +127,11 @@ def _digit_steps(q0, q1, x, lazy: bool) -> Callable[[], Iterator[tuple[str, bool
                 yield zero, t == 0
                 y = q0 * y
 
-    return steps
+    return steps, describe
 
 
 def _digit_run(q0, q1, x, n: int, lazy: bool) -> DigitRun:
-    steps = list(islice(_digit_steps(q0, q1, x, lazy)(), n))
+    steps = list(islice(_digit_steps(q0, q1, x, lazy)[0](), n))
     return DigitRun("".join(d for d, _ in steps), frozenset(i for i, (_, b) in enumerate(steps) if b))
 
 
@@ -145,11 +155,8 @@ class ExpansionStream(LetterStream):
     """
 
     def __init__(self, q0, q1, x, lazy: bool = False):
-        steps = _digit_steps(q0, q1, x, lazy)
-        self.q0, self.q1, self.x = _to_fraction(q0), _to_fraction(q1), _to_fraction(x)
-        self.lazy = lazy
-        kind = "quasi-lazy" if lazy else "quasi-greedy"
-        super().__init__(lambda: (d for d, _ in steps()), f"{kind}({self.q0},{self.q1},{self.x})")
+        steps, describe = _digit_steps(q0, q1, x, lazy)
+        super().__init__(lambda: (d for d, _ in steps()), describe)
 
 
 def expansion_bounds(q0, q1) -> tuple[ExpansionStream, ExpansionStream]:

@@ -16,6 +16,7 @@ on both sides.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -164,6 +165,8 @@ def verify_membership(q0, q1, u: Word, n: int | None = None, tol: float = 0.0) -
     'Out', or 'Boundary' when some orbit point sits within tol of (or
     exactly on) a hole endpoint.
     """
+    if not (1 < q0 < math.inf and 1 < q1 < math.inf):
+        raise ValueError(f"bases ({q0}, {q1}) must be finite and exceed 1")
     exact = isinstance(q0, (int, float, Fraction))
     if exact:
         q0, q1 = Fraction(q0), Fraction(q1)

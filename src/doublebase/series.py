@@ -17,11 +17,13 @@ the directive: a run L^k or R^k applies the k-th power of one letter map,
 taken by squaring, so one evaluation costs O(runs * log run) operations
 (M letters and runs of length one still take one `step` each).
 
-For float bases, node_f_bound repeats the float evaluation of a node
-function and returns a proven bound on its error: the affine pairs are
-nonnegative, so their roundings are counted once per directive
-(directive_roundings, Higham's gamma_n), and a running error bound
-covers the three subtractions that cancel.
+Every word value comes from one evaluator (AffinePair.of_word).  For
+float bases node_f_bound repeats the float evaluation of a value
+function (value_fn, of a node boundary word or a plain word) and
+returns a proven bound on its error: the affine pairs' roundings are
+counted once per directive (directive_roundings, Higham's gamma_n), the
+word's letters add theirs in log form, and a running error bound covers
+the three subtractions that cancel.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ import math
 from functools import lru_cache
 from itertools import groupby
 
-from .substitution import NODE_SEEDS, PERIODIC, Directive, DirectiveError, image_string
+from .expansions import _check_bases
+from .substitution import NODE_SEEDS, PERIODIC, Directive, DirectiveError
 from .words import Word
 
 
@@ -50,7 +53,8 @@ def pi(q0, q1, u: Word):
 
 def pi_tilde(q0, q1, v: Word):
     """Mirror value sum_k (1 - v_k)/(q_{v_1}...q_{v_k}): the letter maps
-    are x -> (1 + x)/q0 and x -> x/q1."""
+    are x -> (1 + x)/q0 and x -> x/q1, which keep its zeros exact (f~
+    takes pit from pi by the reflection identity instead)."""
     one = q0 / q0
     return AffinePair(one / q0, one / q0, one - one, one / q1).of_word(v)
 
@@ -61,12 +65,12 @@ def f(u: Word, q0, q1):
     Its root in q1 is the base pair at which u is the quasi-greedy
     expansion of 1/q1.
     """
-    return q0 * (q1 * pi(q0, q1, u) - 1)
+    return f_from_pi(pi(q0, q1, u), q0, q1)
 
 
 def f_tilde(v: Word, q0, q1):
-    """q1 (q0 pit(v) - 1), the mirror of f under 0<->1 reflection."""
-    return q1 * (q0 * pi_tilde(q0, q1, v) - 1)
+    """q1 (q0 pit(v) - 1), the mirror of f, by the reflection identity."""
+    return f_tilde_from_pi(pi(q0, q1, v), q0, q1)
 
 
 def reduce_system(d0, q0, d1, q1):
@@ -75,8 +79,10 @@ def reduce_system(d0, q0, d1, q1):
 
     Returns (offset, scale) with value = offset + scale * pi(q0,q1,digits).
     Raises DegenerateSystemError when every digit sequence has the same
-    value (d0/(q0-1) = d1/(q1-1)).
+    value (d0/(q0-1) = d1/(q1-1)), and ExpansionError (a ValueError) for
+    bases outside (1, inf).
     """
+    _check_bases(q0, q1)
     offset = d0 / (q0 - 1)
     scale = d1 - d0 * (q1 - 1) / (q0 - 1)
     if scale == 0:
@@ -121,19 +127,21 @@ class AffinePair:
         raise DirectiveError(f"bad directive letter {letter!r}")
 
     def of_word(self, u: Word):
-        """pi(w(u)) for eventually periodic u, via the composed maps."""
-        a_pre, s_pre = self._over(u.pre)
-        a_per, s_per = self._over(u.per)
-        return a_pre + s_pre * (a_per / (1 - s_per))
-
-    def _over(self, letters: str):
-        a, s = self.a0 - self.a0, self.s0 / self.s0
-        for c in letters:
-            if c == "0":
-                a, s = a + s * self.a0, s * self.s0
-            else:
-                a, s = a + s * self.a1, s * self.s1
-        return a, s
+        """pi(w(u)) for eventually periodic u: the map of u's period,
+        composed from the right (Horner), its fixed point a / (1 - s),
+        then the preperiod's letters folded in from the right."""
+        per = u.per
+        if per[-1] == "0":
+            a, s = self.a0, self.s0
+        else:
+            a, s = self.a1, self.s1
+        if len(per) > 1:  # a node seed's period has one letter: no empty loop
+            for c in per[-2::-1]:
+                a, s = (self.a0 + self.s0 * a, self.s0 * s) if c == "0" else (self.a1 + self.s1 * a, self.s1 * s)
+        p = a / (1 - s)
+        for c in reversed(u.pre):
+            p = self.a0 + self.s0 * p if c == "0" else self.a1 + self.s1 * p
+        return p
 
 
 def _power(a, s, k: int):
@@ -179,27 +187,31 @@ def _compose(pair: AffinePair, w) -> AffinePair:
     return pair
 
 
-def _seed_value(pair: AffinePair, seed: Word):
-    # pi(sigma(seed)) for a node seed pre.c^inf: the periodic tail, then
-    # the prefix letters from the right
-    p = pair.a0 / (1 - pair.s0) if seed.per == "0" else pair.a1 / (1 - pair.s1)
-    for c in reversed(seed.pre):
-        p = pair.a0 + pair.s0 * p if c == "0" else pair.a1 + pair.s1 * p
-    return p
-
-
-def node_pi(w, q0, q1, key: str | None = None):
+def node_pi(w, q0, q1, seed=None):
     """pi of the boundary words of node sigma = wM, from affine forms.
 
     w is the directive head or letter_runs(w + "M"), which a caller
-    evaluating one node many times computes once.  With a key of
-    NODE_SEEDS the value of that boundary word alone; without one, the
-    dict of all six.
+    evaluating one node many times computes once (runs () give pi of the
+    seed itself).  With a seed, a NODE_SEEDS key or a word, the value of
+    sigma(seed) alone; without one, the dict of all six.
     """
-    pair = directive_affine(w + "M" if isinstance(w, str) else w, q0, q1)
-    if key is None:
-        return {k: _seed_value(pair, seed) for k, seed in NODE_SEEDS.items()}
-    return _seed_value(pair, NODE_SEEDS[key])
+    pair = _compose(AffinePair.identity(q0, q1), w + "M" if isinstance(w, str) else w)
+    if seed is None:
+        return {k: pair.of_word(u) for k, u in NODE_SEEDS.items()}
+    return pair.of_word(NODE_SEEDS[seed] if isinstance(seed, str) else seed)
+
+
+def value_fn(runs, seed: Word, tilde: bool):
+    """f of sigma(seed), or f~ with tilde, as a function of (q0, q1) via
+    node_pi, sigma of letter runs `runs` (() for a plain word); bounded
+    is the same float evaluation with a proven error bound (node_f_bound)."""
+    roundings = directive_roundings(runs)
+    from_pi = f_tilde_from_pi if tilde else f_from_pi
+
+    def fn(q0, q1):
+        return from_pi(node_pi(runs, q0, q1, seed), q0, q1)
+    fn.bounded = lambda q0, q1: node_f_bound(runs, roundings, seed, tilde, q0, q1)
+    return fn
 
 
 def f_from_pi(p, q0, q1):
@@ -258,43 +270,47 @@ def _grown(r):
     return r / (1 - r) if r < 1 else math.inf
 
 
-def node_f_bound(runs, roundings: AffinePair, key: str, q0: float, q1: float) -> tuple:
-    """(f_hat, err) with |f - f_hat| <= err, f the node function of seed
-    key (f for s0, s010 and s01, f~ for s10, s101 and s1) of the node with
-    letter runs `runs` (letter_runs(w + "M")), at floats q0 > 1, q1 >= 1;
-    roundings is directive_roundings(runs).  f_hat is computed by the
-    operations of node_pi and f_from_pi / f_tilde_from_pi, in their order,
-    so it equals that float evaluation bit for bit.
+def node_f_bound(runs, roundings: AffinePair, seed: Word, tilde: bool, q0: float, q1: float) -> tuple:
+    """(f_hat, err) with |f - f_hat| <= err, f the function
+    value_fn(runs, seed, tilde) (f of sigma(seed), or f~ with tilde) at
+    floats q0 > 1, q1 >= 1; roundings is directive_roundings(runs).
+    f_hat is computed by the operations of AffinePair.of_word and
+    f_from_pi / f_tilde_from_pi, in their order, so it equals that
+    float evaluation bit for bit.
 
-    Through the sums and products of nonnegative numbers, r bounds
-    |log(x_hat / x)|: one u per rounding, added over products and
-    quotients, the larger over sums.  At the subtractions that cancel
-    (1 - s of the periodic tail, the last subtractions of f and f~) the
-    bound becomes absolute, a running error bound (Wilkinson 1963).
-    err is inf where a product could have underflowed.
+    Through the sums and products of nonnegative numbers (the period's
+    Horner loop and the preperiod's), r bounds |log(x_hat / x)|: one u
+    per rounding, added over products and quotients, the larger over
+    sums.  At the subtractions that cancel (1 - s of the periodic tail,
+    the last subtractions of f and f~) the bound becomes absolute, a
+    running error bound (Wilkinson 1963).  err is inf where a product
+    could have underflowed.
     """
-    pair = directive_affine(runs, q0, q1)
-    seed = NODE_SEEDS[key]
-
-    def digit(c):  # the map x -> a + s x of digit c and the counts of a and s
-        if c == "0":
-            return pair.a0, pair.s0, roundings.a0, roundings.s0
-        return pair.a1, pair.s1, roundings.a1, roundings.s1
-
-    a, s, ra, rs = digit(seed.per)
+    pair = _compose(AffinePair.identity(q0, q1), runs)
+    # the map x -> a + s x of each digit and the log-error bounds of a and s
+    digit = {"0": (pair.a0, pair.s0, roundings.a0 * _U, roundings.s0 * _U),
+             "1": (pair.a1, pair.s1, roundings.a1 * _U, roundings.s1 * _U)}
+    low = m = min(pair.s0, pair.s1)  # low: the least nonzero value an s multiplies
+    a, s, ra, rs = digit[seed.per[-1]]
+    for c in seed.per[-2::-1]:
+        x, y, rx, ry = digit[c]
+        low = min(low, a or low, s)
+        a, s = x + y * a, y * s
+        ra, rs = max(rx, ry + ra + _U) + _U, ry + rs + _U
     d = 1 - s
     p = a / d
-    # d is within s (e^(rs u) - 1) + u d of 1 - s_exact
-    r = ra * _U + _grown((s * _grown(rs * _U) + _U * d) / d) + _U
-    for c in reversed(seed.pre):
-        a, s, ra, rs = digit(c)
-        p = a + s * p
-        r = max(ra * _U, rs * _U + r + _U) + _U
-    # every product or quotient formed is 0 or at least min(s)^2 / q1,
-    # (q1 - 1) min(s) / q1 or 2^-106 / q0: in these ranges none underflows,
+    # d is within s (e^rs - 1) + u d of 1 - s_exact
+    r = ra + _grown((s * _grown(rs) + _U * d) / d) + _U
+    for c in seed.pre[::-1]:
+        x, y, rx, ry = digit[c]
+        low = min(low, p or low)
+        p = x + y * p
+        r = max(rx, ry + r + _U) + _U
+    # every product or quotient formed is 0 or at least m low / q1,
+    # (q1 - 1) m low / q1 or 2^-106 / q0: in these ranges none underflows,
     # so every rounding is relative
-    normal = min(pair.s0, pair.s1) ** 2 >= q1 * 2.0 ** -960 and q0 < 2.0 ** 400
-    if key.startswith("s0"):  # q0 (q1 p - 1)
+    normal = m * low >= q1 * 2.0 ** -960 and q0 < 2.0 ** 400
+    if not tilde:  # q0 (q1 p - 1)
         t = q1 * p
         d = t - 1
         f = q0 * d
@@ -318,20 +334,21 @@ def node_f_bound(runs, roundings: AffinePair, key: str, q0: float, q1: float) ->
 def pi_limit(d: Directive, seed, q0, q1):
     """pi of the limit word of a periodic-tail directive.
 
-    Uses the self-similarity F = head(Fix), Fix = block(Fix): composing
-    the affine pair of the block squares its contraction at every round,
-    so a handful of rounds pushes the unknown-tail contribution (bounded
-    by scale * sup pi) below a scale of 1e-60.  Comparing consecutive
-    values would be wrong here: prepended zeros leave the value unchanged.
+    Uses the self-similarity F = head(Fix), Fix = block(Fix): the
+    affine pair of head block^k steps through the block's letters
+    (_compose) at every round, which multiplies its contraction by the
+    block's, until the unknown-tail contribution (bounded by scale *
+    sup pi) is below a scale of 1e-60.  Comparing consecutive values
+    would be wrong here: prepended zeros leave the value unchanged.
     """
     if d.tail != PERIODIC:
         raise DirectiveError("pi_limit needs a periodic-tail directive")
     seed = str(seed)
     psi = directive_affine(d.head, q0, q1)
-    block_words = {c: image_string(d.block, c) for c in "01"}
+    block = letter_runs(d.block)
     for _ in range(160):
         a, s = (psi.a0, psi.s0) if seed == "0" else (psi.a1, psi.s1)
         if abs(s) < 1e-60:
             return a
-        psi = AffinePair(*psi._over(block_words["0"]), *psi._over(block_words["1"]))
+        psi = _compose(psi, block)
     return (psi.a0 if seed == "0" else psi.a1)

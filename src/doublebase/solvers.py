@@ -13,15 +13,16 @@ rounding makes a function exactly 0 by growing steps.  The same code
 runs on floats and on mpf values.  A float64 solve does the bulk of
 the work and the endpoint signs are then certified by one sign routine
 (_sign): where the function carries a proven float error bound (the
-node functions of critical, series.node_f_bound) and the point is a
-float, a float value larger than its bound proves the sign; otherwise
-the sign is that of a multiprecision evaluation (config.precision
-decimal digits), which is not a proof.  Tolerances below the float64
-floor continue in multiprecision from the certified float bracket.  The
-roots in q1 nested in one crossing solve start from those already
-solved at the nearest x on both sides (g_u decreases in x), and a
-crossing end is certified by one sign test (side): two signs at one q1
-that separates the two roots.
+value functions of words and node boundary words, series.value_fn and
+series.node_f_bound) and the point is a float, a float value larger
+than its bound proves the sign; otherwise (limit-word streams, mpf
+points) the sign is that of a multiprecision evaluation
+(config.precision decimal digits), which is not a proof.  Tolerances
+below the float64 floor continue in multiprecision from the certified
+float bracket.  The roots in q1 nested in one crossing solve start from
+those already solved at the nearest x on both sides (g_u decreases in
+x), and a crossing end is certified by one sign test (side): two signs
+at one q1 that separates the two roots.
 
 g(u, q0)   -- the unique q1 > 1 with f_u(q0, q1) = 0, or BELOW_ONE
 gt(v, q0)  -- the unique q1 > 1 with f~_v(q0, q1) = 0
@@ -40,13 +41,14 @@ search.
 from __future__ import annotations
 
 import bisect
+import math
 import sys
 from dataclasses import dataclass
 
 import mpmath as mp
 
 from .config import Config, resolve
-from .series import f, f_tilde, pi_limit, f_from_pi, f_tilde_from_pi
+from .series import pi_limit, f_from_pi, f_tilde_from_pi, value_fn
 from .substitution import Directive, is_primitive, common_node_image
 from .words import Word, sup0, inf1
 
@@ -170,11 +172,11 @@ def _zeroin(fn, a, fa, b, fb, tol):
 
 def _sign(fn, x, y, dps: int):
     """fn(x, y) or a float of the same sign: where fn carries a proven
-    error bound (fn.bounded(x, y) -> (value, err), as the node functions
-    of critical do) and x and y are floats, the float value when
-    |value| > err, which proves its sign; otherwise, as for every
-    function without a bound and every mpf point, fn on mpf inputs at
-    dps digits."""
+    error bound (fn.bounded(x, y) -> (value, err), as the value
+    functions of series.value_fn do) and x and y are floats, the float
+    value when |value| > err, which proves its sign; otherwise, as for
+    every function without a bound and every mpf point, fn on mpf
+    inputs at dps digits."""
     bounded = getattr(fn, "bounded", None)
     if bounded is not None and isinstance(x, float) and isinstance(y, float):
         value, err = bounded(x, y)
@@ -262,14 +264,21 @@ def solve_decreasing(fn, fn_mp, floor: float, hi: float, tol: float, dps: int) -
     return Bracket(flo, fhi)
 
 
+def _q1_search(x: float, tol: float) -> tuple[float, float]:
+    """The floor 1 + min(tol, 1e-12) of a root in q1 at x, at or below
+    which the root counts as 1, and x/(x-1) + 1, the first upper end of
+    a cold search from the floor (above the root for every value
+    function met here)."""
+    return 1.0 + min(tol, 1e-12), x / (x - 1) + 1.0
+
+
 def _float_q1(fn, x: float, tol: float, near=None) -> float:
     """The root in q1 of fn(x, .) to tol in floats, 1.0 when it is at or
     below 1 (past the critical base of an f function).  It starts cold
-    from 1 + min(tol, 1e-12), with x/(x-1) + 1 as the first upper end
-    (above the root for every value function met here), or from a
-    guess near = (lo, p, hi) as _step_out does."""
-    floor = 1.0 + min(tol, 1e-12)
-    ends = _step_out(lambda y: fn(x, y), floor, *(near or (floor, floor, x / (x - 1) + 1.0)), tol)
+    as _q1_search sets it up, or from a guess near = (lo, p, hi) as
+    _step_out does."""
+    floor, hi = _q1_search(x, tol)
+    ends = _step_out(lambda y: fn(x, y), floor, *(near or (floor, floor, hi)), tol)
     return 1.0 if ends is None else 0.5 * (ends[0] + ends[1])
 
 
@@ -291,18 +300,13 @@ def _is_limit_stream(x) -> bool:
     return hasattr(x, "directive") and isinstance(getattr(x, "directive"), Directive)
 
 
-def _value_fn(u, kind: str):
-    """f_u(q0, q1) (kind 'f') or f~_u (kind 'ft') as a generic callable,
-    accepting eventually periodic words or periodic-directive limit words."""
+def _value_fn(u, tilde: bool):
+    """f_u(q0, q1), or f~_u with tilde, of a word (series.value_fn, with
+    a proven float error bound) or of a limit word (pi_limit, without)."""
     if isinstance(u, Word):
-        if kind == "f":
-            return lambda q0, q1: f(u, q0, q1)
-        return lambda q0, q1: f_tilde(u, q0, q1)
-    d, seed = u.directive, u.seed
-    if kind == "f":
-        return lambda q0, q1: f_from_pi(pi_limit(d, seed, q0, q1), q0, q1)
-    # pit via the reflection identity on pi of the same word
-    return lambda q0, q1: f_tilde_from_pi(pi_limit(d, seed, q0, q1), q0, q1)
+        return value_fn((), u, tilde)
+    from_pi = f_tilde_from_pi if tilde else f_from_pi
+    return lambda q0, q1: from_pi(pi_limit(u.directive, u.seed, q0, q1), q0, q1)
 
 
 # ----------------------------------------------------------------------
@@ -318,8 +322,8 @@ def root_q1(fn, q0, tol: float, dps: int) -> Bracket:
     stage then runs at float(q0), and the certification and any
     multiprecision refinement in mp at q0 itself."""
     qf = float(q0)
-    floor = 1.0 + min(tol, 1e-12)
-    br = solve_decreasing(lambda y: fn(qf, y), lambda y: _sign(fn, q0, y, dps), floor, qf / (qf - 1) + 1.0, tol, dps)
+    floor, hi = _q1_search(qf, tol)
+    br = solve_decreasing(lambda y: fn(qf, y), lambda y: _sign(fn, q0, y, dps), floor, hi, tol, dps)
     return Bracket(1.0, floor) if br is None else br
 
 
@@ -330,9 +334,9 @@ def g(u, q0: float, tol: float | None = None, config: Config | None = None):
     tol = cfg.tol if tol is None else tol
     if isinstance(u, Word) and not in_W(u):
         raise PreconditionError(f"{u} is not sup0-fixed aperiodic-tail (not in W)")
-    fu = _value_fn(u, "f")
-    if q0 <= 1:
-        raise PreconditionError("q0 must exceed 1")
+    fu = _value_fn(u, False)
+    if not 1 < q0 < math.inf:
+        raise PreconditionError("q0 must be finite and exceed 1")
     if fu(q0, 1.0) <= 0:
         return BELOW_ONE
     return root_q1(fu, q0, tol, cfg.precision)
@@ -344,16 +348,16 @@ def g_tilde(v, q0: float, tol: float | None = None, config: Config | None = None
     tol = cfg.tol if tol is None else tol
     if isinstance(v, Word) and not in_W_tilde(v):
         raise PreconditionError(f"{v} is not inf1-fixed aperiodic-tail (not in W~)")
-    if q0 <= 1:
-        raise PreconditionError("q0 must exceed 1")
-    return root_q1(_value_fn(v, "ft"), q0, tol, cfg.precision)
+    if not 1 < q0 < math.inf:
+        raise PreconditionError("q0 must be finite and exceed 1")
+    return root_q1(_value_fn(v, True), q0, tol, cfg.precision)
 
 
 def critical_base(u, tol: float | None = None, config: Config | None = None) -> Bracket:
     """The base q_u with f_u(q_u, 1) = 0: g_u(q0) > 1 exactly on (1, q_u)."""
     cfg = resolve(config)
     tol = cfg.tol if tol is None else tol
-    fu = _value_fn(u, "f")
+    fu = _value_fn(u, False)
     floor = 1.0 + 1e-9
     br = solve_decreasing(lambda x: fu(x, 1.0), lambda x: _sign(fu, x, 1.0, cfg.precision), floor, 4.0, tol, cfg.precision)
     return Bracket(1.0, floor) if br is None else br
@@ -485,4 +489,4 @@ def mu(u, v, tol: float | None = None, config: Config | None = None) -> Bracket:
     cfg = resolve(config)
     tol = cfg.tol if tol is None else tol
     _validate_mu_pair(u, v)
-    return crossing(_value_fn(u, "f"), _value_fn(v, "ft"), tol, cfg.precision)
+    return crossing(_value_fn(u, False), _value_fn(v, True), tol, cfg.precision)

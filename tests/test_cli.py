@@ -32,6 +32,18 @@ def test_infinite_base_is_a_precondition_error(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("ks", "--q0", "1.5", "--q1", "1.0"),
+    ("verify", "--q0", "1.5", "--q1", "1.0", "--word", "(01)"),
+    ("dim", "--q0", "1.5", "--q1", "nan"),
+    ("reduce", "--d0", "0", "--q0", "1", "--d1", "1", "--q1", "1.5"),
+], ids=" ".join)
+def test_base_outside_the_domain_is_a_precondition_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_kl(capsys):
     code, out, _ = run(capsys, "kl", "1.5")
     assert code == 0

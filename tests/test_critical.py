@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import pytest
 
-from doublebase import critical
+from doublebase import critical, series
 from doublebase.config import DEFAULT, Config
 from doublebase.critical import (
     _SPINE_PAIR,
@@ -293,14 +293,14 @@ def _cold_node_evaluations(monkeypatch, q0, max_depth):
     empty _MU_CACHE."""
     monkeypatch.setattr(critical, "_MU_CACHE", {})
     calls = [0, 0]
-    node_pi = critical.node_pi
+    node_pi = series.node_pi
 
     def counted(*args, **kwargs):
         calls[0] += 1
         calls[1] += any(isinstance(a, mp.mpf) for a in args)
         return node_pi(*args, **kwargs)
 
-    monkeypatch.setattr(critical, "node_pi", counted)
+    monkeypatch.setattr(series, "node_pi", counted)
     generalized_golden_ratio(q0, max_depth=max_depth)
     return calls
 
@@ -310,17 +310,18 @@ def _cold_node_evaluations(monkeypatch, q0, max_depth):
 def test_warm_call_evaluates_no_point_twice(monkeypatch, curve, q0):
     # the search for a root's start bracket hands its evaluated ends to
     # Brent's loop, and the certification proves signs by the bounded
-    # float evaluation (series.node_f_bound, not node_pi) or in mp: no
-    # node evaluation repeats an earlier one with the same typed arguments
+    # float evaluation of the node's value function (series.value_fn's
+    # bounded, through node_f_bound, not node_pi) or in mp: no node
+    # evaluation repeats an earlier one with the same typed arguments
     curve(q0)
     points = []
-    node_pi = critical.node_pi
+    node_pi = series.node_pi
 
     def counted(*args):
         points.append(tuple((type(a), a) for a in args))
         return node_pi(*args)
 
-    monkeypatch.setattr(critical, "node_pi", counted)
+    monkeypatch.setattr(series, "node_pi", counted)
     curve(q0)
     assert points and len(set(points)) == len(points)
 
@@ -361,13 +362,13 @@ def test_warm_descents_multiprecision_budget(monkeypatch):
     for q0 in grid:
         generalized_golden_ratio(q0)
         komornik_loreti(q0)
-    node_pi, evaluations = critical.node_pi, [0]
+    node_pi, evaluations = series.node_pi, [0]
 
     def counted(*args):
         evaluations[0] += any(isinstance(a, mp.mpf) for a in args)
         return node_pi(*args)
 
-    monkeypatch.setattr(critical, "node_pi", counted)
+    monkeypatch.setattr(series, "node_pi", counted)
     for q0 in grid:
         generalized_golden_ratio(q0)
         komornik_loreti(q0)

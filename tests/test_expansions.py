@@ -1,3 +1,4 @@
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -16,7 +17,12 @@ from doublebase.expansions import (
     quasi_lazy,
     regular,
 )
-from doublebase.spectral import entropy_estimate
+from doublebase.classify import classify_univoque
+from doublebase.critical import ks_crosscheck
+from doublebase.oracle import verify_membership
+from doublebase.series import reduce_system
+from doublebase.spectral import entropy_estimate, univoque_dimension_lower_bound
+from doublebase.words import parse_word
 
 
 def hand_quasi_greedy(q0, q1, x, n):
@@ -176,3 +182,30 @@ def test_non_finite_inputs_are_rejected(bad):
         expansion_bounds(bad, 1.5)
     with pytest.raises(ExpansionError):
         BasePair(bad, 1.5)
+
+
+# every public function that takes a base pair, but the value maps pi,
+# pi~, f and f~, which the solvers evaluate at q1 = 1 (where g_u meets 1)
+_BASE_PAIR_ENTRIES = {
+    "BasePair": BasePair,
+    "regular": regular,
+    "hole": hole,
+    "quasi_greedy": lambda q0, q1: quasi_greedy(q0, q1, 0, 4),
+    "quasi_lazy": lambda q0, q1: quasi_lazy(q0, q1, 0, 4),
+    "ExpansionStream": lambda q0, q1: ExpansionStream(q0, q1, 0),
+    "expansion_bounds": expansion_bounds,
+    "ks_crosscheck": ks_crosscheck,
+    "classify_univoque": classify_univoque,
+    "entropy_estimate": entropy_estimate,
+    "univoque_dimension_lower_bound": univoque_dimension_lower_bound,
+    "reduce_system": lambda q0, q1: reduce_system(0, q0, 1, q1),
+    "verify_membership": lambda q0, q1: verify_membership(q0, q1, parse_word("(01)")),
+}
+
+
+@pytest.mark.parametrize("q0, q1", [(1.5, 1), (1, 1.5), (0.5, 1.5), (1.5, math.inf), (math.inf, 1.5),
+                                    (1.5, math.nan), (math.nan, 1.5)], ids=repr)
+@pytest.mark.parametrize("name", sorted(_BASE_PAIR_ENTRIES))
+def test_bases_outside_the_domain_are_rejected(name, q0, q1):
+    with pytest.raises(ValueError):
+        _BASE_PAIR_ENTRIES[name](q0, q1)

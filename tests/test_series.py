@@ -21,6 +21,7 @@ from doublebase.series import (
     pi_limit,
     pi_tilde,
     reduce_system,
+    value_fn,
 )
 from doublebase.substitution import NODE_SEEDS, limit_word, node_boundaries, parse_directive
 from doublebase.words import Word, parse_word, reflect
@@ -245,7 +246,7 @@ def test_node_f_bound_encloses_the_exact_value(w, key, q0, q1):
     # the bounded evaluation repeats the plain one bit for bit
     runs = letter_runs(w + "M")
     from_pi = f_from_pi if key.startswith("s0") else f_tilde_from_pi
-    value, err = node_f_bound(runs, directive_roundings(runs), key, q0, q1)
+    value, err = node_f_bound(runs, directive_roundings(runs), NODE_SEEDS[key], not key.startswith("s0"), q0, q1)
     assert value == from_pi(node_pi(runs, q0, q1, key), q0, q1)
     if "M" not in w and min(q0, q1) > 1.001:  # short images, no 1 - s near 0
         assert err < 1e-9 * max(1.0, abs(value))
@@ -258,8 +259,32 @@ def test_node_f_bound_encloses_the_exact_value(w, key, q0, q1):
 def test_node_f_bound_is_infinite_where_products_underflow():
     # a mixed directive whose images are too long for float products
     runs = letter_runs("LRLRLRMLRLRLRLRMLRLRLRM" * 2 + "M")
-    value, err = node_f_bound(runs, directive_roundings(runs), "s0", 1.5, 1.5)
+    value, err = node_f_bound(runs, directive_roundings(runs), NODE_SEEDS["s0"], False, 1.5, 1.5)
     assert directive_affine(runs, 1.5, 1.5).s0 == 0.0
+    assert math.isfinite(value) and err == math.inf
+
+
+_WORDS = st.builds(Word, st.text(alphabet="01", max_size=6), st.text(alphabet="01", min_size=1, max_size=8))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_WORDS, st.booleans(), _BASES, _BASES)
+def test_word_f_bound_encloses_the_exact_value(u, tilde, q0, q1):
+    # a plain word's value function (runs ()) with periods of several
+    # letters, against 60 digits; the bounded evaluation repeats the
+    # plain one bit for bit
+    fn = value_fn((), u, tilde)
+    value, err = fn.bounded(q0, q1)
+    assert value == fn(q0, q1)
+    with mp.workdps(60):
+        assert abs(mp.mpf(value) - fn(mp.mpf(q0), mp.mpf(q1))) <= err
+
+
+@pytest.mark.parametrize("u", [Word("", "0" * 1100 + "1"), Word("0" * 1100, "1")], ids=["period", "preperiod"])
+def test_word_f_bound_is_infinite_where_products_underflow(u):
+    # 2^-1100 underflows, in the period's product or in the preperiod's
+    # Horner steps
+    value, err = value_fn((), u, False).bounded(2.0, 1.5)
     assert math.isfinite(value) and err == math.inf
 
 

@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import pytest
 
+from doublebase import solvers
 from doublebase.config import Config
 from doublebase.critical import _node_f, node_mu
 from doublebase.solvers import (
@@ -285,6 +286,37 @@ def test_sign_proves_in_floats_only_at_float_points():
     assert isinstance(_sign(fn, 1.5, 1.0, 30), mp.mpf) and len(seen) == 2
     # functions without a bound are evaluated in mp
     assert isinstance(_sign(lambda x, y: 2 - x * y, 1.5, 1.0, 30), mp.mpf)
+
+
+def test_word_signs_are_proven_in_floats(monkeypatch):
+    # word value functions carry the proven float bound of the node
+    # functions, so most certified signs of g, g_tilde, mu and
+    # critical_base on words are floats (every one was an mp evaluation
+    # when words had no bound)
+    in_mp = []
+    sign = solvers._sign
+
+    def counted(fn, x, y, dps):
+        value = sign(fn, x, y, dps)
+        in_mp.append(isinstance(value, mp.mpf))
+        return value
+
+    monkeypatch.setattr(solvers, "_sign", counted)
+    for w in ("LR", "RL", "LLR"):
+        nb = node_boundaries(w)
+        g(nb.s0, 1.7)
+        g_tilde(nb.s1, 1.7)
+        mu(nb.s0, nb.s10)
+        critical_base(nb.s010)
+    assert len(in_mp) >= 24 and sum(in_mp) * 3 <= len(in_mp), (sum(in_mp), len(in_mp))
+
+
+@pytest.mark.parametrize("q0", [1.0, 0.5, math.inf, math.nan], ids=repr)
+def test_g_rejects_bases_outside_the_domain(q0):
+    with pytest.raises(PreconditionError):
+        g(parse_word("(01)"), q0)
+    with pytest.raises(PreconditionError):
+        g_tilde(parse_word("(10)"), q0)
 
 
 def test_crossing_exits_without_a_sign_change():
