@@ -93,13 +93,15 @@ _MU_CACHE: dict = {}
 
 def node_mu(w: str, ukey: str, vkey: str, config: Config | None = None) -> Bracket:
     """Cached crossing value of a node pair; keyed on the directive head,
-    the precision and the solving tolerance.
+    the precision and the solving tolerance, min(cfg.tol, 2e-13): the
+    float stage of solve_decreasing brackets to half of it, 1e-13 at
+    the default tolerance, and tolerances below 1e-13 are refined in mp.
 
     The cache is shared across descents (crossings do not depend on q0);
     concurrent readers are safe, concurrent writers at worst recompute.
     """
     cfg = resolve(config)
-    tol = min(cfg.tol, 1e-13)
+    tol = min(cfg.tol, 2e-13)
     key = (w, ukey, vkey, cfg.precision, tol)
     hit = _MU_CACHE.get(key)
     if hit is None:

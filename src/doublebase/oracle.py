@@ -167,6 +167,8 @@ def verify_membership(q0, q1, u: Word, n: int | None = None, tol: float = 0.0) -
     """
     if not (1 < q0 < math.inf and 1 < q1 < math.inf):
         raise ValueError(f"bases ({q0}, {q1}) must be finite and exceed 1")
+    if n is not None and n < 1:
+        raise ValueError(f"need at least one shift to check, got {n}")
     exact = isinstance(q0, (int, float, Fraction))
     if exact:
         q0, q1 = Fraction(q0), Fraction(q1)

@@ -2,40 +2,28 @@
 
 All roots are reported as closed brackets, never bare points.  Each
 function solved here is continuous and strictly monotone on a
-half-line (proven properties of the value maps), so one search
-(_step_out) steps out from a guess to a sign change, by growing steps
-away from the floor of the half-line and geometrically toward it, and
-hands the two ends it evaluated to one Brent loop (bracket_root,
-Brent's zeroin): it keeps a sign-verified bracket, converges
-superlinearly, bisects when an interpolation step would not shrink the
-bracket fast enough, and steps out of the few ulps around a root where
-rounding makes a function exactly 0 by growing steps.  The same code
-runs on floats and on mpf values.  A float64 solve does the bulk of
-the work and the endpoint signs are then certified by one sign routine
-(_sign): where the function carries a proven float error bound (the
-value functions of words and node boundary words, series.value_fn and
-series.node_f_bound) and the point is a float, a float value larger
-than its bound proves the sign; otherwise (limit-word streams, mpf
-points) the sign is that of a multiprecision evaluation
-(config.precision decimal digits), which is not a proof.  Tolerances
-below the float64 floor continue in multiprecision from the certified
-float bracket.  The roots in q1 nested in one crossing solve start from
-those already solved at the nearest x on both sides (g_u decreases in
-x), and a crossing end is certified by one sign test (side): two signs
-at one q1 that separates the two roots.
+half-line (proven properties of the value maps), and every root, in q1
+or in x, is found by one certified solve (solve_decreasing): one start
+search (_step_out) hands the two ends it evaluated to one Brent loop
+(bracket_root, Brent's zeroin), which runs on floats and on mpf values
+alike; the float ends are certified (_certify) by one sign routine
+(_sign: a float value above its proven error bound, which the value
+functions of series.value_fn carry, proves a sign; otherwise a
+multiprecision evaluation at config.precision digits decides it, which
+is not a proof), and below 1e-13 the same Brent loop refines the
+bracket in multiprecision.
 
 g(u, q0)   -- the unique q1 > 1 with f_u(q0, q1) = 0, or BELOW_ONE
 gt(v, q0)  -- the unique q1 > 1 with f~_v(q0, q1) = 0
 mu(u, v)   -- the unique crossing g_u(x) = g~_v(x), with
               g_u > g~_v left of the crossing and < right of it
-side(...)  -- the side of x relative to such a crossing, by certified
-              signs: +1 left, -1 right, 0 too close
+side(...)  -- the side of a float x relative to such a crossing, by
+              certified signs: +1 left, -1 right, 0 too close
 
 All of them, and the node formulas and crossings of the critical-value
 descent, go through one q1-root routine (root_q1) and one crossing
-solver (crossing) on value functions of (q0, q1); the crossing's search
-in x, critical_base and the Moran exponent of spectral use the same
-search.
+solver (crossing) on value functions of (q0, q1); critical_base and the
+Moran exponent of spectral use the same search.
 """
 
 from __future__ import annotations
@@ -243,18 +231,23 @@ def _step_out(fn, floor, lo, p, hi, tol):
     raise ArithmeticError("no sign change found while expanding the bracket")
 
 
-def solve_decreasing(fn, fn_mp, floor: float, hi: float, tol: float, dps: int) -> Bracket | None:
-    """Bracket the root of a strictly decreasing function, or None when
-    it lies at or below floor.
+def solve_decreasing(fn, fn_mp, floor: float, start: tuple[float, float, float], tol: float,
+                     dps: int) -> Bracket | None:
+    """Bracket the root of a strictly decreasing function to tol, or None
+    when it lies at or below floor: the one certified solve, behind
+    root_q1, critical_base and crossing.
 
-    fn is the float64 evaluation.  fn_mp is the certified one: at a float
-    point a number of the proven sign of the function (_sign), at an mpf
-    point its value at dps digits.  The float search starts at floor,
-    with hi as its first upper end (_step_out).
+    fn is the float64 evaluation, fn_mp the certified one: at a float
+    point a number of the certified sign of the function, at an mpf
+    point its value at dps digits.  The float search (_step_out, from
+    the guess start = (lo, p, hi)) brackets the root to half of
+    max(tol, 1e-13), so that one outward nudge of the certification,
+    needed when an end lands within float noise of the root, keeps the
+    bracket within tol.  _certify then checks the signs of the two ends
+    by fn_mp, nudging them outward while it cannot, and below 1e-13 the
+    same Brent loop refines the certified bracket on fn_mp at mpf points.
     """
-    # half the width, so that one outward nudge of the certification,
-    # needed when an end lands within float noise of the root, keeps it
-    ends = _step_out(fn, floor, floor, floor, hi, max(tol, _FLOAT_TOL_FLOOR) / 2)
+    ends = _step_out(fn, floor, *start, max(tol, _FLOAT_TOL_FLOOR) / 2)
     if ends is None:
         return None
     flo, fhi = _certify(fn_mp, *ends)
@@ -323,7 +316,8 @@ def root_q1(fn, q0, tol: float, dps: int) -> Bracket:
     multiprecision refinement in mp at q0 itself."""
     qf = float(q0)
     floor, hi = _q1_search(qf, tol)
-    br = solve_decreasing(lambda y: fn(qf, y), lambda y: _sign(fn, q0, y, dps), floor, hi, tol, dps)
+    br = solve_decreasing(lambda y: fn(qf, y), lambda y: _sign(fn, q0, y, dps), floor,
+                          (floor, floor, hi), tol, dps)
     return Bracket(1.0, floor) if br is None else br
 
 
@@ -359,7 +353,8 @@ def critical_base(u, tol: float | None = None, config: Config | None = None) -> 
     tol = cfg.tol if tol is None else tol
     fu = _value_fn(u, False)
     floor = 1.0 + 1e-9
-    br = solve_decreasing(lambda x: fu(x, 1.0), lambda x: _sign(fu, x, 1.0, cfg.precision), floor, 4.0, tol, cfg.precision)
+    br = solve_decreasing(lambda x: fu(x, 1.0), lambda x: _sign(fu, x, 1.0, cfg.precision), floor,
+                          (floor, floor, 4.0), tol, cfg.precision)
     return Bracket(1.0, floor) if br is None else br
 
 
@@ -384,32 +379,24 @@ def _validate_mu_pair(u, v):
         )
 
 
-def side(fu, fv, x, dps: int, tol=None) -> int:
-    """The side of x relative to the crossing of g_u (the root in q1 of
-    fu(x, .)) and g~_v (of fv(x, .)), from signs certified by _sign
-    (proven in floats where the error bound decides, else at dps
+def side(fu, fv, x: float, dps: int) -> int:
+    """The side of a float x relative to the crossing of g_u (the root
+    in q1 of fu(x, .)) and g~_v (of fv(x, .)), from signs certified by
+    _sign (proven in floats where the error bound decides, else at dps
     digits): +1 left of it (g_u(x) > g~_v(x)), -1 right of it, 0 when
     too close to call.
 
     Both functions are strictly decreasing in q1, so at any y >= 1
     between the two roots the signs of fu(x, y) and fv(x, y) order
     them: fu > 0 > fv means g_u > y > g~_v, and fu < 0 < fv means
-    g_u < y < g~_v.  y is the midpoint of the two roots, in floats at
-    float(x) (_float_q1: g_u cold, g~_v from a guess at g_u, near which
-    it lies at a crossing end), or solved to tol at x itself when tol
-    is given (the multiprecision stage of crossing, whose mpf points
-    are signed in mp).  Past the critical base of fu, where
+    g_u < y < g~_v.  y is the midpoint of the two float roots
+    (_float_q1: g_u cold, g~_v from a guess at g_u, near which it lies
+    at a crossing end).  Past the critical base of fu, where
     fu(x, 1) <= 0, g_u is taken as 1 and x is right of the crossing;
     that third sign is needed only when the two at y do not decide.
     """
-    if tol is None:
-        xf = float(x)
-        yu = _float_q1(fu, xf, _FLOAT_Q1_TOL)
-        y = 0.5 * (yu + _float_q1(fv, xf, _FLOAT_Q1_TOL, near=(yu, yu, yu)))
-    else:
-        with mp.workdps(dps):
-            xm = mp.mpf(x)
-            y = 0.5 * (root_q1(fu, xm, tol, dps).mid + root_q1(fv, xm, tol, dps).mid)
+    yu = _float_q1(fu, x, _FLOAT_Q1_TOL)
+    y = 0.5 * (yu + _float_q1(fv, x, _FLOAT_Q1_TOL, near=(yu, yu, yu)))
     at_u, at_v = _sign(fu, x, y, dps), _sign(fv, x, y, dps)
     if at_u > 0 > at_v:
         return 1
@@ -420,30 +407,20 @@ def side(fu, fv, x, dps: int, tol=None) -> int:
 
 def crossing(fu, fv, tol: float, dps: int) -> Bracket:
     """The unique x > 1 where the roots in q1 of fu(x, .) and fv(x, .)
-    cross, fu being an f and fv an f~ function of (q0, q1).
+    cross, fu being an f and fv an f~ function of (q0, q1): the root of
+    the discriminant -f~_v(x, g_u(x)), which has the sign of
+    g_u(x) - g~_v(x), by solve_decreasing from x = 1.5 (first ends 1.0625
+    and 2, floor 1 + 1e-15; no crossing above it raises
+    PreconditionError).
 
-    The outer solve is Brent's loop on the discriminant
-    -f~_v(x, g_u(x)), continuous and of the sign of g_u(x) - g~_v(x)
-    (f~_v is strictly decreasing in q1), with g_u(x) a float root at
-    about the float spacing (_float_q1).  g_u decreases in x, so the
-    roots already solved at the nearest x on both sides bracket g_u(x):
-    its search starts at their linear interpolation, and cold only where
-    a neighbour is missing or at 1.  Past the critical base q_u of fu,
-    where g_u = 1, the discriminant is -f~_v(x, 1), which keeps it
-    continuous and negative.  The start search is _step_out from
-    x = 1.5, with 2 and 1.0625 as its first ends and 1 + 1e-15 as its
-    floor: toward 1 it keeps an eighth of the last distance, so the ends
-    sit near the crossing, not near 1, where g_u grows like 1/(x - 1),
-    and no crossing above the floor raises PreconditionError.  Each end
-    of the float bracket is then certified by side, two or three signs,
-    each proven in floats where the error bound decides and else an
-    evaluation at dps digits, and nudged outward by _certify while side
-    cannot call it; an end that cannot be certified raises
-    ArithmeticError.  side solves g_u at the end cold, not from the
-    discriminant's root there: within the haze of exact zeros a float
-    root depends on its start bracket, and the ends must be ones that
-    side, called alone, certifies.  Below the float floor the certified
-    bracket is bisected on side with multiprecision roots.
+    In floats g_u(x) is a root at about the float spacing, started
+    between the roots already solved at the nearest x on both sides
+    (g_u decreases in x), and 1 past the critical base of fu, which keeps
+    the discriminant continuous and negative there.  A float end is
+    certified by side, which solves g_u cold: within the haze of exact
+    zeros a float root depends on its start bracket.  At an mpf point
+    the discriminant takes g_u(x) from root_q1 in mp and its sign from
+    _sign.
     """
     xs, ys = [], []  # the x solved so far in increasing order, and g_u there
 
@@ -464,24 +441,15 @@ def crossing(fu, fv, tol: float, dps: int) -> Bracket:
         # > 0 while g_u(x) > g~_v(x) (left of the crossing), else <= 0
         return -fv(x, gu(x))
 
-    ends = _step_out(disc, 1.0 + 1e-15, 1.0625, 1.5, 2.0, max(tol, _FLOAT_TOL_FLOOR))
-    if ends is None:
+    def certified(x):
+        if isinstance(x, float):
+            return side(fu, fv, x, dps)
+        return -_sign(fv, x, root_q1(fu, x, tol * 1e-4, dps).mid, dps)
+
+    br = solve_decreasing(disc, certified, 1.0 + 1e-15, (1.0625, 1.5, 2.0), tol, dps)
+    if br is None:
         raise PreconditionError("no crossing found above 1")
-    flo, fhi = _certify(lambda x: side(fu, fv, x, dps), *ends)
-    if tol < _FLOAT_TOL_FLOOR:
-        with mp.workdps(dps):
-            a, b = mp.mpf(flo), mp.mpf(fhi)
-            while b - a > tol:
-                m = (a + b) / 2
-                sg = side(fu, fv, m, dps, tol * 1e-4)
-                if sg > 0:
-                    a = m
-                elif sg < 0:
-                    b = m
-                else:
-                    break
-            flo, fhi = a, b
-    return Bracket(flo, fhi)
+    return br
 
 
 def mu(u, v, tol: float | None = None, config: Config | None = None) -> Bracket:

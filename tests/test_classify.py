@@ -1,5 +1,8 @@
+from itertools import product
+
 import pytest
 
+from doublebase import substitution
 from doublebase.classify import (
     Classification,
     Label,
@@ -10,6 +13,7 @@ from doublebase.classify import (
 )
 from doublebase.critical import generalized_golden_ratio
 from doublebase.oracle import block_counts
+from doublebase.spectral import build_automaton, entropy
 from doublebase.substitution import directive_compare, limit_word, parse_directive, s_map
 from doublebase.words import Word, parse_word
 
@@ -40,6 +44,47 @@ def test_classify_sigma_examples():
     # an inverted interval is empty
     assert classify_sigma(parse_word("1(0)"), parse_word("0(1)")).label is Label.EMPTY
     assert classify_sigma(Word("", "0"), Word("", "1")).label is Label.POSITIVE_ENTROPY
+
+
+def _sigma_blocks(a, b, n):
+    """Length-n blocks every suffix s of which has a[:|s|] <= s <= b[:|s|]:
+    none means Sigma_{a,b} is empty."""
+    pa, pb = a.prefix(n), b.prefix(n)
+    blocks = map("".join, product("01", repeat=n))
+    return sum(all(pa[:n - i] <= w[i:] <= pb[:n - i] for i in range(n)) for w in blocks)
+
+
+def test_classify_sigma_limit_word_streams():
+    # streams, not words, reach Omega through a prepended letter stream
+    for text in ["(LR)", "(M)"]:
+        d = parse_directive(text)
+        a, b = limit_word(d, 0), limit_word(d, 1)
+        assert classify_sigma(a, b).label is Label.EMPTY, text
+        assert _sigma_blocks(a, b, 4) == 0, text
+    assert _sigma_blocks(parse_word("0(1)"), parse_word("1(0)"), 3) == 0
+
+
+@pytest.mark.parametrize("a, b, label", [
+    ("(0100)", "(1000001)", Label.POSITIVE_ENTROPY),
+    ("(0100)", "(100001)", Label.COUNTABLE_NONTRIVIAL),
+])
+def test_classify_omega_descends_through_a_sentinel_string(monkeypatch, a, b, label):
+    # the descent leaves the image of a letter and decodes the
+    # sentinel-terminated string it made once more; the automaton, which
+    # shares no code with the s-map, confirms the label
+    kinds = []
+    preimage = substitution._preimage
+
+    def spy(u, letter):
+        kinds.append(type(u))
+        return preimage(u, letter)
+
+    monkeypatch.setattr(substitution, "_preimage", spy)
+    a, b = parse_word(a), parse_word(b)
+    assert classify_omega(a, b).label is label
+    assert str in kinds
+    h = entropy(build_automaton(a, b))
+    assert abs(h - 0.1547) < 1e-4 if label is Label.POSITIVE_ENTROPY else h < 1e-12
 
 
 def test_classify_univoque_diagonal():

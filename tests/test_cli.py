@@ -1,6 +1,6 @@
 import pytest
 
-from doublebase.cli import main
+from doublebase.cli import build_parser, main
 from doublebase.critical import parse_curve_csv
 
 
@@ -148,6 +148,14 @@ def test_verify(capsys):
     assert out.strip() == "Boundary"
 
 
+@pytest.mark.parametrize("shifts", ["0", "-2"])
+def test_verify_without_a_shift_is_a_precondition_error(capsys, shifts):
+    # checking no shift proves nothing, so it is not an In
+    code, out, err = run(capsys, "verify", "--q0", "1.5", "--q1", "1.8", "--word", "1(0)", "--shifts", shifts)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
 def test_verify_tol_before_or_after_the_subcommand(capsys):
     # the global --tol and verify's own spelling set the same tolerance;
     # without either the hole is closed (tolerance 0)
@@ -159,6 +167,43 @@ def test_verify_tol_before_or_after_the_subcommand(capsys):
     code, out, _ = run(capsys, "verify", *word)
     assert code == 0
     assert out.strip() == "In"
+
+
+# one valid run of every subcommand: argv, exit code, a check of stdout
+SMOKE = [
+    (("gr", "1.75"), 0, lambda out: "case=RightFormula" in out),
+    (("kl", "1.5"), 0, lambda out: "case=LeftFormula" in out),
+    (("mu", "--u", "(01)", "--v", "(10)"), 0, lambda out: out.startswith("[1.618033988")),
+    (("classify-omega", "--a", "01(0)", "--b", "1(0)"), 0, lambda out: out == "CountableNontrivial\n"),
+    (("classify-sigma", "--a", "(01)", "--b", "(10)"), 0, lambda out: out == "Countable\n"),
+    # no block of length 3 keeps all its suffixes inside [01^inf, 10^inf]
+    (("classify-sigma", "--a", "0(1)", "--b", "1(0)"), 0, lambda out: out == "Empty\n"),
+    (("classify-u", "--q0", "1.7", "--q1", "1.7"), 0, lambda out: out == "CountableNontrivial\n"),
+    (("expand", "--q0", "1.5", "--q1", "1.8", "--x", "0.3", "--digits", "12"), 0,
+     lambda out: out.splitlines()[0] == "001000100100"),
+    (("smap", "--word", "(01)"), 0, lambda out: out == "M(L)\n"),
+    (("limit-word", "--directive", "(M)", "--length", "8"), 0, lambda out: out == "01101001\n"),
+    (("entropy", "--a", "(01)", "--b", "1(0)", "--dump"), 0,
+     lambda out: len(out.splitlines()) == 10 and all("->" in line for line in out.splitlines()[1:])),
+    (("dim", "--r0", "0.5", "--r1", "0.5"), 0, lambda out: abs(float(out) - 1.0) < 1e-12),
+    (("curve", "--from", "1.5", "--to", "2.0", "--samples", "2", "--what", "gr"), 0,
+     lambda out: [r.which for r in parse_curve_csv(out)] == ["gr", "gr"]),
+    (("reduce", "--d0", "0", "--q0", "2", "--d1", "1", "--q1", "3"), 0, lambda out: "offset=0.0" in out),
+    (("ks", "--q0", "1.9", "--q1", "1.7"), 0, lambda out: out.startswith(">")),
+    (("verify", "--q0", "1.5", "--q1", "1.8", "--word", "1(0)"), 0, lambda out: out == "Boundary\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, check", SMOKE, ids=[" ".join(row[0]) for row in SMOKE])
+def test_every_subcommand_runs(capsys, argv, code, check):
+    got, out, err = run(capsys, *argv)
+    assert got == code, err
+    assert check(out), out
+
+
+def test_smoke_table_covers_every_subcommand():
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    assert {argv[0] for argv, _, _ in SMOKE} == set(subparsers.choices)
 
 
 def test_error_exit_codes(capsys):

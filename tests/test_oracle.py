@@ -41,6 +41,13 @@ def test_verify_membership_examples():
     assert verify_membership(1.9, 1.7, parse_word("(0110)")) == "In"
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_verify_membership_needs_a_shift(n):
+    # checking no shift proves nothing, so it must not answer In
+    with pytest.raises(ValueError):
+        verify_membership(1.5, 1.8, parse_word("1(0)"), n)
+
+
 def test_verify_membership_matches_lexicographic_test():
     # hole avoidance for all shifts is the strict two-sided comparison with
     # the expansion bounds

@@ -195,7 +195,7 @@ def test_tight_tolerance_uses_multiprecision():
     assert br.width <= 1e-20
     assert abs(br.mid - 2.0) < 1e-19
     br = mu(parse_word("(01)"), parse_word("(10)"), tol=1e-18, config=Config(precision=40))
-    assert br.width <= 1e-17
+    assert br.width <= 1e-18
     with mp.workdps(40):
         assert abs(mp.mpf(br.mid) - (1 + mp.sqrt(5)) / 2) < mp.mpf("1e-16")
 
@@ -221,7 +221,7 @@ def test_mu_deep_tolerance_at_interval_endpoint():
 
     nb = node_boundaries("")
     br = mu(nb.s01, nb.s101, tol=1e-15, config=Config(precision=35))
-    assert br.width <= 1e-14
+    assert br.width <= 1e-15
     expected = poly_root([3, -8, 5, -1], 1.75, 2.0)
     assert abs(br.mid - expected) < 1e-12
 
@@ -230,6 +230,43 @@ def test_mu_deep_tolerance_at_interval_endpoint():
 
 SIDE_NODES = ["", "R" * 6, "RRLR", "LMR", "R" * 20]
 SIDE_PAIRS = [("s0", "s10"), ("s0", "s1"), ("s01", "s1")]  # the crossings of G
+
+
+@pytest.mark.parametrize("w", ["", "R", "LMR", "RRLR"])
+def test_node_crossings_below_the_float_floor_are_within_tol(w):
+    # the mp stage refines the certified float bracket on the Brent loop;
+    # the root's crossing mu_{s0,s10} lies exactly at 1.5, where the float
+    # discriminant is 0 on a haze of points around it
+    cfg = Config(tol=1e-20, precision=40)
+    for u, v in SIDE_PAIRS:
+        br = node_mu(w, u, v, cfg)
+        assert isinstance(br.lo, mp.mpf) and 0 < br.width <= 1e-20, (u, v)
+        with mp.workdps(40):
+            fu, fv = _node_f(w, u), _node_f(w, v)
+            for x in (br.lo - 1e-18, br.hi + 1e-18):
+                gu = root_q1(fu, x, 1e-30, 40).mid
+                gv = root_q1(fv, x, 1e-30, 40).mid
+                assert (gu > gv) == (x < br.lo), (u, v, x)
+    assert 1.5 in node_mu("", "s0", "s10", cfg)
+
+
+MU_CORPUS_NODES = ["", "L", "R", "M", "LR", "RL", "LM", "MR", "LL", "RR", "LMR", "RRLR"]
+MU_CORPUS_PAIRS = SIDE_PAIRS + [("s010", "s10"), ("s01", "s101")]  # and those of K
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-13])
+def test_word_mu_is_within_tol(tol):
+    # one outward nudge of a certified end keeps the bracket within tol,
+    # since the float search brackets to half of it
+    for w in MU_CORPUS_NODES:
+        nb = node_boundaries(w)
+        for u, v in MU_CORPUS_PAIRS:
+            br = mu(getattr(nb, u), getattr(nb, v), tol=tol)
+            assert 0 < br.width <= tol, (w, u, v, br)
+    for text in ["(M)", "(LR)", "(LMR)"]:
+        d = parse_directive(text)
+        br = mu(limit_word(d, 0), limit_word(d, 1), tol=tol)
+        assert 0 < br.width <= tol, (text, br)
 
 
 @pytest.mark.parametrize("w", SIDE_NODES)
