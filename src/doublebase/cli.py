@@ -12,6 +12,8 @@ import argparse
 import sys
 from fractions import Fraction
 
+import mpmath as mp
+
 from .classify import Label, classify_omega, classify_sigma, classify_univoque
 from .config import DEFAULT, Config
 from .critical import (
@@ -50,24 +52,46 @@ def _config(args) -> Config:
     return cfg
 
 
-def _print_critical(res) -> int:
-    print(f"[{res.value.lo!r}, {res.value.hi!r}] node={res.node} case={res.case.value}")
+def _at_least(low: int):
+    """An argparse type for integers of at least `low`: a depth below 1
+    or a length below 0 compares nothing, so argparse rejects it and
+    names the option."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
+def _bracket(value, cfg: Config) -> str:
+    """[lo, hi] with float ends by repr; mpf ends to the config's
+    precision, where their repr would stop at 15 digits."""
+    ends = (mp.nstr(e, cfg.precision) if isinstance(e, mp.mpf) else repr(e)
+            for e in (value.lo, value.hi))
+    return "[{}, {}]".format(*ends)
+
+
+def _print_critical(res, cfg: Config) -> int:
+    print(f"{_bracket(res.value, cfg)} node={res.node} case={res.case.value}")
     if res.case.value in ("PrimitiveLimit", "DepthExhausted"):
         return EXIT_UNDECIDED if res.value.width > 1e-6 else EXIT_OK
     return EXIT_OK
 
 
 def _cmd_gr(args) -> int:
-    return _print_critical(generalized_golden_ratio(args.q0, config=_config(args)))
+    cfg = _config(args)
+    return _print_critical(generalized_golden_ratio(args.q0, config=cfg), cfg)
 
 
 def _cmd_kl(args) -> int:
-    return _print_critical(komornik_loreti(args.q0, config=_config(args)))
+    cfg = _config(args)
+    return _print_critical(komornik_loreti(args.q0, config=cfg), cfg)
 
 
 def _cmd_mu(args) -> int:
-    res = mu(parse_word(args.u), parse_word(args.v), config=_config(args))
-    print(f"[{res.lo!r}, {res.hi!r}]")
+    cfg = _config(args)
+    print(_bracket(mu(parse_word(args.u), parse_word(args.v), config=cfg), cfg))
     return EXIT_OK
 
 
@@ -209,19 +233,19 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--q0", type=float, required=True)
     s.add_argument("--q1", type=float, required=True)
     s.add_argument("--mode", choices=["quasi-greedy", "quasi-lazy"], default="quasi-greedy")
-    s.add_argument("--digits", type=int, default=32)
+    s.add_argument("--digits", type=_at_least(0), default=32)
     s.add_argument("--x", type=str, default=None, help="point to expand (default: hole endpoint)")
     s.set_defaults(fn=_cmd_expand)
 
     s = sub.add_parser("smap", help="directive sequence of a word's partition cell")
     s.add_argument("--word", required=True)
-    s.add_argument("--directive-depth", dest="directive_depth", type=int, default=48)
+    s.add_argument("--directive-depth", dest="directive_depth", type=_at_least(1), default=48)
     s.set_defaults(fn=_cmd_smap)
 
     s = sub.add_parser("limit-word", help="limit word of a directive sequence")
     s.add_argument("--directive", required=True)
     s.add_argument("--seed", choices=["0", "1"], default="0")
-    s.add_argument("--length", type=int, default=64)
+    s.add_argument("--length", type=_at_least(0), default=64)
     s.set_defaults(fn=_cmd_limit_word)
 
     s = sub.add_parser("entropy", help="topological entropy of Omega_{a,b}")
@@ -255,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("ks", help="order of the expansion-bound directives at (q0, q1)")
     s.add_argument("--q0", type=float, required=True)
     s.add_argument("--q1", type=float, required=True)
-    s.add_argument("--directive-depth", dest="directive_depth", type=int, default=24)
+    s.add_argument("--directive-depth", dest="directive_depth", type=_at_least(1), default=24)
     s.set_defaults(fn=_cmd_ks)
 
     s = sub.add_parser("verify", help="hole-avoidance check for a word's orbit")

@@ -10,8 +10,9 @@ quasi-greedy digits of the mirrored point in the swapped bases.
 One generator (_digit_steps) produces both, behind quasi_greedy,
 quasi_lazy and ExpansionStream.  Its arithmetic is exact: every finite
 input (int, float, Fraction, Decimal, numpy scalar or mpf) is converted
-to a Fraction once, so a digit is flagged 'boundary' only on an exact
-hit of q1*x = 1 and every digit is certain.
+to a Fraction once, and the digits are stepped on integers over the
+bases' common denominator, so a digit is flagged 'boundary' only on an
+exact hit of q1*x = 1 and every digit is certain.
 """
 
 from __future__ import annotations
@@ -105,7 +106,10 @@ def _digit_steps(q0, q1, x, lazy: bool) -> tuple[Callable[[], Iterator[tuple[str
     quasi-greedy digits of the mirrored point (1 - (q1-1)x)/(q0-1) in
     bases (q1, q0)), as a function that starts them afresh on each call,
     and a description of the expansion by its exact inputs.  The inputs
-    are checked and converted to Fractions once, here."""
+    are checked and converted to Fractions once, here; the steps run on
+    integers over the bases' common denominator d, keeping the point as
+    num/den with den multiplied by d at every digit, so no step reduces
+    a fraction."""
     q0, q1, x = _to_fraction(q0), _to_fraction(q1), _to_fraction(x)
     describe = f"{'quasi-lazy' if lazy else 'quasi-greedy'}({q0},{q1},{x})"
     if not regular(q0, q1):
@@ -115,17 +119,20 @@ def _digit_steps(q0, q1, x, lazy: bool) -> tuple[Callable[[], Iterator[tuple[str
     if lazy:
         q0, q1, x = q1, q0, (1 - (q1 - 1) * x) / (q0 - 1)
     one, zero = ("0", "1") if lazy else ("1", "0")
+    d = math.lcm(q0.denominator, q1.denominator)  # q0 = a/d, q1 = b/d
+    a, b = q0.numerator * (d // q0.denominator), q1.numerator * (d // q1.denominator)
 
     def steps():
-        y = x
+        num, den = x.numerator, x.denominator  # y = num/den
         while True:
-            t = q1 * y - 1
+            t = b * num - d * den  # q1*y - 1 = t/(d*den)
+            den *= d
             if t > 0:
                 yield one, False
-                y = t
+                num = t
             else:
                 yield zero, t == 0
-                y = q0 * y
+                num *= a
 
     return steps, describe
 

@@ -8,8 +8,9 @@ inside b (subset construction); positions beyond the preperiod wrap
 modulo the period, so the state space is finite.  Strictly resolved
 comparisons retire, violations reject.  Entropy is the log of the
 largest Perron root over the strongly connected components of the live
-part, each found from a boolean reachability closure and its root by
-numpy's `eigvals`.
+part, each found from a boolean reachability closure; a one-state
+component's root is its loop count, a larger one's comes from numpy's
+`eigvals`.
 """
 
 from __future__ import annotations
@@ -214,7 +215,9 @@ def entropy(m: SubshiftAutomaton) -> float:
     own block: equal roots of chained components form Jordan blocks of
     the whole matrix, whose computed eigenvalues split by about
     eps^(1/k): whole-matrix eigenvalues read h up to 6e-4 on shuffled
-    chains of zero-entropy cycles.  A transient state is a [[0]] block.
+    chains of zero-entropy cycles.  A component of one state is read
+    exactly: its root is its diagonal entry, the state's loop count (0
+    for a transient state), and only larger components call `eigvals`.
     """
     mat, _ = m.trimmed_matrix()
     n = len(mat)
@@ -225,9 +228,13 @@ def entropy(m: SubshiftAutomaton) -> float:
     best = 1.0
     for i in range(n):
         comp = np.flatnonzero(strong[i])
-        if comp[0] == i:  # once per component, at its first state
-            block = mat[np.ix_(comp, comp)]
-            best = max(best, float(np.abs(np.linalg.eigvals(block)).max()))
+        if comp[0] != i:  # once per component, at its first state
+            continue
+        if len(comp) == 1:
+            root = mat[i, i]
+        else:
+            root = np.abs(np.linalg.eigvals(mat[np.ix_(comp, comp)])).max()
+        best = max(best, float(root))
     return math.log(best)
 
 

@@ -85,7 +85,11 @@ class Word:
             yield from self.per
 
     def prefix(self, n: int) -> str:
-        return "".join(islice(self.letters(), n))
+        """The first n letters as one string (n // |per| + 1 periods
+        always reach n letters); WordError for n < 0."""
+        if n < 0:
+            raise WordError(f"prefix length must be >= 0, got {n}")
+        return (self.pre + self.per * (n // len(self.per) + 1))[:n]
 
     @property
     def complexity(self) -> int:
@@ -132,26 +136,24 @@ def parse_word(text: str) -> Word:
 def compare(u, v, depth: int | None = None):
     """Lexicographic comparison; -1/0/+1, or None for undecided streams.
 
-    Two :class:`Word` arguments are decided exactly (letters up to
-    ``|pre_u| + |pre_v| + lcm(|per_u|, |per_v|)`` suffice).  If either
-    argument is a stream, the first ``depth`` letters are compared and
-    None is returned when they all agree.
+    Two :class:`Word` arguments are decided exactly, as strings: past both
+    preperiods the words have periods p and q, so by Fine and Wilf (1965)
+    they are equal once they agree on ``max(|pre_u|, |pre_v|) + p + q -
+    gcd(p, q)`` letters, and their order is that of these prefixes.  If
+    either argument is a stream, the first ``depth`` letters are compared
+    and None is returned when they all agree.
     """
-    exact = isinstance(u, Word) and isinstance(v, Word)
-    if exact:
-        bound = (
-            len(u.pre)
-            + len(v.pre)
-            + len(u.per) * len(v.per) // gcd(len(u.per), len(v.per))
-        )
-    else:
-        bound = STREAM_COMPARE_DEPTH if depth is None else depth
+    if isinstance(u, Word) and isinstance(v, Word):
+        p, q = len(u.per), len(v.per)
+        n = max(len(u.pre), len(v.pre)) + p + q - gcd(p, q)
+        hu, hv = u.prefix(n), v.prefix(n)
+        return (hu > hv) - (hu < hv)
     it_u, it_v = u.letters(), v.letters()
-    for _ in range(bound):
+    for _ in range(STREAM_COMPARE_DEPTH if depth is None else depth):
         a, b = next(it_u), next(it_v)
         if a != b:
             return -1 if a < b else 1
-    return 0 if exact else None
+    return None
 
 
 def reflect(u: Word) -> Word:
@@ -216,6 +218,10 @@ class LetterStream:
         return self._factory()
 
     def prefix(self, n: int) -> str:
+        """The first n letters as one string; WordError for n < 0, as
+        for a Word."""
+        if n < 0:
+            raise WordError(f"prefix length must be >= 0, got {n}")
         return "".join(islice(self.letters(), n))
 
     def __repr__(self) -> str:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from doublebase.cli import build_parser, main
@@ -191,6 +193,14 @@ SMOKE = [
     (("reduce", "--d0", "0", "--q0", "2", "--d1", "1", "--q1", "3"), 0, lambda out: "offset=0.0" in out),
     (("ks", "--q0", "1.9", "--q1", "1.7"), 0, lambda out: out.startswith(">")),
     (("verify", "--q0", "1.5", "--q1", "1.8", "--word", "1(0)"), 0, lambda out: out == "Boundary\n"),
+    # a depth below 1 or a length below 0 compares nothing: rejected
+    (("smap", "--word", "(01)", "--directive-depth", "-1"), 2, lambda out: out == ""),
+    (("smap", "--word", "(01)", "--directive-depth", "0"), 2, lambda out: out == ""),
+    (("ks", "--q0", "1.9", "--q1", "1.8", "--directive-depth", "-1"), 2, lambda out: out == ""),
+    (("ks", "--q0", "1.9", "--q1", "1.8", "--directive-depth", "0"), 2, lambda out: out == ""),
+    (("expand", "--q0", "1.5", "--q1", "1.8", "--digits", "-3"), 2, lambda out: out == ""),
+    (("limit-word", "--directive", "L(R)", "--length", "-2"), 2, lambda out: out == ""),
+    (("limit-word", "--directive", "L(R)", "--length", "0"), 0, lambda out: out == "\n"),
 ]
 
 
@@ -199,6 +209,26 @@ def test_every_subcommand_runs(capsys, argv, code, check):
     got, out, err = run(capsys, *argv)
     assert got == code, err
     assert check(out), out
+
+
+@pytest.mark.parametrize("argv", [row[0] for row in SMOKE if row[1] == 2], ids=" ".join)
+def test_rejected_counts_name_their_option(capsys, argv):
+    _, _, err = run(capsys, *argv)
+    assert f"argument {argv[-2]}: must be at least" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("mu", "--u", "(01)", "--v", "10(01)"),
+    ("gr", "1.75"),
+], ids=" ".join)
+def test_mp_brackets_print_at_the_precision(capsys, argv):
+    # at tol 1e-20 the ends are mpf values about 5e-21 apart: printed at
+    # 15 digits they would read equal
+    code, out, _ = run(capsys, "--tol", "1e-20", "--precision", "40", *argv)
+    assert code == 0
+    lo, hi = out.split("]")[0].strip("[").split(", ")
+    assert lo != hi
+    assert 0 < Fraction(hi) - Fraction(lo) <= Fraction("1e-20")
 
 
 def test_smoke_table_covers_every_subcommand():

@@ -8,6 +8,7 @@ import pytest
 
 from doublebase.expansions import (
     BasePair,
+    DigitRun,
     ExpansionStream,
     ExpansionError,
     _to_fraction,
@@ -128,6 +129,53 @@ def test_mpf_inputs_are_exact():
     # finite mpf values are dyadic rationals and run through the exact path
     run = quasi_greedy(mp.mpf(2), mp.mpf("1.5"), mp.mpf(2) / 3, 8)
     assert run.digits == "01101010"
+
+
+def _exact(v):
+    """v as a Fraction: mpf values from their mantissa and exponent."""
+    if isinstance(v, mp.mpf):
+        return Fraction(v.man) * Fraction(2) ** v.exp
+    return Fraction(v)
+
+
+def hand_digits(q0, q1, x, n, lazy):
+    """Digits and exact-boundary indices by a plain Fraction recurrence.
+    Quasi-greedy: 1 when q1*x > 1; quasi-lazy: 0 when q0*(q1-1)*x < 1."""
+    q0, q1, x = _exact(q0), _exact(q1), _exact(x)
+    digits, hits = "", set()
+    for i in range(n):
+        if lazy:
+            t = q0 * (q1 - 1) * x - 1
+            digit = "0" if t < 0 else "1"
+        else:
+            t = q1 * x - 1
+            digit = "1" if t > 0 else "0"
+        if t == 0:
+            hits.add(i)
+        digits += digit
+        x = q1 * x - 1 if digit == "1" else q0 * x
+    return digits, hits
+
+
+@pytest.mark.parametrize("q0, q1, x", [
+    (1.5, 1.8, 0.3),
+    (1.9, 1.7, 0.55),
+    (Fraction(7, 5), Fraction(4, 3), Fraction(5, 7)),
+    (Decimal("1.3"), 1.8, Decimal("0.9")),
+    (1.5, Fraction(4, 3), mp.mpf(1) / 3),
+    (2, 2, Fraction(1, 2)),  # both expansions hit the boundary at once
+], ids=["float", "float-2", "sevenths-thirds", "Decimal", "mpf-point", "boundary"])
+def test_digits_match_a_fraction_recurrence(q0, q1, x):
+    # exact for every rational input, dyadic or not: 200 digits and
+    # every boundary flag of both expansions
+    for lazy, fn in ((False, quasi_greedy), (True, quasi_lazy)):
+        digits, hits = hand_digits(q0, q1, x, 200, lazy)
+        run = fn(q0, q1, x, 200)
+        assert run.digits == digits
+        assert run.boundary == hits
+    if (q0, q1) == (2, 2):
+        assert quasi_greedy(q0, q1, x, 4) == DigitRun("0111", frozenset({0}))
+        assert quasi_lazy(q0, q1, x, 4) == DigitRun("1000", frozenset({0}))
 
 
 def test_base_pair_type():

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from doublebase.critical import komornik_loreti
@@ -57,6 +58,22 @@ def test_full_shift_automaton():
     assert m.path_count(3) == 8
     # every state accepts both letters: the minimized automaton is a point
     assert len(m.minimized()) == 1
+
+
+def test_one_state_components_are_read_exactly(monkeypatch):
+    # a one-state component's Perron root is its loop count: the full
+    # shift's automaton is a chain of single states, the last with two
+    # loops, so its entropy is log 2 to the last bit without eigvals
+    def no_eigvals(block):
+        raise AssertionError(f"eigvals called on a {len(block)}-state block")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+    assert entropy(build_automaton(parse_word("0(1)"), parse_word("1(0)"))) == LN2
+    one_loop = SubshiftAutomaton([0], [{"0": 0}], frozenset({0}), None, None)
+    assert entropy(one_loop) == 0.0
+    # a transient state reads 0 and leaves the loop's root alone
+    chain = SubshiftAutomaton([0, 1], [{"1": 1}, {"0": 1, "1": 1}], frozenset({0, 1}), None, None)
+    assert entropy(chain) == LN2
 
 
 def test_011_free_shift():

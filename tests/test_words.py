@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from doublebase.words import (
@@ -12,7 +14,7 @@ from doublebase.words import (
     LetterStream,
 )
 
-from conftest import naive_expand, random_word
+from conftest import naive_expand, random_word, word_corpus
 
 
 def test_parse_examples():
@@ -111,6 +113,17 @@ def test_letters_and_prefix():
     u = parse_word("01(10)")
     assert u.prefix(8) == "01101010"
     assert [u.letter(i) for i in range(6)] == list("011010")
+    u = parse_word("110(011)")
+    assert u.prefix(0) == ""
+    assert u.prefix(2) == "11"          # inside the preperiod
+    assert u.prefix(3) == "110"
+    assert u.prefix(4) == "1100"        # into the first period
+    assert u.prefix(3 + 3 * 5 + 2) == "110" + "011" * 5 + "01"
+    assert parse_word("(0)").prefix(7) == "0000000"
+    with pytest.raises(ValueError):
+        u.prefix(-2)
+    with pytest.raises(ValueError):
+        parse_word("(01)").prefix(-1)
 
 
 def test_stream_compare_depth():
@@ -124,3 +137,39 @@ def test_stream_compare_depth():
     assert compare(s, Word("", "1"), 64) is None  # tie to depth
     assert compare(s, Word("10", "1"), 64) == 1   # strict difference found
     assert s.prefix(5) == "11111"
+    assert s.prefix(0) == ""
+    with pytest.raises(WordError):
+        s.prefix(-1)
+
+
+def _sign(a, b):
+    return (a > b) - (a < b)
+
+
+def test_compare_agrees_with_the_lcm_bound_on_the_corpus():
+    # reference: prefixes of |pre_u| + |pre_v| + lcm(|per_u|, |per_v|)
+    # letters decide the order of two eventually periodic words
+    words = word_corpus("0", 5) + word_corpus("1", 5)
+    for u in words:
+        for v in words:
+            p, q = len(u.per), len(v.per)
+            n = len(u.pre) + len(v.pre) + p * q // gcd(p, q)
+            expected = _sign(naive_expand(u.pre, u.per, n), naive_expand(v.pre, v.per, n))
+            assert compare(u, v) == expected, (u, v)
+
+
+@pytest.mark.parametrize("x, y, order", [("010", "01001", -1), ("01001", "01001010", 1)])
+def test_compare_on_fine_wilf_extremal_pairs(x, y, order):
+    # x^inf and y^inf agree on exactly p + q - gcd(p, q) - 1 letters, so
+    # the Fine-Wilf bound is tight: one letter fewer would call them equal.
+    # Behind unequal preperiods (x x^inf against x y^inf, and y x^inf
+    # against y y^inf) the agreement starts past the longer preperiod.
+    for (u_pre, v_pre) in [("", ""), ("", x), (y, "")]:
+        u, v = Word(u_pre, x), Word(v_pre, y)
+        assert (u.pre, v.pre) == (u_pre, v_pre)  # canonical forms keep them
+        p, q = len(x), len(y)
+        n = max(len(u_pre), len(v_pre)) + p + q - gcd(p, q)
+        hu, hv = naive_expand(u_pre, x, n), naive_expand(v_pre, y, n)
+        assert hu[:-1] == hv[:-1] and hu[-1] != hv[-1], (u, v)
+        assert compare(u, v) == order, (u, v)
+        assert compare(v, u) == -order, (u, v)
