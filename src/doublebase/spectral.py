@@ -8,16 +8,15 @@ inside b (subset construction); positions beyond the preperiod wrap
 modulo the period, so the state space is finite.  Strictly resolved
 comparisons retire, violations reject.  Entropy is the log of the
 largest Perron root over the strongly connected components of the live
-part, each found from a boolean reachability closure; a one-state
-component's root is its loop count, a larger one's comes from numpy's
-`eigvals`.
+part, found from reachability bitsets (one int per state); a one-state
+component's root is its loop count, a larger one's comes from Newton's
+method on its characteristic polynomial, from a Collatz-Wielandt upper
+bound down to the root.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .config import Config, resolve
 from .critical import komornik_loreti
@@ -121,17 +120,6 @@ class SubshiftAutomaton:
 
     # -- derived data ----------------------------------------------------
 
-    def trimmed_matrix(self) -> tuple[np.ndarray, list[int]]:
-        """Adjacency counts over live states (entry = number of letters)."""
-        order = sorted(self.live)
-        pos = {s: i for i, s in enumerate(order)}
-        m = np.zeros((len(order), len(order)))
-        for s in order:
-            for t in self.transitions[s].values():
-                if t in self.live:
-                    m[pos[s], pos[t]] += 1
-        return m, order
-
     def path_count(self, n: int) -> int:
         """Number of length-n words readable from the start state that end
         in a live state; equals the block count A_n of Omega_{a,b}."""
@@ -210,32 +198,100 @@ def entropy(m: SubshiftAutomaton) -> float:
     strongly connected components of the live transition counts, 0 when
     no component grows (Lind and Marcus 1995, section 4.4).
 
-    Row i of reach & reach.T, with reach the transitive closure of I + A,
-    is the component of state i.  Each root comes from its component's
-    own block: equal roots of chained components form Jordan blocks of
-    the whole matrix, whose computed eigenvalues split by about
-    eps^(1/k): whole-matrix eigenvalues read h up to 6e-4 on shuffled
-    chains of zero-entropy cycles.  A component of one state is read
-    exactly: its root is its diagonal entry, the state's loop count (0
-    for a transient state), and only larger components call `eigvals`.
+    Each live state's reach set is a bitset (bit t for state t), grown
+    over the live successors until nothing changes; two states lie in
+    one component iff their reach sets are equal.  Each root comes from
+    its component's own block: equal roots of chained components are a
+    multiple root of the whole matrix's characteristic polynomial, which
+    no float method reads to the last bits (computed eigenvalues split
+    by about eps^(1/k)).  A component of one state is read exactly: its
+    root is its loop count (0 for a transient state); a larger one's
+    comes from `_perron_root`.
     """
-    mat, _ = m.trimmed_matrix()
-    n = len(mat)
-    reach = (mat > 0) | np.eye(n, dtype=bool)
-    for _ in range(n.bit_length()):
-        reach = reach @ reach
-    strong = reach & reach.T
+    live = sorted(m.live)
+    succ = {s: [t for t in m.transitions[s].values() if t in m.live] for s in live}
+    reach = {s: 1 << s for s in live}
+    changed = True
+    while changed:
+        changed = False
+        for s in reversed(live):  # successors are mostly found later
+            r = reach[s]
+            for t in succ[s]:
+                r |= reach[t]
+            changed |= r != reach[s]
+            reach[s] = r
+    comps: dict[int, list[int]] = {}
+    for s in live:
+        comps.setdefault(reach[s], []).append(s)
     best = 1.0
-    for i in range(n):
-        comp = np.flatnonzero(strong[i])
-        if comp[0] != i:  # once per component, at its first state
-            continue
+    for comp in comps.values():
         if len(comp) == 1:
-            root = mat[i, i]
-        else:
-            root = np.abs(np.linalg.eigvals(mat[np.ix_(comp, comp)])).max()
-        best = max(best, float(root))
+            best = max(best, succ[comp[0]].count(comp[0]))
+            continue
+        # last found first: the early states that many others return to
+        # are eliminated last, where they fill in little
+        comp.reverse()
+        local = {t: k for k, t in enumerate(comp)}
+        best = max(best, _perron_root([[local[u] for u in succ[t] if u in local] for t in comp]))
     return math.log(best)
+
+
+def _perron_root(rows: list[list[int]]) -> float:
+    """Perron root rho of a strongly connected block B of two or more
+    states; rows[i] lists the successors of state i (twice for a state
+    that both letters reach).
+
+    Newton's method on p(x) = det(xI - B), from above.  It starts at the
+    Collatz-Wielandt bound max_i (Bv)_i / v_i >= rho for the integer
+    vector v = (I + B)^k 1, k = n // 2, which tightens with k even on a
+    periodic block, since I + B is primitive.  By Gauss-Lucas every root
+    of p' and p'' has real part at most rho, so p is increasing and
+    convex on (rho, inf) and the iterates fall monotonically to rho.  The
+    loop stops when an iterate no longer decreases or the elimination
+    finds x <= rho; a pure cycle starts at its root 1.
+    """
+    v = [1] * len(rows)
+    for _ in range(len(rows) // 2):
+        v = [vi + sum(v[j] for j in row) for vi, row in zip(v, rows)]
+    x = max(sum(v[j] for j in row) / vi for vi, row in zip(v, rows))
+    while True:
+        s = _log_det_slope(rows, x)
+        if not s or (nxt := x - 1 / s) >= x:
+            return x
+        x = nxt
+
+
+def _log_det_slope(rows: list[list[int]], x: float) -> float | None:
+    """p'(x)/p(x) for p(x) = det(xI - B), or None when x <= rho.
+
+    Gaussian elimination of xI - B on dict rows, each entry a pair of its
+    value and its d/dx: det is the product of the pivots, so p'/p is the
+    sum of pivot'/pivot.  For x > rho, xI - B is a nonsingular M-matrix,
+    whose pivots are positive without pivoting; so a pivot that is not
+    positive means x <= rho.
+    """
+    a = []
+    for i, row in enumerate(rows):
+        r = {i: (x, 1.0)}
+        for j in row:
+            v, d = r.get(j, (0.0, 0.0))
+            r[j] = (v - 1.0, d)
+        a.append(r)
+    slope = 0.0
+    for k, pivot_row in enumerate(a):
+        p, dp = pivot_row.pop(k)
+        if p <= 0:
+            return None
+        slope += dp / p
+        for r in a[k + 1:]:
+            if k in r:
+                e, de = r.pop(k)
+                f = e / p
+                df = (de - f * dp) / p
+                for j, (u, du) in pivot_row.items():
+                    v, dv = r.get(j, (0.0, 0.0))
+                    r[j] = (v - f * u, dv - df * u - f * du)
+    return slope
 
 
 # ----------------------------------------------------------------------

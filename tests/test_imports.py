@@ -1,12 +1,17 @@
-"""Every name a library module imports is used in that module, and
-every private module-level name is referenced by some module of the
-package.
+"""Every name a library module imports is used in that module, every
+private module-level name is referenced by some module of the package,
+and every third-party package the library or its tests import is
+declared in `pyproject.toml`.
 
-`__init__.py` is left out of the import check: it imports names to
-re-export them.
+`__init__.py` is left out of the unused-import check: it imports names
+to re-export them.
 """
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +20,7 @@ import doublebase
 
 PACKAGE = sorted(Path(doublebase.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -83,3 +89,50 @@ def test_the_check_sees_an_unreferenced_private_name():
 
 def test_no_unreferenced_private_names():
     assert unreferenced_private_names({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def third_party_imports(source: str) -> set[str]:
+    """Top-level package names of a module's absolute imports that are
+    not in the standard library."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names)
+
+
+def declared(specs: list[str]) -> set[str]:
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower() for spec in specs}
+
+
+def project_table() -> dict:
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    return tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+
+
+def test_the_check_sees_third_party_imports():
+    source = "import os, numpy.linalg\nfrom mpmath import mp\nfrom . import words\n"
+    assert third_party_imports(source) == {"numpy", "mpmath"}
+    assert declared(["mpmath", "numpy>=1.22", "pytest"]) == {"mpmath", "numpy", "pytest"}
+
+
+def test_library_imports_are_its_dependencies():
+    used = set().union(*(third_party_imports(p.read_text()) for p in PACKAGE))
+    assert used == declared(project_table()["dependencies"])
+
+
+def test_test_imports_are_declared():
+    project = project_table()
+    allowed = declared(project["dependencies"] + project["optional-dependencies"]["test"])
+    used = set().union(*(third_party_imports(p.read_text()) for p in (ROOT / "tests").glob("*.py")))
+    assert used - allowed <= {"doublebase", "conftest"}
+
+
+def test_import_leaves_numpy_unloaded():
+    # entropy is pure Python: a fresh process pays for mpmath only
+    env = dict(os.environ, PYTHONPATH=str(Path(doublebase.__file__).parents[1]))
+    code = "import sys, doublebase; print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

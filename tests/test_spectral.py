@@ -1,12 +1,13 @@
 import itertools
 import math
 
-import numpy as np
+import mpmath as mp
 import pytest
 
 from doublebase.critical import komornik_loreti
 from doublebase.expansions import expansion_bounds
 from doublebase.oracle import block_count
+from doublebase import spectral
 from doublebase.solvers import PreconditionError
 from doublebase.spectral import (
     SubshiftAutomaton,
@@ -63,17 +64,68 @@ def test_full_shift_automaton():
 def test_one_state_components_are_read_exactly(monkeypatch):
     # a one-state component's Perron root is its loop count: the full
     # shift's automaton is a chain of single states, the last with two
-    # loops, so its entropy is log 2 to the last bit without eigvals
-    def no_eigvals(block):
-        raise AssertionError(f"eigvals called on a {len(block)}-state block")
+    # loops, so its entropy is log 2 to the last bit without a root solve
+    def no_root_solve(rows):
+        raise AssertionError(f"root solved on a {len(rows)}-state block")
 
-    monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+    monkeypatch.setattr(spectral, "_perron_root", no_root_solve)
     assert entropy(build_automaton(parse_word("0(1)"), parse_word("1(0)"))) == LN2
     one_loop = SubshiftAutomaton([0], [{"0": 0}], frozenset({0}), None, None)
     assert entropy(one_loop) == 0.0
     # a transient state reads 0 and leaves the loop's root alone
     chain = SubshiftAutomaton([0, 1], [{"1": 1}, {"0": 1, "1": 1}], frozenset({0, 1}), None, None)
     assert entropy(chain) == LN2
+
+
+def _mp_perron_root(rows):
+    with mp.workdps(40):
+        mat = mp.matrix(len(rows), len(rows))
+        for i, row in enumerate(rows):
+            for j in row:
+                mat[i, j] += 1
+        return max(abs(e) for e in mp.eig(mat, left=False, right=False))
+
+
+def _random_strong_block(rng, n, periodic):
+    # a shuffled n-cycle plus chords, at most two successors per state;
+    # a periodic block gets one chord whose cycle shares a factor with n
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rows = [[perm[(perm.index(i) + 1) % n]] for i in range(n)]
+    if periodic:
+        # a chord from step a to step b closes a cycle of a - b + 1 steps
+        a = rng.randrange(n)
+        b = (a + 1 - rng.choice([m for m in range(2, n + 1) if math.gcd(m, n) > 1])) % n
+        rows[perm[a]].append(perm[b])
+    else:
+        for row in rows:
+            if rng.random() < 0.6:
+                row.append(rng.randrange(n))
+    return rows
+
+
+def test_perron_roots_match_multiprecision_eigenvalues(monkeypatch, rng):
+    # the multi-state blocks that entropy meets on the complexity-4 corpus,
+    # and random strongly connected blocks of out-degree at most 2, some
+    # periodic, against the largest |eigenvalue| from 40-digit mp.eig
+    seen = {}
+    solve = spectral._perron_root
+
+    def recorded(rows):
+        seen[str(rows)] = rows
+        return solve(rows)
+
+    monkeypatch.setattr(spectral, "_perron_root", recorded)
+    for a in word_corpus("0", 4):
+        for b in word_corpus("1", 4):
+            entropy(build_automaton(a, b, validate=False))
+    blocks = list(seen.values())
+    assert len(blocks) >= 20
+    blocks += [_random_strong_block(rng, n, True) for n in (4, 4, 6, 6, 8, 9)]
+    blocks += [_random_strong_block(rng, rng.randrange(2, 7), False) for _ in range(34)]
+    for rows in blocks:
+        want = _mp_perron_root(rows)
+        assert abs(solve(rows) - want) <= 1e-15 * want, rows
 
 
 def test_011_free_shift():
