@@ -28,12 +28,13 @@ earlier with a below or b above every such window, Omega collapses to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 from .config import Config, resolve
-from .critical import generalized_golden_ratio, komornik_loreti, Case
+from .critical import _Cell, _g_cell, _k_cell, _node_f, _solve
 from .expansions import regular
 from .substitution import (
     BR_M,
@@ -44,6 +45,7 @@ from .substitution import (
     is_primitive,
     split_descent,
 )
+from .solvers import _sign
 from .words import Word, LetterStream
 
 
@@ -152,35 +154,55 @@ def classify_sigma(a, b, max_depth: int = 48) -> Classification:
     return Classification(_SIGMA_LABEL.get(res.label, res.label), res.depth)
 
 
+def _at_or_below(cell: _Cell, q0: float, q1: float, tol: float, cfg: Config) -> Optional[bool]:
+    """Whether q1 lies at or below the curve of a descent cell at q0, or
+    within its window: True or False, or None when q1 lies within the
+    window of a curve whose cell is not a formula cell.
+
+    Where q0 lies in a formula cell for sure (ambiguity 0), the curve is
+    the root in q1 of the node function, which decreases in q1, so one
+    certified sign at q1 - window decides, window = max(tol, cfg.tol).
+    Other cells solve the curve's bracket and compare q1 with it, the
+    window being max(tol, width)."""
+    if cell.key is not None and cell.ambiguity == 0:
+        y = q1 - max(tol, cfg.tol)
+        return y <= 1.0 or _sign(_node_f(cell.node, cell.key), q0, y, cfg.precision) >= 0
+    value = _solve(cell, q0, cfg.tol, cfg.precision).value
+    if abs(q1 - value.mid) <= max(tol, value.width):
+        return True if cell.key is not None else None
+    return q1 < value.mid
+
+
 def classify_univoque(q0: float, q1: float, tol: float = 1e-9,
                       max_depth: int | None = None,
                       config: Config | None = None) -> Classification:
     """Cardinality of the unique-expansion set for the base pair (q0, q1).
 
     Irregular pairs have every sequence unique (full shift).  Otherwise
-    q1 is placed against the critical brackets G(q0) and K(q0); within
-    tol of a critical value the descent case decides between the
-    boundary behaviours where it can, else Undecided.
+    q1 is placed against G(q0) and then K(q0), each found by its descent
+    to q0's cell: at most the curve plus a window gives Trivial (G) or
+    CountableNontrivial (K), and above K gives PositiveEntropy.  On a
+    formula cell that q0 lies in for sure, one certified sign of the
+    node function at q1 - window decides, window = max(tol, cfg.tol),
+    with no root solved; on a formula cell q0 may miss (within a
+    crossing's bracket of its edge) and on an exhausted walk the curve's
+    bracket is solved, the window is max(tol, its width), and within the
+    window of an exhausted walk's bracket the label is Undecided.  tol
+    must be finite and positive.
     """
     cfg = resolve(config)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     if not regular(q0, q1):  # which rejects bases outside (1, inf)
         return Classification(Label.POSITIVE_ENTROPY)
-    gres = generalized_golden_ratio(q0, config=cfg, max_depth=max_depth)
-    window_g = max(tol, gres.value.width)
-    if abs(q1 - gres.value.mid) <= window_g:
-        if gres.case in (Case.LEFT_FORMULA, Case.RIGHT_FORMULA):
+    depth = cfg.max_depth if max_depth is None else max_depth
+    below_g = _at_or_below(_g_cell(q0, cfg, depth), q0, q1, tol, cfg)
+    if below_g is not None:
+        if below_g:
             return Classification(Label.TRIVIAL)
-        # at G over a primitive Sturmian point the set is already uncountable,
-        # but that cannot be certified from a numeric q0
-        return Classification(Label.UNDECIDED, max_depth or cfg.max_depth)
-    if q1 < gres.value.mid:  # below the window, so below G(q0)
-        return Classification(Label.TRIVIAL)
-    kres = komornik_loreti(q0, config=cfg, max_depth=max_depth)
-    window_k = max(tol, kres.value.width)
-    if abs(q1 - kres.value.mid) <= window_k:
-        if kres.case in (Case.LEFT_FORMULA, Case.RIGHT_FORMULA):
-            return Classification(Label.COUNTABLE_NONTRIVIAL)
-        return Classification(Label.UNDECIDED, max_depth or cfg.max_depth)
-    if q1 < kres.value.lo:
-        return Classification(Label.COUNTABLE_NONTRIVIAL)
-    return Classification(Label.POSITIVE_ENTROPY)
+        below_k = _at_or_below(_k_cell(q0, cfg, depth), q0, q1, tol, cfg)
+        if below_k is not None:
+            return Classification(Label.COUNTABLE_NONTRIVIAL if below_k else Label.POSITIVE_ENTROPY)
+    # at G over a primitive Sturmian point the set is already uncountable,
+    # but that cannot be certified from a numeric q0
+    return Classification(Label.UNDECIDED, depth)

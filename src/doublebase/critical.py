@@ -16,6 +16,12 @@ followed by a binary search finds where q0 stops being beyond the node
 cells with O(log k) crossings, and the skipped nodes change neither the
 node nor the case reached.  max_depth still counts directive letters.
 
+Each descent only finds q0's cell (_g_cell, _k_cell): the node, the
+formula's NODE_SEEDS key, the case and the membership ambiguity, or the
+last spine bounds of a walk that reached max_depth.  One solve (_solve)
+turns a cell into the returned bracket, and classify_univoque takes the
+cell alone where one sign of the node function decides.
+
 Membership is decided against certified mu brackets; a q0 within bracket
 width of an endpoint is resolved into the adjacent closed formula
 interval (the formulas agree at shared endpoints, so this is the
@@ -25,6 +31,9 @@ enclosure of the two adjacent formula values, which is valid because the
 critical maps are strictly decreasing, intersected with the product
 chain of the curve (1/(q0+1) <= (q0-1)(G-1) <= 1/2 <= (q0-1)(K-1) <
 q0/(q0+1)), so a walk down one spine still returns a finite bracket.
+The same chain (one table, _CHAIN) is where every formula root's search
+starts: a formula's root is the curve's value, so it lies in the
+chain's enclosure at q0, and the start search checks the signs anyway.
 """
 
 from __future__ import annotations
@@ -180,24 +189,19 @@ def _spine_bound(w: str, key: str, cfg: Config) -> tuple:
     return (last, key, node_mu(last, *_SPINE_PAIR[letter], cfg).mid)
 
 
-def _formula_result(w: str, key: str, q0: float, case: Case,
-                    tol: float, dps: int, ambiguity: float) -> CriticalResult:
-    fn = _node_f(w, key)
-    val = root_q1(fn, q0, tol, dps)
-    if ambiguity > 0:
-        # q0 could belong to an adjacent cell: widen by the local slope of
-        # the critical map times the membership uncertainty
-        h = 1e-6
-        slope = abs(root_q1(fn, q0 + h, tol, dps).mid - val.mid) / h + 1.0
-        pad = 8.0 * slope * ambiguity
-        val = Bracket(val.lo - pad, val.hi + pad)
-    return CriticalResult(
-        value=val,
-        node=w,
-        case=case,
-        key=key,
-        inequality_witness=(q0 - 1.0) * (val.mid - 1.0),
-    )
+# the product chain 1/(q0+1) <= (q0-1)(G-1) <= 1/2 <= (q0-1)(K-1) < q0/(q0+1):
+# each curve's lower and upper product, as functions of q0
+_HALF = Fraction(1, 2)
+_CHAIN = {
+    "G": (lambda x: 1 / (x + 1), lambda x: _HALF),
+    "K": (lambda x: _HALF, lambda x: x / (x + 1)),
+}
+
+
+def _chain(curve: str, x) -> tuple:
+    """The ends 1 + p/(x - 1) of the curve's chain products p at x, exact
+    for a Fraction x and floats for a float x."""
+    return tuple(1 + p(x) / (x - 1) for p in _CHAIN[curve])
 
 
 def _outward(x: Fraction, up: bool) -> float:
@@ -208,42 +212,77 @@ def _outward(x: Fraction, up: bool) -> float:
     return near
 
 
-def _chain(x: Fraction, lo_product: Fraction, hi_product: Fraction) -> tuple[float, float]:
-    """The values c with lo_product <= (x - 1)(c - 1) <= hi_product,
-    rounded outward."""
-    return _outward(1 + lo_product / (x - 1), False), _outward(1 + hi_product / (x - 1), True)
+@dataclass(frozen=True)
+class _Cell:
+    """Where the descent of a curve ("G" or "K") stopped: the formula
+    cell of node w (formula key, case and the membership ambiguity of
+    q0), or, with key None, the last spine bounds (w, key, at) of a walk
+    that reached max_depth, either of them None when never set."""
+    curve: str
+    node: str = ""
+    key: Optional[str] = None
+    case: Optional[Case] = None
+    ambiguity: float = 0.0
+    lo_bound: Optional[tuple] = None
+    hi_bound: Optional[tuple] = None
 
 
-def _exhausted_result(q0, lo_bound, hi_bound, chain, tol, dps) -> CriticalResult:
+def _formula_root(curve: str, w: str, key: str, q0, tol: float, dps: int) -> Bracket:
+    """The root in q1 of node w's formula key at q0, which is the curve's
+    value where q0 lies in the formula's cell, searched from the curve's
+    chain enclosure at q0; _step_out checks the signs, so a start off the
+    root costs evaluations, never correctness."""
+    lo, hi = _chain(curve, float(q0))
+    return root_q1(_node_f(w, key), q0, tol, dps, start=(lo, 0.5 * (lo + hi), hi))
+
+
+def _formula_result(cell: _Cell, q0: float, tol: float, dps: int) -> CriticalResult:
+    val = _formula_root(cell.curve, cell.node, cell.key, q0, tol, dps)
+    if cell.ambiguity > 0:
+        # q0 could belong to an adjacent cell: widen by the local slope of
+        # the critical map times the membership uncertainty
+        h = 1e-6
+        slope = abs(_formula_root(cell.curve, cell.node, cell.key, q0 + h, tol, dps).mid - val.mid) / h + 1.0
+        pad = 8.0 * slope * cell.ambiguity
+        val = Bracket(val.lo - pad, val.hi + pad)
+    return CriticalResult(
+        value=val,
+        node=cell.node,
+        case=cell.case,
+        key=cell.key,
+        inequality_witness=(q0 - 1.0) * (val.mid - 1.0),
+    )
+
+
+def _exhausted_result(cell: _Cell, q0: float, tol: float, dps: int) -> CriticalResult:
     """Enclosure from the last spine bounds of the walk, intersected with
-    the product chain (lo, hi) of the curve, which keeps it finite on a
-    one-letter walk; the case is read off the spine bounds alone."""
+    the product chain of the curve, which keeps it finite on a one-letter
+    walk; the case is read off the spine bounds alone."""
     lo_val = 1.0
     hi_val = math.inf
-    if lo_bound is not None:
-        w, key, at = lo_bound
-        lo_val = root_q1(_node_f(w, key), at, tol, dps).lo
-    if hi_bound is not None:
-        w, key, at = hi_bound
-        hi_val = root_q1(_node_f(w, key), at, tol, dps).hi
+    if cell.lo_bound is not None:
+        w, key, at = cell.lo_bound
+        lo_val = _formula_root(cell.curve, w, key, at, tol, dps).lo
+    if cell.hi_bound is not None:
+        w, key, at = cell.hi_bound
+        hi_val = _formula_root(cell.curve, w, key, at, tol, dps).hi
     lo_val, hi_val = min(lo_val, hi_val), max(lo_val, hi_val)
     width = hi_val - lo_val
     case = Case.PRIMITIVE_LIMIT if width <= 1e4 * max(tol, _FLOAT_TOL_FLOOR) else Case.DEPTH_EXHAUSTED
-    val = Bracket(max(lo_val, chain[0]), min(hi_val, chain[1]))
+    lo, hi = _chain(cell.curve, _to_fraction(q0))
+    val = Bracket(max(lo_val, _outward(lo, False)), min(hi_val, _outward(hi, True)))
     return CriticalResult(val, "", case, None, (q0 - 1.0) * (val.mid - 1.0))
 
 
-def generalized_golden_ratio(q0: float, tol: float | None = None,
-                             max_depth: int | None = None,
-                             config: Config | None = None) -> CriticalResult:
-    """G(q0): the infimum of bases q1 for which some sequence other than
-    0^inf and 1^inf is a unique (q0, q1)-expansion."""
-    cfg = resolve(config)
-    tol = cfg.tol if tol is None else tol
-    max_depth = cfg.max_depth if max_depth is None else max_depth
-    if not 1 < q0 < math.inf:
-        raise ValueError("q0 must be finite and exceed 1")
-    dps = cfg.precision
+def _solve(cell: _Cell, q0: float, tol: float, dps: int) -> CriticalResult:
+    """The curve's bracket at q0 on the cell its descent found."""
+    if cell.key is None:
+        return _exhausted_result(cell, q0, tol, dps)
+    return _formula_result(cell, q0, tol, dps)
+
+
+def _g_cell(q0: float, cfg: Config, max_depth: int) -> _Cell:
+    """The cell of q0 in the G descent over {L,R}* nodes."""
     w = ""
     lo_bound = hi_bound = None  # lazy value bounds for exhaustion
     while len(w) < max_depth:
@@ -259,24 +298,13 @@ def generalized_golden_ratio(q0: float, tol: float | None = None,
             continue
         ambiguity = _ambiguity(q0, mu1, mu2)
         if q0 <= node_mu(w, "s0", "s1", cfg).mid:
-            return _formula_result(w, "s0", q0, Case.LEFT_FORMULA, tol, dps, ambiguity)
-        return _formula_result(w, "s1", q0, Case.RIGHT_FORMULA, tol, dps, ambiguity)
-    x = _to_fraction(q0)  # 1/(q0+1) <= (q0-1)(G-1) <= 1/2
-    chain = _chain(x, 1 / (x + 1), Fraction(1, 2))
-    return _exhausted_result(q0, lo_bound, hi_bound, chain, tol, dps)
+            return _Cell("G", w, "s0", Case.LEFT_FORMULA, ambiguity)
+        return _Cell("G", w, "s1", Case.RIGHT_FORMULA, ambiguity)
+    return _Cell("G", lo_bound=lo_bound, hi_bound=hi_bound)
 
 
-def komornik_loreti(q0: float, tol: float | None = None,
-                    max_depth: int | None = None,
-                    config: Config | None = None) -> CriticalResult:
-    """K(q0): the infimum of bases q1 with uncountably many unique
-    (q0, q1)-expansions; also the right end of the first entropy plateau."""
-    cfg = resolve(config)
-    tol = cfg.tol if tol is None else tol
-    max_depth = cfg.max_depth if max_depth is None else max_depth
-    if not 1 < q0 < math.inf:
-        raise ValueError("q0 must be finite and exceed 1")
-    dps = cfg.precision
+def _k_cell(q0: float, cfg: Config, max_depth: int) -> _Cell:
+    """The cell of q0 in the K descent over {L,M,R}* nodes."""
     w = ""
     lo_bound = hi_bound = None
     while len(w) < max_depth:
@@ -292,19 +320,42 @@ def komornik_loreti(q0: float, tol: float | None = None,
             continue
         muL2 = node_mu(w, "s010", "s10", cfg)
         if q0 <= muL2.hi + _slack(muL2):
-            return _formula_result(w, "s10", q0, Case.LEFT_FORMULA, tol, dps,
-                                   _ambiguity(q0, muL1, muL2))
+            return _Cell("K", w, "s10", Case.LEFT_FORMULA, _ambiguity(q0, muL1, muL2))
         muR1 = node_mu(w, "s01", "s101", cfg)
         if q0 >= muR1.lo - _slack(muR1):
-            return _formula_result(w, "s01", q0, Case.RIGHT_FORMULA, tol, dps,
-                                   _ambiguity(q0, muR1, muR2))
+            return _Cell("K", w, "s01", Case.RIGHT_FORMULA, _ambiguity(q0, muR1, muR2))
         # strictly between the formula intervals: the cell is below node wM
         hi_bound = (w, "s10", muL2.mid)
         lo_bound = (w, "s01", muR1.mid)
         w += "M"
-    x = _to_fraction(q0)  # 1/2 <= (q0-1)(K-1) < q0/(q0+1)
-    chain = _chain(x, Fraction(1, 2), x / (x + 1))
-    return _exhausted_result(q0, lo_bound, hi_bound, chain, tol, dps)
+    return _Cell("K", lo_bound=lo_bound, hi_bound=hi_bound)
+
+
+def _settings(q0: float, tol, max_depth, config) -> tuple[Config, float, int]:
+    """The config, tolerance and depth of a curve call, q0 checked."""
+    cfg = resolve(config)
+    if not 1 < q0 < math.inf:
+        raise ValueError("q0 must be finite and exceed 1")
+    return (cfg, cfg.tol if tol is None else tol,
+            cfg.max_depth if max_depth is None else max_depth)
+
+
+def generalized_golden_ratio(q0: float, tol: float | None = None,
+                             max_depth: int | None = None,
+                             config: Config | None = None) -> CriticalResult:
+    """G(q0): the infimum of bases q1 for which some sequence other than
+    0^inf and 1^inf is a unique (q0, q1)-expansion."""
+    cfg, tol, max_depth = _settings(q0, tol, max_depth, config)
+    return _solve(_g_cell(q0, cfg, max_depth), q0, tol, cfg.precision)
+
+
+def komornik_loreti(q0: float, tol: float | None = None,
+                    max_depth: int | None = None,
+                    config: Config | None = None) -> CriticalResult:
+    """K(q0): the infimum of bases q1 with uncountably many unique
+    (q0, q1)-expansions; also the right end of the first entropy plateau."""
+    cfg, tol, max_depth = _settings(q0, tol, max_depth, config)
+    return _solve(_k_cell(q0, cfg, max_depth), q0, tol, cfg.precision)
 
 
 def kl_fixed_point(tol: float = 1e-9, lo: float = 1.7, hi: float = 1.9,

@@ -201,33 +201,33 @@ def _certify(sign, lo: float, hi: float) -> tuple[float, float]:
 def _step_out(fn, floor, lo, p, hi, tol):
     """The ends (lo, hi) that bracket_root returns for the root of a
     strictly decreasing fn, searched from a guess p in an expected
-    bracket [lo, hi] (either end may be p), or None when the root lies
-    at or below floor.
+    bracket [lo, hi] (either end may be p; points below floor are raised
+    to it), or None when the root lies at or below floor.
 
     The sign at p picks the side of the root.  The far end on that side
-    is hi (or lo) first and then steps out from p, four times as far
-    each time, until its sign is right; toward the floor it keeps an
-    eighth of the last point's distance to floor, so a root just above
-    it is approached geometrically, not jumped over.  The Brent loop
-    starts from the two ends the search evaluated last, so no point is
-    evaluated twice.
+    is hi (or lo) first, taken as it is, and then steps
+    out from p, four times as far each time, until its sign is right;
+    a step toward the floor keeps an eighth of the last point's distance
+    to floor, so a root just above it is approached geometrically, not
+    jumped over.  The Brent loop starts from the two ends the search
+    evaluated last, so no point is evaluated twice.
     """
+    lo, p, hi = (max(y, floor) for y in (lo, p, hi))
     near, fnear = p, fn(p)
     up = fnear > 0  # the root lies above p
     sign = 1 if up else -1
-    far = hi if up else lo
-    step = max(sign * (far - p), tol)
-    if far == p:
-        far = p + sign * step
+    end = hi if up else lo
+    step = max(sign * (end - p), tol)
+    far = None if end == p else end
     for _ in range(200):
         if not up and near <= floor:
             return None
-        far = far if up else max(far, floor + (near - floor) / 8)
+        if far is None:
+            far = p + step if up else max(p - step, floor + (near - floor) / 8)
         ffar = fn(far)
         if (ffar > 0) != up:
             return _zeroin(fn, *((near, fnear, far, ffar) if up else (far, ffar, near, fnear)), tol)
-        near, fnear, step = far, ffar, 4 * step
-        far = p + sign * step
+        near, fnear, far, step = far, ffar, None, 4 * step
     raise ArithmeticError("no sign change found while expanding the bracket")
 
 
@@ -307,17 +307,19 @@ def _value_fn(u, tilde: bool):
 # ----------------------------------------------------------------------
 
 
-def root_q1(fn, q0, tol: float, dps: int) -> Bracket:
+def root_q1(fn, q0, tol: float, dps: int, start=None) -> Bracket:
     """The unique q1 > 1 with fn(q0, q1) = 0, fn strictly decreasing in
     q1, or [1, 1 + min(tol, 1e-12)] when the root lies that close to 1 or
-    below it.  The ends are certified by _sign, in floats where fn
-    carries an error bound that decides.  q0 may be an mpf: the float
-    stage then runs at float(q0), and the certification and any
-    multiprecision refinement in mp at q0 itself."""
+    below it.  The float search starts cold from the floor, or from a
+    guess start = (lo, p, hi) as _step_out takes it.  The ends are
+    certified by _sign, in floats where fn carries an error bound that
+    decides.  q0 may be an mpf: the float stage then runs at float(q0),
+    and the certification and any multiprecision refinement in mp at q0
+    itself."""
     qf = float(q0)
     floor, hi = _q1_search(qf, tol)
     br = solve_decreasing(lambda y: fn(qf, y), lambda y: _sign(fn, q0, y, dps), floor,
-                          (floor, floor, hi), tol, dps)
+                          start or (floor, floor, hi), tol, dps)
     return Bracket(1.0, floor) if br is None else br
 
 

@@ -1,8 +1,9 @@
+import math
 from itertools import product
 
 import pytest
 
-from doublebase import substitution
+from doublebase import critical, series, substitution
 from doublebase.classify import (
     Classification,
     Label,
@@ -11,7 +12,9 @@ from doublebase.classify import (
     classify_univoque,
     label_rank,
 )
-from doublebase.critical import generalized_golden_ratio
+from doublebase.config import DEFAULT
+from doublebase.critical import Case, generalized_golden_ratio, komornik_loreti
+from doublebase.expansions import regular
 from doublebase.oracle import block_counts
 from doublebase.spectral import build_automaton, entropy
 from doublebase.substitution import directive_compare, limit_word, parse_directive, s_map
@@ -126,6 +129,69 @@ def test_classify_univoque_just_below_the_g_window():
     q1 = g.lo - w + g.width / 4
     assert q1 < g.mid - w
     assert classify_univoque(1.75, q1).label is Label.TRIVIAL
+
+
+def _bracket_rule(q0, q1, tol=1e-9):
+    # the label from the public G and K brackets on formula cells: q1 at
+    # most G + window is Trivial, at most K + window CountableNontrivial,
+    # and above PositiveEntropy, window = max(tol, the bracket's width)
+    for curve, label in ((generalized_golden_ratio, Label.TRIVIAL),
+                         (komornik_loreti, Label.COUNTABLE_NONTRIVIAL)):
+        r = curve(q0)
+        assert r.case in (Case.LEFT_FORMULA, Case.RIGHT_FORMULA), (q0, r)
+        if q1 <= r.value.mid + max(tol, r.value.width):
+            return label
+    return Label.POSITIVE_ENTROPY
+
+
+def test_classify_univoque_matches_the_bracket_rule():
+    tol = 1e-9
+    q0s = [1.12 + 0.17 * i for i in range(12)]
+    pairs = [(q0, 1.05 + 0.2 * j) for q0 in q0s for j in range(12)]
+    for q0 in q0s:
+        g, k = generalized_golden_ratio(q0).value.mid, komornik_loreti(q0).value.mid
+        pairs += [(q0, q1) for q1 in (g - 2 * tol, g + 2 * tol, k - 2 * tol, k + 2 * tol)]
+    pairs = [(q0, q1) for q0, q1 in pairs if regular(q0, q1)]
+    assert len(pairs) > 100
+    for q0, q1 in pairs:
+        assert classify_univoque(q0, q1, tol).label is _bracket_rule(q0, q1, tol), (q0, q1)
+
+
+_FORMULA_PAIRS = [(1.6, 1.6), (1.7, 1.55), (1.7, 1.7), (1.7, 1.9), (1.78, 1.78), (1.9, 1.9),
+                  (1.9, 2.8 / 1.71), (1.35, 2.2), (2.3, 1.4), (1.2, 3.5)]
+
+
+def test_classify_univoque_on_formula_cells_solves_no_root(monkeypatch):
+    # on a formula cell that q0 lies in for sure, one certified sign of the
+    # node function at q1 - window places q1: with the crossings cached,
+    # no root is solved and no node_pi evaluation is made (the signs are
+    # proven by the bounded float evaluation)
+    labels = [classify_univoque(q0, q1).label for q0, q1 in _FORMULA_PAIRS]
+    assert labels == [_bracket_rule(q0, q1) for q0, q1 in _FORMULA_PAIRS]
+    for q0, _ in _FORMULA_PAIRS:
+        for cell in (critical._g_cell(q0, DEFAULT, DEFAULT.max_depth),
+                     critical._k_cell(q0, DEFAULT, DEFAULT.max_depth)):
+            assert cell.key is not None and cell.ambiguity == 0, (q0, cell)
+
+    def no_root(*args, **kwargs):
+        raise AssertionError("a root was solved")
+
+    node_pi, evaluations = series.node_pi, []
+
+    def counted(*args):
+        evaluations.append(args)
+        return node_pi(*args)
+
+    monkeypatch.setattr(critical, "root_q1", no_root)
+    monkeypatch.setattr(series, "node_pi", counted)
+    assert [classify_univoque(q0, q1).label for q0, q1 in _FORMULA_PAIRS] == labels
+    assert not evaluations
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf, -math.inf])
+def test_classify_univoque_rejects_bad_tol(tol):
+    with pytest.raises(ValueError):
+        classify_univoque(1.7, 1.7, tol=tol)
 
 
 def test_classifier_monotonicity(rng):

@@ -53,6 +53,15 @@ def test_golden_ratio_is_an_involution(q0):
 
 
 @PROPERTY
+@given(st.floats(1.3, 3.0))
+def test_komornik_loreti_is_an_involution(q0):
+    # K decreases too, so it maps the bracket [lo, hi] of K(q0) into
+    # [K(hi).lo, K(lo).hi], which must hold q0 = K(K(q0))
+    k = K(q0)
+    assert K(k.hi).lo <= q0 <= K(k.lo).hi
+
+
+@PROPERTY
 @given(_Q0_PAIRS)
 def test_curves_decrease(pair):
     q0, q0_right = pair

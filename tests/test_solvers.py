@@ -496,6 +496,23 @@ def test_step_out_approaches_the_floor_by_eighths():
     assert _step_out(lambda y: 0.5 - y, floor, 1.5, 2.0, 2.5, 1e-15) is None
 
 
+def test_step_out_takes_a_given_lower_end_as_it_is():
+    # a lower end nearer the floor than an eighth of p's distance to it is
+    # the first far point evaluated, not raised to floor + (p - floor)/8;
+    # an end below the floor is raised to the floor
+    floor, root = 1.0, 1.005
+    for lo, first in ((1.01, 1.01), (0.5, floor)):
+        points = []
+
+        def fn(y):
+            points.append(y)
+            return root - y
+
+        ends = _step_out(fn, floor, lo, 1.5, 2.0, 1e-15)
+        assert points[:2] == [1.5, first]
+        assert ends[0] <= root <= ends[1] and ends[1] - ends[0] <= 1e-15
+
+
 def test_crossing_search_toward_one():
     # g_u = 2 and g~_v(x) = 1 + 1e6 (x - 1) cross at x = 1 + 1e-6; the
     # search in x from 1.5 keeps an eighth of the distance to 1 at each
@@ -528,6 +545,15 @@ def test_root_q1_evaluates_each_float_point_once():
     br = root_q1(fn, 1.5, 1e-12, 30)
     assert br.lo <= 4 / 3 <= br.hi
     assert len(points) == len(set(points)) == 4
+
+
+def test_root_q1_from_a_start_off_the_root():
+    # a start beside the root, around it, on it or below the floor costs
+    # evaluations, never the bracket
+    fn = lambda x, y: 2 - x * y
+    for start in [(1.2, 1.3, 1.4), (2.0, 3.0, 4.0), (1.3, 1.35, 1.4), (4 / 3, 4 / 3, 4 / 3), (0.5, 0.7, 0.9)]:
+        br = root_q1(fn, 1.5, 1e-12, 30, start=start)
+        assert br.lo <= 4 / 3 <= br.hi and br.width <= 1e-12, start
 
 
 def test_root_q1_far_root_below_the_float_spacing():
