@@ -44,6 +44,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from threading import Lock
 from typing import Optional
 
 from .config import Config, resolve
@@ -98,6 +99,8 @@ def _node_f(w: str, key: str):
 
 
 _MU_CACHE: dict = {}
+MU_CACHE_SIZE = 4096  # crossings kept; a miss beyond it drops the oldest insertion
+_MU_LOCK = Lock()  # one writer at a time, so the oldest key is still there to drop
 
 
 def node_mu(w: str, ukey: str, vkey: str, config: Config | None = None) -> Bracket:
@@ -106,7 +109,8 @@ def node_mu(w: str, ukey: str, vkey: str, config: Config | None = None) -> Brack
     float stage of solve_decreasing brackets to half of it, 1e-13 at
     the default tolerance, and tolerances below 1e-13 are refined in mp.
 
-    The cache is shared across descents (crossings do not depend on q0);
+    The cache is shared across descents (crossings do not depend on q0)
+    and holds at most MU_CACHE_SIZE crossings, first in, first out;
     concurrent readers are safe, concurrent writers at worst recompute.
     """
     cfg = resolve(config)
@@ -115,7 +119,10 @@ def node_mu(w: str, ukey: str, vkey: str, config: Config | None = None) -> Brack
     hit = _MU_CACHE.get(key)
     if hit is None:
         hit = crossing(_node_f(w, ukey), _node_f(w, vkey), tol, cfg.precision)
-        _MU_CACHE[key] = hit
+        with _MU_LOCK:
+            if len(_MU_CACHE) >= MU_CACHE_SIZE:
+                del _MU_CACHE[next(iter(_MU_CACHE))]
+            _MU_CACHE[key] = hit
     return hit
 
 

@@ -21,12 +21,19 @@ s-map walks by desubstitution: at each level the input's preimage under
 the directive walked so far is located among the root words M(seed)
 (one routine, _locate, for corners and nodes), then decoded by the
 letter taken (decode).  Words stay exact at every depth, limit words
-decode symbolically, and other streams decode lazily.
+decode symbolically, and other streams decode lazily.  The branches one
+word takes form its walk (walk), which depends on that word alone: the
+s-map and the joint descent of two words both read walks, a Word's walk
+is computed once and kept in a bounded cache, and a stream's is read
+lazily up to where its reader stops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import count, islice
+from threading import Lock
 from typing import Iterator, Optional
 
 from .words import (
@@ -391,14 +398,83 @@ def _locate(u, cuts):
     return past
 
 
+_TAILS = {BR_STOP_L: REPEAT_L, BR_STOP_R: REPEAT_R}
+
+
+def _steps(u, side: str) -> Iterator[int]:
+    """The branch u takes at each node under the root node M, lazily:
+    u's preimage under the directive walked so far is located among the
+    root words, then desubstituted by the letter taken.  Ends after a
+    repeat-tail stop or a stream tie (None)."""
+    cuts = _NODE_CUTS[side]
+    while True:
+        b = _locate(u, cuts)
+        yield b
+        if b is None or b in _TAILS:
+            return
+        u = _preimage(u, "LMR"[b // 2])
+
+
+class _Record:
+    """A Word's walk, recorded as its branches are first read and replayed
+    from the record after that.  Extending takes a lock, so threads that
+    read one record never resume its walk at once."""
+
+    __slots__ = ("_u", "_side", "_steps", "_seen", "_lock")
+
+    def __init__(self, u: Word, side: str):
+        self._u, self._side, self._seen, self._lock = u, side, [], Lock()
+        self._steps = _steps(u, side)
+
+    def __iter__(self) -> Iterator[int]:
+        seen = self._seen
+        for i in count():
+            if i == len(seen):
+                with self._lock:
+                    if i == len(seen):
+                        self._extend()
+                if i == len(seen):  # the walk ended at its last branch
+                    return
+            yield seen[i]
+
+    def _extend(self):
+        try:
+            self._seen.extend(islice(self._steps, 1))
+        except BaseException:
+            # a generator that raised is closed: restart it past the record
+            self._steps = islice(_steps(self._u, self._side), len(self._seen), None)
+            raise
+
+
+WALK_CACHE_SIZE = 1024  # words whose walks are kept, least recently used dropped
+
+
+@lru_cache(maxsize=WALK_CACHE_SIZE)
+def _word_walk(u: Word, side: str) -> tuple:
+    """A word's corner cell and its recorded node walk: a word's walk
+    depends on it alone, so it is walked once, whatever it is paired
+    with."""
+    return _locate(u, _CORNER_CUTS[side]), _Record(u, side)
+
+
 def corner(u, side: str):
     """The root's corner cell holding u, a word starting with `side`:
     BR_STOP_L for s(u) = L^inf, BR_STOP_R for R^inf, BR_M for the tree
-    under the root node M, None on a stream tie."""
+    under the root node M, None on a stream tie.  A Word's corner is
+    cached with its walk."""
+    if isinstance(u, Word):
+        return _word_walk(u, side)[0]
     return _locate(u, _CORNER_CUTS[side])
 
 
-_TAILS = {BR_STOP_L: REPEAT_L, BR_STOP_R: REPEAT_R}
+def walk(u, side: str):
+    """The branches u, a word starting with `side`, takes at the nodes
+    under the root node M (see _steps).  A Word's walk is cached and
+    recorded; a stream's is lazy and uncached, so it reads no further
+    than its reader stops."""
+    if isinstance(u, Word):
+        return _word_walk(u, side)[1]
+    return _steps(u, side)
 
 
 @dataclass(frozen=True)
@@ -415,10 +491,9 @@ def s_map(u, max_depth: int = 48) -> SMapResult:
 
     For u starting 0 this is the sequence s with s(0^inf) <= u <= s(01^inf);
     for u starting 1, s(10^inf) <= u <= s(1^inf).  Past the root's corner
-    cells, each level locates u's preimage under the directive walked so
-    far among the root words and then desubstitutes it by the letter
-    taken.  Eventually periodic inputs terminate with a repeat tail
-    unless max_depth is hit; streams come back truncated when a
+    cells it reads u's walk (`walk`, cached for a Word) for at most
+    max_depth nodes.  Eventually periodic inputs terminate with a repeat
+    tail unless max_depth is hit; streams come back truncated when a
     comparison ties.
     """
     side = u.letter(0) if isinstance(u, Word) else u.prefix(1)
@@ -426,31 +501,30 @@ def s_map(u, max_depth: int = 48) -> SMapResult:
     if b in _TAILS:
         return SMapResult(Directive("", _TAILS[b]), False)
     if b == BR_M:
-        cuts = _NODE_CUTS[side]
-        for _ in range(max_depth):
-            b = _locate(u, cuts)
+        for _, b in zip(range(max_depth), walk(u, side)):
             if b in _TAILS:
                 return SMapResult(Directive(w + "M", _TAILS[b]), False)
             if b is None:
                 break
             w += "LMR"[b // 2]
-            u = _preimage(u, w[-1])
     return SMapResult(Directive(w, FINITE), True)
 
 
 def split_descent(a, b, max_depth: int):
     """Joint s-map descent of a 0-word a and a 1-word b.
 
-    Returns (order, w, ba, bb): order ">" when s(a) > s(b) certified at
-    node w with branch pair (ba, bb), "<" symmetrically, "=" when the
-    walk stayed joint (including repeat-tail stops, which keep their
-    branch pair) for max_depth levels or hit undecidable stream ties
-    (ba = bb = None, with len(w) the depth reached).
+    Reads the walks of a and b (`walk`) side by side: each depends on
+    one word only, so a Word's walk is computed once however many
+    partners it is paired with, and streams are read only up to the
+    first difference.  Returns (order, w, ba, bb): order ">" when
+    s(a) > s(b) certified at node w with branch pair (ba, bb), "<"
+    symmetrically, "=" when the walks stayed joint (including
+    repeat-tail stops, which keep their branch pair) for max_depth
+    levels or hit undecidable stream ties (ba = bb = None, with len(w)
+    the depth reached).
     """
-    cuts_a, cuts_b = _NODE_CUTS["0"], _NODE_CUTS["1"]
     w = ""
-    for _ in range(max_depth):
-        ba, bb = _locate(a, cuts_a), _locate(b, cuts_b)
+    for _, ba, bb in zip(range(max_depth), walk(a, "0"), walk(b, "1")):
         if ba is None or bb is None:
             return "=", w, None, None
         if ba > bb:
@@ -460,7 +534,6 @@ def split_descent(a, b, max_depth: int):
         if ba in _TAILS:
             return "=", w, ba, bb
         w += "LMR"[ba // 2]
-        a, b = _preimage(a, w[-1]), _preimage(b, w[-1])
     return "=", w, None, None
 
 

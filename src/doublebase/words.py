@@ -27,23 +27,10 @@ class WordError(ValueError):
     """Malformed word text or an operator applied outside its domain."""
 
 
-def _failure_function(s: str) -> list[int]:
-    fail = [0] * (len(s) + 1)
-    k = 0
-    for i in range(1, len(s)):
-        while k and s[i] != s[k]:
-            k = fail[k]
-        if s[i] == s[k]:
-            k += 1
-        fail[i + 1] = k
-    return fail
-
-
 def _minimal_period(s: str) -> str:
-    # smallest p with s = (s[:p])^(n/p); KMP border trick
-    n = len(s)
-    p = n - _failure_function(s)[n]
-    return s[:p] if n % p == 0 else s
+    # the least p > 0 at which s occurs in s + s is the least rotation
+    # fixing s, and it divides |s|: s = (s[:p])^(|s|/p)
+    return s[:(s + s).find(s, 1)]
 
 
 def _canonical(pre: str, per: str) -> tuple[str, str]:

@@ -83,6 +83,7 @@ def test_classify_omega_descends_through_a_sentinel_string(monkeypatch, a, b, la
         return preimage(u, letter)
 
     monkeypatch.setattr(substitution, "_preimage", spy)
+    substitution._word_walk.cache_clear()  # walk both words afresh
     a, b = parse_word(a), parse_word(b)
     assert classify_omega(a, b).label is label
     assert str in kinds

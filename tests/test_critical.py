@@ -378,3 +378,17 @@ def test_warm_descents_multiprecision_budget(monkeypatch):
         komornik_loreti(q0)
     assert evaluations[1] <= 200, evaluations
     assert sum(evaluations) <= 1_600, evaluations
+
+
+def test_mu_cache_drops_its_oldest_crossing_past_the_bound(monkeypatch):
+    cache = {}
+    monkeypatch.setattr(critical, "_MU_CACHE", cache)
+    monkeypatch.setattr(critical, "MU_CACHE_SIZE", 3)
+    nodes = ["", "L", "R", "RL", "LR"]
+    first = {w: node_mu(w, "s0", "s10") for w in nodes}
+    assert len(cache) <= critical.MU_CACHE_SIZE
+    # first in, first out: the two oldest crossings are gone
+    assert sorted(key[0] for key in cache) == sorted(nodes[2:])
+    again = node_mu("", "s0", "s10")
+    assert (again.lo, again.hi) == (first[""].lo, first[""].hi)
+    assert len(cache) <= critical.MU_CACHE_SIZE

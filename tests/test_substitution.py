@@ -1,9 +1,17 @@
 import itertools
+import sys
+import threading
 from itertools import islice
 
 import pytest
 
+from doublebase import classify, substitution
+from doublebase.classify import classify_omega, classify_sigma
+from doublebase.expansions import expansion_bounds
 from doublebase.substitution import (
+    BR_M,
+    BR_STOP_L,
+    BR_STOP_R,
     Directive,
     DirectiveError,
     REPEAT_L,
@@ -19,10 +27,12 @@ from doublebase.substitution import (
     node_boundaries,
     parse_directive,
     s_map,
+    split_descent,
+    walk,
 )
 from doublebase.words import Word, parse_word, sup0, inf1
 
-from conftest import naive_image, naive_expand, random_word
+from conftest import naive_image, naive_expand, random_word, word_corpus
 
 
 # ---------------------------------------------------------------- apply
@@ -296,3 +306,138 @@ def test_common_node_image():
     assert common_node_image(nbm.s01, nbm.s101)
     # 0^inf is not in any M image
     assert not common_node_image(Word("", "0"), Word("", "10"))
+
+
+# ---------------------------------------------------------------- walks
+#
+# The reference below is the joint descent as one loop over both words,
+# locating and desubstituting each word at every level, with no walk and
+# no cache: the cached walks must give what it gives.
+
+_STOPS = (BR_STOP_L, BR_STOP_R)
+
+
+def _corner(u, side):
+    return substitution._locate(u, substitution._CORNER_CUTS[side])
+
+
+def _joint_descent(a, b, max_depth):
+    cuts_a, cuts_b = substitution._NODE_CUTS["0"], substitution._NODE_CUTS["1"]
+    w = ""
+    for _ in range(max_depth):
+        ba, bb = substitution._locate(a, cuts_a), substitution._locate(b, cuts_b)
+        if ba is None or bb is None:
+            return "=", w, None, None
+        if ba != bb:
+            return (">" if ba > bb else "<"), w, ba, bb
+        if ba in _STOPS:
+            return "=", w, ba, bb
+        w += "LMR"[ba // 2]
+        a, b = substitution._preimage(a, w[-1]), substitution._preimage(b, w[-1])
+    return "=", w, None, None
+
+
+def _uncached_s_map(u, max_depth):
+    side = u.prefix(1)
+    b, w = _corner(u, side), ""
+    if b in _STOPS:
+        return Directive("", REPEAT_L if b == BR_STOP_L else REPEAT_R), False
+    if b == BR_M:
+        cuts = substitution._NODE_CUTS[side]
+        for _ in range(max_depth):
+            b = substitution._locate(u, cuts)
+            if b in _STOPS:
+                return Directive(w + "M", REPEAT_L if b == BR_STOP_L else REPEAT_R), False
+            if b is None:
+                break
+            w += "LMR"[b // 2]
+            u = substitution._preimage(u, w[-1])
+    return Directive(w), True
+
+
+def test_classifiers_on_cached_walks_match_the_uncached_joint_walk(monkeypatch):
+    substitution._word_walk.cache_clear()
+    a5, b5 = word_corpus("0", 5), word_corpus("1", 5)
+    pairs = list(itertools.product(a5, b5))
+    omega = [classify_omega(a, b) for a, b in pairs]
+    sigma = [classify_sigma(a, b) for a, b in pairs]
+    walked = set(a5) | set(b5)
+    walked |= {Word("0" + b.pre, b.per) for b in b5} | {Word("1" + a.pre, a.per) for a in a5}
+    info = substitution._word_walk.cache_info()
+    # each distinct word is walked once, whatever it is paired with
+    assert info.misses == len(walked)
+    assert info.currsize <= info.maxsize == substitution.WALK_CACHE_SIZE
+    monkeypatch.setattr(classify, "corner", _corner)
+    monkeypatch.setattr(classify, "split_descent", _joint_descent)
+    assert [classify_omega(a, b) for a, b in pairs] == omega
+    assert [classify_sigma(a, b) for a, b in pairs] == sigma
+
+
+@pytest.mark.parametrize("text", ["(M)", "(LR)", "(RL)", "(LMR)", "(RRL)", "L(MR)", "(LLM)"])
+def test_s_map_of_limit_words_matches_the_uncached_walk(text):
+    d = parse_directive(text)
+    for seed in "01":
+        for depth in (0, 1, 16):
+            u = limit_word(d, seed)
+            res = s_map(u, depth)
+            assert (res.directive, res.truncated) == _uncached_s_map(u, depth)
+
+
+def test_s_map_of_words_matches_the_uncached_walk():
+    for u in word_corpus("0", 6) + word_corpus("1", 6):
+        for depth in (1, 48):
+            res = s_map(u, depth)
+            assert (res.directive, res.truncated) == _uncached_s_map(u, depth), u
+
+
+@pytest.mark.parametrize("q0, q1", [(1.9, 1.5), (1.9, 1.7), (1.9, 1.8), (1.7, 1.7), (2.5, 1.4)])
+def test_split_descent_on_expansion_bounds_matches_the_joint_walk(q0, q1):
+    for depth in (1, 24):
+        assert split_descent(*expansion_bounds(q0, q1), depth) == _joint_descent(*expansion_bounds(q0, q1), depth)
+
+
+def test_a_walk_interrupted_mid_read_reads_in_full_afterwards(monkeypatch):
+    substitution._word_walk.cache_clear()
+    u = parse_word("(1000001)")
+    preimage, raised = substitution._preimage, []
+
+    def once(x, letter):
+        if len(raised) == 0 and isinstance(x, str):
+            raised.append(x)
+            raise KeyboardInterrupt
+        return preimage(x, letter)
+
+    monkeypatch.setattr(substitution, "_preimage", once)
+    with pytest.raises(KeyboardInterrupt):
+        list(walk(u, "1"))
+    assert raised
+    assert str(s_map(u).directive) == str(_uncached_s_map(u, 48)[0])
+    assert list(walk(u, "1"))[-1] in _STOPS
+
+
+def test_threads_reading_one_walk_see_it_whole():
+    # more threads than cores, switching often, over records they share
+    words = word_corpus("0", 6) + word_corpus("1", 6)
+    expected = [s_map(u) for u in words]
+    substitution._word_walk.cache_clear()
+    errors, results = [], {}
+
+    def read(k):
+        try:
+            results[k] = [s_map(u) for u in words]
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert all(results[k] == expected for k in range(6))

@@ -1,3 +1,4 @@
+import itertools
 from math import gcd
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from doublebase.words import (
     Word,
     WordError,
+    _minimal_period,
     parse_word,
     compare,
     reflect,
@@ -173,3 +175,16 @@ def test_compare_on_fine_wilf_extremal_pairs(x, y, order):
         assert hu[:-1] == hv[:-1] and hu[-1] != hv[-1], (u, v)
         assert compare(u, v) == order, (u, v)
         assert compare(v, u) == -order, (u, v)
+
+
+def _brute_minimal_period(s: str) -> str:
+    n = len(s)
+    return next(s[:p] for p in range(1, n + 1) if n % p == 0 and s[:p] * (n // p) == s)
+
+
+@pytest.mark.parametrize("alphabet, max_len", [("01", 12), ("LMR", 7)])
+def test_minimal_period_matches_brute_force(alphabet, max_len):
+    for n in range(1, max_len + 1):
+        for letters in itertools.product(alphabet, repeat=n):
+            s = "".join(letters)
+            assert _minimal_period(s) == _brute_minimal_period(s), s
