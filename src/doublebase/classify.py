@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Optional
 
 from .config import Config, resolve
@@ -131,9 +132,19 @@ def classify_omega(a, b, max_depth: int = 48) -> Classification:
     return Classification(Label.COUNTABLE_NONTRIVIAL)
 
 
+PREPEND_CACHE_SIZE = 1024  # words kept with a letter prepended, least recently used dropped
+
+
+@lru_cache(maxsize=PREPEND_CACHE_SIZE)
+def _prepend_word(letter: str, x: Word) -> Word:
+    return Word(letter + x.pre, x.per)
+
+
 def _prepend(letter: str, x):
+    """letter followed by x: a Word built once per word and letter (a
+    corpus of pairs meets each word many times), a stream uncached."""
     if isinstance(x, Word):
-        return Word(letter + x.pre, x.per)
+        return _prepend_word(letter, x)
     def factory():
         yield letter
         yield from x.letters()

@@ -10,8 +10,10 @@ alike; the float ends are certified (_certify) by one sign routine
 (_sign: a float value above its proven error bound, which the value
 functions of series.value_fn carry, proves a sign; otherwise a
 multiprecision evaluation at config.precision digits decides it, which
-is not a proof), and below 1e-13 the same Brent loop refines the
-bracket in multiprecision.
+is not a proof).  A root's end within float noise of the root is proven
+in floats one nudge outward, within tol, before any mp sign is taken;
+crossings sign their ends by side.  Below 1e-13 the same Brent loop
+refines the bracket in multiprecision.
 
 g(u, q0)   -- the unique q1 > 1 with f_u(q0, q1) = 0, or BELOW_ONE
 gt(v, q0)  -- the unique q1 > 1 with f~_v(q0, q1) = 0
@@ -158,43 +160,62 @@ def _zeroin(fn, a, fa, b, fb, tol):
     return (b, c) if fb > 0 else (c, b)
 
 
-def _sign(fn, x, y, dps: int):
+def _sign(fn, x, y, dps: int | None):
     """fn(x, y) or a float of the same sign: where fn carries a proven
     error bound (fn.bounded(x, y) -> (value, err), as the value
     functions of series.value_fn do) and x and y are floats, the float
     value when |value| > err, which proves its sign; otherwise, as for
     every function without a bound and every mpf point, fn on mpf
-    inputs at dps digits."""
+    inputs at dps digits, or, with dps None (floats only), 0.0, which
+    proves no sign."""
     bounded = getattr(fn, "bounded", None)
     if bounded is not None and isinstance(x, float) and isinstance(y, float):
         value, err = bounded(x, y)
         if abs(value) > err:
             return value
+    if dps is None:
+        return 0.0
     with mp.workdps(dps):
         return fn(mp.mpf(x), mp.mpf(y))
 
 
-def _certify(sign, lo: float, hi: float) -> tuple[float, float]:
+def _outward(x: float, up: bool, step: float, n: int):
+    """x and the n - 1 points after it stepping outward, above x (up) or
+    below it, by step, 2 step, 4 step, ... (never below (x + 1) / 2, the
+    functions being roots in a base > 1)."""
+    for _ in range(n):
+        yield x
+        x = x + step if up else max(x - step, 0.5 * (x + 1.0))
+        step *= 2
+
+
+def _certify(sign, lo: float, hi: float, proven=None, budget: float = 0.0) -> tuple[float, float]:
     """Verify sign(lo) > 0 > sign(hi), sign giving a certified sign at a
     float point (from _sign or side), nudging endpoints outward past any
-    float rounding haze near the root (never below 1, the functions being
-    roots in a base > 1)."""
-    step = max(hi - lo, 1e-15)
-    for _ in range(80):
-        if sign(lo) > 0:
-            break
-        lo = max(lo - step, 0.5 * (lo + 1.0))
-        step *= 2
-    else:
-        raise ArithmeticError("could not certify lower bracket endpoint")
-    step = max(hi - lo, 1e-15)
-    for _ in range(80):
-        if sign(hi) < 0:
-            break
-        hi += step
-        step *= 2
-    else:
-        raise ArithmeticError("could not certify upper bracket endpoint")
+    float rounding haze near the root: each end steps out by the
+    bracket's width, doubling, until its sign is certified.
+
+    proven, when given, is a sign that only proves (0 where it cannot,
+    as _sign with dps None): each end first tries it at the end and at
+    the end moved outward by half of what the bracket leaves unused of
+    the width budget (less one ulp, so the rounded ends stay within
+    it), and only when both stay open does it take sign and the
+    doubling steps from the end."""
+    def end(x: float, up: bool) -> float:
+        tries = []
+        if proven is not None:
+            pad = (budget - (hi - lo)) / 2 - math.ulp(hi)
+            tries.append((proven, _outward(x, up, pad, 2 if pad > 0 else 1)))
+        tries.append((sign, _outward(x, up, max(hi - lo, 1e-15), 80)))
+        for at, points in tries:
+            for y in points:
+                value = at(y)
+                if value < 0 if up else value > 0:
+                    return y
+        raise ArithmeticError(f"could not certify {'upper' if up else 'lower'} bracket endpoint")
+
+    lo = end(lo, False)
+    hi = end(hi, True)
     return lo, hi
 
 
@@ -232,25 +253,30 @@ def _step_out(fn, floor, lo, p, hi, tol):
 
 
 def solve_decreasing(fn, fn_mp, floor: float, start: tuple[float, float, float], tol: float,
-                     dps: int) -> Bracket | None:
+                     dps: int, proven=None) -> Bracket | None:
     """Bracket the root of a strictly decreasing function to tol, or None
     when it lies at or below floor: the one certified solve, behind
     root_q1, critical_base and crossing.
 
     fn is the float64 evaluation, fn_mp the certified one: at a float
     point a number of the certified sign of the function, at an mpf
-    point its value at dps digits.  The float search (_step_out, from
-    the guess start = (lo, p, hi)) brackets the root to half of
-    max(tol, 1e-13), so that one outward nudge of the certification,
-    needed when an end lands within float noise of the root, keeps the
-    bracket within tol.  _certify then checks the signs of the two ends
-    by fn_mp, nudging them outward while it cannot, and below 1e-13 the
-    same Brent loop refines the certified bracket on fn_mp at mpf points.
+    point its value at dps digits; proven, when given, a sign at float
+    points that only proves (0 where it cannot).  The float search
+    (_step_out, from the guess start = (lo, p, hi)) brackets the root to
+    half of the budget max(tol, 1e-13), and _certify spends the rest on
+    the ends: an end that lands within float noise of the root, where
+    proven cannot decide its sign, is proven one nudge outward instead,
+    by half the unused budget (at the default tol about 100 times the
+    noise).  Only an end that proven leaves open at both points is
+    signed by fn_mp and nudged outward, doubling, while that cannot
+    certify it.  Below 1e-13 the same Brent loop then refines the
+    certified bracket on fn_mp at mpf points.
     """
-    ends = _step_out(fn, floor, *start, max(tol, _FLOAT_TOL_FLOOR) / 2)
+    budget = max(tol, _FLOAT_TOL_FLOOR)
+    ends = _step_out(fn, floor, *start, budget / 2)
     if ends is None:
         return None
-    flo, fhi = _certify(fn_mp, *ends)
+    flo, fhi = _certify(fn_mp, *ends, proven, budget)
     if tol < _FLOAT_TOL_FLOOR:
         with mp.workdps(dps):
             flo, fhi = bracket_root(fn_mp, mp.mpf(flo), mp.mpf(fhi), tol)
@@ -312,14 +338,16 @@ def root_q1(fn, q0, tol: float, dps: int, start=None) -> Bracket:
     q1, or [1, 1 + min(tol, 1e-12)] when the root lies that close to 1 or
     below it.  The float search starts cold from the floor, or from a
     guess start = (lo, p, hi) as _step_out takes it.  The ends are
-    certified by _sign, in floats where fn carries an error bound that
-    decides.  q0 may be an mpf: the float stage then runs at float(q0),
-    and the certification and any multiprecision refinement in mp at q0
-    itself."""
+    certified by _sign: proven in floats where fn carries an error bound
+    that decides, at the end or one nudge outward within tol, and only
+    otherwise signed in mp.  q0 may be an mpf: the float stage then runs
+    at float(q0), and the certification and any multiprecision
+    refinement in mp at q0 itself."""
     qf = float(q0)
     floor, hi = _q1_search(qf, tol)
     br = solve_decreasing(lambda y: fn(qf, y), lambda y: _sign(fn, q0, y, dps), floor,
-                          start or (floor, floor, hi), tol, dps)
+                          start or (floor, floor, hi), tol, dps,
+                          proven=lambda y: _sign(fn, q0, y, None))
     return Bracket(1.0, floor) if br is None else br
 
 
@@ -356,7 +384,8 @@ def critical_base(u, tol: float | None = None, config: Config | None = None) -> 
     fu = _value_fn(u, False)
     floor = 1.0 + 1e-9
     br = solve_decreasing(lambda x: fu(x, 1.0), lambda x: _sign(fu, x, 1.0, cfg.precision), floor,
-                          (floor, floor, 4.0), tol, cfg.precision)
+                          (floor, floor, 4.0), tol, cfg.precision,
+                          proven=lambda x: _sign(fu, x, 1.0, None))
     return Bracket(1.0, floor) if br is None else br
 
 

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from doublebase import critical, series, substitution
+from doublebase import classify, critical, series, substitution
 from doublebase.classify import (
     Classification,
     Label,
@@ -65,6 +65,24 @@ def test_classify_sigma_limit_word_streams():
         assert classify_sigma(a, b).label is Label.EMPTY, text
         assert _sigma_blocks(a, b, 4) == 0, text
     assert _sigma_blocks(parse_word("0(1)"), parse_word("1(0)"), 3) == 0
+
+
+def test_classify_sigma_prepends_each_word_once():
+    # a corpus of pairs meets each word many times: its prepended Word is
+    # built once (a bounded LRU) and equals the one built afresh, while
+    # streams are prepended uncached
+    classify._prepend_word.cache_clear()
+    a_words, b_words = word_corpus("0", 3), word_corpus("1", 3)
+    for a in a_words:
+        for b in b_words:
+            fresh = classify_omega(Word("0" + b.pre, b.per), Word("1" + a.pre, a.per))
+            assert classify_sigma(a, b).label is classify._SIGMA_LABEL.get(fresh.label, fresh.label)
+    info = classify._prepend_word.cache_info()
+    assert info.misses == len(a_words) + len(b_words)
+    assert info.currsize <= classify.PREPEND_CACHE_SIZE
+    stream = classify._prepend("1", limit_word(parse_directive("(M)"), 0))
+    assert not isinstance(stream, Word) and stream.prefix(3) == "101"
+    assert classify._prepend_word.cache_info() == info
 
 
 @pytest.mark.parametrize("a, b, label", [

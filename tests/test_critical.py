@@ -3,7 +3,8 @@ import math
 import mpmath as mp
 import pytest
 
-from doublebase import critical, series
+from doublebase import classify, critical, series, solvers
+from doublebase.classify import classify_univoque
 from doublebase.config import DEFAULT, Config
 from doublebase.critical import (
     _SPINE_PAIR,
@@ -355,10 +356,11 @@ def test_cold_descent_multiprecision_budget(monkeypatch, q0, max_depth, budget):
 
 
 def test_warm_descents_multiprecision_budget(monkeypatch):
-    # warm G and K calls solve no crossing: their mp evaluations are the
-    # signs at formula bracket ends that the float bound leaves open
-    # (443 when every such sign was an mp evaluation); all their node
-    # evaluations, float and mp, are the formula roots, searched from the
+    # warm G and K calls solve no crossing, and every formula bracket end
+    # is proven in floats, at the end or one nudge outward: no mp
+    # evaluation (443 when every sign at an end was an mp evaluation,
+    # up to 200 when an end the float bound left open took one); all
+    # their node evaluations are the formula roots, searched from the
     # product chain's enclosure of the curve (2,069 when every root
     # started cold from [1 + 1e-12, q0/(q0-1) + 1])
     grid = [1.3 + 0.012 * i for i in range(100)]
@@ -376,8 +378,50 @@ def test_warm_descents_multiprecision_budget(monkeypatch):
     for q0 in grid:
         generalized_golden_ratio(q0)
         komornik_loreti(q0)
-    assert evaluations[1] <= 200, evaluations
+    assert evaluations[1] == 0, evaluations
     assert sum(evaluations) <= 1_600, evaluations
+
+
+def test_warm_formula_brackets_are_proven_in_floats(monkeypatch):
+    # a warm pass of G, K and classify_univoque queries, as the benchmark's
+    # warm_queries makes them (every fifth pair on the diagonal), takes no
+    # mp sign: each formula bracket end is proven by the float bound, at
+    # the end or one nudge outward within tol, and the bracket holds the
+    # root (signs checked at 40 digits)
+    grid = [1.3 + 0.012 * i for i in range(100)]
+    pairs = [(q0, q0 if i % 5 == 0 else grid[37 * i % 100]) for i, q0 in enumerate(grid)]
+
+    def warm_pass():
+        for q0, q1 in pairs:
+            generalized_golden_ratio(q0)
+            komornik_loreti(q0)
+            classify_univoque(q0, q1)
+
+    warm_pass()
+    signs, roots = [], []
+    sign, formula_root = solvers._sign, critical._formula_root
+
+    def counted_sign(fn, x, y, dps):
+        value = sign(fn, x, y, dps)
+        signs.append(isinstance(value, mp.mpf))
+        return value
+
+    def kept_root(curve, w, key, q0, tol, dps):
+        br = formula_root(curve, w, key, q0, tol, dps)
+        roots.append((w, key, q0, br))
+        return br
+
+    monkeypatch.setattr(solvers, "_sign", counted_sign)
+    monkeypatch.setattr(classify, "_sign", counted_sign)
+    monkeypatch.setattr(critical, "_formula_root", kept_root)
+    warm_pass()
+    assert signs and not any(signs), sum(signs)
+    assert len(roots) >= 2 * len(grid)
+    with mp.workdps(40):
+        for w, key, q0, br in roots:
+            fn = critical._node_f(w, key)
+            assert br.width <= DEFAULT.tol, (w, key, q0, br)
+            assert fn(mp.mpf(q0), mp.mpf(br.lo)) > 0 > fn(mp.mpf(q0), mp.mpf(br.hi)), (w, key, q0, br)
 
 
 def test_mu_cache_drops_its_oldest_crossing_past_the_bound(monkeypatch):

@@ -566,3 +566,51 @@ def test_root_q1_far_root_below_the_float_spacing():
     with mp.workdps(40):
         q = mp.mpf(q0)
         assert br.lo <= 1 / (q ** k * (q - 1)) <= br.hi
+
+
+def _signs_taken(monkeypatch):
+    """Record (dps, value) of every solvers._sign call."""
+    taken = []
+    sign = solvers._sign
+
+    def counted(fn, x, y, dps):
+        value = sign(fn, x, y, dps)
+        taken.append((dps, value))
+        return value
+
+    monkeypatch.setattr(solvers, "_sign", counted)
+    return taken
+
+
+def test_root_q1_ends_fall_back_to_mp_when_no_bound_decides(monkeypatch):
+    # a bound that never decides leaves both float tries of each end open
+    # (at the end and one nudge outward): the ends are signed in mp and
+    # the bracket still certifies within tol
+    def fn(x, y):
+        return 2 - x * y
+
+    fn.bounded = lambda x, y: (fn(x, y), math.inf)
+    taken = _signs_taken(monkeypatch)
+    br = root_q1(fn, 1.5, 1e-12, 30)
+    assert br.lo <= 4 / 3 <= br.hi and br.width <= 1e-12
+    assert all(value == 0.0 for dps, value in taken if dps is None)
+    assert sum(dps is None for dps, _ in taken) >= 2
+    assert sum(isinstance(value, mp.mpf) for _, value in taken) >= 2
+    with mp.workdps(40):
+        assert fn(mp.mpf(1.5), mp.mpf(br.lo)) > 0 > fn(mp.mpf(1.5), mp.mpf(br.hi))
+
+
+def test_root_q1_at_an_mpf_point_certifies_in_mp(monkeypatch):
+    # floats prove no sign at an mpf q0, even where the value function
+    # carries a bound: G's left formula on the root node, root
+    # 1/(q0 - 1), is certified in mp at q0 itself within tol
+    taken = _signs_taken(monkeypatch)
+    with mp.workdps(30):
+        q0 = mp.mpf(1.55) + mp.mpf(2) ** -80
+    assert float(q0) != q0
+    br = root_q1(_node_f("", "s0"), q0, 1e-12, 30)
+    assert br.width <= 1e-12
+    assert all(value == 0.0 for dps, value in taken if dps is None)
+    assert sum(isinstance(value, mp.mpf) for _, value in taken) >= 2
+    with mp.workdps(40):
+        assert br.lo <= 1 / (q0 - 1) <= br.hi
