@@ -104,10 +104,8 @@ _MU_LOCK = Lock()  # one writer at a time, so the oldest key is still there to d
 
 
 def node_mu(w: str, ukey: str, vkey: str, config: Config | None = None) -> Bracket:
-    """Cached crossing value of a node pair; keyed on the directive head,
-    the precision and the solving tolerance, min(cfg.tol, 2e-13): the
-    float stage of solve_decreasing brackets to half of it, 1e-13 at
-    the default tolerance, and tolerances below 1e-13 are refined in mp.
+    """Cached crossing value of a node pair, within min(cfg.tol, 2e-13);
+    keyed on the directive head, the precision and that tolerance.
 
     The cache is shared across descents (crossings do not depend on q0)
     and holds at most MU_CACHE_SIZE crossings, first in, first out;

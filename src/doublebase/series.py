@@ -193,11 +193,14 @@ def node_pi(w, q0, q1, seed=None):
     w is the directive head or letter_runs(w + "M"), which a caller
     evaluating one node many times computes once (runs () give pi of the
     seed itself).  With a seed, a NODE_SEEDS key or a word, the value of
-    sigma(seed) alone; without one, the dict of all six.
+    sigma(seed) alone; with a tuple of words, the tuple of their values
+    from the one composition; without one, the dict of all six.
     """
     pair = _compose(AffinePair.identity(q0, q1), w + "M" if isinstance(w, str) else w)
     if seed is None:
         return {k: pair.of_word(u) for k, u in NODE_SEEDS.items()}
+    if isinstance(seed, tuple):
+        return tuple(pair.of_word(u) for u in seed)
     return pair.of_word(NODE_SEEDS[seed] if isinstance(seed, str) else seed)
 
 
@@ -211,7 +214,22 @@ def value_fn(runs, seed: Word, tilde: bool):
     def fn(q0, q1):
         return from_pi(node_pi(runs, q0, q1, seed), q0, q1)
     fn.bounded = lambda q0, q1: node_f_bound(runs, roundings, seed, tilde, q0, q1)
+    fn.parts = (runs, seed, from_pi)
     return fn
+
+
+def value_pair(fu, fv):
+    """(q0, q1) -> (fu(q0, q1), fv(q0, q1)), from one node_pi composition
+    where both are value functions (value_fn) of the same runs."""
+    parts = getattr(fu, "parts", None), getattr(fv, "parts", None)
+    if None in parts or parts[0][0] != parts[1][0]:
+        return lambda q0, q1: (fu(q0, q1), fv(q0, q1))
+    (runs, su, from_u), (_, sv, from_v) = parts
+
+    def both(q0, q1):
+        pu, pv = node_pi(runs, q0, q1, (su, sv))
+        return from_u(pu, q0, q1), from_v(pv, q0, q1)
+    return both
 
 
 def f_from_pi(p, q0, q1):

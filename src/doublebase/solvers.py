@@ -2,35 +2,29 @@
 
 All roots are reported as closed brackets, never bare points.  Each
 function solved here is continuous and strictly monotone on a
-half-line (proven properties of the value maps), and every root, in q1
-or in x, is found by one certified solve (solve_decreasing): one start
-search (_step_out) hands the two ends it evaluated to one Brent loop
-(bracket_root, Brent's zeroin), which runs on floats and on mpf values
-alike; the float ends are certified (_certify) by one sign routine
-(_sign: a float value above its proven error bound, which the value
-functions of series.value_fn carry, proves a sign; otherwise a
-multiprecision evaluation at config.precision digits decides it, which
-is not a proof).  A root's end within float noise of the root is proven
-in floats one nudge outward, within tol, before any mp sign is taken;
-crossings sign their ends by side.  Below 1e-13 the same Brent loop
-refines the bracket in multiprecision.
+half-line (proven properties of the value maps).  Every root in q1, and
+the critical base, is found by one certified solve (solve_decreasing):
+one start search (_step_out) hands the two ends it evaluated to one
+Brent loop (bracket_root), which runs on floats and mpf values alike.
+Every sign is certified by one routine (_sign: a float value above its
+proven error bound, which the value functions of series.value_fn carry,
+proves its sign; else a multiprecision evaluation at config.precision
+digits decides, which is not a proof).  A crossing of two roots is one
+Newton solve in two variables (crossing), its ends proven by the signs
+of both functions at one corner point each (_corner).
 
 g(u, q0)   -- the unique q1 > 1 with f_u(q0, q1) = 0, or BELOW_ONE
 gt(v, q0)  -- the unique q1 > 1 with f~_v(q0, q1) = 0
 mu(u, v)   -- the unique crossing g_u(x) = g~_v(x), with
               g_u > g~_v left of the crossing and < right of it
-side(...)  -- the side of a float x relative to such a crossing, by
-              certified signs: +1 left, -1 right, 0 too close
 
-All of them, and the node formulas and crossings of the critical-value
-descent, go through one q1-root routine (root_q1) and one crossing
-solver (crossing) on value functions of (q0, q1); critical_base and the
-Moran exponent of spectral use the same search.
+The node formulas and crossings of the critical-value descent use the
+same root_q1 and crossing; the Moran exponent of spectral uses the same
+start search.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import sys
 from dataclasses import dataclass
@@ -38,12 +32,11 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .config import Config, resolve
-from .series import pi_limit, f_from_pi, f_tilde_from_pi, value_fn
+from .series import pi_limit, f_from_pi, f_tilde_from_pi, value_fn, value_pair
 from .substitution import Directive, is_primitive, common_node_image
 from .words import Word, sup0, inf1
 
 _FLOAT_TOL_FLOOR = 1e-13
-_FLOAT_Q1_TOL = 1e-15  # crossing's float roots in q1, at about the float spacing
 
 
 class PreconditionError(ValueError):
@@ -89,24 +82,21 @@ BELOW_ONE = _BelowOne()
 
 def bracket_root(fn, lo, hi, tol):
     """Brent's zeroin (Brent 1973, ch. 4, after Dekker 1969) on a
-    continuous fn with fn(lo) > 0 >= fn(hi): returns evaluated points
-    (lo, hi) with the same signs and hi - lo <= tol, or adjacent
-    representable points when tol is below their spacing.
+    continuous fn with fn(lo) > 0 >= fn(hi): evaluated points (lo, hi)
+    with the same signs and hi - lo <= tol, or adjacent representable
+    points when tol is below their spacing.  Floats and mpf values (at
+    the caller's working precision) run the same code.  Each step is an
+    inverse quadratic or secant step when it lands well inside the
+    bracket and shrinks it fast enough, else a bisection; steps shorter
+    than t = eps*|b| + tol/2 are lengthened to t, and a bracket within
+    2t of closing is bisected, so the loop ends even below one ulp.
 
-    Floats and mpf values (at the caller's working precision) run the
-    same code.  Each step takes an inverse quadratic or secant step when
-    it lands well inside the bracket and shrinks it fast enough, else
-    bisects; steps shorter than t = eps*|b| + tol/2 are lengthened to t,
-    and a bracket within 2t of closing is bisected, so the loop ends
-    even when tol is below one ulp of the root.
-
-    Rounding can make fn exactly 0 on a haze of points around the root.
-    An exact zero at b is a valid hi, but the other end c may still be
-    far off, and interpolation from a zero only gives steps of t back
-    into the haze.  So after a zero the steps from b toward c grow as
-    t, 4t, 16t, ..., alternating with bisections of [b, c]: a haze of a
-    few ulps is left in a few evaluations, and a wide one costs at most
-    about twice as many as bisection.
+    Rounding can make fn exactly 0 on a haze of points around the root:
+    a zero at b is a valid hi, but the other end c may be far off, and
+    interpolation from a zero only steps by t back into the haze.  So
+    after a zero the steps from b toward c grow as t, 4t, 16t, ...,
+    alternating with bisections of [b, c]: a haze of a few ulps is left
+    in a few evaluations, a wide one in about twice bisection's count.
     """
     return _zeroin(fn, lo, fn(lo), hi, fn(hi), tol)
 
@@ -161,13 +151,11 @@ def _zeroin(fn, a, fa, b, fb, tol):
 
 
 def _sign(fn, x, y, dps: int | None):
-    """fn(x, y) or a float of the same sign: where fn carries a proven
-    error bound (fn.bounded(x, y) -> (value, err), as the value
-    functions of series.value_fn do) and x and y are floats, the float
-    value when |value| > err, which proves its sign; otherwise, as for
-    every function without a bound and every mpf point, fn on mpf
-    inputs at dps digits, or, with dps None (floats only), 0.0, which
-    proves no sign."""
+    """fn(x, y) or a float of the same sign: at float points the float
+    value when it exceeds fn's proven error bound (fn.bounded(x, y) ->
+    (value, err), as series.value_fn gives), which proves its sign;
+    otherwise fn on mpf inputs at dps digits, or, with dps None (floats
+    only), 0.0, which proves no sign."""
     bounded = getattr(fn, "bounded", None)
     if bounded is not None and isinstance(x, float) and isinstance(y, float):
         value, err = bounded(x, y)
@@ -190,17 +178,14 @@ def _outward(x: float, up: bool, step: float, n: int):
 
 
 def _certify(sign, lo: float, hi: float, proven=None, budget: float = 0.0) -> tuple[float, float]:
-    """Verify sign(lo) > 0 > sign(hi), sign giving a certified sign at a
-    float point (from _sign or side), nudging endpoints outward past any
-    float rounding haze near the root: each end steps out by the
-    bracket's width, doubling, until its sign is certified.
+    """Verify sign(lo) > 0 > sign(hi), sign a certified sign at a float
+    point, each end stepping outward past the rounding haze near the
+    root by the bracket's width, doubling, until its sign is certified.
 
     proven, when given, is a sign that only proves (0 where it cannot,
-    as _sign with dps None): each end first tries it at the end and at
-    the end moved outward by half of what the bracket leaves unused of
-    the width budget (less one ulp, so the rounded ends stay within
-    it), and only when both stay open does it take sign and the
-    doubling steps from the end."""
+    as _sign with dps None), tried first at the end and at the end moved
+    outward by half the width budget the bracket leaves unused (less
+    one ulp, so the rounded ends stay within it)."""
     def end(x: float, up: bool) -> float:
         tries = []
         if proven is not None:
@@ -215,8 +200,7 @@ def _certify(sign, lo: float, hi: float, proven=None, budget: float = 0.0) -> tu
         raise ArithmeticError(f"could not certify {'upper' if up else 'lower'} bracket endpoint")
 
     lo = end(lo, False)
-    hi = end(hi, True)
-    return lo, hi
+    return lo, end(hi, True)
 
 
 def _step_out(fn, floor, lo, p, hi, tol):
@@ -226,12 +210,12 @@ def _step_out(fn, floor, lo, p, hi, tol):
     to it), or None when the root lies at or below floor.
 
     The sign at p picks the side of the root.  The far end on that side
-    is hi (or lo) first, taken as it is, and then steps
-    out from p, four times as far each time, until its sign is right;
-    a step toward the floor keeps an eighth of the last point's distance
-    to floor, so a root just above it is approached geometrically, not
-    jumped over.  The Brent loop starts from the two ends the search
-    evaluated last, so no point is evaluated twice.
+    is hi (or lo) first, taken as it is, then steps out from p, four
+    times as far each time, until its sign is right; a step toward the
+    floor keeps an eighth of the last point's distance to it, so a root
+    just above it is approached geometrically, not jumped over.  Brent's
+    loop starts from the two ends evaluated last, so no point is
+    evaluated twice.
     """
     lo, p, hi = (max(y, floor) for y in (lo, p, hi))
     near, fnear = p, fn(p)
@@ -252,53 +236,30 @@ def _step_out(fn, floor, lo, p, hi, tol):
     raise ArithmeticError("no sign change found while expanding the bracket")
 
 
-def solve_decreasing(fn, fn_mp, floor: float, start: tuple[float, float, float], tol: float,
-                     dps: int, proven=None) -> Bracket | None:
-    """Bracket the root of a strictly decreasing function to tol, or None
-    when it lies at or below floor: the one certified solve, behind
-    root_q1, critical_base and crossing.
+def solve_decreasing(fn, sign, floor: float, start: tuple[float, float, float], tol: float, dps: int) -> Bracket:
+    """Bracket the root of a strictly decreasing function to tol, or
+    [1, floor] when it lies at or below floor: the one certified solve,
+    behind root_q1 and critical_base.
 
-    fn is the float64 evaluation, fn_mp the certified one: at a float
-    point a number of the certified sign of the function, at an mpf
-    point its value at dps digits; proven, when given, a sign at float
-    points that only proves (0 where it cannot).  The float search
-    (_step_out, from the guess start = (lo, p, hi)) brackets the root to
-    half of the budget max(tol, 1e-13), and _certify spends the rest on
-    the ends: an end that lands within float noise of the root, where
-    proven cannot decide its sign, is proven one nudge outward instead,
-    by half the unused budget (at the default tol about 100 times the
-    noise).  Only an end that proven leaves open at both points is
-    signed by fn_mp and nudged outward, doubling, while that cannot
-    certify it.  Below 1e-13 the same Brent loop then refines the
-    certified bracket on fn_mp at mpf points.
+    fn is the float evaluation, sign(y, dps) the certified sign (_sign).
+    The float search (_step_out, from the guess start = (lo, p, hi))
+    brackets the root to half of the budget max(tol, 1e-13); _certify
+    proves each end in floats, at the end or one nudge outward by half
+    the unused budget (at the default tol about 100 times the float
+    noise), and only then signs it at dps digits, nudging outward while
+    that cannot certify it.  Below 1e-13 the same Brent loop refines the
+    certified bracket at mpf points.
     """
     budget = max(tol, _FLOAT_TOL_FLOOR)
     ends = _step_out(fn, floor, *start, budget / 2)
     if ends is None:
-        return None
-    flo, fhi = _certify(fn_mp, *ends, proven, budget)
+        return Bracket(1.0, floor)
+    certified = lambda y: sign(y, dps)
+    lo, hi = _certify(certified, *ends, lambda y: sign(y, None), budget)
     if tol < _FLOAT_TOL_FLOOR:
         with mp.workdps(dps):
-            flo, fhi = bracket_root(fn_mp, mp.mpf(flo), mp.mpf(fhi), tol)
-    return Bracket(flo, fhi)
-
-
-def _q1_search(x: float, tol: float) -> tuple[float, float]:
-    """The floor 1 + min(tol, 1e-12) of a root in q1 at x, at or below
-    which the root counts as 1, and x/(x-1) + 1, the first upper end of
-    a cold search from the floor (above the root for every value
-    function met here)."""
-    return 1.0 + min(tol, 1e-12), x / (x - 1) + 1.0
-
-
-def _float_q1(fn, x: float, tol: float, near=None) -> float:
-    """The root in q1 of fn(x, .) to tol in floats, 1.0 when it is at or
-    below 1 (past the critical base of an f function).  It starts cold
-    as _q1_search sets it up, or from a guess near = (lo, p, hi) as
-    _step_out does."""
-    floor, hi = _q1_search(x, tol)
-    ends = _step_out(lambda y: fn(x, y), floor, *(near or (floor, floor, hi)), tol)
-    return 1.0 if ends is None else 0.5 * (ends[0] + ends[1])
+            lo, hi = bracket_root(certified, mp.mpf(lo), mp.mpf(hi), tol)
+    return Bracket(lo, hi)
 
 
 # ----------------------------------------------------------------------
@@ -336,19 +297,14 @@ def _value_fn(u, tilde: bool):
 def root_q1(fn, q0, tol: float, dps: int, start=None) -> Bracket:
     """The unique q1 > 1 with fn(q0, q1) = 0, fn strictly decreasing in
     q1, or [1, 1 + min(tol, 1e-12)] when the root lies that close to 1 or
-    below it.  The float search starts cold from the floor, or from a
-    guess start = (lo, p, hi) as _step_out takes it.  The ends are
-    certified by _sign: proven in floats where fn carries an error bound
-    that decides, at the end or one nudge outward within tol, and only
-    otherwise signed in mp.  q0 may be an mpf: the float stage then runs
-    at float(q0), and the certification and any multiprecision
-    refinement in mp at q0 itself."""
+    below it, by solve_decreasing from a guess start = (lo, p, hi), or
+    cold from that floor with q0/(q0 - 1) + 1 (above the root of every
+    value function met here) as the first upper end.  q0 may be an mpf:
+    the float search then runs at float(q0), the signs at q0 itself."""
     qf = float(q0)
-    floor, hi = _q1_search(qf, tol)
-    br = solve_decreasing(lambda y: fn(qf, y), lambda y: _sign(fn, q0, y, dps), floor,
-                          start or (floor, floor, hi), tol, dps,
-                          proven=lambda y: _sign(fn, q0, y, None))
-    return Bracket(1.0, floor) if br is None else br
+    floor = 1.0 + min(tol, 1e-12)
+    return solve_decreasing(lambda y: fn(qf, y), lambda y, dps: _sign(fn, q0, y, dps), floor,
+                            start or (floor, floor, qf / (qf - 1) + 1.0), tol, dps)
 
 
 def g(u, q0: float, tol: float | None = None, config: Config | None = None):
@@ -383,10 +339,8 @@ def critical_base(u, tol: float | None = None, config: Config | None = None) -> 
     tol = cfg.tol if tol is None else tol
     fu = _value_fn(u, False)
     floor = 1.0 + 1e-9
-    br = solve_decreasing(lambda x: fu(x, 1.0), lambda x: _sign(fu, x, 1.0, cfg.precision), floor,
-                          (floor, floor, 4.0), tol, cfg.precision,
-                          proven=lambda x: _sign(fu, x, 1.0, None))
-    return Bracket(1.0, floor) if br is None else br
+    return solve_decreasing(lambda x: fu(x, 1.0), lambda x, dps: _sign(fu, x, 1.0, dps), floor,
+                            (floor, floor, 4.0), tol, cfg.precision)
 
 
 def _validate_mu_pair(u, v):
@@ -410,77 +364,106 @@ def _validate_mu_pair(u, v):
         )
 
 
-def side(fu, fv, x: float, dps: int) -> int:
-    """The side of a float x relative to the crossing of g_u (the root
-    in q1 of fu(x, .)) and g~_v (of fv(x, .)), from signs certified by
-    _sign (proven in floats where the error bound decides, else at dps
-    digits): +1 left of it (g_u(x) > g~_v(x)), -1 right of it, 0 when
-    too close to call.
+def _corner(fu, fv, x, y, dps: int | None) -> int:
+    """The side of x relative to the crossing of g_u and g~_v (the roots
+    in q1 of fu(x, .) and fv(x, .)) by the signs _sign certifies at the
+    one point (x, max(y, 1)) (dps None: floats only): +1 left of it
+    (g_u > g~_v), -1 right of it, 0 too close to call.  Both functions
+    decrease in q1, so fu > 0 > fv means g_u > y > g~_v and fu < 0 < fv
+    the reverse (the monotone case of Poincare-Miranda, Miranda 1940);
+    fu(x, 1) < 0, a third sign taken only when those do not decide,
+    means g_u = 1 < g~_v, past the critical base of fu."""
+    y = max(y, 1.0)
+    at_u = _sign(fu, x, y, dps)
+    if at_u == 0:
+        return 0
+    at_v = _sign(fv, x, y, dps)
+    if at_u > 0:
+        return 1 if at_v < 0 else 0
+    return -1 if at_v > 0 or _sign(fu, x, 1.0, dps) < 0 else 0
 
-    Both functions are strictly decreasing in q1, so at any y >= 1
-    between the two roots the signs of fu(x, y) and fv(x, y) order
-    them: fu > 0 > fv means g_u > y > g~_v, and fu < 0 < fv means
-    g_u < y < g~_v.  y is the midpoint of the two float roots
-    (_float_q1: g_u cold, g~_v from a guess at g_u, near which it lies
-    at a crossing end).  Past the critical base of fu, where
-    fu(x, 1) <= 0, g_u is taken as 1 and x is right of the crossing;
-    that third sign is needed only when the two at y do not decide.
+
+def _newton(both):
+    """Damped Newton (Kantorovich 1948) on both(x, y) = (0, 0) in x and
+    p = (x - 1)(y - 1) from (1.5, 0.45) (the product chain holds p in
+    [1/(x+1), x/(x+1)) on both curves): the end point (x, p) and the
+    forward-difference Jacobian (fu_x, fu_p, fv_x, fv_p) there.  Steps
+    are cut to keep an eighth of x - 1 and of p at least, as _step_out
+    steps toward a floor; after a step below 1e-10 of both, one more
+    with the same Jacobian ends.  Where the curves run parallel x steps
+    out, y kept: to an eighth of x - 1 where the linear model puts g_u
+    below g~_v, else to four times it.  x - 1 below 1e-15 raises
+    PreconditionError, and no end after 60 steps ArithmeticError.
     """
-    yu = _float_q1(fu, x, _FLOAT_Q1_TOL)
-    y = 0.5 * (yu + _float_q1(fv, x, _FLOAT_Q1_TOL, near=(yu, yu, yu)))
-    at_u, at_v = _sign(fu, x, y, dps), _sign(fv, x, y, dps)
-    if at_u > 0 > at_v:
-        return 1
-    if at_u < 0 < at_v or (at_v <= 0 and _sign(fu, x, 1.0, dps) <= 0):
-        return -1
-    return 0
+    x, p, close = 1.5, 0.45, False
+    for _ in range(60):
+        if x - 1 < 1e-15:
+            raise PreconditionError("no crossing found above 1")
+        a, b = both(x, 1 + p / (x - 1))
+        if not close:
+            hx, hp = 2.0 ** -26 * (x - 1), 2.0 ** -26 * p  # relative steps of the forward differences
+            ax, bx = both(x + hx, 1 + p / (x + hx - 1))
+            ap, bp = both(x, 1 + (p + hp) / (x - 1))
+            jac = ux, up, vx, vp = (ax - a) / hx, (ap - a) / hp, (bx - b) / hx, (bp - b) / hp
+            det = ux * vp - up * vx
+            if not abs(det) > 1e-9 * (abs(ux * vp) + abs(up * vx)):
+                scale = 4.0 if a * vp < b * up else 0.125  # g_u above g~_v: the crossing is above x
+                x, p = 1 + scale * (x - 1), scale * p
+                continue
+        dx, dp = (b * up - a * vp) / det, (a * vx - b * ux) / det
+        if close:
+            return x + dx, p + dp, jac
+        t = min(1.0, -0.875 * (x - 1) / dx if dx < 0 else 1.0, -0.875 * p / dp if dp < 0 else 1.0)
+        x, p = x + t * dx, p + t * dp
+        close = abs(t * dx) < 1e-10 * x and abs(t * dp) < 1e-10 * p
+    raise ArithmeticError("Newton's steps found no crossing")
 
 
 def crossing(fu, fv, tol: float, dps: int) -> Bracket:
     """The unique x > 1 where the roots in q1 of fu(x, .) and fv(x, .)
-    cross, fu being an f and fv an f~ function of (q0, q1): the root of
-    the discriminant -f~_v(x, g_u(x)), which has the sign of
-    g_u(x) - g~_v(x), by solve_decreasing from x = 1.5 (first ends 1.0625
-    and 2, floor 1 + 1e-15; no crossing above it raises
-    PreconditionError).
-
-    In floats g_u(x) is a root at about the float spacing, started
-    between the roots already solved at the nearest x on both sides
-    (g_u decreases in x), and 1 past the critical base of fu, which keeps
-    the discriminant continuous and negative there.  A float end is
-    certified by side, which solves g_u cold: within the haze of exact
-    zeros a float root depends on its start bracket.  At an mpf point
-    the discriminant takes g_u(x) from root_q1 in mp and its sign from
-    _sign.
+    cross, fu an f and fv an f~ function of (q0, q1): g_u > g~_v left of
+    it and < right of it.  One Newton solve (_newton, both functions
+    from one evaluation by series.value_pair) gives a point (x, p); each
+    end is the first x -/+ d that _corner proves, p on the line of the
+    curves' mean slope through the point, d growing in floats from
+    2.5e-14 x by 1.25 up to tol / 2.  What floats cannot close (tol
+    below 1e-13, functions without a float bound such as limit-word
+    streams, an end open at tol / 2) takes a Newton step at dps digits
+    and mp corners at d = tol / 4, again while they do not decide; the
+    ends stay floats unless tol is below 1e-13.
     """
-    xs, ys = [], []  # the x solved so far in increasing order, and g_u there
+    both = value_pair(fu, fv)
+    x, p, (ux, up, vx, vp) = _newton(both)
+    slope = -0.5 * (ux / up + vx / vp)  # dp/dx halfway between the curves
 
-    def gu(x: float) -> float:
-        i = bisect.bisect(xs, x)
-        near = None
-        if 0 < i < len(xs) and ys[i] > 1.0:
-            # g_u decreases in x: start between the neighbours' roots
-            xl, xr = xs[i - 1], xs[i]
-            hi, lo = ys[i - 1], ys[i]
-            near = (lo, lo + (hi - lo) * (xr - x) / (xr - xl), hi)
-        y = _float_q1(fu, x, _FLOAT_Q1_TOL, near)
-        xs.insert(i, x)
-        ys.insert(i, y)
-        return y
+    def ends(x, p, ds, dps):
+        found = []
+        for side in (1, -1):  # the left end is proven left of the crossing
+            for d in ds:
+                end = x - side * d
+                if _corner(fu, fv, end, 1 + (p - side * slope * d) / (end - 1), dps) == side:
+                    found.append(end)
+                    break
+            else:
+                return None
+        return Bracket(*found)
 
-    def disc(x: float) -> float:
-        # > 0 while g_u(x) > g~_v(x) (left of the crossing), else <= 0
-        return -fv(x, gu(x))
-
-    def certified(x):
-        if isinstance(x, float):
-            return side(fu, fv, x, dps)
-        return -_sign(fv, x, root_q1(fu, x, tol * 1e-4, dps).mid, dps)
-
-    br = solve_decreasing(disc, certified, 1.0 + 1e-15, (1.0625, 1.5, 2.0), tol, dps)
-    if br is None:
-        raise PreconditionError("no crossing found above 1")
-    return br
+    floats = tol >= _FLOAT_TOL_FLOOR
+    half = min(tol, x - 1) / 2  # ends within tol of each other, and above 1
+    cap = half - math.ulp(x)
+    grown = [d for d in (2.5e-14 * x * 1.25 ** k for k in range(40)) if d < cap] + [cap]
+    if floats and cap > 0 and (br := ends(x, p, grown, None)):
+        return br
+    det = ux * vp - up * vx
+    with mp.workdps(dps):
+        d = max(half / 2, 2 * math.ulp(x)) if floats else mp.mpf(half) / 2
+        x, p = mp.mpf(x), mp.mpf(p)
+        for _ in range(4):
+            a, b = both(x, 1 + p / (x - 1))
+            x, p = x + (b * up - a * vp) / det, p + (a * vx - b * ux) / det
+            if (br := ends(float(x) if floats else x, p, [d], dps)):
+                return br
+    raise ArithmeticError("could not certify the crossing's ends")
 
 
 def mu(u, v, tol: float | None = None, config: Config | None = None) -> Bracket:

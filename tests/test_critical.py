@@ -328,29 +328,33 @@ def test_warm_call_evaluates_no_point_twice(monkeypatch, curve, q0):
 
 
 def test_cold_deep_descent_evaluation_budget(monkeypatch):
-    # 17 crossings at about 200 node evaluations each, float and mp
-    # together; with every root in q1 started cold and Brent crawling
-    # through exact zeros they took 4,894
+    # 17 crossings, each one Newton solve with both functions of a node
+    # from one evaluation, float and mp together (518); with a nested
+    # search in x over roots in q1 they took 3,265, and 4,894 with every
+    # root in q1 started cold and Brent crawling through exact zeros
     evaluations, _ = _cold_node_evaluations(monkeypatch, 50.0, 100)
-    assert evaluations <= 4_000, evaluations
+    assert evaluations <= 640, evaluations
 
 
-@pytest.mark.parametrize("q0, budget", [(1.01, 2_000), (1.75, 340)])
+@pytest.mark.parametrize("q0, budget", [(1.01, 235), (1.75, 63)], ids=["1.01", "1.75"])
 def test_cold_descent_float_budget(monkeypatch, q0, budget):
-    # 8 and 3 crossings, whose nested roots in q1 start from the roots
-    # already solved at the nearest x; they took 2,457 and 413 when every
-    # root started cold and Brent crawled through exact zeros
+    # 8 and 3 crossings by one Newton solve each (189 and 51 evaluations);
+    # the nested search in x over roots in q1 took 1,645 and 286, and
+    # 2,457 and 413 when every root started cold and Brent crawled
+    # through exact zeros
     evaluations, _ = _cold_node_evaluations(monkeypatch, q0, None)
     assert evaluations <= budget, evaluations
 
 
-@pytest.mark.parametrize("q0, max_depth, budget", [(1.75, None, 12), (50.0, 100, 500)])
+@pytest.mark.parametrize("q0, max_depth, budget", [(1.75, None, 0), (50.0, 100, 75)], ids=["1.75-None", "50.0-100"])
 def test_cold_descent_multiprecision_budget(monkeypatch, q0, max_depth, budget):
-    # a crossing end is certified by one sign test at a separating q1 and
-    # a formula's ends by one sign each, proven in floats where the error
-    # bound decides and else by an mp evaluation; G(1.75) took 18 when
-    # every sign was an mp evaluation, and 77 and 1,234 with the nested
-    # mp root refinement
+    # a crossing end is certified by the signs at one corner point and a
+    # formula's ends by one sign each, proven in floats where the error
+    # bound decides; a crossing the floats cannot close within tol takes
+    # one mp Newton evaluation and mp corner signs (60 on the R spine of
+    # G(50)).  The nested search with mp signs by side took 6 and 146,
+    # G(1.75) 18 when every sign was an mp evaluation, and 77 and 1,234
+    # with the nested mp root refinement
     _, evaluations = _cold_node_evaluations(monkeypatch, q0, max_depth)
     assert evaluations <= budget, evaluations
 
@@ -436,3 +440,53 @@ def test_mu_cache_drops_its_oldest_crossing_past_the_bound(monkeypatch):
     again = node_mu("", "s0", "s10")
     assert (again.lo, again.hi) == (first[""].lo, first[""].hi)
     assert len(cache) <= critical.MU_CACHE_SIZE
+
+
+@pytest.mark.parametrize("w, u, v", [("R" * 20, "s0", "s10"), ("R" * 20, "s0", "s1"), ("R" * 20, "s01", "s1"),
+                                     ("R" * 24, "s01", "s1"), ("R" * 32, "s01", "s1")])
+def test_deep_spine_crossings_are_within_tol(monkeypatch, w, u, v):
+    # crossings far out on the R spine, where the float bound leaves the
+    # corners open at small distances, are closed by the mp stage within
+    # node_mu's 2e-13 (they were up to 4.26e-13 wide when an mp end was
+    # nudged outward without a cap), and g_u - g~_v changes sign across
+    # the bracket at 40 digits
+    monkeypatch.setattr(critical, "_MU_CACHE", {})
+    br = node_mu(w, u, v)
+    assert 0 < br.width <= 2e-13, br
+    fu, fv = critical._node_f(w, u), critical._node_f(w, v)
+    with mp.workdps(40):
+        gap = [solvers.root_q1(fu, x, 1e-30, 40).mid - solvers.root_q1(fv, x, 1e-30, 40).mid for x in (br.lo, br.hi)]
+    assert gap[0] > 0 > gap[1], gap
+
+
+def test_cold_curve_sweep_crossings_are_proven_in_floats(monkeypatch):
+    # the 140 crossings of G and K on sample_curve's 60-point grid over
+    # [1.05, 3] and of kl_fixed_point, solved from an empty cache: every
+    # corner sign is proven in floats, and every bracket is within
+    # node_mu's 2e-13
+    monkeypatch.setattr(critical, "_MU_CACHE", {})
+    sign, crossing, in_crossing, mp_signs = solvers._sign, critical.crossing, [False], []
+
+    def counted_sign(fn, x, y, dps):
+        value = sign(fn, x, y, dps)
+        if in_crossing[0] and isinstance(value, mp.mpf):
+            mp_signs.append((x, y))
+        return value
+
+    def flagged(*args):
+        in_crossing[0] = True
+        try:
+            return crossing(*args)
+        finally:
+            in_crossing[0] = False
+
+    monkeypatch.setattr(solvers, "_sign", counted_sign)
+    monkeypatch.setattr(critical, "crossing", flagged)
+    for q0 in (1.05 + 1.95 * i / 59 for i in range(60)):
+        generalized_golden_ratio(q0)
+        komornik_loreti(q0)
+    kl_fixed_point()
+    assert len(critical._MU_CACHE) == 140
+    assert not mp_signs, len(mp_signs)
+    widest = max(br.width for br in critical._MU_CACHE.values())
+    assert widest <= 2e-13, widest

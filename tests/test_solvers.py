@@ -9,7 +9,7 @@ from doublebase.critical import _node_f, node_mu
 from doublebase.solvers import (
     BELOW_ONE,
     PreconditionError,
-    _float_q1,
+    _corner,
     _sign,
     _step_out,
     bracket_root,
@@ -19,7 +19,6 @@ from doublebase.solvers import (
     g_tilde,
     mu,
     root_q1,
-    side,
 )
 from doublebase.series import f
 from doublebase.substitution import apply, limit_word, node_boundaries, parse_directive
@@ -226,7 +225,7 @@ def test_mu_deep_tolerance_at_interval_endpoint():
     assert abs(br.mid - expected) < 1e-12
 
 
-# ---------------------------------------------------------------- side
+# ---------------------------------------------------------------- corner test
 
 SIDE_NODES = ["", "R" * 6, "RRLR", "LMR", "R" * 20]
 SIDE_PAIRS = [("s0", "s10"), ("s0", "s1"), ("s01", "s1")]  # the crossings of G
@@ -269,31 +268,38 @@ def test_word_mu_is_within_tol(tol):
         assert 0 < br.width <= tol, (text, br)
 
 
+def _between(fu, fv, x):
+    """A q1 halfway between the roots in q1 of fu(x, .) and fv(x, .),
+    each solved to 1e-25 (a root at or below 1 counts as 1)."""
+    with mp.workdps(30):
+        return 0.5 * (root_q1(fu, x, 1e-25, 30).mid + root_q1(fv, x, 1e-25, 30).mid)
+
+
 @pytest.mark.parametrize("w", SIDE_NODES)
 @pytest.mark.parametrize("u, v", SIDE_PAIRS)
 def test_side_of_node_crossings(w, u, v):
+    # the corner test at a q1 between the two roots
     fu, fv = _node_f(w, u), _node_f(w, v)
     m = node_mu(w, u, v)
     # the certified ends, and points 1e-10 relative off the crossing
-    assert side(fu, fv, m.lo, 30) == 1
-    assert side(fu, fv, m.hi, 30) == -1
-    assert side(fu, fv, m.mid * (1 - 1e-10), 30) == 1
-    assert side(fu, fv, m.mid * (1 + 1e-10), 30) == -1
+    for x, side in [(m.lo, 1), (m.hi, -1), (m.mid * (1 - 1e-10), 1), (m.mid * (1 + 1e-10), -1)]:
+        assert _corner(fu, fv, x, _between(fu, fv, x), 30) == side, (x, side)
     # past the critical base of u, where g_u = 1 < g~_v
     q_u = critical_base(getattr(node_boundaries(w), u))
     for x in (q_u.hi * (1 + 1e-9), 2 * q_u.hi):
         assert fu(x, 1.0) < 0
-        assert side(fu, fv, x, 30) == -1
+        assert _corner(fu, fv, x, _between(fu, fv, x), 30) == -1
 
 
 def test_side_outcomes_on_linear_functions():
     # g_u = 2/x and g~_v = 1: left of the crossing x = 2
-    assert side(lambda x, y: 2 - x * y, lambda x, y: 1 - y, 1.5, 30) == 1
+    assert _corner(lambda x, y: 2 - x * y, lambda x, y: 1 - y, 1.5, 7 / 6, 30) == 1
     # a tie below the float spacing is too close to call
-    assert side(lambda x, y: 2 - x * y, lambda x, y: 2 / x + 1e-25 - y, 1.5, 30) == 0
-    # g_u = 1/x < 1 is taken as 1, and the evaluations at y = 1 do not
-    # separate the roots: fu(x, 1) <= 0 alone puts x on the right
-    assert side(lambda x, y: 1 - x * y, lambda x, y: 1 - y, 1.5, 30) == -1
+    assert _corner(lambda x, y: 2 - x * y, lambda x, y: 2 / x + 1e-25 - y, 1.5, 4 / 3, 30) == 0
+    # g_u = 1/x < 1 is taken as 1, and the evaluations at y = 1 (a y below
+    # it is raised to 1) do not separate the roots: fu(x, 1) < 0 alone
+    # puts x on the right
+    assert _corner(lambda x, y: 1 - x * y, lambda x, y: 1 - y, 1.5, 0.9, 30) == -1
 
 
 def test_sign_proves_in_floats_only_at_float_points():
@@ -446,34 +452,6 @@ def test_bracket_root_steps_out_of_exact_zeros(name, fn, lo, hi, tol):
     assert len(calls) <= budget, (name, len(calls))
 
 
-def test_float_q1_from_a_wrong_guess():
-    # a guessed bracket on the wrong side of the root, or a bare guess
-    # far from it, is widened until its signs are right: the root is the
-    # cold one (2/x; tol below the float spacing, so both end at
-    # adjacent floats)
-    fn = lambda x, y: 2 - x * y
-    for x in (1.1, 1.3, 1.7):
-        cold = _float_q1(fn, x, 1e-17)
-        r = 2 / x
-        for guess in [
-            (r + 1e-3, r + 2e-3, r + 3e-3),
-            (r - 3e-3, r - 2e-3, r - 1e-3),
-            (r - 1e-9, r + 1e-3, r + 2e-3),
-            (r + 0.5, r + 0.5, r + 0.5),
-            (1.0, 1.0, 1.0),
-        ]:
-            assert abs(_float_q1(fn, x, 1e-17, near=guess) - cold) <= 2 * math.ulp(cold)
-    # a root below 1 is reported as 1, as by the cold start
-    assert _float_q1(lambda x, y: 0.5 - y, 1.5, 1e-15, near=(1.2, 1.3, 1.4)) == 1.0
-    # from a guess above it, the search steps down toward the floor
-    # 1 + 1e-15 by eighths of the distance and brackets a root just
-    # above it
-    r = 1 + 1e-9
-    fn = lambda x, y: r - y
-    assert abs(_float_q1(fn, 1.5, 1e-15, near=(1.2, 1.3, 1.4)) - r) <= 1e-15
-    assert abs(_float_q1(fn, 1.5, 1e-15) - r) <= 1e-15
-
-
 def test_step_out_approaches_the_floor_by_eighths():
     # a root just above the floor, searched down from far above it: no
     # point comes nearer the floor than an eighth of the last point's
@@ -514,9 +492,11 @@ def test_step_out_takes_a_given_lower_end_as_it_is():
 
 
 def test_crossing_search_toward_one():
-    # g_u = 2 and g~_v(x) = 1 + 1e6 (x - 1) cross at x = 1 + 1e-6; the
-    # search in x from 1.5 keeps an eighth of the distance to 1 at each
-    # step down: 1.5, 1.0625, 1.0078, ...
+    # g_u = 2 and g~_v(x) = 1 + 1e6 (x - 1) cross at x = 1 + 1e-6; Newton's
+    # steps from x = 1.5 keep at least an eighth of x - 1, so the first
+    # one toward 1 stops at 1.0625, and no point evaluated (the forward
+    # differences' included) comes nearer 1 than an eighth of the
+    # nearest before it
     xs = []
 
     def fv(x, y):
@@ -526,9 +506,11 @@ def test_crossing_search_toward_one():
 
     br = crossing(lambda x, y: 2 - y, fv, 1e-12, 30)
     assert br.lo <= 1 + 1e-6 <= br.hi
-    assert xs[:3] == [1.5, pytest.approx(1.0625, abs=1e-14), pytest.approx(1.0078125, abs=1e-14)]
-    steps = [x for x in xs if x < 1.5][:6]
-    assert all(b - 1 >= (a - 1) / 8 - 1e-15 for a, b in zip(steps, steps[1:]))
+    assert xs[0] == 1.5 and xs[2] == pytest.approx(1.0625, abs=1e-14)
+    nearest = xs[0] - 1
+    for x in xs[1:]:
+        assert x - 1 >= nearest / 8 - 1e-15, x
+        nearest = min(nearest, x - 1)
 
 
 def test_root_q1_evaluates_each_float_point_once():
@@ -548,12 +530,24 @@ def test_root_q1_evaluates_each_float_point_once():
 
 
 def test_root_q1_from_a_start_off_the_root():
-    # a start beside the root, around it, on it or below the floor costs
-    # evaluations, never the bracket
+    # a start beside the root, around it, on it, far from it or below the
+    # floor costs evaluations, never the bracket (roots 2/x)
     fn = lambda x, y: 2 - x * y
-    for start in [(1.2, 1.3, 1.4), (2.0, 3.0, 4.0), (1.3, 1.35, 1.4), (4 / 3, 4 / 3, 4 / 3), (0.5, 0.7, 0.9)]:
-        br = root_q1(fn, 1.5, 1e-12, 30, start=start)
-        assert br.lo <= 4 / 3 <= br.hi and br.width <= 1e-12, start
+    for x in (1.1, 1.3, 1.5, 1.7):
+        r = 2 / x
+        for start in [(r - 0.2, r - 0.1, r - 0.05), (r + 1e-3, r + 2e-3, r + 3e-3), (r - 1e-9, r + 1e-3, r + 2e-3),
+                      (r, r, r), (r + 0.5, r + 0.5, r + 0.5), (1.0, 1.0, 1.0), (0.5, 0.7, 0.9)]:
+            br = root_q1(fn, x, 1e-12, 30, start=start)
+            assert br.lo <= r <= br.hi and br.width <= 1e-12, (x, start)
+    # a root below 1 is reported as 1, as from the cold start
+    assert root_q1(lambda x, y: 0.5 - y, 1.5, 1e-12, 30, start=(1.2, 1.3, 1.4)).lo == 1.0
+    # from a guess above it, the search steps down toward the floor
+    # 1 + 1e-12 by eighths of the distance and brackets a root just
+    # above it
+    r = 1 + 1e-9
+    for start in [(1.2, 1.3, 1.4), None]:
+        br = root_q1(lambda x, y: r - y, 1.5, 1e-12, 30, start=start)
+        assert br.lo <= r <= br.hi and br.width <= 1e-12, start
 
 
 def test_root_q1_far_root_below_the_float_spacing():
