@@ -530,15 +530,27 @@ def test_root_q1_evaluates_each_float_point_once():
 
 
 def test_root_q1_from_a_start_off_the_root():
-    # a start beside the root, around it, on it, far from it or below the
-    # floor costs evaluations, never the bracket (roots 2/x)
+    # a start beside the root, around it, on it or below the floor costs
+    # evaluations, never the bracket
+    fn = lambda x, y: 2 - x * y
+    for start in [(1.2, 1.3, 1.4), (2.0, 3.0, 4.0), (1.3, 1.35, 1.4), (4 / 3, 4 / 3, 4 / 3), (0.5, 0.7, 0.9)]:
+        br = root_q1(fn, 1.5, 1e-12, 30, start=start)
+        assert br.lo <= 4 / 3 <= br.hi and br.width <= 1e-12, start
+
+
+def test_float_q1_from_a_wrong_guess():
+    # a guessed bracket on the wrong side of the root, or a bare guess
+    # far from it, is widened by the float search in q1 until its signs
+    # are right: the root is the cold one (roots 2/x)
     fn = lambda x, y: 2 - x * y
     for x in (1.1, 1.3, 1.5, 1.7):
         r = 2 / x
+        cold = root_q1(fn, x, 1e-12, 30)
         for start in [(r - 0.2, r - 0.1, r - 0.05), (r + 1e-3, r + 2e-3, r + 3e-3), (r - 1e-9, r + 1e-3, r + 2e-3),
                       (r, r, r), (r + 0.5, r + 0.5, r + 0.5), (1.0, 1.0, 1.0), (0.5, 0.7, 0.9)]:
             br = root_q1(fn, x, 1e-12, 30, start=start)
             assert br.lo <= r <= br.hi and br.width <= 1e-12, (x, start)
+            assert abs(br.mid - cold.mid) <= 1e-12, (x, start)
     # a root below 1 is reported as 1, as from the cold start
     assert root_q1(lambda x, y: 0.5 - y, 1.5, 1e-12, 30, start=(1.2, 1.3, 1.4)).lo == 1.0
     # from a guess above it, the search steps down toward the floor
