@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
-
-_ENV_PRECISION = "DOUBLEBASE_PRECISION"
 
 
 @dataclass(frozen=True)
@@ -34,18 +31,7 @@ class Config:
         return replace(self, **kw)
 
 
-def _default_precision() -> int:
-    """DOUBLEBASE_PRECISION as an int, 30 when unset; Config checks it."""
-    raw = os.environ.get(_ENV_PRECISION)
-    if raw is None:
-        return 30
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{_ENV_PRECISION} must be an integer, not {raw!r}") from None
-
-
-DEFAULT = Config(precision=_default_precision())
+DEFAULT = Config()
 
 
 def resolve(config: Config | None) -> Config:

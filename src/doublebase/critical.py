@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from threading import Lock
+from functools import lru_cache
 from typing import Optional
 
 from .config import Config, resolve
@@ -98,30 +98,25 @@ def _node_f(w: str, key: str):
     return value_fn(letter_runs(w + "M"), NODE_SEEDS[key], not key.startswith("s0"))
 
 
-_MU_CACHE: dict = {}
-MU_CACHE_SIZE = 4096  # crossings kept; a miss beyond it drops the oldest insertion
-_MU_LOCK = Lock()  # one writer at a time, so the oldest key is still there to drop
+MU_CACHE_SIZE = 4096  # crossings kept, the least recently read dropped first
 
 
 def node_mu(w: str, ukey: str, vkey: str, config: Config | None = None) -> Bracket:
     """Cached crossing value of a node pair, within min(cfg.tol, 2e-13);
     keyed on the directive head, the precision and that tolerance.
 
-    The cache is shared across descents (crossings do not depend on q0)
-    and holds at most MU_CACHE_SIZE crossings, first in, first out;
-    concurrent readers are safe, concurrent writers at worst recompute.
+    The cache (_node_mu) is shared across descents, since crossings do
+    not depend on q0, and holds the MU_CACHE_SIZE crossings read most
+    recently, so the root crossings every descent reads first stay;
+    concurrent misses of one key at worst solve it twice.
     """
     cfg = resolve(config)
-    tol = min(cfg.tol, 2e-13)
-    key = (w, ukey, vkey, cfg.precision, tol)
-    hit = _MU_CACHE.get(key)
-    if hit is None:
-        hit = crossing(_node_f(w, ukey), _node_f(w, vkey), tol, cfg.precision)
-        with _MU_LOCK:
-            if len(_MU_CACHE) >= MU_CACHE_SIZE:
-                del _MU_CACHE[next(iter(_MU_CACHE))]
-            _MU_CACHE[key] = hit
-    return hit
+    return _node_mu(w, ukey, vkey, cfg.precision, min(cfg.tol, 2e-13))
+
+
+@lru_cache(maxsize=MU_CACHE_SIZE)
+def _node_mu(w: str, ukey: str, vkey: str, dps: int, tol: float) -> Bracket:
+    return crossing(_node_f(w, ukey), _node_f(w, vkey), tol, dps)
 
 
 def _slack(mu: Bracket) -> float:

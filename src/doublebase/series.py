@@ -33,7 +33,7 @@ from functools import lru_cache
 from itertools import groupby
 
 from .expansions import _check_bases
-from .substitution import NODE_SEEDS, PERIODIC, Directive, DirectiveError
+from .substitution import PERIODIC, Directive, DirectiveError
 from .words import Word
 
 
@@ -187,21 +187,18 @@ def _compose(pair: AffinePair, w) -> AffinePair:
     return pair
 
 
-def node_pi(w, q0, q1, seed=None):
-    """pi of the boundary words of node sigma = wM, from affine forms.
+def node_pi(runs, q0, q1, seed):
+    """pi of boundary words of a node sigma, from affine forms.
 
-    w is the directive head or letter_runs(w + "M"), which a caller
-    evaluating one node many times computes once (runs () give pi of the
-    seed itself).  With a seed, a NODE_SEEDS key or a word, the value of
-    sigma(seed) alone; with a tuple of words, the tuple of their values
-    from the one composition; without one, the dict of all six.
+    runs are letter_runs(w + "M") of the node sigma = wM, which a caller
+    evaluating one node many times computes once (() give pi of the seed
+    itself).  With one seed word, the value of sigma(seed); with a tuple
+    of words, the tuple of their values from the one composition.
     """
-    pair = _compose(AffinePair.identity(q0, q1), w + "M" if isinstance(w, str) else w)
-    if seed is None:
-        return {k: pair.of_word(u) for k, u in NODE_SEEDS.items()}
+    pair = _compose(AffinePair.identity(q0, q1), runs)
     if isinstance(seed, tuple):
         return tuple(pair.of_word(u) for u in seed)
-    return pair.of_word(NODE_SEEDS[seed] if isinstance(seed, str) else seed)
+    return pair.of_word(seed)
 
 
 def value_fn(runs, seed: Word, tilde: bool):

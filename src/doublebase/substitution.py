@@ -32,8 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, islice
-from threading import Lock
 from typing import Iterator, Optional
 
 from .words import (
@@ -200,12 +198,7 @@ def parse_directive(text: str) -> Directive:
         head, rest = text.split("(", 1)
         if not rest.endswith(")"):
             raise DirectiveError(f"unbalanced parentheses in {text!r}")
-        block = rest[:-1]
-        if block == "L":
-            return Directive(head, REPEAT_L)
-        if block == "R":
-            return Directive(head, REPEAT_R)
-        return Directive(head, PERIODIC, block)
+        return Directive(head, PERIODIC, rest[:-1])
     return Directive(text, FINITE)
 
 
@@ -401,49 +394,56 @@ def _locate(u, cuts):
 _TAILS = {BR_STOP_L: REPEAT_L, BR_STOP_R: REPEAT_R}
 
 
+def _step(u, side: str) -> tuple:
+    """One step of a walk: the branch u takes, located among the root
+    words, and u's preimage under the letter taken, where the walk goes
+    on; the preimage is None after a repeat-tail stop or a stream tie
+    (branch None)."""
+    b = _locate(u, _NODE_CUTS[side])
+    if b is None or b in _TAILS:
+        return b, None
+    return b, _preimage(u, "LMR"[b // 2])
+
+
 def _steps(u, side: str) -> Iterator[int]:
-    """The branch u takes at each node under the root node M, lazily:
-    u's preimage under the directive walked so far is located among the
-    root words, then desubstituted by the letter taken.  Ends after a
-    repeat-tail stop or a stream tie (None)."""
-    cuts = _NODE_CUTS[side]
-    while True:
-        b = _locate(u, cuts)
+    """The branches u takes at the nodes under the root node M, lazily
+    and uncached (_step after _step)."""
+    while u is not None:
+        b, u = _step(u, side)
         yield b
-        if b is None or b in _TAILS:
-            return
-        u = _preimage(u, "LMR"[b // 2])
 
 
 class _Record:
-    """A Word's walk, recorded as its branches are first read and replayed
-    from the record after that.  Extending takes a lock, so threads that
-    read one record never resume its walk at once."""
+    """A Word's walk, recorded as its branches are first read: one
+    (branches, preimage) pair, the branches walked so far and the
+    preimage still to walk, None once the walk has ended.  A reader
+    walking past the record replaces the pair whole with a longer one,
+    and every pair is a prefix of the one walk, so readers that race or
+    are interrupted at worst repeat a step.  A complete record iterates
+    as its tuple of branches."""
 
-    __slots__ = ("_u", "_side", "_steps", "_seen", "_lock")
+    __slots__ = ("_side", "_walked")
 
     def __init__(self, u: Word, side: str):
-        self._u, self._side, self._seen, self._lock = u, side, [], Lock()
-        self._steps = _steps(u, side)
+        self._side, self._walked = side, ((), u)
 
     def __iter__(self) -> Iterator[int]:
-        seen = self._seen
-        for i in count():
-            if i == len(seen):
-                with self._lock:
-                    if i == len(seen):
-                        self._extend()
-                if i == len(seen):  # the walk ended at its last branch
-                    return
-            yield seen[i]
+        branches, u = self._walked
+        return iter(branches) if u is None else self._read(branches, u)
 
-    def _extend(self):
-        try:
-            self._seen.extend(islice(self._steps, 1))
-        except BaseException:
-            # a generator that raised is closed: restart it past the record
-            self._steps = islice(_steps(self._u, self._side), len(self._seen), None)
-            raise
+    def _read(self, branches: tuple, u) -> Iterator[int]:
+        i = 0
+        while i < len(branches) or u is not None:
+            if i == len(branches):
+                walked = self._walked
+                if len(walked[0]) > i:  # another reader walked further
+                    branches, u = walked
+                else:
+                    b, u = _step(u, self._side)
+                    branches += (b,)
+                    self._walked = branches, u
+            yield branches[i]
+            i += 1
 
 
 WALK_CACHE_SIZE = 1024  # words whose walks are kept, least recently used dropped
@@ -469,9 +469,10 @@ def corner(u, side: str):
 
 def walk(u, side: str):
     """The branches u, a word starting with `side`, takes at the nodes
-    under the root node M (see _steps).  A Word's walk is cached and
-    recorded; a stream's is lazy and uncached, so it reads no further
-    than its reader stops."""
+    under the root node M, one _step at a time.  A Word's walk is cached
+    and recorded (_Record), and a complete one is read as its tuple; a
+    stream's is lazy and uncached, so it reads no further than its
+    reader stops."""
     if isinstance(u, Word):
         return _word_walk(u, side)[1]
     return _steps(u, side)

@@ -262,40 +262,6 @@ def test_undecided_exit_code(capsys):
     assert code == 3
 
 
-def _import_with_precision(value):
-    """Run `print(DEFAULT.precision)` in a child with DOUBLEBASE_PRECISION
-    set to value."""
-    import subprocess, sys, os
-
-    import doublebase
-
-    # the child imports the same package as this process, however the
-    # test run put it on the path
-    src = os.path.dirname(os.path.dirname(doublebase.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, DOUBLEBASE_PRECISION=value, PYTHONPATH=path)
-    return subprocess.run(
-        [sys.executable, "-c", "from doublebase.config import DEFAULT; print(DEFAULT.precision)"],
-        capture_output=True, text=True, env=env,
-    )
-
-
-def test_precision_env_var():
-    assert _import_with_precision("42").stdout.strip() == "42"
-
-
-def test_precision_env_var_is_validated():
-    # the variable obeys the rule of --precision and Config: below 15
-    # digits is rejected, not raised to 15
-    out = _import_with_precision("5")
-    assert out.returncode != 0
-    assert "ValueError: precision must be at least 15 decimal digits" in out.stderr
-    # a non-integer names the variable
-    out = _import_with_precision("abc")
-    assert out.returncode != 0
-    assert "ValueError: DOUBLEBASE_PRECISION must be an integer, not 'abc'" in out.stderr
-
-
 def test_config_validation():
     import pytest
     from doublebase.config import Config

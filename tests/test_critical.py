@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath as mp
@@ -25,6 +26,15 @@ from doublebase.solvers import mu
 from doublebase.substitution import node_boundaries
 
 PHI = (1 + 5 ** 0.5) / 2
+
+
+@pytest.fixture
+def cold_mu():
+    """An empty crossing cache, as in a new process, emptied again after
+    the test, so no crossing it solved or stubbed outlives it."""
+    critical._node_mu.cache_clear()
+    yield
+    critical._node_mu.cache_clear()
 
 
 def test_golden_ratio_examples():
@@ -280,19 +290,16 @@ def test_near_one_default_depth_is_finite():
 
 
 @pytest.mark.parametrize("q0, max_depth", [(1.01, None), (50.0, 100)])
-def test_spine_descent_solves_logarithmically_many_crossings(monkeypatch, q0, max_depth):
+def test_spine_descent_solves_logarithmically_many_crossings(cold_mu, q0, max_depth):
     # a cold spine descent solves O(log depth) crossings, not one per node
-    cache = {}
-    monkeypatch.setattr(critical, "_MU_CACHE", cache)
     depth = DEFAULT.max_depth if max_depth is None else max_depth
     generalized_golden_ratio(q0, max_depth=max_depth)
-    assert len(cache) <= 2 * math.ceil(math.log2(depth)) + 4
+    assert critical._node_mu.cache_info().currsize <= 2 * math.ceil(math.log2(depth)) + 4
 
 
 def _cold_node_evaluations(monkeypatch, q0, max_depth):
-    """Node evaluations (all, and those in mp) of one G call from an
-    empty _MU_CACHE."""
-    monkeypatch.setattr(critical, "_MU_CACHE", {})
+    """Node evaluations (all, and those in mp) of one G call, from an
+    empty crossing cache when the caller takes cold_mu."""
     calls = [0, 0]
     node_pi = series.node_pi
 
@@ -327,7 +334,7 @@ def test_warm_call_evaluates_no_point_twice(monkeypatch, curve, q0):
     assert points and len(set(points)) == len(points)
 
 
-def test_cold_deep_descent_evaluation_budget(monkeypatch):
+def test_cold_deep_descent_evaluation_budget(monkeypatch, cold_mu):
     # 17 crossings, each one Newton solve with both functions of a node
     # from one evaluation, float and mp together (518); with a nested
     # search in x over roots in q1 they took 3,265, and 4,894 with every
@@ -337,7 +344,7 @@ def test_cold_deep_descent_evaluation_budget(monkeypatch):
 
 
 @pytest.mark.parametrize("q0, budget", [(1.01, 235), (1.75, 63)], ids=["1.01", "1.75"])
-def test_cold_descent_float_budget(monkeypatch, q0, budget):
+def test_cold_descent_float_budget(monkeypatch, cold_mu, q0, budget):
     # 8 and 3 crossings by one Newton solve each (189 and 51 evaluations);
     # the nested search in x over roots in q1 took 1,645 and 286, and
     # 2,457 and 413 when every root started cold and Brent crawled
@@ -347,7 +354,7 @@ def test_cold_descent_float_budget(monkeypatch, q0, budget):
 
 
 @pytest.mark.parametrize("q0, max_depth, budget", [(1.75, None, 0), (50.0, 100, 75)], ids=["1.75-None", "50.0-100"])
-def test_cold_descent_multiprecision_budget(monkeypatch, q0, max_depth, budget):
+def test_cold_descent_multiprecision_budget(monkeypatch, cold_mu, q0, max_depth, budget):
     # a crossing end is certified by the signs at one corner point and a
     # formula's ends by one sign each, proven in floats where the error
     # bound decides; a crossing the floats cannot close within tol takes
@@ -428,29 +435,34 @@ def test_warm_formula_brackets_are_proven_in_floats(monkeypatch):
             assert fn(mp.mpf(q0), mp.mpf(br.lo)) > 0 > fn(mp.mpf(q0), mp.mpf(br.hi)), (w, key, q0, br)
 
 
-def test_mu_cache_drops_its_oldest_crossing_past_the_bound(monkeypatch):
-    cache = {}
-    monkeypatch.setattr(critical, "_MU_CACHE", cache)
-    monkeypatch.setattr(critical, "MU_CACHE_SIZE", 3)
-    nodes = ["", "L", "R", "RL", "LR"]
-    first = {w: node_mu(w, "s0", "s10") for w in nodes}
-    assert len(cache) <= critical.MU_CACHE_SIZE
-    # first in, first out: the two oldest crossings are gone
-    assert sorted(key[0] for key in cache) == sorted(nodes[2:])
-    again = node_mu("", "s0", "s10")
-    assert (again.lo, again.hi) == (first[""].lo, first[""].hi)
-    assert len(cache) <= critical.MU_CACHE_SIZE
+def test_mu_cache_keeps_the_crossings_every_descent_reads(monkeypatch, cold_mu):
+    # more than MU_CACHE_SIZE other crossings are solved, with the three
+    # root crossings every G descent reads first read between them: the
+    # least recently read are dropped, so the root crossings never are
+    solved = []
+
+    def stub(fu, fv, tol, dps):
+        solved.append(fu)
+        return solvers.Bracket(1.5, 1.5)
+
+    monkeypatch.setattr(critical, "crossing", stub)
+    roots = [("", "s0", "s10"), ("", "s01", "s1"), ("", "s0", "s1")]
+    others = ["".join(w) for w in itertools.product("LMR", repeat=8)][: critical.MU_CACHE_SIZE + 1]
+    for w in others:
+        node_mu(w, "s0", "s10")
+        for root in roots:
+            node_mu(*root)
+    assert len(solved) == len(roots) + len(others)
 
 
 @pytest.mark.parametrize("w, u, v", [("R" * 20, "s0", "s10"), ("R" * 20, "s0", "s1"), ("R" * 20, "s01", "s1"),
                                      ("R" * 24, "s01", "s1"), ("R" * 32, "s01", "s1")])
-def test_deep_spine_crossings_are_within_tol(monkeypatch, w, u, v):
+def test_deep_spine_crossings_are_within_tol(cold_mu, w, u, v):
     # crossings far out on the R spine, where the float bound leaves the
     # corners open at small distances, are closed by the mp stage within
     # node_mu's 2e-13 (they were up to 4.26e-13 wide when an mp end was
     # nudged outward without a cap), and g_u - g~_v changes sign across
     # the bracket at 40 digits
-    monkeypatch.setattr(critical, "_MU_CACHE", {})
     br = node_mu(w, u, v)
     assert 0 < br.width <= 2e-13, br
     fu, fv = critical._node_f(w, u), critical._node_f(w, v)
@@ -459,13 +471,12 @@ def test_deep_spine_crossings_are_within_tol(monkeypatch, w, u, v):
     assert gap[0] > 0 > gap[1], gap
 
 
-def test_cold_curve_sweep_crossings_are_proven_in_floats(monkeypatch):
+def test_cold_curve_sweep_crossings_are_proven_in_floats(monkeypatch, cold_mu):
     # the 140 crossings of G and K on sample_curve's 60-point grid over
     # [1.05, 3] and of kl_fixed_point, solved from an empty cache: every
     # corner sign is proven in floats, and every bracket is within
     # node_mu's 2e-13
-    monkeypatch.setattr(critical, "_MU_CACHE", {})
-    sign, crossing, in_crossing, mp_signs = solvers._sign, critical.crossing, [False], []
+    sign, crossing, in_crossing, mp_signs, widths = solvers._sign, critical.crossing, [False], [], []
 
     def counted_sign(fn, x, y, dps):
         value = sign(fn, x, y, dps)
@@ -476,9 +487,11 @@ def test_cold_curve_sweep_crossings_are_proven_in_floats(monkeypatch):
     def flagged(*args):
         in_crossing[0] = True
         try:
-            return crossing(*args)
+            br = crossing(*args)
         finally:
             in_crossing[0] = False
+        widths.append(br.width)
+        return br
 
     monkeypatch.setattr(solvers, "_sign", counted_sign)
     monkeypatch.setattr(critical, "crossing", flagged)
@@ -486,7 +499,6 @@ def test_cold_curve_sweep_crossings_are_proven_in_floats(monkeypatch):
         generalized_golden_ratio(q0)
         komornik_loreti(q0)
     kl_fixed_point()
-    assert len(critical._MU_CACHE) == 140
+    assert critical._node_mu.cache_info().currsize == len(widths) == 140
     assert not mp_signs, len(mp_signs)
-    widest = max(br.width for br in critical._MU_CACHE.values())
-    assert widest <= 2e-13, widest
+    assert max(widths) <= 2e-13, max(widths)

@@ -159,9 +159,9 @@ def test_node_pi_matches_word_pi(rng):
     for w in ["", "L", "M", "R", "LM", "MR", "LLM", "MLR"]:
         nb = node_boundaries(w)
         q0, q1 = 1 + rng.random(), 1 + rng.random()
-        vals = node_pi(w, q0, q1)
         for key, word in nb.as_dict().items():
-            assert vals[key] == pytest.approx(pi(q0, q1, word), rel=1e-13, abs=1e-13)
+            val = node_pi(letter_runs(w + "M"), q0, q1, NODE_SEEDS[key])
+            assert val == pytest.approx(pi(q0, q1, word), rel=1e-13, abs=1e-13)
 
 
 def _stepwise_affine(w, q0, q1):
@@ -224,12 +224,14 @@ def test_run_composer_matches_steps_in_multiprecision(rng):
 
 
 def test_node_pi_by_key_and_by_runs():
+    # one seed at a time gives the values of a tuple of seeds, exactly
+    seeds = tuple(NODE_SEEDS.values())
     for w in ["", "M", "LLLLR", "R" * 40 + "MLL", "L" * 67]:
-        q0, q1 = Fraction(3, 2), Fraction(7, 4)
-        vals = node_pi(w, q0, q1)
-        assert node_pi(letter_runs(w + "M"), q0, q1) == vals
-        for key, val in vals.items():
-            assert node_pi(letter_runs(w + "M"), q0, q1, key) == val
+        q0, q1, runs = Fraction(3, 2), Fraction(7, 4), letter_runs(w + "M")
+        vals = node_pi(runs, q0, q1, seeds)
+        assert len(vals) == len(seeds)
+        for seed, val in zip(seeds, vals):
+            assert node_pi(runs, q0, q1, seed) == val
 
 
 _BASES = st.floats(min_value=1.0, max_value=4.0, exclude_min=True)
@@ -247,12 +249,12 @@ def test_node_f_bound_encloses_the_exact_value(w, key, q0, q1):
     runs = letter_runs(w + "M")
     from_pi = f_from_pi if key.startswith("s0") else f_tilde_from_pi
     value, err = node_f_bound(runs, directive_roundings(runs), NODE_SEEDS[key], not key.startswith("s0"), q0, q1)
-    assert value == from_pi(node_pi(runs, q0, q1, key), q0, q1)
+    assert value == from_pi(node_pi(runs, q0, q1, NODE_SEEDS[key]), q0, q1)
     if "M" not in w and min(q0, q1) > 1.001:  # short images, no 1 - s near 0
         assert err < 1e-9 * max(1.0, abs(value))
     with mp.workdps(60):
         x, y = mp.mpf(q0), mp.mpf(q1)
-        exact = from_pi(node_pi(runs, x, y, key), x, y)
+        exact = from_pi(node_pi(runs, x, y, NODE_SEEDS[key]), x, y)
         assert abs(mp.mpf(value) - exact) <= err
 
 

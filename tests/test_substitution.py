@@ -14,6 +14,7 @@ from doublebase.substitution import (
     BR_STOP_R,
     Directive,
     DirectiveError,
+    PERIODIC,
     REPEAT_L,
     REPEAT_R,
     apply,
@@ -245,6 +246,15 @@ def test_directive_parse_and_str():
     assert str(parse_directive("LMR")) == "LMR"
     with pytest.raises(DirectiveError):
         parse_directive("LX")
+
+
+def test_parse_directive_is_directive_of_the_block():
+    # Directive turns a constant block into a repeat tail, so the parser
+    # passes every block on as periodic: 121 heads times 5 blocks
+    heads = ["".join(h) for n in range(5) for h in itertools.product("LMR", repeat=n)]
+    for head in heads:
+        for block in ("L", "R", "LL", "RR", "LLL"):
+            assert parse_directive(f"{head}({block})") == Directive(head, PERIODIC, block), (head, block)
 
 
 def test_directive_canonicalization():
