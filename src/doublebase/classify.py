@@ -34,7 +34,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Optional
 
-from .config import Config, resolve
+from .config import DEFAULT, Config
 from .critical import _Cell, _g_cell, _k_cell, _node_f, _solve
 from .expansions import regular
 from .substitution import (
@@ -186,7 +186,7 @@ def _at_or_below(cell: _Cell, q0: float, q1: float, tol: float, cfg: Config) -> 
 
 def classify_univoque(q0: float, q1: float, tol: float = 1e-9,
                       max_depth: int | None = None,
-                      config: Config | None = None) -> Classification:
+                      config: Config = DEFAULT) -> Classification:
     """Cardinality of the unique-expansion set for the base pair (q0, q1).
 
     Irregular pairs have every sequence unique (full shift).  Otherwise
@@ -194,24 +194,23 @@ def classify_univoque(q0: float, q1: float, tol: float = 1e-9,
     to q0's cell: at most the curve plus a window gives Trivial (G) or
     CountableNontrivial (K), and above K gives PositiveEntropy.  On a
     formula cell that q0 lies in for sure, one certified sign of the
-    node function at q1 - window decides, window = max(tol, cfg.tol),
+    node function at q1 - window decides, window = max(tol, config.tol),
     with no root solved; on a formula cell q0 may miss (within a
     crossing's bracket of its edge) and on an exhausted walk the curve's
     bracket is solved, the window is max(tol, its width), and within the
     window of an exhausted walk's bracket the label is Undecided.  tol
     must be finite and positive.
     """
-    cfg = resolve(config)
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
     if not regular(q0, q1):  # which rejects bases outside (1, inf)
         return Classification(Label.POSITIVE_ENTROPY)
-    depth = cfg.max_depth if max_depth is None else max_depth
-    below_g = _at_or_below(_g_cell(q0, cfg, depth), q0, q1, tol, cfg)
+    depth = config.max_depth if max_depth is None else max_depth
+    below_g = _at_or_below(_g_cell(q0, config, depth), q0, q1, tol, config)
     if below_g is not None:
         if below_g:
             return Classification(Label.TRIVIAL)
-        below_k = _at_or_below(_k_cell(q0, cfg, depth), q0, q1, tol, cfg)
+        below_k = _at_or_below(_k_cell(q0, config, depth), q0, q1, tol, config)
         if below_k is not None:
             return Classification(Label.COUNTABLE_NONTRIVIAL if below_k else Label.POSITIVE_ENTROPY)
     # at G over a primitive Sturmian point the set is already uncountable,

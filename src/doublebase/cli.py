@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -42,14 +43,8 @@ EXIT_UNDECIDED = 3
 
 
 def _config(args) -> Config:
-    cfg = DEFAULT
-    if getattr(args, "precision", None) is not None:
-        cfg = cfg.with_(precision=args.precision)
-    if getattr(args, "tol", None) is not None:
-        cfg = cfg.with_(tol=args.tol)
-    if getattr(args, "max_depth", None) is not None:
-        cfg = cfg.with_(max_depth=args.max_depth)
-    return cfg
+    given = {name: getattr(args, name, None) for name in ("precision", "tol", "max_depth")}
+    return replace(DEFAULT, **{name: value for name, value in given.items() if value is not None})
 
 
 def _at_least(low: int):

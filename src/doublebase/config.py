@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -27,12 +27,5 @@ class Config:
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
 
-    def with_(self, **kw) -> "Config":
-        return replace(self, **kw)
-
 
 DEFAULT = Config()
-
-
-def resolve(config: Config | None) -> Config:
-    return DEFAULT if config is None else config

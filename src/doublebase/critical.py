@@ -47,10 +47,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .config import Config, resolve
+from .config import DEFAULT, Config
 from .expansions import _to_fraction, expansion_bounds, regular
 from .series import letter_runs, value_fn
-from .solvers import Bracket, crossing, root_q1, _certify, _zeroin, _FLOAT_TOL_FLOOR
+from .solvers import Bracket, crossing, root_q1, solve_decreasing, _FLOAT_TOL_FLOOR
 from .substitution import NODE_SEEDS, apply, image_lengths, split_descent
 from .words import Word
 
@@ -101,8 +101,8 @@ def _node_f(w: str, key: str):
 MU_CACHE_SIZE = 4096  # crossings kept, the least recently read dropped first
 
 
-def node_mu(w: str, ukey: str, vkey: str, config: Config | None = None) -> Bracket:
-    """Cached crossing value of a node pair, within min(cfg.tol, 2e-13);
+def node_mu(w: str, ukey: str, vkey: str, config: Config = DEFAULT) -> Bracket:
+    """Cached crossing value of a node pair, within min(config.tol, 2e-13);
     keyed on the directive head, the precision and that tolerance.
 
     The cache (_node_mu) is shared across descents, since crossings do
@@ -110,8 +110,7 @@ def node_mu(w: str, ukey: str, vkey: str, config: Config | None = None) -> Brack
     recently, so the root crossings every descent reads first stay;
     concurrent misses of one key at worst solve it twice.
     """
-    cfg = resolve(config)
-    return _node_mu(w, ukey, vkey, cfg.precision, min(cfg.tol, 2e-13))
+    return _node_mu(w, ukey, vkey, config.precision, min(config.tol, 2e-13))
 
 
 @lru_cache(maxsize=MU_CACHE_SIZE)
@@ -230,8 +229,8 @@ class _Cell:
 def _formula_root(curve: str, w: str, key: str, q0, tol: float, dps: int) -> Bracket:
     """The root in q1 of node w's formula key at q0, which is the curve's
     value where q0 lies in the formula's cell, searched from the curve's
-    chain enclosure at q0; _step_out checks the signs, so a start off the
-    root costs evaluations, never correctness."""
+    chain enclosure at q0; the start search checks the signs, so a start
+    off the root costs evaluations, never correctness."""
     lo, hi = _chain(curve, float(q0))
     return root_q1(_node_f(w, key), q0, tol, dps, start=(lo, 0.5 * (lo + hi), hi))
 
@@ -331,58 +330,55 @@ def _k_cell(q0: float, cfg: Config, max_depth: int) -> _Cell:
     return _Cell("K", lo_bound=lo_bound, hi_bound=hi_bound)
 
 
-def _settings(q0: float, tol, max_depth, config) -> tuple[Config, float, int]:
-    """The config, tolerance and depth of a curve call, q0 checked."""
-    cfg = resolve(config)
+def _settings(q0: float, tol, max_depth, config: Config) -> tuple[float, int]:
+    """The tolerance and depth of a curve call, q0 checked."""
     if not 1 < q0 < math.inf:
         raise ValueError("q0 must be finite and exceed 1")
-    return (cfg, cfg.tol if tol is None else tol,
-            cfg.max_depth if max_depth is None else max_depth)
+    return (config.tol if tol is None else tol,
+            config.max_depth if max_depth is None else max_depth)
 
 
 def generalized_golden_ratio(q0: float, tol: float | None = None,
                              max_depth: int | None = None,
-                             config: Config | None = None) -> CriticalResult:
+                             config: Config = DEFAULT) -> CriticalResult:
     """G(q0): the infimum of bases q1 for which some sequence other than
     0^inf and 1^inf is a unique (q0, q1)-expansion."""
-    cfg, tol, max_depth = _settings(q0, tol, max_depth, config)
-    return _solve(_g_cell(q0, cfg, max_depth), q0, tol, cfg.precision)
+    tol, max_depth = _settings(q0, tol, max_depth, config)
+    return _solve(_g_cell(q0, config, max_depth), q0, tol, config.precision)
 
 
 def komornik_loreti(q0: float, tol: float | None = None,
                     max_depth: int | None = None,
-                    config: Config | None = None) -> CriticalResult:
+                    config: Config = DEFAULT) -> CriticalResult:
     """K(q0): the infimum of bases q1 with uncountably many unique
     (q0, q1)-expansions; also the right end of the first entropy plateau."""
-    cfg, tol, max_depth = _settings(q0, tol, max_depth, config)
-    return _solve(_k_cell(q0, cfg, max_depth), q0, tol, cfg.precision)
+    tol, max_depth = _settings(q0, tol, max_depth, config)
+    return _solve(_k_cell(q0, config, max_depth), q0, tol, config.precision)
 
 
 def kl_fixed_point(tol: float = 1e-9, lo: float = 1.7, hi: float = 1.9,
-                   config: Config | None = None) -> Bracket:
+                   config: Config = DEFAULT) -> Bracket:
     """The unique base q* with K(q*) = q*: the root of the continuous,
-    strictly decreasing q -> K(q) - q on [lo, hi], solved to tol / 2 by
-    the Brent loop of solvers.bracket_root from the values checked at lo
-    and hi.  An end that lands within K's bracket of q* is then pushed
-    outward until the whole K bracket lies on its side, so both ends are
-    sign-verified."""
-    cfg = resolve(config)
-
+    strictly decreasing q -> K(q) - q, by solvers.solve_decreasing from
+    the guess [lo, hi], searched outward from lo until the signs at its
+    ends differ (a guess off q* costs K evaluations, never correctness).
+    Each end is proven by K's whole bracket lying on its side, and
+    nudged outward while it does not, so the width is floored by K's
+    own brackets (about 8e-13 at the default config)."""
     def excess(q: float) -> float:
-        return komornik_loreti(q, config=cfg).value.mid - q
+        return komornik_loreti(q, config=config).value.mid - q
 
-    def verified(q) -> float:
-        # the sign of K(q) - q where the K bracket decides it, else 0
-        value = komornik_loreti(q, config=cfg).value
+    def proven(q: float, dps) -> float:
+        # the side of q that K's bracket proves, else 0; dps None asks
+        # for a floats-only proof, which K has not
+        if dps is None:
+            return 0.0
+        value = komornik_loreti(q, config=config).value
         return max(value.lo - q, 0.0) + min(value.hi - q, 0.0)
 
-    at_lo, at_hi = excess(lo), excess(hi)
-    if not at_lo > 0:
-        raise ValueError("K(lo) - lo must be positive")
-    if at_hi > 0:
-        raise ValueError("K(hi) - hi must not be positive")
-    lo, hi = _zeroin(excess, lo, at_lo, hi, at_hi, tol / 2)
-    return Bracket(*_certify(verified, lo, hi))
+    # below 1e-13 an mp refinement would converge onto the plateau where
+    # proven is 0, about as wide as K's bracket
+    return solve_decreasing(excess, proven, 1.0, (lo, lo, hi), max(tol, _FLOAT_TOL_FLOOR), config.precision)
 
 
 # ----------------------------------------------------------------------
@@ -397,7 +393,7 @@ class KsResult:
     depth: int          # directive letters examined
 
 
-def ks_crosscheck(q0, q1, depth: int = 24, config: Config | None = None) -> KsResult:
+def ks_crosscheck(q0, q1, depth: int = 24, config: Config = DEFAULT) -> KsResult:
     """Order of s(a_{q0,q1}) versus s(b_{q0,q1}) from the digit streams.
 
     Above K(q0) the order is ">", below it "<"; at K the streams agree
@@ -430,7 +426,7 @@ class CurveRow:
 
 def sample_curve(q0_lo: float, q0_hi: float, n: int, which: str = "both",
                  tol: float | None = None, max_depth: int | None = None,
-                 config: Config | None = None) -> list[CurveRow]:
+                 config: Config = DEFAULT) -> list[CurveRow]:
     """Evaluate the critical maps on a uniform grid; rows are independent."""
     if not (1 < q0_lo < q0_hi):
         raise ValueError("need 1 < q0_lo < q0_hi")

@@ -2,10 +2,11 @@
 
 All roots are reported as closed brackets, never bare points.  Each
 function solved here is continuous and strictly monotone on a
-half-line (proven properties of the value maps).  Every root in q1, and
-the critical base, is found by one certified solve (solve_decreasing):
-one start search (_step_out) hands the two ends it evaluated to one
-Brent loop (bracket_root), which runs on floats and mpf values alike.
+half-line (proven properties of the value maps).  Every root in q1,
+the critical base, the fixed point of K and the Moran exponent are found
+by one certified solve (solve_decreasing): one start search (_step_out)
+hands the two ends it evaluated to one Brent loop (bracket_root), which
+runs on floats and mpf values alike.
 Every sign is certified by one routine (_sign: a float value above its
 proven error bound, which the value functions of series.value_fn carry,
 proves its sign; else a multiprecision evaluation at config.precision
@@ -19,8 +20,7 @@ mu(u, v)   -- the unique crossing g_u(x) = g~_v(x), with
               g_u > g~_v left of the crossing and < right of it
 
 The node formulas and crossings of the critical-value descent use the
-same root_q1 and crossing; the Moran exponent of spectral uses the same
-start search.
+same root_q1 and crossing.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .config import Config, resolve
+from .config import DEFAULT, Config
 from .series import pi_limit, f_from_pi, f_tilde_from_pi, value_fn, value_pair
-from .substitution import Directive, is_primitive, common_node_image
+from .substitution import LimitWordStream, is_primitive, common_node_image
 from .words import Word, sup0, inf1
 
 _FLOAT_TOL_FLOOR = 1e-13
@@ -167,40 +167,14 @@ def _sign(fn, x, y, dps: int | None):
         return fn(mp.mpf(x), mp.mpf(y))
 
 
-def _outward(x: float, up: bool, step: float, n: int):
+def _outward(x: float, up: bool, step: float, n: int, floor: float):
     """x and the n - 1 points after it stepping outward, above x (up) or
-    below it, by step, 2 step, 4 step, ... (never below (x + 1) / 2, the
-    functions being roots in a base > 1)."""
+    below it, by step, 2 step, 4 step, ... (never below (x + floor) / 2,
+    the root lying above floor)."""
     for _ in range(n):
         yield x
-        x = x + step if up else max(x - step, 0.5 * (x + 1.0))
+        x = x + step if up else max(x - step, 0.5 * (x + floor))
         step *= 2
-
-
-def _certify(sign, lo: float, hi: float, proven=None, budget: float = 0.0) -> tuple[float, float]:
-    """Verify sign(lo) > 0 > sign(hi), sign a certified sign at a float
-    point, each end stepping outward past the rounding haze near the
-    root by the bracket's width, doubling, until its sign is certified.
-
-    proven, when given, is a sign that only proves (0 where it cannot,
-    as _sign with dps None), tried first at the end and at the end moved
-    outward by half the width budget the bracket leaves unused (less
-    one ulp, so the rounded ends stay within it)."""
-    def end(x: float, up: bool) -> float:
-        tries = []
-        if proven is not None:
-            pad = (budget - (hi - lo)) / 2 - math.ulp(hi)
-            tries.append((proven, _outward(x, up, pad, 2 if pad > 0 else 1)))
-        tries.append((sign, _outward(x, up, max(hi - lo, 1e-15), 80)))
-        for at, points in tries:
-            for y in points:
-                value = at(y)
-                if value < 0 if up else value > 0:
-                    return y
-        raise ArithmeticError(f"could not certify {'upper' if up else 'lower'} bracket endpoint")
-
-    lo = end(lo, False)
-    return lo, end(hi, True)
 
 
 def _step_out(fn, floor, lo, p, hi, tol):
@@ -239,26 +213,42 @@ def _step_out(fn, floor, lo, p, hi, tol):
 def solve_decreasing(fn, sign, floor: float, start: tuple[float, float, float], tol: float, dps: int) -> Bracket:
     """Bracket the root of a strictly decreasing function to tol, or
     [1, floor] when it lies at or below floor: the one certified solve,
-    behind root_q1 and critical_base.
+    behind root_q1, critical_base, critical.kl_fixed_point and the Moran
+    exponent of spectral.
 
-    fn is the float evaluation, sign(y, dps) the certified sign (_sign).
-    The float search (_step_out, from the guess start = (lo, p, hi))
-    brackets the root to half of the budget max(tol, 1e-13); _certify
-    proves each end in floats, at the end or one nudge outward by half
-    the unused budget (at the default tol about 100 times the float
-    noise), and only then signs it at dps digits, nudging outward while
-    that cannot certify it.  Below 1e-13 the same Brent loop refines the
-    certified bracket at mpf points.
+    fn is the float evaluation, sign(y, dps) the certified sign (_sign;
+    with dps None a sign that only proves, 0 where it cannot).  The
+    float search (_step_out, from the guess start = (lo, p, hi))
+    brackets the root to half of the budget max(tol, 1e-13).  Each end
+    is then proven in floats, at the end or one nudge outward by half
+    the unused budget less one ulp (at the default tol about 100 times
+    the float noise), and only then signed at dps digits, stepping
+    outward by the bracket's width, doubling, while that cannot certify
+    it; the upper end is proven after the lower one, from the bracket
+    that left.  Below 1e-13 the same Brent loop refines the certified
+    bracket at mpf points.
     """
     budget = max(tol, _FLOAT_TOL_FLOOR)
     ends = _step_out(fn, floor, *start, budget / 2)
     if ends is None:
         return Bracket(1.0, floor)
-    certified = lambda y: sign(y, dps)
-    lo, hi = _certify(certified, *ends, lambda y: sign(y, None), budget)
+    lo, hi = ends
+
+    def end(x: float, up: bool) -> float:
+        pad = (budget - (hi - lo)) / 2 - math.ulp(hi)
+        for at, points in ((None, _outward(x, up, pad, 2 if pad > 0 else 1, floor)),
+                           (dps, _outward(x, up, max(hi - lo, 1e-15), 80, floor))):
+            for y in points:
+                value = sign(y, at)
+                if value < 0 if up else value > 0:
+                    return y
+        raise ArithmeticError(f"could not certify {'upper' if up else 'lower'} bracket endpoint")
+
+    lo = end(lo, False)
+    hi = end(hi, True)
     if tol < _FLOAT_TOL_FLOOR:
         with mp.workdps(dps):
-            lo, hi = bracket_root(certified, mp.mpf(lo), mp.mpf(hi), tol)
+            lo, hi = bracket_root(lambda y: sign(y, dps), mp.mpf(lo), mp.mpf(hi), tol)
     return Bracket(lo, hi)
 
 
@@ -274,10 +264,6 @@ def in_W(u: Word) -> bool:
 
 def in_W_tilde(v: Word) -> bool:
     return len(v.per) > 1 and inf1(v) == v
-
-
-def _is_limit_stream(x) -> bool:
-    return hasattr(x, "directive") and isinstance(getattr(x, "directive"), Directive)
 
 
 def _value_fn(u, tilde: bool):
@@ -307,11 +293,10 @@ def root_q1(fn, q0, tol: float, dps: int, start=None) -> Bracket:
                             start or (floor, floor, qf / (qf - 1) + 1.0), tol, dps)
 
 
-def g(u, q0: float, tol: float | None = None, config: Config | None = None):
+def g(u, q0: float, tol: float | None = None, config: Config = DEFAULT):
     """The unique q1 > 1 with f_u(q0, q1) = 0, or BELOW_ONE when
     f_u(q0, 1) <= 0 (i.e. q0 at or past the critical base of u)."""
-    cfg = resolve(config)
-    tol = cfg.tol if tol is None else tol
+    tol = config.tol if tol is None else tol
     if isinstance(u, Word) and not in_W(u):
         raise PreconditionError(f"{u} is not sup0-fixed aperiodic-tail (not in W)")
     fu = _value_fn(u, False)
@@ -319,32 +304,30 @@ def g(u, q0: float, tol: float | None = None, config: Config | None = None):
         raise PreconditionError("q0 must be finite and exceed 1")
     if fu(q0, 1.0) <= 0:
         return BELOW_ONE
-    return root_q1(fu, q0, tol, cfg.precision)
+    return root_q1(fu, q0, tol, config.precision)
 
 
-def g_tilde(v, q0: float, tol: float | None = None, config: Config | None = None) -> Bracket:
+def g_tilde(v, q0: float, tol: float | None = None, config: Config = DEFAULT) -> Bracket:
     """The unique q1 > 1 with f~_v(q0, q1) = 0; exists for every q0 > 1."""
-    cfg = resolve(config)
-    tol = cfg.tol if tol is None else tol
+    tol = config.tol if tol is None else tol
     if isinstance(v, Word) and not in_W_tilde(v):
         raise PreconditionError(f"{v} is not inf1-fixed aperiodic-tail (not in W~)")
     if not 1 < q0 < math.inf:
         raise PreconditionError("q0 must be finite and exceed 1")
-    return root_q1(_value_fn(v, True), q0, tol, cfg.precision)
+    return root_q1(_value_fn(v, True), q0, tol, config.precision)
 
 
-def critical_base(u, tol: float | None = None, config: Config | None = None) -> Bracket:
+def critical_base(u, tol: float | None = None, config: Config = DEFAULT) -> Bracket:
     """The base q_u with f_u(q_u, 1) = 0: g_u(q0) > 1 exactly on (1, q_u)."""
-    cfg = resolve(config)
-    tol = cfg.tol if tol is None else tol
+    tol = config.tol if tol is None else tol
     fu = _value_fn(u, False)
     floor = 1.0 + 1e-9
     return solve_decreasing(lambda x: fu(x, 1.0), lambda x, dps: _sign(fu, x, 1.0, dps), floor,
-                            (floor, floor, 4.0), tol, cfg.precision)
+                            (floor, floor, 4.0), tol, config.precision)
 
 
 def _validate_mu_pair(u, v):
-    if _is_limit_stream(u) and _is_limit_stream(v):
+    if isinstance(u, LimitWordStream) and isinstance(v, LimitWordStream):
         du, dv = u.directive, v.directive
         if du != dv or not is_primitive(du):
             raise PreconditionError("limit-word mu needs one primitive directive for both words")
@@ -466,9 +449,8 @@ def crossing(fu, fv, tol: float, dps: int) -> Bracket:
     raise ArithmeticError("could not certify the crossing's ends")
 
 
-def mu(u, v, tol: float | None = None, config: Config | None = None) -> Bracket:
+def mu(u, v, tol: float | None = None, config: Config = DEFAULT) -> Bracket:
     """The unique x > 1 where g_u and g~_v cross (see :func:`crossing`)."""
-    cfg = resolve(config)
-    tol = cfg.tol if tol is None else tol
+    tol = config.tol if tol is None else tol
     _validate_mu_pair(u, v)
-    return crossing(_value_fn(u, False), _value_fn(v, True), tol, cfg.precision)
+    return crossing(_value_fn(u, False), _value_fn(v, True), tol, config.precision)

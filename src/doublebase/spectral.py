@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import math
 
-from .config import Config, resolve
+import mpmath as mp
+
+from .config import DEFAULT, Config
 from .critical import komornik_loreti
 from .expansions import expansion_bounds, regular
-from .solvers import PreconditionError, _step_out
+from .solvers import Bracket, PreconditionError, solve_decreasing
 from .substitution import BR_L, BR_R, apply, image_string, split_descent
 from .words import Word, compare, sup0, inf1
 
@@ -316,26 +318,36 @@ def entropy_estimate(q0: float, q1: float, digits: int = 48) -> float:
 # ----------------------------------------------------------------------
 
 
-def _moran_exponent(log_r0: float, log_r1: float, tol: float) -> float:
-    # unique s > 0 with exp(s log r0) + exp(s log r1) = 1, log r < 0
-    def F(s):
-        return math.exp(s * log_r0) + math.exp(s * log_r1) - 1.0
+def _moran_exponent(logs, tol: float, dps: int) -> Bracket:
+    """The root s > 0 of r0^s + r1^s = 1 (Moran 1946), strictly
+    decreasing in s, by solvers.solve_decreasing; logs(log) is the pair
+    log r0, log r1 < 0 by the log given: math.log for the float search,
+    mp.log for the signs at dps digits (no sign is proven in floats)."""
+    def F(s, log=math.log, exp=math.exp):
+        log_r0, log_r1 = logs(log)
+        return exp(s * log_r0) + exp(s * log_r1) - 1
 
-    lo, hi = _step_out(F, 0.0, 0.0, 0.0, 1.0, tol)  # F(0) = 1 > 0
-    return 0.5 * (lo + hi)
+    def sign(s, dps):
+        if dps is None:
+            return 0.0
+        with mp.workdps(dps):
+            return F(mp.mpf(s), mp.log, mp.exp)
+
+    return solve_decreasing(F, sign, 0.0, (0.0, 0.0, 1.0), tol, dps)  # F(0) = 1 > 0
 
 
 def ifs_dimension(r0: float, r1: float, tol: float = 1e-12) -> float:
     """Similarity dimension of a two-map IFS with contraction ratios
-    r0, r1: the unique s with r0^s + r1^s = 1."""
+    r0, r1: the unique s with r0^s + r1^s = 1, the midpoint of its
+    bracket as a float."""
     if not (0 < r0 < 1 and 0 < r1 < 1):
         raise ValueError("contraction ratios must lie in (0, 1)")
-    return _moran_exponent(math.log(r0), math.log(r1), tol)
+    return float(_moran_exponent(lambda log: (log(r0), log(r1)), tol, DEFAULT.precision).mid)
 
 
 def univoque_dimension_lower_bound(q0: float, q1: float,
                                    digits: int = 4000, max_depth: int = 64,
-                                   config: Config | None = None) -> float:
+                                   config: Config = DEFAULT) -> float:
     """A positive lower bound for the Hausdorff dimension of the set of
     values with unique (q0, q1)-expansion, valid for q1 > K(q0).
 
@@ -344,12 +356,13 @@ def univoque_dimension_lower_bound(q0: float, q1: float,
     free concatenations are all unique expansions; their value set is
     self-similar with the open set condition, so its dimension is the
     Moran exponent of the two contraction ratios q0^-zeros q1^-ones.
+    The bound returned is the lower end of the exponent's bracket,
+    proven below it by a sign at config.precision digits.
     """
-    cfg = resolve(config)
     if not regular(q0, q1):
         # every expansion is unique; use the unconstrained generator pair
-        return _generator_dimension(q0, q1, "0", "001")
-    kres = komornik_loreti(q0, config=cfg)
+        return _generator_dimension(q0, q1, "0", "001", config.precision)
+    kres = komornik_loreti(q0, config=config)
     if q1 <= kres.value.hi:
         raise PreconditionError(
             f"q1 = {q1} is not above K(q0) = {kres.value}; no positive bound available"
@@ -369,11 +382,14 @@ def univoque_dimension_lower_bound(q0: float, q1: float,
     for k in range(0, 64):
         tail = c + (c + d) * k
         if compare(word, apply(w, Word(d, tail)), digits) == want:
-            return _generator_dimension(q0, q1, image_string(w, tail), image_string(w, tail + c + d))
+            return _generator_dimension(q0, q1, image_string(w, tail), image_string(w, tail + c + d),
+                                        config.precision)
     raise ArithmeticError("no separating marker word found; raise digits")
 
 
-def _generator_dimension(q0, q1, g0, g1):
-    log_r0 = -(g0.count("0") * math.log(q0) + g0.count("1") * math.log(q1))
-    log_r1 = -(g1.count("0") * math.log(q0) + g1.count("1") * math.log(q1))
-    return _moran_exponent(log_r0, log_r1, 1e-12)
+def _generator_dimension(q0, q1, g0, g1, dps: int) -> float:
+    """The proven lower end of the Moran exponent of the two words' value
+    maps, with contraction ratios q0^-zeros q1^-ones."""
+    counts = [(g.count("0"), g.count("1")) for g in (g0, g1)]
+    return _moran_exponent(lambda log: tuple(-(z * log(q0) + o * log(q1)) for z, o in counts),
+                           1e-12, dps).lo

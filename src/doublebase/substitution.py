@@ -208,7 +208,7 @@ def is_primitive(d):
     Finite directives are not infinite sequences, hence not primitive.
     A truncated s-map result returns None (undecided).
     """
-    if hasattr(d, "truncated"):
+    if isinstance(d, SMapResult):
         if d.truncated:
             return None
         d = d.directive

@@ -18,7 +18,7 @@ from doublebase.expansions import regular
 from doublebase.oracle import block_counts
 from doublebase.spectral import build_automaton, entropy
 from doublebase.substitution import directive_compare, limit_word, parse_directive, s_map
-from doublebase.words import Word, parse_word
+from doublebase.words import LetterStream, Word, parse_word
 
 from conftest import word_corpus
 
@@ -211,6 +211,37 @@ def test_classify_univoque_on_formula_cells_solves_no_root(monkeypatch):
 def test_classify_univoque_rejects_bad_tol(tol):
     with pytest.raises(ValueError):
         classify_univoque(1.7, 1.7, tol=tol)
+
+
+def test_classify_omega_stream_tie_at_a_root_corner_is_undecided():
+    # a stream of 01 0^inf reaches no corner cell at the root, where the
+    # Word itself is decided
+    a = Word("01", "0")
+    assert substitution.corner(LetterStream(a.letters), "0") is None
+    assert classify_omega(LetterStream(a.letters), parse_word("1(0)")) == Classification(Label.UNDECIDED, 0)
+    assert classify_omega(a, parse_word("1(0)")).label is Label.COUNTABLE_NONTRIVIAL
+
+
+def test_classify_omega_stream_tie_at_the_first_node_is_undecided():
+    a, b = Word("0110", "01"), parse_word("(10)")
+    assert substitution.split_descent(LetterStream(a.letters), b, 48) == ("=", "", None, None)
+    assert classify_omega(LetterStream(a.letters), b) == Classification(Label.UNDECIDED, 0)
+    assert classify_omega(a, b).label is Label.COUNTABLE_NONTRIVIAL
+
+
+@pytest.mark.parametrize("q1, label", [
+    (50.5, Label.TRIVIAL),
+    (50.9, Label.UNDECIDED),
+    (51.5, Label.POSITIVE_ENTROPY),
+])
+def test_classify_univoque_within_an_exhausted_bracket_is_undecided(q1, label):
+    # G(1.01) exhausts the default depth on the L spine with the bracket
+    # [50.751, 51.0]: q1 inside it is Undecided at that depth
+    g = generalized_golden_ratio(1.01)
+    assert g.case is Case.DEPTH_EXHAUSTED
+    assert (g.value.lo < q1 < g.value.hi) == (label is Label.UNDECIDED)
+    expected = Classification(label, DEFAULT.max_depth) if label is Label.UNDECIDED else Classification(label)
+    assert classify_univoque(1.01, q1) == expected
 
 
 def test_classifier_monotonicity(rng):

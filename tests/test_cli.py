@@ -262,6 +262,13 @@ def test_undecided_exit_code(capsys):
     assert code == 3
 
 
+def test_classify_u_within_an_exhausted_bracket_exits_undecided(capsys):
+    # G(1.01) exhausts the default depth with the bracket [50.751, 51.0]
+    code, out, _ = run(capsys, "classify-u", "--q0", "1.01", "--q1", "50.9")
+    assert code == 3
+    assert out.strip().startswith("Undecided")
+
+
 def test_config_validation():
     import pytest
     from doublebase.config import Config

@@ -127,8 +127,15 @@ def test_kl_fixed_point_brackets_the_constant():
     br = kl_fixed_point(tol=1e-9)
     assert br.width <= 1e-9
     assert br.lo <= 1.7872316501829659 <= br.hi
-    with pytest.raises(ValueError):
-        kl_fixed_point(lo=1.7, hi=1.75)  # K(hi) > hi: no fixed point inside
+
+
+@pytest.mark.parametrize("lo, hi", [(1.7, 1.75), (1.8, 1.9)])
+def test_kl_fixed_point_searches_a_guess_that_misses_the_constant(lo, hi):
+    # K(hi) > hi above the guess, K(lo) < lo below it: the start search
+    # steps outward until the signs differ
+    br = kl_fixed_point(tol=1e-9, lo=lo, hi=hi)
+    assert br.width <= 1e-9
+    assert br.lo <= 1.7872316501829659 <= br.hi
 
 
 def test_ks_crosscheck_examples():

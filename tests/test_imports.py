@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, every
 private module-level name is referenced by some module of the package,
-and every third-party package the library or its tests import is
+no module but `solvers` reaches the internals of its one certified
+solve, and every third-party package the library or its tests import is
 declared in `pyproject.toml`.
 
 `__init__.py` is left out of the unused-import check: it imports names
@@ -89,6 +90,32 @@ def test_the_check_sees_an_unreferenced_private_name():
 
 def test_no_unreferenced_private_names():
     assert unreferenced_private_names({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+SOLVE_INTERNALS = {"_zeroin", "_step_out", "_certify"}
+
+
+def imported_names(source: str) -> set[str]:
+    """The names a module takes from other modules: by from-import or as
+    an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_the_check_sees_imported_names():
+    source = "from .solvers import Bracket, _zeroin as z\nimport math\nmath.pi\n"
+    assert imported_names(source) == {"Bracket", "_zeroin", "pi"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "solvers.py"], ids=lambda p: p.name)
+def test_only_solvers_reaches_the_solve_internals(path):
+    # every monotone root goes through solvers.solve_decreasing
+    assert imported_names(path.read_text()) & SOLVE_INTERNALS == set()
 
 
 def third_party_imports(source: str) -> set[str]:

@@ -298,6 +298,41 @@ def test_dimension_lower_bound_marker_branches(q0, branch, expected):
     assert univoque_dimension_lower_bound(q0, q1) == pytest.approx(expected, rel=1e-12)
 
 
+def _moran_root(q0, q1, g0, g1):
+    """The Moran exponent of the generator words g0, g1 at 50 digits."""
+    with mp.workdps(50):
+        logs = [-(g.count("0") * mp.log(q0) + g.count("1") * mp.log(q1)) for g in (g0, g1)]
+        return mp.findroot(lambda s: mp.exp(s * logs[0]) + mp.exp(s * logs[1]) - 1,
+                           (mp.mpf("1e-3"), mp.mpf(1)), solver="anderson")
+
+
+@pytest.mark.parametrize("q0, q1", [
+    *((q0, None) for q0 in (1.3, 2.4, 1.4, 2.9)),
+    (1.9, 1.7), (2.0, 2.0), (3.0, 3.0),
+], ids=repr)
+def test_dimension_lower_bound_is_below_the_moran_root(monkeypatch, q0, q1):
+    # the bound is a proven lower end, never a midpoint above the root
+    if q1 is None:  # the marker-branch cases, just above K(q0)
+        q1 = komornik_loreti(q0).value.hi + 0.01
+    words = []
+    generator_dimension = spectral._generator_dimension
+    monkeypatch.setattr(spectral, "_generator_dimension",
+                        lambda q0, q1, g0, g1, dps: words.append((g0, g1)) or generator_dimension(q0, q1, g0, g1, dps))
+    d = univoque_dimension_lower_bound(q0, q1)
+    root = _moran_root(q0, q1, *words[-1])
+    assert type(d) is float
+    assert root - 2e-12 <= d <= root
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-20])
+def test_ifs_dimension_is_a_float_midpoint(tol):
+    d = ifs_dimension(0.5, 0.25, tol)
+    with mp.workdps(30):
+        log2_phi = float(mp.log(mp.phi, 2))
+    assert type(d) is float
+    assert d == pytest.approx(log2_phi, abs=max(tol, 1e-16))
+
+
 def test_minimization_preserves_path_counts():
     for a in word_corpus("0", 3):
         for b in word_corpus("1", 3):
