@@ -131,8 +131,8 @@ def test_kl_fixed_point_brackets_the_constant():
 
 @pytest.mark.parametrize("lo, hi", [(1.7, 1.75), (1.8, 1.9)])
 def test_kl_fixed_point_searches_a_guess_that_misses_the_constant(lo, hi):
-    # K(hi) > hi above the guess, K(lo) < lo below it: the start search
-    # steps outward until the signs differ
+    # (1.7, 1.75) lies below the constant, (1.8, 1.9) above it: the start
+    # search steps outward until the signs differ
     br = kl_fixed_point(tol=1e-9, lo=lo, hi=hi)
     assert br.width <= 1e-9
     assert br.lo <= 1.7872316501829659 <= br.hi

@@ -249,6 +249,12 @@ def test_ifs_dimension_examples():
     assert ifs_dimension(0.5, 0.5) == pytest.approx(1.0, abs=1e-10)
     assert ifs_dimension(0.25, 0.25) == pytest.approx(0.5, abs=1e-10)
     assert ifs_dimension(0.5, 0.25) == pytest.approx(math.log(PHI) / LN2, abs=1e-10)
+    # a float midpoint, also where the bracket's ends are mpf
+    with mp.workdps(30):
+        log2_phi = float(mp.log(mp.phi, 2))
+    d = ifs_dimension(0.5, 0.25, tol=1e-20)
+    assert type(d) is float
+    assert d == pytest.approx(log2_phi, abs=1e-16)
 
 
 def test_ifs_dimension_symmetry_and_monotonicity(rng):
@@ -322,15 +328,6 @@ def test_dimension_lower_bound_is_below_the_moran_root(monkeypatch, q0, q1):
     root = _moran_root(q0, q1, *words[-1])
     assert type(d) is float
     assert root - 2e-12 <= d <= root
-
-
-@pytest.mark.parametrize("tol", [1e-12, 1e-20])
-def test_ifs_dimension_is_a_float_midpoint(tol):
-    d = ifs_dimension(0.5, 0.25, tol)
-    with mp.workdps(30):
-        log2_phi = float(mp.log(mp.phi, 2))
-    assert type(d) is float
-    assert d == pytest.approx(log2_phi, abs=max(tol, 1e-16))
 
 
 def test_minimization_preserves_path_counts():
