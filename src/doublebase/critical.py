@@ -393,7 +393,7 @@ class KsResult:
     depth: int          # directive letters examined
 
 
-def ks_crosscheck(q0, q1, depth: int = 24, config: Config = DEFAULT) -> KsResult:
+def ks_crosscheck(q0, q1, depth: int = 24) -> KsResult:
     """Order of s(a_{q0,q1}) versus s(b_{q0,q1}) from the digit streams.
 
     Above K(q0) the order is ">", below it "<"; at K the streams agree

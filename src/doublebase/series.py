@@ -15,15 +15,15 @@ node boundary words costs arithmetic in the directive, not in the
 exponential word lengths.  directive_affine composes over the runs of
 the directive: a run L^k or R^k applies the k-th power of one letter map,
 taken by squaring, so one evaluation costs O(runs * log run) operations
-(M letters and runs of length one still take one `step` each).
+on four scalars, and builds one AffinePair at the end.
 
 Every word value comes from one evaluator (AffinePair.of_word).  For
 float bases node_f_bound repeats the float evaluation of a value
-function (value_fn, of a node boundary word or a plain word) and
-returns a proven bound on its error: the affine pairs' roundings are
-counted once per directive (directive_roundings, Higham's gamma_n), the
-word's letters add theirs in log form, and a running error bound covers
-the three subtractions that cancel.
+function (value_fn, of a node boundary word or a plain word), from its
+kept composition, with a proven bound on its error: the affine pairs'
+roundings are counted once per directive (directive_roundings, Higham's
+gamma_n), the word's letters add theirs in log form, and a running
+error bound covers the three subtractions that cancel.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def pi(q0, q1, u: Word):
     (q1 = 1 is allowed when the period contains a 0, as used by the
     solver boundary checks).
     """
-    return AffinePair.identity(q0, q1).of_word(u)
+    return AffinePair(*_identity(q0, q1)).of_word(u)
 
 
 def pi_tilde(q0, q1, v: Word):
@@ -109,23 +109,6 @@ class AffinePair:
     def __init__(self, a0, s0, a1, s1):
         self.a0, self.s0, self.a1, self.s1 = a0, s0, a1, s1
 
-    @classmethod
-    def identity(cls, q0, q1):
-        one = q0 / q0
-        zero = one - one
-        return cls(zero, one / q0, one / q1, one / q1)
-
-    def step(self, letter: str) -> "AffinePair":
-        """Affine pair of w.letter given the pair of w."""
-        a0, s0, a1, s1 = self.a0, self.s0, self.a1, self.s1
-        if letter == "L":           # blocks 0 -> "0", 1 -> "10"
-            return AffinePair(a0, s0, a1 + s1 * a0, s1 * s0)
-        if letter == "M":           # 0 -> "01", 1 -> "10"
-            return AffinePair(a0 + s0 * a1, s0 * s1, a1 + s1 * a0, s1 * s0)
-        if letter == "R":           # 0 -> "01", 1 -> "1"
-            return AffinePair(a0 + s0 * a1, s0 * s1, a1, s1)
-        raise DirectiveError(f"bad directive letter {letter!r}")
-
     def of_word(self, u: Word):
         """pi(w(u)) for eventually periodic u: the map of u's period,
         composed from the right (Horner), its fixed point a / (1 - s),
@@ -142,6 +125,13 @@ class AffinePair:
         for c in reversed(u.pre):
             p = self.a0 + self.s0 * p if c == "0" else self.a1 + self.s1 * p
         return p
+
+
+def _identity(q0, q1) -> tuple:
+    """(a0, s0, a1, s1) of the empty directive's pair at (q0, q1)."""
+    one = q0 / q0
+    r1 = one / q1
+    return one - one, one / q0, r1, r1
 
 
 def _power(a, s, k: int):
@@ -167,50 +157,56 @@ def directive_affine(w, q0, q1) -> AffinePair:
     """Affine pair of the directive w, given as a word or as its
     letter_runs: a run L^k fixes (a0, s0) and maps (a1, s1) to
     (a1 + s1 * A, s1 * S), (A, S) the k-th power of x -> a0 + s0 * x;
-    R^k is the mirror; M letters and single letters take one step."""
-    return _compose(AffinePair.identity(q0, q1), w)
+    R^k is the mirror; each M letter applies its map once (_compose)."""
+    return _compose(_identity(q0, q1), w)
 
 
-def _compose(pair: AffinePair, w) -> AffinePair:
+def _compose(start, w) -> AffinePair:
+    a0, s0, a1, s1 = start  # the pair w follows, folded on four scalars
     for letter, k in (letter_runs(w) if isinstance(w, str) else w):
-        if k == 1 or letter == "M":
+        if letter == "M":           # blocks 0 -> "01", 1 -> "10"
             for _ in range(k):
-                pair = pair.step(letter)
-        elif letter == "L":
-            a, s = _power(pair.a0, pair.s0, k)
-            pair = AffinePair(pair.a0, pair.s0, pair.a1 + pair.s1 * a, pair.s1 * s)
-        elif letter == "R":
-            a, s = _power(pair.a1, pair.s1, k)
-            pair = AffinePair(pair.a0 + pair.s0 * a, pair.s0 * s, pair.a1, pair.s1)
+                a0, s0, a1, s1 = a0 + s0 * a1, s0 * s1, a1 + s1 * a0, s1 * s0
+        elif letter == "L":         # 0 -> "0", 1 -> "10"
+            a, s = _power(a0, s0, k) if k > 1 else (a0, s0)
+            a1, s1 = a1 + s1 * a, s1 * s
+        elif letter == "R":         # 0 -> "01", 1 -> "1"
+            a, s = _power(a1, s1, k) if k > 1 else (a1, s1)
+            a0, s0 = a0 + s0 * a, s0 * s
         else:
             raise DirectiveError(f"bad directive letter {letter!r}")
-    return pair
+    return AffinePair(a0, s0, a1, s1)
 
 
-def node_pi(runs, q0, q1, seed):
+def node_pi(runs, q0, q1, seed, kept=None):
     """pi of boundary words of a node sigma, from affine forms.
 
     runs are letter_runs(w + "M") of the node sigma = wM, which a caller
     evaluating one node many times computes once (() give pi of the seed
     itself).  With one seed word, the value of sigma(seed); with a tuple
-    of words, the tuple of their values from the one composition.
+    of words, the tuple of their values from the one composition, which
+    a dict kept, if given, stores under (q0, q1) at float bases.
     """
-    pair = _compose(AffinePair.identity(q0, q1), runs)
+    pair = _compose(_identity(q0, q1), runs)
+    if kept is not None and isinstance(q0, float) and isinstance(q1, float):
+        kept[q0, q1] = pair
     if isinstance(seed, tuple):
-        return tuple(pair.of_word(u) for u in seed)
+        return tuple(map(pair.of_word, seed))
     return pair.of_word(seed)
 
 
 def value_fn(runs, seed: Word, tilde: bool):
     """f of sigma(seed), or f~ with tilde, as a function of (q0, q1) via
     node_pi, sigma of letter runs `runs` (() for a plain word); bounded
-    is the same float evaluation with a proven error bound (node_f_bound)."""
+    is the same float evaluation with a proven error bound (node_f_bound)
+    from the composition fn kept there (kept while fn lives: one solve)."""
     roundings = directive_roundings(runs)
     from_pi = f_tilde_from_pi if tilde else f_from_pi
+    kept = {}
 
     def fn(q0, q1):
-        return from_pi(node_pi(runs, q0, q1, seed), q0, q1)
-    fn.bounded = lambda q0, q1: node_f_bound(runs, roundings, seed, tilde, q0, q1)
+        return from_pi(node_pi(runs, q0, q1, seed, kept), q0, q1)
+    fn.bounded = lambda q0, q1: node_f_bound(runs, roundings, seed, tilde, q0, q1, kept.get((q0, q1)))
     fn.parts = (runs, seed, from_pi)
     return fn
 
@@ -275,7 +271,7 @@ def directive_roundings(w) -> AffinePair:
     for any float q0, q1 >= 1: the identity's 0 is exact and its three
     reciprocals round once.  Cached, since they cost a few float
     evaluations and a warm descent asks again for the nodes it reaches."""
-    n = _compose(AffinePair(*map(_Roundings, (0, 1, 1, 1))), w)
+    n = _compose(map(_Roundings, (0, 1, 1, 1)), w)
     return AffinePair(int(n.a0), int(n.s0), int(n.a1), int(n.s1))
 
 
@@ -285,10 +281,12 @@ def _grown(r):
     return r / (1 - r) if r < 1 else math.inf
 
 
-def node_f_bound(runs, roundings: AffinePair, seed: Word, tilde: bool, q0: float, q1: float) -> tuple:
+def node_f_bound(runs, roundings: AffinePair, seed: Word, tilde: bool, q0: float, q1: float,
+                 pair: AffinePair | None = None) -> tuple:
     """(f_hat, err) with |f - f_hat| <= err, f the function
     value_fn(runs, seed, tilde) (f of sigma(seed), or f~ with tilde) at
-    floats q0 > 1, q1 >= 1; roundings is directive_roundings(runs).
+    floats q0 > 1, q1 >= 1; roundings is directive_roundings(runs), and
+    pair directive_affine(runs, q0, q1) where the caller has it.
     f_hat is computed by the operations of AffinePair.of_word and
     f_from_pi / f_tilde_from_pi, in their order, so it equals that
     float evaluation bit for bit.
@@ -301,7 +299,7 @@ def node_f_bound(runs, roundings: AffinePair, seed: Word, tilde: bool, q0: float
     running error bound (Wilkinson 1963).  err is inf where a product
     could have underflowed.
     """
-    pair = _compose(AffinePair.identity(q0, q1), runs)
+    pair = pair or _compose(_identity(q0, q1), runs)
     # the map x -> a + s x of each digit and the log-error bounds of a and s
     digit = {"0": (pair.a0, pair.s0, roundings.a0 * _U, roundings.s0 * _U),
              "1": (pair.a1, pair.s1, roundings.a1 * _U, roundings.s1 * _U)}
@@ -365,5 +363,5 @@ def pi_limit(d: Directive, seed, q0, q1):
         a, s = (psi.a0, psi.s0) if seed == "0" else (psi.a1, psi.s1)
         if abs(s) < 1e-60:
             return a
-        psi = _compose(psi, block)
+        psi = _compose((psi.a0, psi.s0, psi.a1, psi.s1), block)
     return (psi.a0 if seed == "0" else psi.a1)

@@ -185,18 +185,18 @@ def _step_out(fn, floor, lo, p, hi, tol):
 
     The sign at p picks the side of the root.  The far end on that side
     is hi (or lo) first, taken as it is, then steps out from p, four
-    times as far each time, until its sign is right; a step toward the
-    floor keeps an eighth of the last point's distance to it, so a root
-    just above it is approached geometrically, not jumped over.  Brent's
-    loop starts from the two ends evaluated last, so no point is
-    evaluated twice.
+    times as far each time, until its sign is right; the first step is
+    the guess's width where that end is p.  A step toward the floor
+    keeps an eighth of the last point's distance to it, so a root just
+    above it is approached geometrically, not jumped over.  Brent's loop
+    starts from the two ends evaluated last, so no point is evaluated twice.
     """
     lo, p, hi = (max(y, floor) for y in (lo, p, hi))
     near, fnear = p, fn(p)
     up = fnear > 0  # the root lies above p
     sign = 1 if up else -1
     end = hi if up else lo
-    step = max(sign * (end - p), tol)
+    step = max(sign * (end - p) if end != p else hi - lo, tol)
     far = None if end == p else end
     for _ in range(200):
         if not up and near <= floor:

@@ -138,6 +138,23 @@ def test_kl_fixed_point_searches_a_guess_that_misses_the_constant(lo, hi):
     assert br.lo <= 1.7872316501829659 <= br.hi
 
 
+def test_kl_fixed_point_steps_down_from_a_guess_above_the_constant_by_its_width(monkeypatch):
+    # the guess's lower end is the search's start, so the step down from
+    # it starts at the guess's width, not at the tolerance: a guess above
+    # the constant costs about as many K calls as one around it (12)
+    calls = []
+    k = critical.komornik_loreti
+
+    def counted(q, **kwargs):
+        calls.append(q)
+        return k(q, **kwargs)
+
+    monkeypatch.setattr(critical, "komornik_loreti", counted)
+    br = kl_fixed_point(tol=1e-9, lo=1.8, hi=1.9)
+    assert br.lo <= 1.7872316501829659 <= br.hi
+    assert calls[:2] == [1.8, pytest.approx(1.7)] and len(calls) <= 12, calls
+
+
 def test_ks_crosscheck_examples():
     assert ks_crosscheck(1.9, 1.70).order == ">"
     assert ks_crosscheck(1.9, 1.55).order == "<"
@@ -326,19 +343,25 @@ def test_warm_call_evaluates_no_point_twice(monkeypatch, curve, q0):
     # the search for a root's start bracket hands its evaluated ends to
     # Brent's loop, and the certification proves signs by the bounded
     # float evaluation of the node's value function (series.value_fn's
-    # bounded, through node_f_bound, not node_pi) or in mp: no node
-    # evaluation repeats an earlier one with the same typed arguments
+    # bounded, through node_f_bound, not node_pi) from the composition
+    # that function kept where it evaluated the point, or in mp: no
+    # point (q0, q1) is composed twice, in node_pi or node_f_bound
     curve(q0)
-    points = []
-    node_pi = series.node_pi
+    points, bounds = [], []
+    identity, node_f_bound = series._identity, series.node_f_bound
 
-    def counted(*args):
-        points.append(tuple((type(a), a) for a in args))
-        return node_pi(*args)
+    def composed(x, y):  # every composition at a point starts here
+        points.append((type(x), x, type(y), y))
+        return identity(x, y)
 
-    monkeypatch.setattr(series, "node_pi", counted)
+    def bounded(*args):
+        bounds.append(args)
+        return node_f_bound(*args)
+
+    monkeypatch.setattr(series, "_identity", composed)
+    monkeypatch.setattr(series, "node_f_bound", bounded)
     curve(q0)
-    assert points and len(set(points)) == len(points)
+    assert points and bounds and len(set(points)) == len(points)
 
 
 def test_cold_deep_descent_evaluation_budget(monkeypatch, cold_mu):

@@ -165,11 +165,20 @@ def test_node_pi_matches_word_pi(rng):
 
 
 def _stepwise_affine(w, q0, q1):
-    # the reference composer: one AffinePair.step per directive letter
-    pair = AffinePair.identity(q0, q1)
+    # the reference composer, one letter map at a time, written apart
+    # from the library's: L blocks 0 -> "0", 1 -> "10", M 0 -> "01",
+    # 1 -> "10", R 0 -> "01", 1 -> "1"
+    one = q0 / q0
+    a0, s0, a1, s1 = one - one, one / q0, one / q1, one / q1
     for letter in w:
-        pair = pair.step(letter)
-    return pair
+        if letter == "L":
+            a1, s1 = a1 + s1 * a0, s1 * s0
+        elif letter == "M":
+            a0, s0, a1, s1 = a0 + s0 * a1, s0 * s1, a1 + s1 * a0, s1 * s0
+        else:
+            assert letter == "R"
+            a0, s0 = a0 + s0 * a1, s0 * s1
+    return AffinePair(a0, s0, a1, s1)
 
 
 def _image_length(w):
@@ -256,6 +265,26 @@ def test_node_f_bound_encloses_the_exact_value(w, key, q0, q1):
         x, y = mp.mpf(q0), mp.mpf(q1)
         exact = from_pi(node_pi(runs, x, y, NODE_SEEDS[key]), x, y)
         assert abs(mp.mpf(value) - exact) <= err
+
+
+def test_bound_from_a_kept_composition_is_bit_identical(rng):
+    # a value function keeps the composition of each float point it
+    # evaluates, and its bound there starts from it: the same (value,
+    # err) as a bound composed afresh, bit for bit
+    for _ in range(200):
+        w = _random_directive(rng) if rng.random() < 0.5 else "".join(rng.choice("LMR") for _ in range(rng.randrange(12)))
+        key = rng.choice(sorted(NODE_SEEDS))
+        runs, tilde = letter_runs(w + "M"), not key.startswith("s0")
+        q0, q1 = 1 + 3 * rng.random(), 1 + 3 * rng.random()
+        fn = value_fn(runs, NODE_SEEDS[key], tilde)
+        fresh = node_f_bound(runs, directive_roundings(runs), NODE_SEEDS[key], tilde, q0, q1)
+        kept = {}
+        node_pi(runs, q0, q1, NODE_SEEDS[key], kept)
+        assert _entries(kept[q0, q1]) == _entries(directive_affine(runs, q0, q1))
+        reused = node_f_bound(runs, directive_roundings(runs), NODE_SEEDS[key], tilde, q0, q1, kept[q0, q1])
+        assert reused == fresh and fn.bounded(q0, q1) == fresh, w
+        fn(q0, q1)  # now kept by fn
+        assert fn.bounded(q0, q1) == fresh, w
 
 
 def test_node_f_bound_is_infinite_where_products_underflow():
