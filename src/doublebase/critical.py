@@ -16,6 +16,13 @@ followed by a binary search finds where q0 stops being beyond the node
 cells with O(log k) crossings, and the skipped nodes change neither the
 node nor the case reached.  max_depth still counts directive letters.
 
+A node's cell lies inside the range where its parent's crossings sent
+q0, so the crossings one descent reads lie close together: a crossing
+below the root is solved by Newton from the end of the crossing
+node_mu returned last (solvers.crossing's start), and the root's cold
+from (1.5, 0.45).  A cold G(50, max_depth=100) makes 296 node
+evaluations (518 with every crossing started cold).
+
 Each descent only finds q0's cell (_g_cell, _k_cell): the node, the
 formula's NODE_SEEDS key, the case and the membership ambiguity, or the
 last spine bounds of a walk that reached max_depth.  One solve (_solve)
@@ -99,6 +106,7 @@ def _node_f(w: str, key: str):
 
 
 MU_CACHE_SIZE = 4096  # crossings kept, the least recently read dropped first
+_last_end = None  # Newton's end of the crossing node_mu returned last
 
 
 def node_mu(w: str, ukey: str, vkey: str, config: Config = DEFAULT) -> Bracket:
@@ -108,14 +116,19 @@ def node_mu(w: str, ukey: str, vkey: str, config: Config = DEFAULT) -> Bracket:
     The cache (_node_mu) is shared across descents, since crossings do
     not depend on q0, and holds the MU_CACHE_SIZE crossings read most
     recently, so the root crossings every descent reads first stay;
-    concurrent misses of one key at worst solve it twice.
+    concurrent misses of one key at worst solve it twice.  A crossing
+    of a node below the root is solved from the end of the crossing
+    read last (_last_end), which a descent read in or next to the same
+    cell; the root's start cold, so no end outlives an emptied cache.
     """
-    return _node_mu(w, ukey, vkey, config.precision, min(config.tol, 2e-13))
+    global _last_end
+    mu, _last_end = _node_mu(w, ukey, vkey, config.precision, min(config.tol, 2e-13))
+    return mu
 
 
 @lru_cache(maxsize=MU_CACHE_SIZE)
-def _node_mu(w: str, ukey: str, vkey: str, dps: int, tol: float) -> Bracket:
-    return crossing(_node_f(w, ukey), _node_f(w, vkey), tol, dps)
+def _node_mu(w: str, ukey: str, vkey: str, dps: int, tol: float) -> tuple[Bracket, tuple]:
+    return crossing(_node_f(w, ukey), _node_f(w, vkey), tol, dps, _last_end if w else None)
 
 
 def _slack(mu: Bracket) -> float:
@@ -191,9 +204,11 @@ def _spine_bound(w: str, key: str, cfg: Config) -> tuple:
 # the product chain 1/(q0+1) <= (q0-1)(G-1) <= 1/2 <= (q0-1)(K-1) < q0/(q0+1):
 # each curve's lower and upper product, as functions of q0
 _HALF = Fraction(1, 2)
-_CHAIN = {
-    "G": (lambda x: 1 / (x + 1), lambda x: _HALF),
-    "K": (lambda x: _HALF, lambda x: x / (x + 1)),
+_CHAIN = {  # one lambda a line: a profile keys code by (file, line, name)
+    "G": (lambda x: 1 / (x + 1),
+          lambda x: _HALF),
+    "K": (lambda x: _HALF,
+          lambda x: x / (x + 1)),
 }
 
 

@@ -289,8 +289,9 @@ def root_q1(fn, q0, tol: float, dps: int, start=None) -> Bracket:
     the float search then runs at float(q0), the signs at q0 itself."""
     qf = float(q0)
     floor = 1.0 + min(tol, 1e-12)
-    return solve_decreasing(lambda y: fn(qf, y), lambda y, dps: _sign(fn, q0, y, dps), floor,
-                            start or (floor, floor, qf / (qf - 1) + 1.0), tol, dps)
+    return solve_decreasing(lambda y: fn(qf, y),  # one lambda a line: a profile keys code by (file, line, name)
+                            lambda y, dps: _sign(fn, q0, y, dps),
+                            floor, start or (floor, floor, qf / (qf - 1) + 1.0), tol, dps)
 
 
 def g(u, q0: float, tol: float | None = None, config: Config = DEFAULT):
@@ -322,8 +323,9 @@ def critical_base(u, tol: float | None = None, config: Config = DEFAULT) -> Brac
     tol = config.tol if tol is None else tol
     fu = _value_fn(u, False)
     floor = 1.0 + 1e-9
-    return solve_decreasing(lambda x: fu(x, 1.0), lambda x, dps: _sign(fu, x, 1.0, dps), floor,
-                            (floor, floor, 4.0), tol, config.precision)
+    return solve_decreasing(lambda x: fu(x, 1.0),  # one lambda a line, as in root_q1
+                            lambda x, dps: _sign(fu, x, 1.0, dps),
+                            floor, (floor, floor, 4.0), tol, config.precision)
 
 
 def _validate_mu_pair(u, v):
@@ -366,57 +368,71 @@ def _corner(fu, fv, x, y, dps: int | None) -> int:
     return -1 if at_v > 0 or _sign(fu, x, 1.0, dps) < 0 else 0
 
 
-def _newton(both):
+def _newton(both, start=None):
     """Damped Newton (Kantorovich 1948) on both(x, y) = (0, 0) in x and
-    p = (x - 1)(y - 1) from (1.5, 0.45) (the product chain holds p in
-    [1/(x+1), x/(x+1)) on both curves): the end point (x, p) and the
-    forward-difference Jacobian (fu_x, fu_p, fv_x, fv_p) there.  Steps
-    are cut to keep an eighth of x - 1 and of p at least, as _step_out
-    steps toward a floor; after a step below 1e-10 of both, one more
-    with the same Jacobian ends.  Where the curves run parallel x steps
-    out, y kept: to an eighth of x - 1 where the linear model puts g_u
-    below g~_v, else to four times it.  x - 1 below 1e-15 raises
-    PreconditionError, and no end after 60 steps ArithmeticError.
+    p = (x - 1)(y - 1): the end point (x, p) and the forward-difference
+    Jacobian (fu_x, fu_p, fv_x, fv_p) there.  Cold it starts from
+    (1.5, 0.45) (the product chain holds p in [1/(x+1), x/(x+1)) on
+    both curves); from start = (x, p, fu_x, fu_p, fv_x, fv_p), a nearby
+    crossing's end, the first step takes that Jacobian and every later
+    one its own.  Steps are cut to keep an eighth of x - 1 and of p at
+    least, as _step_out steps toward a floor; after a step below 1e-10
+    of both, one more with the same Jacobian ends.  Where the curves run
+    parallel x steps out, y kept: to an eighth of x - 1 where the linear
+    model puts g_u below g~_v, else to four times it.  x - 1 below 1e-15
+    raises PreconditionError, and no end after 60 steps ArithmeticError.
     """
-    x, p, close = 1.5, 0.45, False
-    for _ in range(60):
+    x, p = start[:2] if start else (1.5, 0.45)
+    close = False
+    for i in range(60):
         if x - 1 < 1e-15:
             raise PreconditionError("no crossing found above 1")
         a, b = both(x, 1 + p / (x - 1))
-        if not close:
+        if i == 0 and start:  # a start's Jacobian serves its first step only
+            jac = start[2:]
+        elif not close:
             hx, hp = 2.0 ** -26 * (x - 1), 2.0 ** -26 * p  # relative steps of the forward differences
             ax, bx = both(x + hx, 1 + p / (x + hx - 1))
             ap, bp = both(x, 1 + (p + hp) / (x - 1))
-            jac = ux, up, vx, vp = (ax - a) / hx, (ap - a) / hp, (bx - b) / hx, (bp - b) / hp
-            det = ux * vp - up * vx
-            if not abs(det) > 1e-9 * (abs(ux * vp) + abs(up * vx)):
-                scale = 4.0 if a * vp < b * up else 0.125  # g_u above g~_v: the crossing is above x
-                x, p = 1 + scale * (x - 1), scale * p
-                continue
+            jac = (ax - a) / hx, (ap - a) / hp, (bx - b) / hx, (bp - b) / hp
+        ux, up, vx, vp = jac
+        det = ux * vp - up * vx
+        if not abs(det) > 1e-9 * (abs(ux * vp) + abs(up * vx)):
+            scale = 4.0 if a * vp < b * up else 0.125  # g_u above g~_v: the crossing is above x
+            x, p = 1 + scale * (x - 1), scale * p
+            continue
         dx, dp = (b * up - a * vp) / det, (a * vx - b * ux) / det
         if close:
             return x + dx, p + dp, jac
         t = min(1.0, -0.875 * (x - 1) / dx if dx < 0 else 1.0, -0.875 * p / dp if dp < 0 else 1.0)
         x, p = x + t * dx, p + t * dp
-        close = abs(t * dx) < 1e-10 * x and abs(t * dp) < 1e-10 * p
+        close = (i > 0 or not start) and abs(t * dx) < 1e-10 * x and abs(t * dp) < 1e-10 * p
     raise ArithmeticError("Newton's steps found no crossing")
 
 
-def crossing(fu, fv, tol: float, dps: int) -> Bracket:
+def crossing(fu, fv, tol: float, dps: int, start=None) -> tuple[Bracket, tuple]:
     """The unique x > 1 where the roots in q1 of fu(x, .) and fv(x, .)
     cross, fu an f and fv an f~ function of (q0, q1): g_u > g~_v left of
-    it and < right of it.  One Newton solve (_newton, both functions
-    from one evaluation by series.value_pair) gives a point (x, p); each
-    end is the first x -/+ d that _corner proves, p on the line of the
-    curves' mean slope through the point, d growing in floats from
-    2.5e-14 x by 1.25 up to tol / 2.  What floats cannot close (tol
-    below 1e-13, functions without a float bound such as limit-word
-    streams, an end open at tol / 2) takes a Newton step at dps digits
-    and mp corners at d = tol / 4, again while they do not decide; the
-    ends stay floats unless tol is below 1e-13.
+    it and < right of it, as a bracket, and Newton's end (x, p, fu_x,
+    fu_p, fv_x, fv_p), a start for a nearby crossing.  One Newton solve
+    (_newton, both functions from one evaluation by series.value_pair)
+    gives a point (x, p), from start or cold; a start that ends in no
+    crossing is solved again cold.  Each end is the first x -/+ d that
+    _corner proves, p on the line of the curves' mean slope through the
+    point, d growing in floats from 2.5e-14 x by 1.25 up to tol / 2.
+    What floats cannot close (tol below 1e-13, functions without a float
+    bound such as limit-word streams, an end open at tol / 2) takes a
+    Newton step at dps digits and mp corners at d = tol / 4, again while
+    they do not decide; the ends stay floats unless tol is below 1e-13.
     """
     both = value_pair(fu, fv)
-    x, p, (ux, up, vx, vp) = _newton(both)
+    try:
+        x, p, (ux, up, vx, vp) = _newton(both, start)
+    except (PreconditionError, ArithmeticError):
+        if start is None:
+            raise
+        x, p, (ux, up, vx, vp) = _newton(both)
+    end = (x, p, ux, up, vx, vp)
     slope = -0.5 * (ux / up + vx / vp)  # dp/dx halfway between the curves
 
     def ends(x, p, ds, dps):
@@ -436,7 +452,7 @@ def crossing(fu, fv, tol: float, dps: int) -> Bracket:
     cap = half - math.ulp(x)
     grown = [d for d in (2.5e-14 * x * 1.25 ** k for k in range(40)) if d < cap] + [cap]
     if floats and cap > 0 and (br := ends(x, p, grown, None)):
-        return br
+        return br, end
     det = ux * vp - up * vx
     with mp.workdps(dps):
         d = max(half / 2, 2 * math.ulp(x)) if floats else mp.mpf(half) / 2
@@ -445,7 +461,7 @@ def crossing(fu, fv, tol: float, dps: int) -> Bracket:
             a, b = both(x, 1 + p / (x - 1))
             x, p = x + (b * up - a * vp) / det, p + (a * vx - b * ux) / det
             if (br := ends(float(x) if floats else x, p, [d], dps)):
-                return br
+                return br, end
     raise ArithmeticError("could not certify the crossing's ends")
 
 
@@ -453,4 +469,4 @@ def mu(u, v, tol: float | None = None, config: Config = DEFAULT) -> Bracket:
     """The unique x > 1 where g_u and g~_v cross (see :func:`crossing`)."""
     tol = config.tol if tol is None else tol
     _validate_mu_pair(u, v)
-    return crossing(_value_fn(u, False), _value_fn(v, True), tol, config.precision)
+    return crossing(_value_fn(u, False), _value_fn(v, True), tol, config.precision)[0]

@@ -31,10 +31,13 @@ PHI = (1 + 5 ** 0.5) / 2
 @pytest.fixture
 def cold_mu():
     """An empty crossing cache, as in a new process, emptied again after
-    the test, so no crossing it solved or stubbed outlives it."""
+    the test, with no Newton end to start from, so no crossing it solved
+    or stubbed outlives it."""
     critical._node_mu.cache_clear()
+    critical._last_end = None
     yield
     critical._node_mu.cache_clear()
+    critical._last_end = None
 
 
 def test_golden_ratio_examples():
@@ -366,19 +369,22 @@ def test_warm_call_evaluates_no_point_twice(monkeypatch, curve, q0):
 
 def test_cold_deep_descent_evaluation_budget(monkeypatch, cold_mu):
     # 17 crossings, each one Newton solve with both functions of a node
-    # from one evaluation, float and mp together (518); with a nested
-    # search in x over roots in q1 they took 3,265, and 4,894 with every
-    # root in q1 started cold and Brent crawling through exact zeros
+    # from one evaluation, float and mp together, started below the
+    # root from the end of the crossing read last (296; 518 with every
+    # crossing started at (1.5, 0.45)); with a nested search in x over
+    # roots in q1 they took 3,265, and 4,894 with every root in q1
+    # started cold and Brent crawling through exact zeros
     evaluations, _ = _cold_node_evaluations(monkeypatch, 50.0, 100)
-    assert evaluations <= 640, evaluations
+    assert evaluations <= 360, evaluations
 
 
-@pytest.mark.parametrize("q0, budget", [(1.01, 235), (1.75, 63)], ids=["1.01", "1.75"])
+@pytest.mark.parametrize("q0, budget", [(1.01, 175), (1.75, 63)], ids=["1.01", "1.75"])
 def test_cold_descent_float_budget(monkeypatch, cold_mu, q0, budget):
-    # 8 and 3 crossings by one Newton solve each (189 and 51 evaluations);
-    # the nested search in x over roots in q1 took 1,645 and 286, and
-    # 2,457 and 413 when every root started cold and Brent crawled
-    # through exact zeros
+    # 8 and 3 crossings by one Newton solve each (143 and 51 evaluations;
+    # 189 and 51 with every crossing started at (1.5, 0.45): the 3 of
+    # G(1.75) are the root's, which start there still); the nested
+    # search in x over roots in q1 took 1,645 and 286, and 2,457 and 413
+    # when every root started cold and Brent crawled through exact zeros
     evaluations, _ = _cold_node_evaluations(monkeypatch, q0, None)
     assert evaluations <= budget, evaluations
 
@@ -471,9 +477,9 @@ def test_mu_cache_keeps_the_crossings_every_descent_reads(monkeypatch, cold_mu):
     # least recently read are dropped, so the root crossings never are
     solved = []
 
-    def stub(fu, fv, tol, dps):
+    def stub(fu, fv, tol, dps, start):
         solved.append(fu)
-        return solvers.Bracket(1.5, 1.5)
+        return solvers.Bracket(1.5, 1.5), (1.5, 0.45, 1.0, 0.0, 0.0, 1.0)
 
     monkeypatch.setattr(critical, "crossing", stub)
     roots = [("", "s0", "s10"), ("", "s01", "s1"), ("", "s0", "s1")]
@@ -504,9 +510,12 @@ def test_deep_spine_crossings_are_within_tol(cold_mu, w, u, v):
 def test_cold_curve_sweep_crossings_are_proven_in_floats(monkeypatch, cold_mu):
     # the 140 crossings of G and K on sample_curve's 60-point grid over
     # [1.05, 3] and of kl_fixed_point, solved from an empty cache: every
-    # corner sign is proven in floats, and every bracket is within
-    # node_mu's 2e-13
-    sign, crossing, in_crossing, mp_signs, widths = solvers._sign, critical.crossing, [False], [], []
+    # corner sign is proven in floats, every bracket is within node_mu's
+    # 2e-13, and Newton, started below the root from the crossing read
+    # last, evaluates both functions of a node 1,541 times (2,681 with
+    # every crossing started at (1.5, 0.45))
+    sign, crossing, value_pair = solvers._sign, critical.crossing, solvers.value_pair
+    in_crossing, mp_signs, widths, evaluations = [False], [], [], [0]
 
     def counted_sign(fn, x, y, dps):
         value = sign(fn, x, y, dps)
@@ -514,16 +523,25 @@ def test_cold_curve_sweep_crossings_are_proven_in_floats(monkeypatch, cold_mu):
             mp_signs.append((x, y))
         return value
 
+    def counted_pair(fu, fv):
+        both = value_pair(fu, fv)
+
+        def counted(q0, q1):
+            evaluations[0] += 1
+            return both(q0, q1)
+        return counted
+
     def flagged(*args):
         in_crossing[0] = True
         try:
-            br = crossing(*args)
+            br, end = crossing(*args)
         finally:
             in_crossing[0] = False
         widths.append(br.width)
-        return br
+        return br, end
 
     monkeypatch.setattr(solvers, "_sign", counted_sign)
+    monkeypatch.setattr(solvers, "value_pair", counted_pair)
     monkeypatch.setattr(critical, "crossing", flagged)
     for q0 in (1.05 + 1.95 * i / 59 for i in range(60)):
         generalized_golden_ratio(q0)
@@ -532,3 +550,4 @@ def test_cold_curve_sweep_crossings_are_proven_in_floats(monkeypatch, cold_mu):
     assert critical._node_mu.cache_info().currsize == len(widths) == 140
     assert not mp_signs, len(mp_signs)
     assert max(widths) <= 2e-13, max(widths)
+    assert evaluations[0] <= 1_850, evaluations[0]

@@ -1,7 +1,10 @@
+import itertools
 import math
+from functools import lru_cache
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doublebase import solvers
 from doublebase.config import Config
@@ -371,6 +374,40 @@ def test_crossing_exits_without_a_sign_change():
         crossing(lambda x, y: 3 - y, lambda x, y: 2 - y, 1e-12, 30)
 
 
+# every node of depth at most 3 and each of its five crossings
+SHALLOW_NODES = ["".join(w) for n in range(4) for w in itertools.product("LMR", repeat=n)]
+NODE_PAIRS = [("s0", "s10"), ("s0", "s1"), ("s01", "s1"), ("s010", "s10"), ("s01", "s101")]
+
+
+@lru_cache(maxsize=None)
+def _cold_crossing(w, u, v):
+    return crossing(_node_f(w, u), _node_f(w, v), 2e-13, 30)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(SHALLOW_NODES), st.sampled_from(NODE_PAIRS),
+       st.floats(1, 40, exclude_min=True, exclude_max=True), st.floats(0, 1, exclude_min=True, exclude_max=True),
+       st.sampled_from(SHALLOW_NODES), st.sampled_from(NODE_PAIRS))
+def test_crossing_from_any_start_agrees_with_the_cold_one(w, pair, x, p, other, other_pair):
+    # Newton started anywhere, with the Jacobian of another node's
+    # crossing, ends at the crossing or is solved again cold: it never
+    # raises, and its bracket is within tol and overlaps the cold one
+    cold, _ = _cold_crossing(w, *pair)
+    _, end = _cold_crossing(other, *other_pair)
+    br, _ = crossing(_node_f(w, pair[0]), _node_f(w, pair[1]), 2e-13, 30, (x, p) + end[2:])
+    assert 0 < br.width <= 2e-13, br
+    assert br.lo <= cold.hi and cold.lo <= br.hi, (br, cold)
+
+
+def test_crossing_from_a_start_still_exits_without_a_sign_change():
+    # a start that ends in no crossing is solved again cold, which raises
+    start = (2.0, 0.5, -1.0, 0.0, 0.0, -1.0)
+    with pytest.raises(PreconditionError):
+        crossing(lambda x, y: 2 - y, lambda x, y: 3 - y, 1e-12, 30, start)
+    with pytest.raises(ArithmeticError):
+        crossing(lambda x, y: 3 - y, lambda x, y: 2 - y, 1e-12, 30, start)
+
+
 # ---------------------------------------------------------------- bracket_root
 
 
@@ -504,7 +541,7 @@ def test_crossing_search_toward_one():
             xs.append(x)
         return 1 + 1e6 * (x - 1) - y
 
-    br = crossing(lambda x, y: 2 - y, fv, 1e-12, 30)
+    br, _ = crossing(lambda x, y: 2 - y, fv, 1e-12, 30)
     assert br.lo <= 1 + 1e-6 <= br.hi
     assert xs[0] == 1.5 and xs[2] == pytest.approx(1.0625, abs=1e-14)
     nearest = xs[0] - 1
