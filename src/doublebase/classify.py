@@ -72,20 +72,6 @@ class Classification:
         return self.label.value
 
 
-_ORDER_INDEX = {
-    Label.TRIVIAL: 0,
-    Label.COUNTABLE_NONTRIVIAL: 1,
-    Label.UNCOUNTABLE_ZERO_ENTROPY: 2,
-    Label.POSITIVE_ENTROPY: 2,
-}
-
-
-def label_rank(label: Label) -> int:
-    """Trivial < CountableNontrivial < {uncountable labels}; used by the
-    monotonicity properties of the classifier."""
-    return _ORDER_INDEX[label]
-
-
 def classify_omega(a, b, max_depth: int = 48) -> Classification:
     """Classify Omega_{a,b} for a starting 0 and b starting 1.
 

@@ -38,9 +38,16 @@ enclosure of the two adjacent formula values, which is valid because the
 critical maps are strictly decreasing, intersected with the product
 chain of the curve (1/(q0+1) <= (q0-1)(G-1) <= 1/2 <= (q0-1)(K-1) <
 q0/(q0+1)), so a walk down one spine still returns a finite bracket.
-The same chain (one table, _CHAIN) is where every formula root's search
-starts: a formula's root is the curve's value, so it lies in the
-chain's enclosure at q0, and the start search checks the signs anyway.
+The same chain (one table, _CHAIN) is where the roots of those spine
+bounds start their search.
+
+A formula cell's two ends are crossings the descent has just read, and
+each cached crossing keeps Newton's end (x, p) and its Jacobian, so the
+curve's value and slope at both ends are at hand: a formula root starts
+from their cubic Hermite interpolant at q0 (_hermite), a median 9e-8
+(relative) off the root, where the chain's midpoint is a few percent
+off.  The start search checks the signs, so a poor guess costs
+evaluations only.
 """
 
 from __future__ import annotations
@@ -202,20 +209,21 @@ def _spine_bound(w: str, key: str, cfg: Config) -> tuple:
 
 
 # the product chain 1/(q0+1) <= (q0-1)(G-1) <= 1/2 <= (q0-1)(K-1) < q0/(q0+1):
-# each curve's lower and upper product, as functions of q0
-_HALF = Fraction(1, 2)
+# each curve's lower and upper product, as functions of q0 and of 1/2 in
+# q0's type (so a float end divides no Fraction)
 _CHAIN = {  # one lambda a line: a profile keys code by (file, line, name)
-    "G": (lambda x: 1 / (x + 1),
-          lambda x: _HALF),
-    "K": (lambda x: _HALF,
-          lambda x: x / (x + 1)),
+    "G": (lambda x, half: 1 / (x + 1),
+          lambda x, half: half),
+    "K": (lambda x, half: half,
+          lambda x, half: x / (x + 1)),
 }
 
 
 def _chain(curve: str, x) -> tuple:
     """The ends 1 + p/(x - 1) of the curve's chain products p at x, exact
     for a Fraction x and floats for a float x."""
-    return tuple(1 + p(x) / (x - 1) for p in _CHAIN[curve])
+    half = Fraction(1, 2) if isinstance(x, Fraction) else 0.5
+    return tuple(1 + p(x, half) / (x - 1) for p in _CHAIN[curve])
 
 
 def _outward(x: Fraction, up: bool) -> float:
@@ -229,9 +237,11 @@ def _outward(x: Fraction, up: bool) -> float:
 @dataclass(frozen=True)
 class _Cell:
     """Where the descent of a curve ("G" or "K") stopped: the formula
-    cell of node w (formula key, case and the membership ambiguity of
-    q0), or, with key None, the last spine bounds (w, key, at) of a walk
-    that reached max_depth, either of them None when never set."""
+    cell of node w (formula key, case, the membership ambiguity of q0
+    and the Newton ends of the two crossings that bound the cell, as
+    node_mu left them in _last_end), or, with key None, the last spine
+    bounds (w, key, at) of a walk that reached max_depth, either of them
+    None when never set."""
     curve: str
     node: str = ""
     key: Optional[str] = None
@@ -239,24 +249,58 @@ class _Cell:
     ambiguity: float = 0.0
     lo_bound: Optional[tuple] = None
     hi_bound: Optional[tuple] = None
+    ends: Optional[tuple] = None
 
 
-def _formula_root(curve: str, w: str, key: str, q0, tol: float, dps: int) -> Bracket:
+_SPAN_FRACTION = 1e-3  # half-width of a Hermite start, in the cell's value span
+
+
+def _hermite(key: str, ends: tuple, x: float) -> Optional[tuple]:
+    """The start (lo, guess, hi) of formula key's root at x from the
+    Newton ends (x_i, p_i, fu_x, fu_p, fv_x, fv_p) of the two crossings
+    that bound its cell: the cubic Hermite interpolant of p = (x - 1)(y - 1)
+    along the curve, from p_i and the slope dp/dx = -f_x/f_p of the
+    formula's own function at each end (the u half of the Jacobian for
+    an f key, the v half for an f~ key: every formula key is the same
+    half of both its crossings), +- _SPAN_FRACTION of the cell's value
+    span; None where the ends give no finite guess."""
+    k = 2 if key.startswith("s0") else 4  # the index of f_x in an end
+    e0, e1 = ends
+    x0, p0, x1, p1 = e0[0], e0[1], e1[0], e1[1]
+    try:
+        m0, m1 = -e0[k] / e0[k + 1], -e1[k] / e1[k + 1]
+        t = (x - x0) / (x1 - x0)
+    except ZeroDivisionError:
+        return None
+    s, h = 1 - t, x1 - x0
+    y = 1 + (s * s * ((1 + 2 * t) * p0 + t * h * m0) + t * t * ((3 - 2 * t) * p1 - s * h * m1)) / (x - 1)
+    if not math.isfinite(y):
+        return None
+    pad = _SPAN_FRACTION * abs(p1 / (x1 - 1) - p0 / (x0 - 1))
+    return y - pad, y, y + pad
+
+
+def _formula_root(curve: str, w: str, key: str, q0, tol: float, dps: int, ends=None) -> Bracket:
     """The root in q1 of node w's formula key at q0, which is the curve's
-    value where q0 lies in the formula's cell, searched from the curve's
-    chain enclosure at q0; the start search checks the signs, so a start
-    off the root costs evaluations, never correctness."""
-    lo, hi = _chain(curve, float(q0))
-    return root_q1(_node_f(w, key), q0, tol, dps, start=(lo, 0.5 * (lo + hi), hi))
+    value where q0 lies in the formula's cell.  Its search starts from
+    the Hermite guess of the cell's crossing ends (_hermite), or, without
+    ends, from the curve's chain enclosure at q0; the start search checks
+    the signs, so a start off the root costs evaluations, never
+    correctness."""
+    start = _hermite(key, ends, float(q0)) if ends else None
+    if start is None:
+        lo, hi = _chain(curve, float(q0))
+        start = lo, 0.5 * (lo + hi), hi
+    return root_q1(_node_f(w, key), q0, tol, dps, start=start)
 
 
 def _formula_result(cell: _Cell, q0: float, tol: float, dps: int) -> CriticalResult:
-    val = _formula_root(cell.curve, cell.node, cell.key, q0, tol, dps)
+    val = _formula_root(cell.curve, cell.node, cell.key, q0, tol, dps, cell.ends)
     if cell.ambiguity > 0:
         # q0 could belong to an adjacent cell: widen by the local slope of
         # the critical map times the membership uncertainty
         h = 1e-6
-        slope = abs(_formula_root(cell.curve, cell.node, cell.key, q0 + h, tol, dps).mid - val.mid) / h + 1.0
+        slope = abs(_formula_root(cell.curve, cell.node, cell.key, q0 + h, tol, dps, cell.ends).mid - val.mid) / h + 1.0
         pad = 8.0 * slope * cell.ambiguity
         val = Bracket(val.lo - pad, val.hi + pad)
     return CriticalResult(
@@ -301,19 +345,21 @@ def _g_cell(q0: float, cfg: Config, max_depth: int) -> _Cell:
     lo_bound = hi_bound = None  # lazy value bounds for exhaustion
     while len(w) < max_depth:
         mu1 = node_mu(w, "s0", "s10", cfg)
+        end1 = _last_end
         if _beyond(q0, mu1, "L"):
             w += "L" * _run_end(w, "L", q0, cfg, max_depth)
             lo_bound = _spine_bound(w, "s0", cfg)  # G(q0) > G(mu1) = left formula there
             continue
         mu2 = node_mu(w, "s01", "s1", cfg)
+        end2 = _last_end
         if _beyond(q0, mu2, "R"):
             w += "R" * _run_end(w, "R", q0, cfg, max_depth)
             hi_bound = _spine_bound(w, "s1", cfg)
             continue
         ambiguity = _ambiguity(q0, mu1, mu2)
         if q0 <= node_mu(w, "s0", "s1", cfg).mid:
-            return _Cell("G", w, "s0", Case.LEFT_FORMULA, ambiguity)
-        return _Cell("G", w, "s1", Case.RIGHT_FORMULA, ambiguity)
+            return _Cell("G", w, "s0", Case.LEFT_FORMULA, ambiguity, ends=(end1, _last_end))
+        return _Cell("G", w, "s1", Case.RIGHT_FORMULA, ambiguity, ends=(_last_end, end2))
     return _Cell("G", lo_bound=lo_bound, hi_bound=hi_bound)
 
 
@@ -323,21 +369,23 @@ def _k_cell(q0: float, cfg: Config, max_depth: int) -> _Cell:
     lo_bound = hi_bound = None
     while len(w) < max_depth:
         muL1 = node_mu(w, "s0", "s10", cfg)
+        endL1 = _last_end
         if _beyond(q0, muL1, "L"):
             w += "L" * _run_end(w, "L", q0, cfg, max_depth)
             lo_bound = _spine_bound(w, "s10", cfg)
             continue
         muR2 = node_mu(w, "s01", "s1", cfg)
+        endR2 = _last_end
         if _beyond(q0, muR2, "R"):
             w += "R" * _run_end(w, "R", q0, cfg, max_depth)
             hi_bound = _spine_bound(w, "s01", cfg)
             continue
         muL2 = node_mu(w, "s010", "s10", cfg)
         if q0 <= muL2.hi + _slack(muL2):
-            return _Cell("K", w, "s10", Case.LEFT_FORMULA, _ambiguity(q0, muL1, muL2))
+            return _Cell("K", w, "s10", Case.LEFT_FORMULA, _ambiguity(q0, muL1, muL2), ends=(endL1, _last_end))
         muR1 = node_mu(w, "s01", "s101", cfg)
         if q0 >= muR1.lo - _slack(muR1):
-            return _Cell("K", w, "s01", Case.RIGHT_FORMULA, _ambiguity(q0, muR1, muR2))
+            return _Cell("K", w, "s01", Case.RIGHT_FORMULA, _ambiguity(q0, muR1, muR2), ends=(_last_end, endR2))
         # strictly between the formula intervals: the cell is below node wM
         hi_bound = (w, "s10", muL2.mid)
         lo_bound = (w, "s01", muR1.mid)

@@ -215,20 +215,6 @@ def is_primitive(d):
     return d.tail == PERIODIC
 
 
-def directive_compare(d1: Directive, d2: Directive, depth: int = 256):
-    """Lexicographic order with L < M < R on expanded directive letters."""
-    a, b = d1.letters(depth), d2.letters(depth)
-    order = {"L": 0, "M": 1, "R": 2}
-    for x, y in zip(a, b):
-        if x != y:
-            return -1 if order[x] < order[y] else 1
-    if len(a) != len(b):
-        # a finite directive is a prefix of the other: undecided in general,
-        # but never needed by the classifier; treat prefix as smaller
-        return -1 if len(a) < len(b) else 1
-    return 0
-
-
 # ----------------------------------------------------------------------
 # limit words
 # ----------------------------------------------------------------------

@@ -48,6 +48,17 @@ def word_corpus(first_letter: str, max_complexity: int = 4) -> list[Word]:
     return out
 
 
+def directive_compare(d1, d2, depth: int = 256) -> int:
+    """Lexicographic order (-1, 0, 1) with L < M < R on the first depth
+    expanded letters of two directives; a finite directive that is a
+    prefix of the other counts as smaller."""
+    a, b = d1.letters(depth), d2.letters(depth)
+    for x, y in zip(a, b):
+        if x != y:
+            return -1 if "LMR".index(x) < "LMR".index(y) else 1
+    return (len(a) > len(b)) - (len(a) < len(b))
+
+
 def random_word(rng: random.Random, max_pre: int = 8, max_per: int = 8) -> Word:
     pre = "".join(rng.choice("01") for _ in range(rng.randrange(0, max_pre + 1)))
     per = "".join(rng.choice("01") for _ in range(rng.randrange(1, max_per + 1)))

@@ -10,17 +10,16 @@ from doublebase.classify import (
     classify_omega,
     classify_sigma,
     classify_univoque,
-    label_rank,
 )
 from doublebase.config import DEFAULT
 from doublebase.critical import Case, generalized_golden_ratio, komornik_loreti
 from doublebase.expansions import regular
 from doublebase.oracle import block_counts
 from doublebase.spectral import build_automaton, entropy
-from doublebase.substitution import directive_compare, limit_word, parse_directive, s_map
+from doublebase.substitution import limit_word, parse_directive, s_map
 from doublebase.words import LetterStream, Word, parse_word
 
-from conftest import word_corpus
+from conftest import directive_compare, word_corpus
 
 
 def test_classify_omega_examples():
@@ -244,6 +243,14 @@ def test_classify_univoque_within_an_exhausted_bracket_is_undecided(q1, label):
     assert classify_univoque(1.01, q1) == expected
 
 
+_LABEL_RANK = {
+    Label.TRIVIAL: 0,
+    Label.COUNTABLE_NONTRIVIAL: 1,
+    Label.UNCOUNTABLE_ZERO_ENTROPY: 2,
+    Label.POSITIVE_ENTROPY: 2,
+}
+
+
 def test_classifier_monotonicity(rng):
     # enlarging a or shrinking b never moves the label left in the order
     # Trivial < CountableNontrivial < uncountable
@@ -251,11 +258,11 @@ def test_classifier_monotonicity(rng):
     b_words = sorted(word_corpus("1", 3))
     for b in b_words:
         labels = [classify_omega(a, b).label for a in a_words]
-        ranks = [label_rank(l) for l in labels if l is not Label.UNDECIDED]
+        ranks = [_LABEL_RANK[l] for l in labels if l is not Label.UNDECIDED]
         assert ranks == sorted(ranks), b
     for a in a_words:
         labels = [classify_omega(a, b).label for b in b_words]
-        ranks = [label_rank(l) for l in labels if l is not Label.UNDECIDED]
+        ranks = [_LABEL_RANK[l] for l in labels if l is not Label.UNDECIDED]
         assert ranks == sorted(ranks, reverse=True), a
 
 

@@ -408,8 +408,9 @@ def test_warm_descents_multiprecision_budget(monkeypatch):
     # evaluation (443 when every sign at an end was an mp evaluation,
     # up to 200 when an end the float bound left open took one); all
     # their node evaluations are the formula roots, searched from the
-    # product chain's enclosure of the curve (2,069 when every root
-    # started cold from [1 + 1e-12, q0/(q0-1) + 1])
+    # Hermite guess of each cell's crossing ends (1,329 from the product
+    # chain's enclosure of the curve, 2,069 when every root started cold
+    # from [1 + 1e-12, q0/(q0-1) + 1])
     grid = [1.3 + 0.012 * i for i in range(100)]
     for q0 in grid:
         generalized_golden_ratio(q0)
@@ -453,8 +454,8 @@ def test_warm_formula_brackets_are_proven_in_floats(monkeypatch):
         signs.append(isinstance(value, mp.mpf))
         return value
 
-    def kept_root(curve, w, key, q0, tol, dps):
-        br = formula_root(curve, w, key, q0, tol, dps)
+    def kept_root(curve, w, key, q0, *args):
+        br = formula_root(curve, w, key, q0, *args)
         roots.append((w, key, q0, br))
         return br
 
@@ -469,6 +470,52 @@ def test_warm_formula_brackets_are_proven_in_floats(monkeypatch):
             fn = critical._node_f(w, key)
             assert br.width <= DEFAULT.tol, (w, key, q0, br)
             assert fn(mp.mpf(q0), mp.mpf(br.lo)) > 0 > fn(mp.mpf(q0), mp.mpf(br.hi)), (w, key, q0, br)
+
+
+def test_warm_formula_roots_start_from_the_cell_ends(monkeypatch):
+    # each warm formula root starts from the cubic Hermite guess of p =
+    # (x - 1)(y - 1) between its cell's two crossing ends, their values
+    # and slopes read from the cached Newton ends, +- a thousandth of the
+    # cell's value span: the 200 warm G and K solves on the grid make 927
+    # float node evaluations and 551 bounded ones (1,329 and 538 when
+    # every root started from the product chain's enclosure)
+    grid = [1.3 + 0.012 * i for i in range(100)]
+    for q0 in grid:
+        generalized_golden_ratio(q0)
+        komornik_loreti(q0)
+    node_pi, node_f_bound, counts = series.node_pi, series.node_f_bound, {"float": 0, "bounded": 0}
+
+    def counted_pi(*args):
+        counts["float"] += not any(isinstance(a, mp.mpf) for a in args)
+        return node_pi(*args)
+
+    def counted_bound(*args):
+        counts["bounded"] += 1
+        return node_f_bound(*args)
+
+    monkeypatch.setattr(series, "node_pi", counted_pi)
+    monkeypatch.setattr(series, "node_f_bound", counted_bound)
+    for q0 in grid:
+        generalized_golden_ratio(q0)
+        komornik_loreti(q0)
+    assert counts["float"] <= 1_000, counts
+    assert counts["float"] + counts["bounded"] <= 1_560, counts
+
+
+def test_brackets_do_not_depend_on_the_order_of_calls(cold_mu):
+    # a formula root starts from the cached Newton ends of its cell's
+    # crossings, and a crossing below the root from the end read before
+    # it: the G and K results on the grid are the same, bit for bit,
+    # whether it is walked up or down from an empty crossing cache
+    grid = [1.03 + 0.011 * i for i in range(320)]
+
+    def walk(order):
+        critical._node_mu.cache_clear()
+        critical._last_end = None
+        return {q0: (generalized_golden_ratio(q0), komornik_loreti(q0)) for q0 in order}
+
+    up, down = walk(grid), walk(grid[::-1])
+    assert [q0 for q0 in grid if up[q0] != down[q0]] == []
 
 
 def test_mu_cache_keeps_the_crossings_every_descent_reads(monkeypatch, cold_mu):

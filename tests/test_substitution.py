@@ -21,7 +21,6 @@ from doublebase.substitution import (
     common_node_image,
     decode,
     desubstitute,
-    directive_compare,
     image_lengths,
     is_primitive,
     limit_word,
@@ -33,7 +32,7 @@ from doublebase.substitution import (
 )
 from doublebase.words import Word, parse_word, sup0, inf1
 
-from conftest import naive_image, naive_expand, random_word, word_corpus
+from conftest import directive_compare, naive_image, naive_expand, random_word, word_corpus
 
 
 # ---------------------------------------------------------------- apply
