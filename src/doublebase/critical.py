@@ -45,9 +45,9 @@ A formula cell's two ends are crossings the descent has just read, and
 each cached crossing keeps Newton's end (x, p) and its Jacobian, so the
 curve's value and slope at both ends are at hand: a formula root starts
 from their cubic Hermite interpolant at q0 (_hermite), a median 9e-8
-(relative) off the root, where the chain's midpoint is a few percent
-off.  The start search checks the signs, so a poor guess costs
-evaluations only.
+(relative) off the root, and the function's slope in q1 there, and
+secant steps reach the float noise in two to four evaluations.  The
+solve checks the signs, so a poor start costs evaluations only.
 """
 
 from __future__ import annotations
@@ -252,18 +252,15 @@ class _Cell:
     ends: Optional[tuple] = None
 
 
-_SPAN_FRACTION = 1e-3  # half-width of a Hermite start, in the cell's value span
-
-
 def _hermite(key: str, ends: tuple, x: float) -> Optional[tuple]:
-    """The start (lo, guess, hi) of formula key's root at x from the
+    """The start (guess, slope) of formula key's root at x from the
     Newton ends (x_i, p_i, fu_x, fu_p, fv_x, fv_p) of the two crossings
     that bound its cell: the cubic Hermite interpolant of p = (x - 1)(y - 1)
     along the curve, from p_i and the slope dp/dx = -f_x/f_p of the
     formula's own function at each end (the u half of the Jacobian for
     an f key, the v half for an f~ key: every formula key is the same
-    half of both its crossings), +- _SPAN_FRACTION of the cell's value
-    span; None where the ends give no finite guess."""
+    half of both its crossings), and f's slope in q1 there, f_p (x - 1),
+    f_p linear between the ends; None where the guess is not finite."""
     k = 2 if key.startswith("s0") else 4  # the index of f_x in an end
     e0, e1 = ends
     x0, p0, x1, p1 = e0[0], e0[1], e1[0], e1[1]
@@ -276,17 +273,16 @@ def _hermite(key: str, ends: tuple, x: float) -> Optional[tuple]:
     y = 1 + (s * s * ((1 + 2 * t) * p0 + t * h * m0) + t * t * ((3 - 2 * t) * p1 - s * h * m1)) / (x - 1)
     if not math.isfinite(y):
         return None
-    pad = _SPAN_FRACTION * abs(p1 / (x1 - 1) - p0 / (x0 - 1))
-    return y - pad, y, y + pad
+    return y, (s * e0[k + 1] + t * e1[k + 1]) * (x - 1)
 
 
 def _formula_root(curve: str, w: str, key: str, q0, tol: float, dps: int, ends=None) -> Bracket:
     """The root in q1 of node w's formula key at q0, which is the curve's
-    value where q0 lies in the formula's cell.  Its search starts from
-    the Hermite guess of the cell's crossing ends (_hermite), or, without
-    ends, from the curve's chain enclosure at q0; the start search checks
-    the signs, so a start off the root costs evaluations, never
-    correctness."""
+    value where q0 lies in the formula's cell.  Its search takes secant
+    steps from the Hermite guess and slope of the cell's crossing ends
+    (_hermite), or, without ends, starts from the curve's chain
+    enclosure at q0; the solve checks the signs, so a start off the
+    root costs evaluations, never correctness."""
     start = _hermite(key, ends, float(q0)) if ends else None
     if start is None:
         lo, hi = _chain(curve, float(q0))

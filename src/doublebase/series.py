@@ -199,14 +199,18 @@ def value_fn(runs, seed: Word, tilde: bool):
     """f of sigma(seed), or f~ with tilde, as a function of (q0, q1) via
     node_pi, sigma of letter runs `runs` (() for a plain word); bounded
     is the same float evaluation with a proven error bound (node_f_bound)
-    from the composition fn kept there (kept while fn lives: one solve)."""
+    from the composition either kept there (kept while fn lives: one solve)."""
     roundings = directive_roundings(runs)
     from_pi = f_tilde_from_pi if tilde else f_from_pi
     kept = {}
 
     def fn(q0, q1):
         return from_pi(node_pi(runs, q0, q1, seed, kept), q0, q1)
-    fn.bounded = lambda q0, q1: node_f_bound(runs, roundings, seed, tilde, q0, q1, kept.get((q0, q1)))
+
+    def bounded(q0, q1):
+        pair = kept[q0, q1] = kept.get((q0, q1)) or _compose(_identity(q0, q1), runs)
+        return node_f_bound(runs, roundings, seed, tilde, q0, q1, pair)
+    fn.bounded = bounded
     fn.parts = (runs, seed, from_pi)
     return fn
 

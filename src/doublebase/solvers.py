@@ -6,7 +6,8 @@ half-line (proven properties of the value maps).  Every root in q1,
 the critical base, the fixed point of K and the Moran exponent are found
 by one certified solve (solve_decreasing): one start search (_step_out)
 hands the two ends it evaluated to one Brent loop (bracket_root), which
-runs on floats and mpf values alike.
+runs on floats and mpf values alike; from a guess and a slope, secant
+steps (_secant) end at two points whose bounded signs prove the bracket.
 Every sign is certified by one routine (_sign: a float value above its
 proven error bound, which the value functions of series.value_fn carry,
 proves its sign; else a multiprecision evaluation at config.precision
@@ -210,7 +211,37 @@ def _step_out(fn, floor, lo, p, hi, tol):
     raise ArithmeticError("no sign change found while expanding the bracket")
 
 
-def solve_decreasing(fn, sign, floor: float, start: tuple[float, float, float], tol: float, dps: int) -> Bracket:
+def _secant(fn, sign, floor, y, slope, tol, signs):
+    """The ends of the root of a strictly decreasing fn from a guess y
+    and fn's slope there: a Newton step, secant steps until one is below
+    tol / 8, then the points tol / 4 either side of its end, whose
+    floats-only signs (sign(., None), put in signs) check the bracket and
+    prove it where they can.  A failed step (not finite, near floor, onto
+    a point evaluated, a repeated value), no short step in six or a wrong
+    sign hands all values taken to _step_out, from the one nearest 0."""
+    seen = {y: fn(y)}
+    x = y - seen[y] / slope if slope else y
+    for _ in range(6):  # the Newton step and five secant steps at most
+        lo, hi = x - tol / 4, x + tol / 4
+        if not floor < lo < hi < math.inf:
+            break
+        if len(seen) > 1 and abs(x - y) < tol / 8:
+            signs[lo], signs[hi] = sign(lo, None), sign(hi, None)
+            if signs[lo] >= 0 >= signs[hi]:
+                return lo, hi
+            seen.update((z, v) for z, v in signs.items() if v)
+            break
+        if x in seen:
+            break
+        seen[x] = fx = fn(x)
+        if fx == seen[y]:
+            break
+        x, y = x + fx * (x - y) / (seen[y] - fx), x
+    p = min(seen, key=lambda z: abs(seen[z]))  # the value nearest 0
+    return _step_out(lambda z: seen[z] if z in seen else fn(z), floor, min(seen), p, max(seen), tol / 2)
+
+
+def solve_decreasing(fn, sign, floor: float, start: tuple, tol: float, dps: int) -> Bracket:
     """Bracket the root of a strictly decreasing function to tol, or
     [1, floor] when it lies at or below floor: the one certified solve,
     behind root_q1, critical_base, critical.kl_fixed_point and the Moran
@@ -218,34 +249,42 @@ def solve_decreasing(fn, sign, floor: float, start: tuple[float, float, float], 
 
     fn is the float evaluation, sign(y, dps) the certified sign (_sign;
     with dps None a sign that only proves, 0 where it cannot).  The
-    float search (_step_out, from the guess start = (lo, p, hi))
-    brackets the root to half of the budget max(tol, 1e-13).  Each end
-    is then proven in floats, at the end or one nudge outward by half
-    the unused budget less one ulp (at the default tol about 100 times
-    the float noise), and only then signed at dps digits, stepping
-    outward by the bracket's width, doubling, while that cannot certify
-    it; the upper end is proven after the lower one, from the bracket
-    that left.  Below 1e-13 the same Brent loop refines the certified
-    bracket at mpf points.
+    float search brackets the root to half of the budget max(tol,
+    1e-13), by _secant from start = (p, slope), a guess and fn's slope
+    there, or by _step_out from start = (lo, p, hi), a guess in an
+    expected bracket.  Each end is then proven in floats, at the end
+    (where _secant took its sign, not again) or one nudge outward by
+    the unused budget less one ulp, half of it at the lower end, which
+    is proven first (at the default tol about 100 times the float
+    noise), and only then signed at dps digits, stepping outward by half
+    the unused budget (the bracket's width where none is left),
+    doubling, while that cannot certify it.  Below 1e-13 the same Brent
+    loop refines the certified bracket at mpf points.
     """
     budget = max(tol, _FLOAT_TOL_FLOOR)
-    ends = _step_out(fn, floor, *start, budget / 2)
+    signs = {}
+    ends = (_secant(fn, sign, floor, *start, budget, signs) if len(start) == 2
+            else _step_out(fn, floor, *start, budget / 2))
     if ends is None:
         return Bracket(1.0, floor)
     lo, hi = ends
 
     def end(x: float, up: bool) -> float:
-        pad = (budget - (hi - lo)) / 2 - math.ulp(hi)
+        spare = budget - (hi - lo) - math.ulp(hi)
+        pad = spare if up else spare / 2  # the upper end, proven last, may take all of it
+        value = signs.get(x)
         for at, points in ((None, _outward(x, up, pad, 2 if pad > 0 else 1, floor)),
-                           (dps, _outward(x, up, max(hi - lo, 1e-15), 80, floor))):
+                           (dps, _outward(x, up, spare / 2 if spare > 0 else max(hi - lo, 1e-15), 80, floor))):
             for y in points:
-                value = sign(y, at)
+                value = sign(y, at) if value is None else value
                 if value < 0 if up else value > 0:
                     return y
+                value = None
         raise ArithmeticError(f"could not certify {'upper' if up else 'lower'} bracket endpoint")
 
-    lo = end(lo, False)
-    hi = end(hi, True)
+    if not signs.get(lo, 0) > 0 > signs.get(hi, 0):  # else _secant proved both
+        lo = end(lo, False)
+        hi = end(hi, True)
     if tol < _FLOAT_TOL_FLOOR:
         with mp.workdps(dps):
             lo, hi = bracket_root(lambda y: sign(y, dps), mp.mpf(lo), mp.mpf(hi), tol)
@@ -283,8 +322,9 @@ def _value_fn(u, tilde: bool):
 def root_q1(fn, q0, tol: float, dps: int, start=None) -> Bracket:
     """The unique q1 > 1 with fn(q0, q1) = 0, fn strictly decreasing in
     q1, or [1, 1 + min(tol, 1e-12)] when the root lies that close to 1 or
-    below it, by solve_decreasing from a guess start = (lo, p, hi), or
-    cold from that floor with q0/(q0 - 1) + 1 (above the root of every
+    below it, by solve_decreasing from a start: a guess and fn's slope
+    in q1 there (p, slope), a guess in an expected bracket (lo, p, hi),
+    or cold from that floor with q0/(q0 - 1) + 1 (above the root of every
     value function met here) as the first upper end.  q0 may be an mpf:
     the float search then runs at float(q0), the signs at q0 itself."""
     qf = float(q0)

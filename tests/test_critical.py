@@ -404,11 +404,12 @@ def test_cold_descent_multiprecision_budget(monkeypatch, cold_mu, q0, max_depth,
 
 def test_warm_descents_multiprecision_budget(monkeypatch):
     # warm G and K calls solve no crossing, and every formula bracket end
-    # is proven in floats, at the end or one nudge outward: no mp
-    # evaluation (443 when every sign at an end was an mp evaluation,
-    # up to 200 when an end the float bound left open took one); all
-    # their node evaluations are the formula roots, searched from the
-    # Hermite guess of each cell's crossing ends (1,329 from the product
+    # is proven in floats: no mp evaluation (443 when every sign at an
+    # end was an mp evaluation, up to 200 when an end the float bound
+    # left open took one); all their node evaluations are the formula
+    # roots, 592 by secant steps from the Hermite guess and slope of
+    # each cell's crossing ends (927 by Brent's loop from the guess +-
+    # a thousandth of the cell's value span, 1,329 from the product
     # chain's enclosure of the curve, 2,069 when every root started cold
     # from [1 + 1e-12, q0/(q0-1) + 1])
     grid = [1.3 + 0.012 * i for i in range(100)]
@@ -427,7 +428,7 @@ def test_warm_descents_multiprecision_budget(monkeypatch):
         generalized_golden_ratio(q0)
         komornik_loreti(q0)
     assert evaluations[1] == 0, evaluations
-    assert sum(evaluations) <= 1_600, evaluations
+    assert sum(evaluations) <= 650, evaluations
 
 
 def test_warm_formula_brackets_are_proven_in_floats(monkeypatch):
@@ -475,10 +476,14 @@ def test_warm_formula_brackets_are_proven_in_floats(monkeypatch):
 def test_warm_formula_roots_start_from_the_cell_ends(monkeypatch):
     # each warm formula root starts from the cubic Hermite guess of p =
     # (x - 1)(y - 1) between its cell's two crossing ends, their values
-    # and slopes read from the cached Newton ends, +- a thousandth of the
-    # cell's value span: the 200 warm G and K solves on the grid make 927
-    # float node evaluations and 551 bounded ones (1,329 and 538 when
-    # every root started from the product chain's enclosure)
+    # and slopes read from the cached Newton ends, and the slope of the
+    # node function in q1 there: a Newton step and secant steps reach
+    # the float noise, and one bounded evaluation at each end a quarter
+    # of the width budget away proves the bracket.  The 200 warm G and
+    # K solves on the grid make 592 float node evaluations and 400
+    # bounded ones (927 and 551 by Brent's loop from the guess +- a
+    # thousandth of the cell's value span, 1,329 and 538 when every
+    # root started from the product chain's enclosure)
     grid = [1.3 + 0.012 * i for i in range(100)]
     for q0 in grid:
         generalized_golden_ratio(q0)
@@ -498,8 +503,34 @@ def test_warm_formula_roots_start_from_the_cell_ends(monkeypatch):
     for q0 in grid:
         generalized_golden_ratio(q0)
         komornik_loreti(q0)
-    assert counts["float"] <= 1_000, counts
-    assert counts["float"] + counts["bounded"] <= 1_560, counts
+    assert counts["float"] <= 650, counts
+    assert counts["float"] + counts["bounded"] <= 1_100, counts
+
+
+def test_flat_formula_root_evaluates_no_point_again(monkeypatch):
+    # G's left formula on node L^11 M at q0 = 1.055308389 is so flat in
+    # q1 that the float bound proves neither end of the secant stage's
+    # bracket, a quarter of the width budget from the root, nor the
+    # lower end's nudge, so that end is signed in mp; the upper end,
+    # nudged by all of the budget left, is proven in floats.  The warm
+    # call composes no point twice and fewer points than the start
+    # search and Brent's loop did from the guess +- a thousandth of the
+    # cell's value span: 9, 5 float and 2 mp node_pi evaluations and 2
+    # bounded ones at nudged points (8 now: 3, 1 and 4)
+    q0 = 1.055308389
+    generalized_golden_ratio(q0)
+    points, identity = [], series._identity
+
+    def composed(x, y):
+        points.append((type(x), x, type(y), y))
+        return identity(x, y)
+
+    monkeypatch.setattr(series, "_identity", composed)
+    r = generalized_golden_ratio(q0)
+    assert (r.node, r.key) == ("L" * 11, "s0")
+    assert r.value.width <= DEFAULT.tol
+    assert len(set(points)) == len(points) <= 8, points
+    assert sum(t is mp.mpf for t, *_ in points) <= 1, points
 
 
 def test_brackets_do_not_depend_on_the_order_of_calls(cold_mu):

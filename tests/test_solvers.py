@@ -1,12 +1,13 @@
 import itertools
 import math
 from functools import lru_cache
+from unittest import mock
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from doublebase import solvers
+from doublebase import series, solvers
 from doublebase.config import Config
 from doublebase.critical import _node_f, node_mu
 from doublebase.solvers import (
@@ -611,6 +612,20 @@ def test_root_q1_far_root_below_the_float_spacing():
         assert br.lo <= 1 / (q ** k * (q - 1)) <= br.hi
 
 
+@pytest.mark.parametrize("w, key, q0", [("LLLLLLLL", "s010", 1.1087513367773125), ("LLLLLR", "s101", 1.1051124455196175)])
+def test_root_q1_flat_root_stays_within_tol(w, key, q0):
+    # flat in q1: the float bound proves neither one of Brent's ends
+    # nor its nudge, and the mp sign at that end puts the root beyond
+    # it; the mp signs then step out by half the unused budget, not by
+    # the bracket's width, which left these brackets 1.25e-12 wide at
+    # tol 1e-12
+    fn = _node_f(w, key)
+    br = root_q1(fn, q0, 1e-12, 30)
+    assert br.width <= 1e-12, br
+    with mp.workdps(40):
+        assert fn(mp.mpf(q0), mp.mpf(br.lo)) > 0 > fn(mp.mpf(q0), mp.mpf(br.hi))
+
+
 def _signs_taken(monkeypatch):
     """Record (dps, value) of every solvers._sign call."""
     taken = []
@@ -641,6 +656,80 @@ def test_root_q1_ends_fall_back_to_mp_when_no_bound_decides(monkeypatch):
     assert sum(isinstance(value, mp.mpf) for _, value in taken) >= 2
     with mp.workdps(40):
         assert fn(mp.mpf(1.5), mp.mpf(br.lo)) > 0 > fn(mp.mpf(1.5), mp.mpf(br.hi))
+
+
+FORMULA_KEYS = ["s0", "s010", "s01", "s10", "s101", "s1"]
+SLOPE_SCALES = [1.0, 1.5, 0.3, -1.0, 0.0, 1e-300, 1e300, math.inf, math.nan]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(SHALLOW_NODES), st.sampled_from(FORMULA_KEYS), st.floats(1.03, 2.5),
+       st.floats(-1, 1), st.sampled_from(SLOPE_SCALES))
+def test_root_q1_from_a_guess_and_slope_keeps_the_cold_contract(w, key, q0, offset, scale):
+    # the secant stage from a guess up to half of r - 1 off the root r
+    # (wider than a formula cell's value span) and the true slope
+    # scaled to the wrong sign, 0, tiny, huge, infinite or not a number
+    # keeps the cold solve's contract: within tol, a sign change at 40
+    # digits, the cold root (or the same floor bracket below 1 + 1e-12),
+    # and no point composed twice
+    cold = root_q1(_node_f(w, key), q0, 1e-12, 30)
+    r = cold.mid
+    h = 1e-6 * r
+    probe = _node_f(w, key)
+    slope = (probe(q0, r + h) - probe(q0, r - h)) / (2 * h) * scale
+    fn, points, identity = _node_f(w, key), [], series._identity
+
+    def composed(x, y):
+        points.append((type(y), y))
+        return identity(x, y)
+
+    with mock.patch.object(series, "_identity", composed):
+        br = root_q1(fn, q0, 1e-12, 30, start=(r + offset * (r - 1) / 2, slope))
+    assert len(set(points)) == len(points), points
+    if cold.lo == 1.0:
+        assert br == cold
+        return
+    assert br.width <= 1e-12 and br.lo <= cold.hi and cold.lo <= br.hi, (br, cold)
+    with mp.workdps(40):
+        assert fn(mp.mpf(q0), mp.mpf(br.lo)) > 0 > fn(mp.mpf(q0), mp.mpf(br.hi))
+
+
+def test_root_q1_secant_stage_falls_back_where_a_sign_is_proven_wrong():
+    # (r - y)^3 is steep at the guess r - 1/4 and flat near r: the slope
+    # given sends the Newton step to r - 1e-5, where the secant step is
+    # below tol / 8 with the root 1e-5 on, so both ends' signs are
+    # proven positive; every value taken goes on to the start search and
+    # Brent's loop, and no point is evaluated twice
+    r, y = 1.3, 1.3 - 0.25
+    points = []
+
+    def fn(x, q1):
+        points.append(q1)
+        return (r - q1) ** 3
+
+    fn.bounded = lambda x, q1: ((r - q1) ** 3, 0.0)  # the sign of a cube of an exact difference
+    br = root_q1(fn, 1.5, 1e-12, 30, start=(y, -(r - y) ** 3 / (0.25 - 1e-5)))
+    assert points[:2] == [y, r - 1e-5]
+    assert br.lo <= r <= br.hi and br.width <= 1e-12, br
+    assert len(set(points)) == len(points)
+
+
+def test_root_q1_from_a_guess_and_slope_falls_back_to_mp_when_no_bound_decides(monkeypatch):
+    # a bound that never decides proves neither end the secant stage
+    # ends at, nor their nudges: the ends are signed in mp, from a good
+    # slope as from a useless one, and the bracket certifies within tol
+    def fn(x, y):
+        return 2 - x * y
+
+    fn.bounded = lambda x, y: (fn(x, y), math.inf)
+    for start in [(1.3, -1.5), (1.4, -3.0), (4 / 3 + 1e-3, -1e300), (1.2, 0.0), (1.5, math.nan)]:
+        taken = _signs_taken(monkeypatch)
+        br = root_q1(fn, 1.5, 1e-12, 30, start=start)
+        assert br.lo <= 4 / 3 <= br.hi and br.width <= 1e-12, start
+        assert all(value == 0.0 for dps, value in taken if dps is None)
+        assert sum(isinstance(value, mp.mpf) for _, value in taken) >= 2, start
+        with mp.workdps(40):
+            assert fn(mp.mpf(1.5), mp.mpf(br.lo)) > 0 > fn(mp.mpf(1.5), mp.mpf(br.hi))
 
 
 def test_root_q1_at_an_mpf_point_certifies_in_mp(monkeypatch):
