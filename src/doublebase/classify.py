@@ -35,7 +35,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .config import DEFAULT, Config
-from .critical import _Cell, _g_cell, _k_cell, _node_f, _solve
+from .critical import _at_or_below, _g_cell, _k_cell
 from .expansions import regular
 from .substitution import (
     BR_M,
@@ -46,7 +46,6 @@ from .substitution import (
     is_primitive,
     split_descent,
 )
-from .solvers import _sign
 from .words import Word, LetterStream
 
 
@@ -151,27 +150,7 @@ def classify_sigma(a, b, max_depth: int = 48) -> Classification:
     return Classification(_SIGMA_LABEL.get(res.label, res.label), res.depth)
 
 
-def _at_or_below(cell: _Cell, q0: float, q1: float, tol: float, cfg: Config) -> Optional[bool]:
-    """Whether q1 lies at or below the curve of a descent cell at q0, or
-    within its window: True or False, or None when q1 lies within the
-    window of a curve whose cell is not a formula cell.
-
-    Where q0 lies in a formula cell for sure (ambiguity 0), the curve is
-    the root in q1 of the node function, which decreases in q1, so one
-    certified sign at q1 - window decides, window = max(tol, cfg.tol).
-    Other cells solve the curve's bracket and compare q1 with it, the
-    window being max(tol, width)."""
-    if cell.key is not None and cell.ambiguity == 0:
-        y = q1 - max(tol, cfg.tol)
-        return y <= 1.0 or _sign(_node_f(cell.node, cell.key), q0, y, cfg.precision) >= 0
-    value = _solve(cell, q0, cfg.tol, cfg.precision).value
-    if abs(q1 - value.mid) <= max(tol, value.width):
-        return True if cell.key is not None else None
-    return q1 < value.mid
-
-
 def classify_univoque(q0: float, q1: float, tol: float = 1e-9,
-                      max_depth: int | None = None,
                       config: Config = DEFAULT) -> Classification:
     """Cardinality of the unique-expansion set for the base pair (q0, q1).
 
@@ -191,14 +170,13 @@ def classify_univoque(q0: float, q1: float, tol: float = 1e-9,
         raise ValueError("tol must be finite and positive")
     if not regular(q0, q1):  # which rejects bases outside (1, inf)
         return Classification(Label.POSITIVE_ENTROPY)
-    depth = config.max_depth if max_depth is None else max_depth
-    below_g = _at_or_below(_g_cell(q0, config, depth), q0, q1, tol, config)
+    below_g = _at_or_below(_g_cell(q0, config, config.max_depth), q0, q1, tol, config)
     if below_g is not None:
         if below_g:
             return Classification(Label.TRIVIAL)
-        below_k = _at_or_below(_k_cell(q0, config, depth), q0, q1, tol, config)
+        below_k = _at_or_below(_k_cell(q0, config, config.max_depth), q0, q1, tol, config)
         if below_k is not None:
             return Classification(Label.COUNTABLE_NONTRIVIAL if below_k else Label.POSITIVE_ENTROPY)
     # at G over a primitive Sturmian point the set is already uncountable,
     # but that cannot be certified from a numeric q0
-    return Classification(Label.UNDECIDED, depth)
+    return Classification(Label.UNDECIDED, config.max_depth)

@@ -26,8 +26,9 @@ evaluations (518 with every crossing started cold).
 Each descent only finds q0's cell (_g_cell, _k_cell): the node, the
 formula's NODE_SEEDS key, the case and the membership ambiguity, or the
 last spine bounds of a walk that reached max_depth.  One solve (_solve)
-turns a cell into the returned bracket, and classify_univoque takes the
-cell alone where one sign of the node function decides.
+turns a cell into the returned bracket, and _at_or_below places a q1
+against it for classify_univoque, by one sign of the node function
+where that decides.
 
 Membership is decided against certified mu brackets; a q0 within bracket
 width of an endpoint is resolved into the adjacent closed formula
@@ -38,16 +39,17 @@ enclosure of the two adjacent formula values, which is valid because the
 critical maps are strictly decreasing, intersected with the product
 chain of the curve (1/(q0+1) <= (q0-1)(G-1) <= 1/2 <= (q0-1)(K-1) <
 q0/(q0+1)), so a walk down one spine still returns a finite bracket.
-The same chain (one table, _CHAIN) is where the roots of those spine
-bounds start their search.
 
-A formula cell's two ends are crossings the descent has just read, and
-each cached crossing keeps Newton's end (x, p) and its Jacobian, so the
-curve's value and slope at both ends are at hand: a formula root starts
-from their cubic Hermite interpolant at q0 (_hermite), a median 9e-8
-(relative) off the root, and the function's slope in q1 there, and
-secant steps reach the float noise in two to four evaluations.  The
-solve checks the signs, so a poor start costs evaluations only.
+Every formula value the library needs lies at a crossing the descent
+has just read or between two of them: a formula cell's root between its
+two ends, a spine bound's at its one crossing.  Each cached crossing
+keeps Newton's end (x, p) and its Jacobian, so the curve's value and
+slope there are at hand: a formula root starts from their cubic Hermite
+interpolant at q0 (_hermite), a median 9e-8 (relative) off the root,
+or from the crossing's own point for a spine bound, and from the
+function's slope in q1 there, and secant steps reach the float noise in
+two to four evaluations.  The solve checks the signs, so a poor start
+costs evaluations only.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -64,7 +66,7 @@ from typing import Optional
 from .config import DEFAULT, Config
 from .expansions import _to_fraction, expansion_bounds, regular
 from .series import letter_runs, value_fn
-from .solvers import Bracket, crossing, root_q1, solve_decreasing, _FLOAT_TOL_FLOOR
+from .solvers import Bracket, crossing, root_q1, solve_decreasing, _sign, _FLOAT_TOL_FLOOR
 from .substitution import NODE_SEEDS, apply, image_lengths, split_descent
 from .words import Word
 
@@ -203,35 +205,26 @@ def _run_end(w: str, letter: str, q0: float, cfg: Config, max_depth: int) -> int
 
 def _spine_bound(w: str, key: str, cfg: Config) -> tuple:
     """Exhaustion bound of the last spine step of head w: the node
-    formula key of the node the step left, at its spine crossing."""
+    formula key of the node the step left, at its spine crossing, with
+    that crossing's Newton end, (w, key, at, end)."""
     last, letter = w[:-1], w[-1]
-    return (last, key, node_mu(last, *_SPINE_PAIR[letter], cfg).mid)
+    at = node_mu(last, *_SPINE_PAIR[letter], cfg).mid
+    return (last, key, at, _last_end)
 
 
-# the product chain 1/(q0+1) <= (q0-1)(G-1) <= 1/2 <= (q0-1)(K-1) < q0/(q0+1):
-# each curve's lower and upper product, as functions of q0 and of 1/2 in
-# q0's type (so a float end divides no Fraction)
-_CHAIN = {  # one lambda a line: a profile keys code by (file, line, name)
-    "G": (lambda x, half: 1 / (x + 1),
-          lambda x, half: half),
-    "K": (lambda x, half: half,
-          lambda x, half: x / (x + 1)),
-}
-
-
-def _chain(curve: str, x) -> tuple:
-    """The ends 1 + p/(x - 1) of the curve's chain products p at x, exact
-    for a Fraction x and floats for a float x."""
-    half = Fraction(1, 2) if isinstance(x, Fraction) else 0.5
-    return tuple(1 + p(x, half) / (x - 1) for p in _CHAIN[curve])
-
-
-def _outward(x: Fraction, up: bool) -> float:
-    """The float nearest the exact x, stepped once when on the wrong side."""
-    near = float(x)
-    if (near < x) if up else (near > x):
-        near = math.nextafter(near, math.inf if up else -math.inf)
-    return near
+def _chain(curve: str, q0: float) -> tuple[float, float]:
+    """The curve's enclosure at q0 by the product chain 1/(q0+1) <=
+    (q0-1)(G-1) <= 1/2 <= (q0-1)(K-1) < q0/(q0+1): the ends 1 + p/(q0 - 1)
+    of its two products p, exact, each rounded outward to a float."""
+    x, half = _to_fraction(q0), Fraction(1, 2)
+    ends = []
+    for p, up in zip((1 / (x + 1), half) if curve == "G" else (half, x / (x + 1)), (False, True)):
+        exact = 1 + p / (x - 1)
+        near = float(exact)
+        if (near < exact) if up else (near > exact):
+            near = math.nextafter(near, math.inf if up else -math.inf)
+        ends.append(near)
+    return tuple(ends)
 
 
 @dataclass(frozen=True)
@@ -240,8 +233,9 @@ class _Cell:
     cell of node w (formula key, case, the membership ambiguity of q0
     and the Newton ends of the two crossings that bound the cell, as
     node_mu left them in _last_end), or, with key None, the last spine
-    bounds (w, key, at) of a walk that reached max_depth, either of them
-    None when never set."""
+    bounds (w, key, at, end) of a walk that reached max_depth, each with
+    the Newton end of the crossing it sits on, either of them None when
+    never set."""
     curve: str
     node: str = ""
     key: Optional[str] = None
@@ -260,13 +254,15 @@ def _hermite(key: str, ends: tuple, x: float) -> Optional[tuple]:
     formula's own function at each end (the u half of the Jacobian for
     an f key, the v half for an f~ key: every formula key is the same
     half of both its crossings), and f's slope in q1 there, f_p (x - 1),
-    f_p linear between the ends; None where the guess is not finite."""
+    f_p linear between the ends.  A one-crossing cell (x1 == x0, a spine
+    bound's) is read at t = 0: (1 + p0/(x - 1), f_p (x - 1)) from its
+    end.  None where the guess is not finite."""
     k = 2 if key.startswith("s0") else 4  # the index of f_x in an end
     e0, e1 = ends
     x0, p0, x1, p1 = e0[0], e0[1], e1[0], e1[1]
     try:
         m0, m1 = -e0[k] / e0[k + 1], -e1[k] / e1[k + 1]
-        t = (x - x0) / (x1 - x0)
+        t = (x - x0) / (x1 - x0) if x1 != x0 else 0.0
     except ZeroDivisionError:
         return None
     s, h = 1 - t, x1 - x0
@@ -276,27 +272,23 @@ def _hermite(key: str, ends: tuple, x: float) -> Optional[tuple]:
     return y, (s * e0[k + 1] + t * e1[k + 1]) * (x - 1)
 
 
-def _formula_root(curve: str, w: str, key: str, q0, tol: float, dps: int, ends=None) -> Bracket:
+def _formula_root(w: str, key: str, q0, ends: tuple, cfg: Config) -> Bracket:
     """The root in q1 of node w's formula key at q0, which is the curve's
-    value where q0 lies in the formula's cell.  Its search takes secant
-    steps from the Hermite guess and slope of the cell's crossing ends
-    (_hermite), or, without ends, starts from the curve's chain
-    enclosure at q0; the solve checks the signs, so a start off the
+    value where q0 lies in the formula's cell (or at a spine bound's
+    crossing).  Its search takes secant steps from the Hermite guess and
+    slope of the cell's crossing ends (_hermite), or starts cold where
+    those give none; the solve checks the signs, so a start off the
     root costs evaluations, never correctness."""
-    start = _hermite(key, ends, float(q0)) if ends else None
-    if start is None:
-        lo, hi = _chain(curve, float(q0))
-        start = lo, 0.5 * (lo + hi), hi
-    return root_q1(_node_f(w, key), q0, tol, dps, start=start)
+    return root_q1(_node_f(w, key), q0, cfg.tol, cfg.precision, start=_hermite(key, ends, float(q0)))
 
 
-def _formula_result(cell: _Cell, q0: float, tol: float, dps: int) -> CriticalResult:
-    val = _formula_root(cell.curve, cell.node, cell.key, q0, tol, dps, cell.ends)
+def _formula_result(cell: _Cell, q0: float, cfg: Config) -> CriticalResult:
+    val = _formula_root(cell.node, cell.key, q0, cell.ends, cfg)
     if cell.ambiguity > 0:
         # q0 could belong to an adjacent cell: widen by the local slope of
         # the critical map times the membership uncertainty
         h = 1e-6
-        slope = abs(_formula_root(cell.curve, cell.node, cell.key, q0 + h, tol, dps, cell.ends).mid - val.mid) / h + 1.0
+        slope = abs(_formula_root(cell.node, cell.key, q0 + h, cell.ends, cfg).mid - val.mid) / h + 1.0
         pad = 8.0 * slope * cell.ambiguity
         val = Bracket(val.lo - pad, val.hi + pad)
     return CriticalResult(
@@ -308,31 +300,50 @@ def _formula_result(cell: _Cell, q0: float, tol: float, dps: int) -> CriticalRes
     )
 
 
-def _exhausted_result(cell: _Cell, q0: float, tol: float, dps: int) -> CriticalResult:
-    """Enclosure from the last spine bounds of the walk, intersected with
-    the product chain of the curve, which keeps it finite on a one-letter
-    walk; the case is read off the spine bounds alone."""
-    lo_val = 1.0
-    hi_val = math.inf
+def _exhausted_result(cell: _Cell, q0: float, cfg: Config) -> CriticalResult:
+    """Enclosure from the last spine bounds of the walk, each root started
+    at the crossing its bound sits on, intersected with the product chain
+    of the curve, which keeps it finite on a one-letter walk; the case is
+    read off the spine bounds alone."""
+    lo_val, hi_val = 1.0, math.inf
     if cell.lo_bound is not None:
-        w, key, at = cell.lo_bound
-        lo_val = _formula_root(cell.curve, w, key, at, tol, dps).lo
+        w, key, at, end = cell.lo_bound
+        lo_val = _formula_root(w, key, at, (end, end), cfg).lo
     if cell.hi_bound is not None:
-        w, key, at = cell.hi_bound
-        hi_val = _formula_root(cell.curve, w, key, at, tol, dps).hi
+        w, key, at, end = cell.hi_bound
+        hi_val = _formula_root(w, key, at, (end, end), cfg).hi
     lo_val, hi_val = min(lo_val, hi_val), max(lo_val, hi_val)
     width = hi_val - lo_val
-    case = Case.PRIMITIVE_LIMIT if width <= 1e4 * max(tol, _FLOAT_TOL_FLOOR) else Case.DEPTH_EXHAUSTED
-    lo, hi = _chain(cell.curve, _to_fraction(q0))
-    val = Bracket(max(lo_val, _outward(lo, False)), min(hi_val, _outward(hi, True)))
+    case = Case.PRIMITIVE_LIMIT if width <= 1e4 * max(cfg.tol, _FLOAT_TOL_FLOOR) else Case.DEPTH_EXHAUSTED
+    lo, hi = _chain(cell.curve, q0)
+    val = Bracket(max(lo_val, lo), min(hi_val, hi))
     return CriticalResult(val, "", case, None, (q0 - 1.0) * (val.mid - 1.0))
 
 
-def _solve(cell: _Cell, q0: float, tol: float, dps: int) -> CriticalResult:
+def _solve(cell: _Cell, q0: float, cfg: Config) -> CriticalResult:
     """The curve's bracket at q0 on the cell its descent found."""
     if cell.key is None:
-        return _exhausted_result(cell, q0, tol, dps)
-    return _formula_result(cell, q0, tol, dps)
+        return _exhausted_result(cell, q0, cfg)
+    return _formula_result(cell, q0, cfg)
+
+
+def _at_or_below(cell: _Cell, q0: float, q1: float, tol: float, cfg: Config) -> Optional[bool]:
+    """Whether q1 lies at or below the curve of a descent cell at q0, or
+    within its window: True or False, or None when q1 lies within the
+    window of a curve whose cell is not a formula cell.
+
+    Where q0 lies in a formula cell for sure (ambiguity 0), the curve is
+    the root in q1 of the node function, which decreases in q1, so one
+    certified sign at q1 - window decides, window = max(tol, cfg.tol).
+    Other cells solve the curve's bracket and compare q1 with it, the
+    window being max(tol, width)."""
+    if cell.key is not None and cell.ambiguity == 0:
+        y = q1 - max(tol, cfg.tol)
+        return y <= 1.0 or _sign(_node_f(cell.node, cell.key), q0, y, cfg.precision) >= 0
+    value = _solve(cell, q0, cfg).value
+    if abs(q1 - value.mid) <= max(tol, value.width):
+        return True if cell.key is not None else None
+    return q1 < value.mid
 
 
 def _g_cell(q0: float, cfg: Config, max_depth: int) -> _Cell:
@@ -377,42 +388,42 @@ def _k_cell(q0: float, cfg: Config, max_depth: int) -> _Cell:
             hi_bound = _spine_bound(w, "s01", cfg)
             continue
         muL2 = node_mu(w, "s010", "s10", cfg)
+        endL2 = _last_end
         if q0 <= muL2.hi + _slack(muL2):
-            return _Cell("K", w, "s10", Case.LEFT_FORMULA, _ambiguity(q0, muL1, muL2), ends=(endL1, _last_end))
+            return _Cell("K", w, "s10", Case.LEFT_FORMULA, _ambiguity(q0, muL1, muL2), ends=(endL1, endL2))
         muR1 = node_mu(w, "s01", "s101", cfg)
+        endR1 = _last_end
         if q0 >= muR1.lo - _slack(muR1):
-            return _Cell("K", w, "s01", Case.RIGHT_FORMULA, _ambiguity(q0, muR1, muR2), ends=(_last_end, endR2))
+            return _Cell("K", w, "s01", Case.RIGHT_FORMULA, _ambiguity(q0, muR1, muR2), ends=(endR1, endR2))
         # strictly between the formula intervals: the cell is below node wM
-        hi_bound = (w, "s10", muL2.mid)
-        lo_bound = (w, "s01", muR1.mid)
+        hi_bound = (w, "s10", muL2.mid, endL2)
+        lo_bound = (w, "s01", muR1.mid, endR1)
         w += "M"
     return _Cell("K", lo_bound=lo_bound, hi_bound=hi_bound)
 
 
-def _settings(q0: float, tol, max_depth, config: Config) -> tuple[float, int]:
-    """The tolerance and depth of a curve call, q0 checked."""
+def _settings(q0: float, max_depth: int | None, config: Config) -> Config:
+    """The config of a curve call, q0 checked: config itself, or a copy
+    with max_depth in its place, checked by Config's rule, when given."""
     if not 1 < q0 < math.inf:
         raise ValueError("q0 must be finite and exceed 1")
-    return (config.tol if tol is None else tol,
-            config.max_depth if max_depth is None else max_depth)
+    return config if max_depth is None else replace(config, max_depth=max_depth)
 
 
-def generalized_golden_ratio(q0: float, tol: float | None = None,
-                             max_depth: int | None = None,
+def generalized_golden_ratio(q0: float, max_depth: int | None = None,
                              config: Config = DEFAULT) -> CriticalResult:
     """G(q0): the infimum of bases q1 for which some sequence other than
     0^inf and 1^inf is a unique (q0, q1)-expansion."""
-    tol, max_depth = _settings(q0, tol, max_depth, config)
-    return _solve(_g_cell(q0, config, max_depth), q0, tol, config.precision)
+    cfg = _settings(q0, max_depth, config)
+    return _solve(_g_cell(q0, cfg, cfg.max_depth), q0, cfg)
 
 
-def komornik_loreti(q0: float, tol: float | None = None,
-                    max_depth: int | None = None,
+def komornik_loreti(q0: float, max_depth: int | None = None,
                     config: Config = DEFAULT) -> CriticalResult:
     """K(q0): the infimum of bases q1 with uncountably many unique
     (q0, q1)-expansions; also the right end of the first entropy plateau."""
-    tol, max_depth = _settings(q0, tol, max_depth, config)
-    return _solve(_k_cell(q0, config, max_depth), q0, tol, config.precision)
+    cfg = _settings(q0, max_depth, config)
+    return _solve(_k_cell(q0, cfg, cfg.max_depth), q0, cfg)
 
 
 def kl_fixed_point(tol: float = 1e-9, lo: float = 1.7, hi: float = 1.9,
@@ -423,7 +434,10 @@ def kl_fixed_point(tol: float = 1e-9, lo: float = 1.7, hi: float = 1.9,
     ends differ (a guess off q* costs K evaluations, never correctness).
     Each end is proven by K's whole bracket lying on its side, and
     nudged outward while it does not, so the width is floored by K's
-    own brackets (about 8e-13 at the default config)."""
+    own brackets (about 8e-13 at the default config).  tol is checked
+    by Config's rule."""
+    tol = replace(config, tol=tol).tol
+
     def excess(q: float) -> float:
         return komornik_loreti(q, config=config).value.mid - q
 
@@ -484,7 +498,6 @@ class CurveRow:
 
 
 def sample_curve(q0_lo: float, q0_hi: float, n: int, which: str = "both",
-                 tol: float | None = None, max_depth: int | None = None,
                  config: Config = DEFAULT) -> list[CurveRow]:
     """Evaluate the critical maps on a uniform grid; rows are independent."""
     if not (1 < q0_lo < q0_hi):
@@ -497,10 +510,10 @@ def sample_curve(q0_lo: float, q0_hi: float, n: int, which: str = "both",
     for i in range(n):
         q0 = q0_lo + (q0_hi - q0_lo) * i / (n - 1)
         if which in ("gr", "both"):
-            r = generalized_golden_ratio(q0, tol, max_depth, config)
+            r = generalized_golden_ratio(q0, config=config)
             rows.append(CurveRow(q0, "gr", r.value.lo, r.value.hi, r.node, r.case.value))
         if which in ("kl", "both"):
-            r = komornik_loreti(q0, tol, max_depth, config)
+            r = komornik_loreti(q0, config=config)
             rows.append(CurveRow(q0, "kl", r.value.lo, r.value.hi, r.node, r.case.value))
     return rows
 

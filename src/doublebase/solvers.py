@@ -21,14 +21,15 @@ mu(u, v)   -- the unique crossing g_u(x) = g~_v(x), with
               g_u > g~_v left of the crossing and < right of it
 
 The node formulas and crossings of the critical-value descent use the
-same root_q1 and crossing.
+same root_q1 and crossing.  A tol given to one call takes the config's
+place by dataclasses.replace, so Config's rule checks it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath as mp
 
@@ -337,7 +338,7 @@ def root_q1(fn, q0, tol: float, dps: int, start=None) -> Bracket:
 def g(u, q0: float, tol: float | None = None, config: Config = DEFAULT):
     """The unique q1 > 1 with f_u(q0, q1) = 0, or BELOW_ONE when
     f_u(q0, 1) <= 0 (i.e. q0 at or past the critical base of u)."""
-    tol = config.tol if tol is None else tol
+    tol = config.tol if tol is None else replace(config, tol=tol).tol
     if isinstance(u, Word) and not in_W(u):
         raise PreconditionError(f"{u} is not sup0-fixed aperiodic-tail (not in W)")
     fu = _value_fn(u, False)
@@ -350,7 +351,7 @@ def g(u, q0: float, tol: float | None = None, config: Config = DEFAULT):
 
 def g_tilde(v, q0: float, tol: float | None = None, config: Config = DEFAULT) -> Bracket:
     """The unique q1 > 1 with f~_v(q0, q1) = 0; exists for every q0 > 1."""
-    tol = config.tol if tol is None else tol
+    tol = config.tol if tol is None else replace(config, tol=tol).tol
     if isinstance(v, Word) and not in_W_tilde(v):
         raise PreconditionError(f"{v} is not inf1-fixed aperiodic-tail (not in W~)")
     if not 1 < q0 < math.inf:
@@ -360,7 +361,7 @@ def g_tilde(v, q0: float, tol: float | None = None, config: Config = DEFAULT) ->
 
 def critical_base(u, tol: float | None = None, config: Config = DEFAULT) -> Bracket:
     """The base q_u with f_u(q_u, 1) = 0: g_u(q0) > 1 exactly on (1, q_u)."""
-    tol = config.tol if tol is None else tol
+    tol = config.tol if tol is None else replace(config, tol=tol).tol
     fu = _value_fn(u, False)
     floor = 1.0 + 1e-9
     return solve_decreasing(lambda x: fu(x, 1.0),  # one lambda a line, as in root_q1
@@ -507,6 +508,6 @@ def crossing(fu, fv, tol: float, dps: int, start=None) -> tuple[Bracket, tuple]:
 
 def mu(u, v, tol: float | None = None, config: Config = DEFAULT) -> Bracket:
     """The unique x > 1 where g_u and g~_v cross (see :func:`crossing`)."""
-    tol = config.tol if tol is None else tol
+    tol = config.tol if tol is None else replace(config, tol=tol).tol
     _validate_mu_pair(u, v)
     return crossing(_value_fn(u, False), _value_fn(v, True), tol, config.precision)[0]

@@ -4,7 +4,7 @@ import math
 import mpmath as mp
 import pytest
 
-from doublebase import classify, critical, series, solvers
+from doublebase import critical, series, solvers
 from doublebase.classify import classify_univoque
 from doublebase.config import DEFAULT, Config
 from doublebase.critical import (
@@ -22,8 +22,9 @@ from doublebase.critical import (
     parse_curve_csv,
     sample_curve,
 )
-from doublebase.solvers import mu
+from doublebase.solvers import critical_base, g, g_tilde, mu
 from doublebase.substitution import node_boundaries
+from doublebase.words import parse_word
 
 PHI = (1 + 5 ** 0.5) / 2
 
@@ -455,13 +456,13 @@ def test_warm_formula_brackets_are_proven_in_floats(monkeypatch):
         signs.append(isinstance(value, mp.mpf))
         return value
 
-    def kept_root(curve, w, key, q0, *args):
-        br = formula_root(curve, w, key, q0, *args)
+    def kept_root(w, key, q0, *args):
+        br = formula_root(w, key, q0, *args)
         roots.append((w, key, q0, br))
         return br
 
     monkeypatch.setattr(solvers, "_sign", counted_sign)
-    monkeypatch.setattr(classify, "_sign", counted_sign)
+    monkeypatch.setattr(critical, "_sign", counted_sign)
     monkeypatch.setattr(critical, "_formula_root", kept_root)
     warm_pass()
     assert signs and not any(signs), sum(signs)
@@ -505,6 +506,64 @@ def test_warm_formula_roots_start_from_the_cell_ends(monkeypatch):
         komornik_loreti(q0)
     assert counts["float"] <= 650, counts
     assert counts["float"] + counts["bounded"] <= 1_100, counts
+
+
+@pytest.mark.parametrize("curve, q0, max_depth, budget", [
+    (komornik_loreti, 1.787231650458, 3, 5),
+    (komornik_loreti, 1.01, None, 4),
+    (generalized_golden_ratio, 1.01, None, 2),
+], ids=["K-1.787-3", "K-1.01", "G-1.01"])
+def test_exhausted_roots_start_from_their_crossing(monkeypatch, cold_mu, curve, q0, max_depth, budget):
+    # an exhausted walk's spine bound is a formula value at the crossing
+    # it sits on, so its root starts from that crossing's Newton end and
+    # slope (a one-crossing cell): the warm calls make 5, 3 and 2 float
+    # node evaluations (13, 6 and 3 when those roots started from the
+    # curve's product-chain enclosure)
+    curve(q0, max_depth=max_depth)
+    node_pi, evaluations = series.node_pi, [0]
+
+    def counted(*args):
+        evaluations[0] += not any(isinstance(a, mp.mpf) for a in args)
+        return node_pi(*args)
+
+    monkeypatch.setattr(series, "node_pi", counted)
+    r = curve(q0, max_depth=max_depth)
+    assert r.key is None and math.isfinite(r.value.width)
+    assert evaluations[0] <= budget, evaluations
+
+
+@pytest.mark.parametrize("key, k", [("s0", 2), ("s10", 4)])
+def test_hermite_reads_a_one_crossing_cell_at_its_end(key, k):
+    # both ends the same crossing: t = 0, the guess is the crossing's own
+    # point 1 + p/(x - 1) and the slope in q1 is f_p (x - 1) of the
+    # key's half of the Jacobian, at the end's x and beside it
+    node_mu("L", "s0", "s10")
+    end = critical._last_end
+    x, p = end[:2]
+    for at in (x, x + 1e-6):
+        assert critical._hermite(key, (end, end), at) == (1 + p / (at - 1), end[k + 1] * (at - 1))
+
+
+_PER_CALL = {  # each entry point with a per-call setting, and that setting
+    "g": (lambda **kw: g(parse_word("(01)"), 1.5, **kw), "tol"),
+    "g_tilde": (lambda **kw: g_tilde(parse_word("(10)"), 1.5, **kw), "tol"),
+    "mu": (lambda **kw: mu(parse_word("(01)"), parse_word("(10)"), **kw), "tol"),
+    "critical_base": (lambda **kw: critical_base(parse_word("(01)"), **kw), "tol"),
+    "kl_fixed_point": (kl_fixed_point, "tol"),
+    "G": (lambda **kw: generalized_golden_ratio(1.5, **kw), "max_depth"),
+    "K": (lambda **kw: komornik_loreti(1.5, **kw), "max_depth"),
+}
+_OUT_OF_RANGE = {"tol": [0.0, -1.0, math.nan], "max_depth": [0, -3]}
+
+
+@pytest.mark.parametrize("name, value", [(name, value) for name, (_, setting) in _PER_CALL.items()
+                                         for value in _OUT_OF_RANGE[setting]])
+def test_per_call_settings_follow_the_config_rule(name, value):
+    # a per-call tol or max_depth takes the config's place through
+    # dataclasses.replace, so Config's own check rejects it, as the CLI's
+    call, setting = _PER_CALL[name]
+    with pytest.raises(ValueError):
+        call(**{setting: value})
 
 
 def test_flat_formula_root_evaluates_no_point_again(monkeypatch):

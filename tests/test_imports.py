@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, every
 private module-level name is referenced by some module of the package,
 no module but `solvers` reaches the internals of its one certified
-solve, and every third-party package the library or its tests import is
+solve, no module but `critical` reaches the solve of a descent cell,
+and every third-party package the library or its tests import is
 declared in `pyproject.toml`.
 
 `__init__.py` is left out of the unused-import check: it imports names
@@ -92,7 +93,7 @@ def test_no_unreferenced_private_names():
     assert unreferenced_private_names({p.name: p.read_text() for p in PACKAGE}) == []
 
 
-SOLVE_INTERNALS = {"_zeroin", "_step_out", "_certify"}
+SOLVE_INTERNALS = {"_zeroin", "_step_out", "_secant", "_outward"}
 
 
 def imported_names(source: str) -> set[str]:
@@ -116,6 +117,15 @@ def test_the_check_sees_imported_names():
 def test_only_solvers_reaches_the_solve_internals(path):
     # every monotone root goes through solvers.solve_decreasing
     assert imported_names(path.read_text()) & SOLVE_INTERNALS == set()
+
+
+CELL_INTERNALS = {"_Cell", "_solve", "_node_f", "_formula_root", "_hermite"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "critical.py"], ids=lambda p: p.name)
+def test_only_critical_reaches_the_cell_solve(path):
+    # a descent cell becomes a bracket or a placed q1 inside critical only
+    assert imported_names(path.read_text()) & CELL_INTERNALS == set()
 
 
 def third_party_imports(source: str) -> set[str]:
