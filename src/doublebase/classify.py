@@ -76,8 +76,10 @@ def classify_omega(a, b, max_depth: int = 48) -> Classification:
 
     Exact for eventually periodic words; limit-word streams of one
     common primitive directive are recognized directly, other streams
-    are classified up to comparison depth (Undecided when ties persist).
+    are classified to depth max_depth >= 1 (Undecided when ties persist).
     """
+    if max_depth < 1:
+        raise ValueError("max_depth must be at least 1")
     if a.prefix(1) != "0":
         raise ValueError("a must start with 0")
     if b.prefix(1) != "1":
@@ -170,11 +172,11 @@ def classify_univoque(q0: float, q1: float, tol: float = 1e-9,
         raise ValueError("tol must be finite and positive")
     if not regular(q0, q1):  # which rejects bases outside (1, inf)
         return Classification(Label.POSITIVE_ENTROPY)
-    below_g = _at_or_below(_g_cell(q0, config, config.max_depth), q0, q1, tol, config)
+    below_g = _at_or_below(_g_cell(q0, config), q0, q1, tol, config)
     if below_g is not None:
         if below_g:
             return Classification(Label.TRIVIAL)
-        below_k = _at_or_below(_k_cell(q0, config, config.max_depth), q0, q1, tol, config)
+        below_k = _at_or_below(_k_cell(q0, config), q0, q1, tol, config)
         if below_k is not None:
             return Classification(Label.COUNTABLE_NONTRIVIAL if below_k else Label.POSITIVE_ENTROPY)
     # at G over a primitive Sturmian point the set is already uncountable,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -11,7 +12,7 @@ class Config:
 
     precision  -- decimal digits used by the multiprecision backend when
                   certifying or refining root brackets (>= 15)
-    tol        -- default bracket width for root solvers (> 0)
+    tol        -- default bracket width for root solvers (> 0, finite)
     max_depth  -- default directive-tree descent depth (>= 1)
     """
 
@@ -22,8 +23,8 @@ class Config:
     def __post_init__(self):
         if self.precision < 15:
             raise ValueError("precision must be at least 15 decimal digits")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and positive")
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
 

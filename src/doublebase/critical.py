@@ -42,14 +42,14 @@ q0/(q0+1)), so a walk down one spine still returns a finite bracket.
 
 Every formula value the library needs lies at a crossing the descent
 has just read or between two of them: a formula cell's root between its
-two ends, a spine bound's at its one crossing.  Each cached crossing
-keeps Newton's end (x, p) and its Jacobian, so the curve's value and
-slope there are at hand: a formula root starts from their cubic Hermite
-interpolant at q0 (_hermite), a median 9e-8 (relative) off the root,
-or from the crossing's own point for a spine bound, and from the
-function's slope in q1 there, and secant steps reach the float noise in
-two to four evaluations.  The solve checks the signs, so a poor start
-costs evaluations only.
+two ends, a spine bound's at its one crossing.  node_mu returns each
+crossing with the Newton end (x, p) and Jacobian its cache keeps, so
+the curve's value and slope there are at hand: a formula root starts
+from their cubic Hermite interpolant at q0 (_hermite), a median 9e-8
+(relative) off the root, or from the crossing's own point for a spine
+bound, and from the function's slope in q1 there, and secant steps
+reach the float noise in two to four evaluations.  The solve checks
+the signs, so a poor start costs evaluations only.
 """
 
 from __future__ import annotations
@@ -118,9 +118,10 @@ MU_CACHE_SIZE = 4096  # crossings kept, the least recently read dropped first
 _last_end = None  # Newton's end of the crossing node_mu returned last
 
 
-def node_mu(w: str, ukey: str, vkey: str, config: Config = DEFAULT) -> Bracket:
-    """Cached crossing value of a node pair, within min(config.tol, 2e-13);
-    keyed on the directive head, the precision and that tolerance.
+def node_mu(w: str, ukey: str, vkey: str, config: Config = DEFAULT) -> tuple[Bracket, tuple]:
+    """Cached crossing of a node pair, (mu, end): mu within min(config.tol,
+    2e-13) and Newton's end (x, p, fu_x, fu_p, fv_x, fv_p); keyed on the
+    directive head, the precision and that tolerance.
 
     The cache (_node_mu) is shared across descents, since crossings do
     not depend on q0, and holds the MU_CACHE_SIZE crossings read most
@@ -131,8 +132,9 @@ def node_mu(w: str, ukey: str, vkey: str, config: Config = DEFAULT) -> Bracket:
     cell; the root's start cold, so no end outlives an emptied cache.
     """
     global _last_end
-    mu, _last_end = _node_mu(w, ukey, vkey, config.precision, min(config.tol, 2e-13))
-    return mu
+    crossed = _node_mu(w, ukey, vkey, config.precision, min(config.tol, 2e-13))
+    _last_end = crossed[1]
+    return crossed
 
 
 @lru_cache(maxsize=MU_CACHE_SIZE)
@@ -169,10 +171,10 @@ def _beyond(q0: float, mu: Bracket, letter: str) -> bool:
     return q0 > mu.hi + _slack(mu)
 
 
-def _run_end(w: str, letter: str, q0: float, cfg: Config, max_depth: int) -> int:
+def _run_end(w: str, letter: str, q0: float, cfg: Config) -> int:
     """Length k of the run the descent appends at node w, where q0 lies
     beyond w's cell on the side of letter: every node w letter^j, j < k,
-    sends q0 on by letter, and w letter^k does not or has max_depth
+    sends q0 on by letter, and w letter^k does not or has cfg.max_depth
     letters.
 
     Along a constant run the spine crossings are monotone (the cell of
@@ -184,9 +186,9 @@ def _run_end(w: str, letter: str, q0: float, cfg: Config, max_depth: int) -> int
     pair = _SPINE_PAIR[letter]
 
     def beyond(j: int) -> bool:
-        return _beyond(q0, node_mu(w + letter * j, *pair, cfg), letter)
+        return _beyond(q0, node_mu(w + letter * j, *pair, cfg)[0], letter)
 
-    cap = max_depth - len(w)
+    cap = cfg.max_depth - len(w)
     lo, hi = 0, cap  # beyond at lo; hi is the first node not beyond, or the cap
     while lo < cap - 1:
         j = min(max(2 * lo, 1), cap - 1)
@@ -208,8 +210,8 @@ def _spine_bound(w: str, key: str, cfg: Config) -> tuple:
     formula key of the node the step left, at its spine crossing, with
     that crossing's Newton end, (w, key, at, end)."""
     last, letter = w[:-1], w[-1]
-    at = node_mu(last, *_SPINE_PAIR[letter], cfg).mid
-    return (last, key, at, _last_end)
+    mu, end = node_mu(last, *_SPINE_PAIR[letter], cfg)
+    return (last, key, mu.mid, end)
 
 
 def _chain(curve: str, q0: float) -> tuple[float, float]:
@@ -231,11 +233,10 @@ def _chain(curve: str, q0: float) -> tuple[float, float]:
 class _Cell:
     """Where the descent of a curve ("G" or "K") stopped: the formula
     cell of node w (formula key, case, the membership ambiguity of q0
-    and the Newton ends of the two crossings that bound the cell, as
-    node_mu left them in _last_end), or, with key None, the last spine
-    bounds (w, key, at, end) of a walk that reached max_depth, each with
-    the Newton end of the crossing it sits on, either of them None when
-    never set."""
+    and the Newton ends node_mu returned with the two crossings that
+    bound the cell), or, with key None, the last spine bounds (w, key,
+    at, end) of a walk that reached max_depth, each with the Newton end
+    of the crossing it sits on, either of them None when never set."""
     curve: str
     node: str = ""
     key: Optional[str] = None
@@ -346,53 +347,48 @@ def _at_or_below(cell: _Cell, q0: float, q1: float, tol: float, cfg: Config) -> 
     return q1 < value.mid
 
 
-def _g_cell(q0: float, cfg: Config, max_depth: int) -> _Cell:
+def _g_cell(q0: float, cfg: Config) -> _Cell:
     """The cell of q0 in the G descent over {L,R}* nodes."""
     w = ""
     lo_bound = hi_bound = None  # lazy value bounds for exhaustion
-    while len(w) < max_depth:
-        mu1 = node_mu(w, "s0", "s10", cfg)
-        end1 = _last_end
+    while len(w) < cfg.max_depth:
+        mu1, end1 = node_mu(w, "s0", "s10", cfg)
         if _beyond(q0, mu1, "L"):
-            w += "L" * _run_end(w, "L", q0, cfg, max_depth)
+            w += "L" * _run_end(w, "L", q0, cfg)
             lo_bound = _spine_bound(w, "s0", cfg)  # G(q0) > G(mu1) = left formula there
             continue
-        mu2 = node_mu(w, "s01", "s1", cfg)
-        end2 = _last_end
+        mu2, end2 = node_mu(w, "s01", "s1", cfg)
         if _beyond(q0, mu2, "R"):
-            w += "R" * _run_end(w, "R", q0, cfg, max_depth)
+            w += "R" * _run_end(w, "R", q0, cfg)
             hi_bound = _spine_bound(w, "s1", cfg)
             continue
         ambiguity = _ambiguity(q0, mu1, mu2)
-        if q0 <= node_mu(w, "s0", "s1", cfg).mid:
-            return _Cell("G", w, "s0", Case.LEFT_FORMULA, ambiguity, ends=(end1, _last_end))
-        return _Cell("G", w, "s1", Case.RIGHT_FORMULA, ambiguity, ends=(_last_end, end2))
+        mu0, end0 = node_mu(w, "s0", "s1", cfg)
+        if q0 <= mu0.mid:
+            return _Cell("G", w, "s0", Case.LEFT_FORMULA, ambiguity, ends=(end1, end0))
+        return _Cell("G", w, "s1", Case.RIGHT_FORMULA, ambiguity, ends=(end0, end2))
     return _Cell("G", lo_bound=lo_bound, hi_bound=hi_bound)
 
 
-def _k_cell(q0: float, cfg: Config, max_depth: int) -> _Cell:
+def _k_cell(q0: float, cfg: Config) -> _Cell:
     """The cell of q0 in the K descent over {L,M,R}* nodes."""
     w = ""
     lo_bound = hi_bound = None
-    while len(w) < max_depth:
-        muL1 = node_mu(w, "s0", "s10", cfg)
-        endL1 = _last_end
+    while len(w) < cfg.max_depth:
+        muL1, endL1 = node_mu(w, "s0", "s10", cfg)
         if _beyond(q0, muL1, "L"):
-            w += "L" * _run_end(w, "L", q0, cfg, max_depth)
+            w += "L" * _run_end(w, "L", q0, cfg)
             lo_bound = _spine_bound(w, "s10", cfg)
             continue
-        muR2 = node_mu(w, "s01", "s1", cfg)
-        endR2 = _last_end
+        muR2, endR2 = node_mu(w, "s01", "s1", cfg)
         if _beyond(q0, muR2, "R"):
-            w += "R" * _run_end(w, "R", q0, cfg, max_depth)
+            w += "R" * _run_end(w, "R", q0, cfg)
             hi_bound = _spine_bound(w, "s01", cfg)
             continue
-        muL2 = node_mu(w, "s010", "s10", cfg)
-        endL2 = _last_end
+        muL2, endL2 = node_mu(w, "s010", "s10", cfg)
         if q0 <= muL2.hi + _slack(muL2):
             return _Cell("K", w, "s10", Case.LEFT_FORMULA, _ambiguity(q0, muL1, muL2), ends=(endL1, endL2))
-        muR1 = node_mu(w, "s01", "s101", cfg)
-        endR1 = _last_end
+        muR1, endR1 = node_mu(w, "s01", "s101", cfg)
         if q0 >= muR1.lo - _slack(muR1):
             return _Cell("K", w, "s01", Case.RIGHT_FORMULA, _ambiguity(q0, muR1, muR2), ends=(endR1, endR2))
         # strictly between the formula intervals: the cell is below node wM
@@ -415,7 +411,7 @@ def generalized_golden_ratio(q0: float, max_depth: int | None = None,
     """G(q0): the infimum of bases q1 for which some sequence other than
     0^inf and 1^inf is a unique (q0, q1)-expansion."""
     cfg = _settings(q0, max_depth, config)
-    return _solve(_g_cell(q0, cfg, cfg.max_depth), q0, cfg)
+    return _solve(_g_cell(q0, cfg), q0, cfg)
 
 
 def komornik_loreti(q0: float, max_depth: int | None = None,
@@ -423,7 +419,7 @@ def komornik_loreti(q0: float, max_depth: int | None = None,
     """K(q0): the infimum of bases q1 with uncountably many unique
     (q0, q1)-expansions; also the right end of the first entropy plateau."""
     cfg = _settings(q0, max_depth, config)
-    return _solve(_k_cell(q0, cfg, cfg.max_depth), q0, cfg)
+    return _solve(_k_cell(q0, cfg), q0, cfg)
 
 
 def kl_fixed_point(tol: float = 1e-9, lo: float = 1.7, hi: float = 1.9,

@@ -17,6 +17,7 @@ bound down to the root.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import mpmath as mp
 
@@ -339,9 +340,10 @@ def _moran_exponent(logs, tol: float, dps: int) -> Bracket:
 def ifs_dimension(r0: float, r1: float, tol: float = 1e-12) -> float:
     """Similarity dimension of a two-map IFS with contraction ratios
     r0, r1: the unique s with r0^s + r1^s = 1, the midpoint of its
-    bracket as a float."""
+    bracket as a float; tol is checked by Config's rule."""
     if not (0 < r0 < 1 and 0 < r1 < 1):
         raise ValueError("contraction ratios must lie in (0, 1)")
+    tol = replace(DEFAULT, tol=tol).tol
     return float(_moran_exponent(lambda log: (log(r0), log(r1)), tol, DEFAULT.precision).mid)
 
 

@@ -481,8 +481,10 @@ def s_map(u, max_depth: int = 48) -> SMapResult:
     cells it reads u's walk (`walk`, cached for a Word) for at most
     max_depth nodes.  Eventually periodic inputs terminate with a repeat
     tail unless max_depth is hit; streams come back truncated when a
-    comparison ties.
+    comparison ties.  max_depth must be at least 1.
     """
+    if max_depth < 1:
+        raise ValueError("max_depth must be at least 1")
     side = u.letter(0) if isinstance(u, Word) else u.prefix(1)
     b, w = corner(u, side), ""
     if b in _TAILS:

@@ -245,13 +245,15 @@ def test_error_exit_codes(capsys):
     code, _, err = run(capsys, "expand", "--q0", "1.5", "--q1", "1")
     assert code == 2
     assert "error" in err
-    # zero is an outside value like any other, not "use the default"
+    # zero is an outside value like any other, not "use the default";
+    # an infinite tol too, not a failure to certify a bracket
     for argv in (("--max-depth", "0", "classify-omega", "--a", "(01)", "--b", "1(0)"),
                  ("--tol", "0", "gr", "1.5"),
+                 ("--tol", "inf", "gr", "1.5"),
                  ("--precision", "0", "gr", "1.5")):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
-        assert "error" in err
+        assert err.startswith("error: "), argv
     # Undecided exits with 3: a primitive-directive point at shallow depth
     code, out, _ = run(capsys, "--max-depth", "4", "kl", "1.78723165")
     assert code in (0, 3)  # 3 when the enclosure stays wide

@@ -1,11 +1,12 @@
 import itertools
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import pytest
 
 from doublebase import critical, series, solvers
-from doublebase.classify import classify_univoque
+from doublebase.classify import classify_omega, classify_univoque
 from doublebase.config import DEFAULT, Config
 from doublebase.critical import (
     _SPINE_PAIR,
@@ -23,7 +24,8 @@ from doublebase.critical import (
     sample_curve,
 )
 from doublebase.solvers import critical_base, g, g_tilde, mu
-from doublebase.substitution import node_boundaries
+from doublebase.spectral import ifs_dimension
+from doublebase.substitution import node_boundaries, s_map
 from doublebase.words import parse_word
 
 PHI = (1 + 5 ** 0.5) / 2
@@ -84,7 +86,7 @@ def test_node_mu_agrees_with_word_mu():
         nb = node_boundaries(w)
         for u, v in NODE_PAIRS:
             by_word = mu(getattr(nb, u), getattr(nb, v), tol=1e-13)
-            by_node = node_mu(w, u, v)
+            by_node = node_mu(w, u, v)[0]
             assert by_word.lo <= by_node.hi and by_node.lo <= by_word.hi, (w, u, v)
             assert by_word.width <= 1e-12 and by_node.width <= 1e-12, (w, u, v)
 
@@ -93,7 +95,7 @@ def test_node_mu_honours_tight_tolerance_after_warm_cache():
     # a crossing cached at the default tolerance must not answer a
     # request for a tighter one
     node_mu("", "s0", "s1")
-    br = node_mu("", "s0", "s1", Config(tol=1e-15))
+    br = node_mu("", "s0", "s1", Config(tol=1e-15))[0]
     assert br.width <= 1e-15
     with mp.workdps(30):
         assert (1 + mp.sqrt(5)) / 2 in br
@@ -275,7 +277,7 @@ def test_random_grid_robustness():
 def _walked_run(w, letter, q0, cfg, max_depth):
     # the reference for _run_end: one node at a time with the same test
     k = 1
-    while len(w) + k < max_depth and _beyond(q0, node_mu(w + letter * k, *_SPINE_PAIR[letter], cfg), letter):
+    while len(w) + k < max_depth and _beyond(q0, node_mu(w + letter * k, *_SPINE_PAIR[letter], cfg)[0], letter):
         k += 1
     return k
 
@@ -287,12 +289,12 @@ def test_run_end_matches_node_by_node_walk():
     probes += [("R", 16.0, 9), ("L", 1.05, 5)]  # runs cut at max_depth
     # q0 within and just outside the slack of a spine crossing
     for letter, j in (("R", 3), ("R", 7), ("L", 4), ("L", 9)):
-        mu = node_mu(letter * j, *_SPINE_PAIR[letter], cfg)
+        mu = node_mu(letter * j, *_SPINE_PAIR[letter], cfg)[0]
         edge = mu.hi + _slack(mu) if letter == "R" else mu.lo - _slack(mu)
         for q0 in (edge, math.nextafter(edge, 1.0), math.nextafter(edge, 100.0), mu.lo, mu.hi):
             probes.append((letter, q0, 40))
     for letter, q0, max_depth in probes:
-        assert _run_end("", letter, q0, cfg, max_depth) == _walked_run("", letter, q0, cfg, max_depth), (letter, q0)
+        assert _run_end("", letter, q0, replace(cfg, max_depth=max_depth)) == _walked_run("", letter, q0, cfg, max_depth), (letter, q0)
 
 
 def _left_spine_value(q0, k):
@@ -537,8 +539,7 @@ def test_hermite_reads_a_one_crossing_cell_at_its_end(key, k):
     # both ends the same crossing: t = 0, the guess is the crossing's own
     # point 1 + p/(x - 1) and the slope in q1 is f_p (x - 1) of the
     # key's half of the Jacobian, at the end's x and beside it
-    node_mu("L", "s0", "s10")
-    end = critical._last_end
+    _, end = node_mu("L", "s0", "s10")
     x, p = end[:2]
     for at in (x, x + 1e-6):
         assert critical._hermite(key, (end, end), at) == (1 + p / (at - 1), end[k + 1] * (at - 1))
@@ -552,15 +553,20 @@ _PER_CALL = {  # each entry point with a per-call setting, and that setting
     "kl_fixed_point": (kl_fixed_point, "tol"),
     "G": (lambda **kw: generalized_golden_ratio(1.5, **kw), "max_depth"),
     "K": (lambda **kw: komornik_loreti(1.5, **kw), "max_depth"),
+    "ifs_dimension": (lambda **kw: ifs_dimension(0.5, 0.6, **kw), "tol"),
+    "s_map": (lambda **kw: s_map(parse_word("(01)"), **kw), "max_depth"),
+    "classify_omega": (lambda **kw: classify_omega(parse_word("(01)"), parse_word("(10)"), **kw), "max_depth"),
 }
-_OUT_OF_RANGE = {"tol": [0.0, -1.0, math.nan], "max_depth": [0, -3]}
+_OUT_OF_RANGE = {"tol": [0.0, -1.0, math.nan, math.inf], "max_depth": [0, -3]}
 
 
 @pytest.mark.parametrize("name, value", [(name, value) for name, (_, setting) in _PER_CALL.items()
                                          for value in _OUT_OF_RANGE[setting]])
 def test_per_call_settings_follow_the_config_rule(name, value):
     # a per-call tol or max_depth takes the config's place through
-    # dataclasses.replace, so Config's own check rejects it, as the CLI's
+    # dataclasses.replace, so Config's own check rejects it, as the CLI's;
+    # s_map and classify_omega, called thousands of times a pass, compare
+    # their max_depth with 1 directly
     call, setting = _PER_CALL[name]
     with pytest.raises(ValueError):
         call(**{setting: value})
@@ -590,6 +596,23 @@ def test_flat_formula_root_evaluates_no_point_again(monkeypatch):
     assert r.value.width <= DEFAULT.tol
     assert len(set(points)) == len(points) <= 8, points
     assert sum(t is mp.mpf for t, *_ in points) <= 1, points
+
+
+def test_cell_ends_survive_a_wrapper_that_reads_crossings(monkeypatch):
+    # the cell finders take each crossing's Newton end from node_mu's
+    # return value, so a wrapper of node_mu that reads one more cached
+    # crossing after each call (as a tracer might) changes no cell
+    grid = [1.05 + 0.03 * i for i in range(60)]
+    plain = [(critical._g_cell(q0, DEFAULT), critical._k_cell(q0, DEFAULT)) for q0 in grid]
+
+    def reading(*args):
+        out = node_mu(*args)
+        node_mu("", "s0", "s1")
+        return out
+
+    monkeypatch.setattr(critical, "node_mu", reading)
+    wrapped = [(critical._g_cell(q0, DEFAULT), critical._k_cell(q0, DEFAULT)) for q0 in grid]
+    assert [q0 for q0, a, b in zip(grid, plain, wrapped) if a != b] == []
 
 
 def test_brackets_do_not_depend_on_the_order_of_calls(cold_mu):
@@ -636,7 +659,7 @@ def test_deep_spine_crossings_are_within_tol(cold_mu, w, u, v):
     # node_mu's 2e-13 (they were up to 4.26e-13 wide when an mp end was
     # nudged outward without a cap), and g_u - g~_v changes sign across
     # the bracket at 40 digits
-    br = node_mu(w, u, v)
+    br = node_mu(w, u, v)[0]
     assert 0 < br.width <= 2e-13, br
     fu, fv = critical._node_f(w, u), critical._node_f(w, v)
     with mp.workdps(40):

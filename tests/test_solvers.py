@@ -242,7 +242,7 @@ def test_node_crossings_below_the_float_floor_are_within_tol(w):
     # discriminant is 0 on a haze of points around it
     cfg = Config(tol=1e-20, precision=40)
     for u, v in SIDE_PAIRS:
-        br = node_mu(w, u, v, cfg)
+        br = node_mu(w, u, v, cfg)[0]
         assert isinstance(br.lo, mp.mpf) and 0 < br.width <= 1e-20, (u, v)
         with mp.workdps(40):
             fu, fv = _node_f(w, u), _node_f(w, v)
@@ -250,7 +250,7 @@ def test_node_crossings_below_the_float_floor_are_within_tol(w):
                 gu = root_q1(fu, x, 1e-30, 40).mid
                 gv = root_q1(fv, x, 1e-30, 40).mid
                 assert (gu > gv) == (x < br.lo), (u, v, x)
-    assert 1.5 in node_mu("", "s0", "s10", cfg)
+    assert 1.5 in node_mu("", "s0", "s10", cfg)[0]
 
 
 MU_CORPUS_NODES = ["", "L", "R", "M", "LR", "RL", "LM", "MR", "LL", "RR", "LMR", "RRLR"]
@@ -284,7 +284,7 @@ def _between(fu, fv, x):
 def test_side_of_node_crossings(w, u, v):
     # the corner test at a q1 between the two roots
     fu, fv = _node_f(w, u), _node_f(w, v)
-    m = node_mu(w, u, v)
+    m = node_mu(w, u, v)[0]
     # the certified ends, and points 1e-10 relative off the crossing
     for x, side in [(m.lo, 1), (m.hi, -1), (m.mid * (1 - 1e-10), 1), (m.mid * (1 + 1e-10), -1)]:
         assert _corner(fu, fv, x, _between(fu, fv, x), 30) == side, (x, side)
