@@ -24,32 +24,30 @@ from (1.5, 0.45).  A cold G(50, max_depth=100) makes 296 node
 evaluations (518 with every crossing started cold).
 
 Each descent only finds q0's cell (_g_cell, _k_cell): the node, the
-formula's NODE_SEEDS key, the case and the membership ambiguity, or the
-last spine bounds of a walk that reached max_depth.  One solve (_solve)
-turns a cell into the returned bracket, and _at_or_below places a q1
-against it for classify_univoque, by one sign of the node function
-where that decides.
+formula's NODE_SEEDS key, the case and the other formulas near q0
+(_near), or the last spine bounds of a walk that reached max_depth.  One
+solve (_solve) turns a cell into the returned bracket, and _at_or_below
+places a q1 against it for classify_univoque, by one sign of the node
+function where that decides.
 
-Membership is decided against certified mu brackets; a q0 within bracket
-width of an endpoint is resolved into the adjacent closed formula
-interval (the formulas agree at shared endpoints, so this is the
-tightest enclosure) and the returned value bracket is padded by a local
-slope estimate times the ambiguity.  At max_depth the result is the
-enclosure of the two adjacent formula values, which is valid because the
-critical maps are strictly decreasing, intersected with the product
-chain of the curve (1/(q0+1) <= (q0-1)(G-1) <= 1/2 <= (q0-1)(K-1) <
-q0/(q0+1)), so a walk down one spine still returns a finite bracket.
+Membership is decided against certified mu brackets; a q0 within slack
+of a crossing of its cell gets the hull of the roots of the crossing's
+two functions at q0.  At max_depth the result is the enclosure of the
+two adjacent formula values, which is valid because the critical maps
+are strictly decreasing, intersected with the product chain of the curve
+(1/(q0+1) <= (q0-1)(G-1) <= 1/2 <= (q0-1)(K-1) < q0/(q0+1)), so a walk
+down one spine still returns a finite bracket.
 
 Every formula value the library needs lies at a crossing the descent
 has just read or between two of them: a formula cell's root between its
-two ends, a spine bound's at its one crossing.  node_mu returns each
-crossing with the Newton end (x, p) and Jacobian its cache keeps, so
-the curve's value and slope there are at hand: a formula root starts
-from their cubic Hermite interpolant at q0 (_hermite), a median 9e-8
-(relative) off the root, or from the crossing's own point for a spine
-bound, and from the function's slope in q1 there, and secant steps
-reach the float noise in two to four evaluations.  The solve checks
-the signs, so a poor start costs evaluations only.
+two ends, a spine bound's or a near formula's at its one crossing.
+node_mu returns each crossing with the Newton end (x, p) and Jacobian
+its cache keeps, so the curve's value and slope there are at hand: a
+formula root starts from their cubic Hermite interpolant at q0
+(_hermite), a median 9e-8 (relative) off the root, or from the one
+crossing's own point, and from the function's slope in q1 there, and
+secant steps reach the float noise in two to four evaluations.  The
+solve checks the signs, so a poor start costs evaluations only.
 """
 
 from __future__ import annotations
@@ -147,16 +145,19 @@ def _slack(mu: Bracket) -> float:
     return max(mu.width, _FLOAT_TOL_FLOOR)
 
 
-def _ambiguity(q0: float, left: Bracket, right: Bracket) -> float:
-    """Membership uncertainty of q0 in the formula interval spanned by
-    the crossings left and right: twice the slack of an endpoint q0 is
-    close to, else 0."""
-    ambiguity = 0.0
-    if q0 <= left.hi + _slack(left):
-        ambiguity = max(ambiguity, 2 * _slack(left))
-    if q0 >= right.lo - _slack(right):
-        ambiguity = max(ambiguity, 2 * _slack(right))
-    return ambiguity
+def _near(q0: float, *crossings) -> tuple:
+    """(key, end) of the other function of each crossing (mu, end, key)
+    of a formula cell that q0 lies within _slack of; the curve's bracket
+    is the hull of the cell's root and these keys' roots at q0.  That is
+    exact at G's middle crossing, both sides being cells of the node.
+    An end crossing's far side is a spine of cells whose formula words
+    converge to its other word (L R^k M(1^inf) to M(10^inf)), so the
+    curve tends to that root; that it lies between the two is checked."""
+    near = ()
+    for mu, end, key in crossings:
+        if mu.lo - (slack := _slack(mu)) <= q0 <= mu.hi + slack:
+            near += ((key, end),)
+    return near
 
 
 # the crossing that ends a node's cell on the side of a spine letter
@@ -206,12 +207,13 @@ def _run_end(w: str, letter: str, q0: float, cfg: Config) -> int:
 
 
 def _spine_bound(w: str, key: str, cfg: Config) -> tuple:
-    """Exhaustion bound of the last spine step of head w: the node
-    formula key of the node the step left, at its spine crossing, with
-    that crossing's Newton end, (w, key, at, end)."""
+    """Exhaustion bound (w, key, at, end) of the last spine step of head
+    w: formula key of the node w the step left, at the end of its spine
+    crossing the decreasing formula proves (hi for an L step's lower
+    bound, lo for an R step's upper one), and that crossing's end."""
     last, letter = w[:-1], w[-1]
     mu, end = node_mu(last, *_SPINE_PAIR[letter], cfg)
-    return (last, key, mu.mid, end)
+    return (last, key, mu.hi if letter == "L" else mu.lo, end)
 
 
 def _chain(curve: str, q0: float) -> tuple[float, float]:
@@ -232,16 +234,16 @@ def _chain(curve: str, q0: float) -> tuple[float, float]:
 @dataclass(frozen=True)
 class _Cell:
     """Where the descent of a curve ("G" or "K") stopped: the formula
-    cell of node w (formula key, case, the membership ambiguity of q0
-    and the Newton ends node_mu returned with the two crossings that
-    bound the cell), or, with key None, the last spine bounds (w, key,
-    at, end) of a walk that reached max_depth, each with the Newton end
+    cell of node w (formula key, case, the other formulas near q0 by
+    _near and the Newton ends node_mu returned with the two crossings
+    that bound the cell), or, with key None, the last spine bounds (w,
+    key, at, end) of a walk that reached max_depth, each with the Newton end
     of the crossing it sits on, either of them None when never set."""
     curve: str
     node: str = ""
     key: Optional[str] = None
     case: Optional[Case] = None
-    ambiguity: float = 0.0
+    near: tuple = ()
     lo_bound: Optional[tuple] = None
     hi_bound: Optional[tuple] = None
     ends: Optional[tuple] = None
@@ -285,20 +287,10 @@ def _formula_root(w: str, key: str, q0, ends: tuple, cfg: Config) -> Bracket:
 
 def _formula_result(cell: _Cell, q0: float, cfg: Config) -> CriticalResult:
     val = _formula_root(cell.node, cell.key, q0, cell.ends, cfg)
-    if cell.ambiguity > 0:
-        # q0 could belong to an adjacent cell: widen by the local slope of
-        # the critical map times the membership uncertainty
-        h = 1e-6
-        slope = abs(_formula_root(cell.node, cell.key, q0 + h, cell.ends, cfg).mid - val.mid) / h + 1.0
-        pad = 8.0 * slope * cell.ambiguity
-        val = Bracket(val.lo - pad, val.hi + pad)
-    return CriticalResult(
-        value=val,
-        node=cell.node,
-        case=cell.case,
-        key=cell.key,
-        inequality_witness=(q0 - 1.0) * (val.mid - 1.0),
-    )
+    for key, end in cell.near:  # the hull with each near formula's root
+        other = _formula_root(cell.node, key, q0, (end, end), cfg)
+        val = Bracket(min(val.lo, other.lo), max(val.hi, other.hi))
+    return CriticalResult(val, cell.node, cell.case, cell.key, (q0 - 1.0) * (val.mid - 1.0))
 
 
 def _exhausted_result(cell: _Cell, q0: float, cfg: Config) -> CriticalResult:
@@ -333,12 +325,12 @@ def _at_or_below(cell: _Cell, q0: float, q1: float, tol: float, cfg: Config) -> 
     within its window: True or False, or None when q1 lies within the
     window of a curve whose cell is not a formula cell.
 
-    Where q0 lies in a formula cell for sure (ambiguity 0), the curve is
+    Where q0 lies in a formula cell for sure (near empty), the curve is
     the root in q1 of the node function, which decreases in q1, so one
     certified sign at q1 - window decides, window = max(tol, cfg.tol).
     Other cells solve the curve's bracket and compare q1 with it, the
     window being max(tol, width)."""
-    if cell.key is not None and cell.ambiguity == 0:
+    if cell.key is not None and not cell.near:
         y = q1 - max(tol, cfg.tol)
         return y <= 1.0 or _sign(_node_f(cell.node, cell.key), q0, y, cfg.precision) >= 0
     value = _solve(cell, q0, cfg).value
@@ -362,11 +354,12 @@ def _g_cell(q0: float, cfg: Config) -> _Cell:
             w += "R" * _run_end(w, "R", q0, cfg)
             hi_bound = _spine_bound(w, "s1", cfg)
             continue
-        ambiguity = _ambiguity(q0, mu1, mu2)
         mu0, end0 = node_mu(w, "s0", "s1", cfg)
         if q0 <= mu0.mid:
-            return _Cell("G", w, "s0", Case.LEFT_FORMULA, ambiguity, ends=(end1, end0))
-        return _Cell("G", w, "s1", Case.RIGHT_FORMULA, ambiguity, ends=(end0, end2))
+            near = _near(q0, (mu1, end1, "s10"), (mu0, end0, "s1"))
+            return _Cell("G", w, "s0", Case.LEFT_FORMULA, near, ends=(end1, end0))
+        near = _near(q0, (mu0, end0, "s0"), (mu2, end2, "s01"))
+        return _Cell("G", w, "s1", Case.RIGHT_FORMULA, near, ends=(end0, end2))
     return _Cell("G", lo_bound=lo_bound, hi_bound=hi_bound)
 
 
@@ -387,13 +380,15 @@ def _k_cell(q0: float, cfg: Config) -> _Cell:
             continue
         muL2, endL2 = node_mu(w, "s010", "s10", cfg)
         if q0 <= muL2.hi + _slack(muL2):
-            return _Cell("K", w, "s10", Case.LEFT_FORMULA, _ambiguity(q0, muL1, muL2), ends=(endL1, endL2))
+            near = _near(q0, (muL1, endL1, "s0"), (muL2, endL2, "s010"))
+            return _Cell("K", w, "s10", Case.LEFT_FORMULA, near, ends=(endL1, endL2))
         muR1, endR1 = node_mu(w, "s01", "s101", cfg)
         if q0 >= muR1.lo - _slack(muR1):
-            return _Cell("K", w, "s01", Case.RIGHT_FORMULA, _ambiguity(q0, muR1, muR2), ends=(endR1, endR2))
+            near = _near(q0, (muR1, endR1, "s101"), (muR2, endR2, "s1"))
+            return _Cell("K", w, "s01", Case.RIGHT_FORMULA, near, ends=(endR1, endR2))
         # strictly between the formula intervals: the cell is below node wM
-        hi_bound = (w, "s10", muL2.mid, endL2)
-        lo_bound = (w, "s01", muR1.mid, endR1)
+        hi_bound = (w, "s10", muL2.lo, endL2)  # bounds on the proven side, as _spine_bound's
+        lo_bound = (w, "s01", muR1.hi, endR1)
         w += "M"
     return _Cell("K", lo_bound=lo_bound, hi_bound=hi_bound)
 
@@ -469,6 +464,8 @@ def ks_crosscheck(q0, q1, depth: int = 24) -> KsResult:
     to every depth examined.  Digit arithmetic is exact, so boundary
     hits do not block the verdict.
     """
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
     if not regular(q0, q1):
         raise ValueError(f"pair ({q0}, {q1}) is not regular")
     a, b = expansion_bounds(q0, q1)

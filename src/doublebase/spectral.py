@@ -361,6 +361,8 @@ def univoque_dimension_lower_bound(q0: float, q1: float,
     The bound returned is the lower end of the exponent's bracket,
     proven below it by a sign at config.precision digits.
     """
+    if max_depth < 1 or digits < 1:
+        raise ValueError("max_depth and digits must be at least 1")
     if not regular(q0, q1):
         # every expansion is unique; use the unconstrained generator pair
         return _generator_dimension(q0, q1, "0", "001", config.precision)

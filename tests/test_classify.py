@@ -188,7 +188,7 @@ def test_classify_univoque_on_formula_cells_solves_no_root(monkeypatch):
     assert labels == [_bracket_rule(q0, q1) for q0, q1 in _FORMULA_PAIRS]
     for q0, _ in _FORMULA_PAIRS:
         for cell in (critical._g_cell(q0, DEFAULT), critical._k_cell(q0, DEFAULT)):
-            assert cell.key is not None and cell.ambiguity == 0, (q0, cell)
+            assert cell.key is not None and not cell.near, (q0, cell)
 
     def no_root(*args, **kwargs):
         raise AssertionError("a root was solved")

@@ -1,6 +1,7 @@
 import itertools
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -24,7 +25,7 @@ from doublebase.critical import (
     sample_curve,
 )
 from doublebase.solvers import critical_base, g, g_tilde, mu
-from doublebase.spectral import ifs_dimension
+from doublebase.spectral import ifs_dimension, univoque_dimension_lower_bound
 from doublebase.substitution import node_boundaries, s_map
 from doublebase.words import parse_word
 
@@ -228,6 +229,81 @@ def test_G_below_K_with_coincidence_detection():
             assert abs(gv.mid - kv.mid) < 1e-9
         else:
             assert kv.mid - gv.mid > 1e-3
+
+
+@pytest.mark.parametrize("w", ["".join(p) for n in range(4) for p in itertools.product("LR", repeat=n)])
+def test_coincidence_points_of_depth_three(w):
+    # at the root pair's crossing of every {L,R}* node of depth at most 3,
+    # G takes the node's s0 formula and K its s10 formula, which meet
+    # there: both brackets are the hull of the two roots, within 2 tol,
+    # and overlap; on the R spine G = K = 2^(1/(k+1)) at mu(R^k)
+    q0 = node_mu(w, "s0", "s10")[0].mid
+    gv, kv = generalized_golden_ratio(q0).value, komornik_loreti(q0).value
+    assert max(gv.width, kv.width) <= 2 * DEFAULT.tol, (gv, kv)
+    assert gv.lo <= kv.hi and kv.lo <= gv.hi, (gv, kv)
+    if w == "R" * len(w):
+        closed = 2 ** (1 / (len(w) + 1))
+        assert closed in gv and closed in kv, (closed, gv, kv)
+
+
+_CROSSINGS = {  # the nodes of depth at most 1 each descent walks, and the crossings it reads at a node
+    generalized_golden_ratio: (("", "L", "R"), (("s0", "s10"), ("s0", "s1"), ("s01", "s1"))),
+    komornik_loreti: (("", "L", "M", "R"), (("s0", "s10"), ("s010", "s10"), ("s01", "s101"), ("s01", "s1"))),
+}
+
+
+@pytest.mark.parametrize("curve", list(_CROSSINGS), ids=["G", "K"])
+def test_curve_near_a_crossing_overlaps_the_hull_of_its_two_roots(curve):
+    # the bracket of a q0 within slack of a crossing is the hull of the
+    # crossing's two roots (critical._near); near and farther out, on
+    # both sides, the curve lies between them
+    words, pairs = _CROSSINGS[curve]
+    for w in words:
+        for u, v in pairs:
+            mu_, end = node_mu(w, u, v)
+            for offset in (-1e-4, -1e-9, 1e-9, 1e-4):
+                q0 = mu_.mid + offset
+                roots = [critical._formula_root(w, key, q0, (end, end), DEFAULT) for key in (u, v)]
+                lo, hi = min(r.lo for r in roots), max(r.hi for r in roots)
+                value = curve(q0).value
+                assert value.lo <= hi and lo <= value.hi, (w, u, v, offset, value, lo, hi)
+
+
+_BOUND_CROSSING = {  # (side, key) of an exhausted walk's bound -> the node crossing it sits on
+    ("lo", "s0"): ("s0", "s10"), ("lo", "s10"): ("s0", "s10"),  # L spine steps of G and K
+    ("hi", "s1"): ("s01", "s1"), ("hi", "s01"): ("s01", "s1"),  # R spine steps
+    ("hi", "s10"): ("s010", "s10"), ("lo", "s01"): ("s01", "s101"),  # K's M steps
+}
+
+
+@pytest.mark.parametrize("cell, q0, max_depth", [
+    (critical._g_cell, 1.01, 48), (critical._g_cell, 16.0, 3),
+    (critical._k_cell, 1.01, 48), (critical._k_cell, 16.0, 3), (critical._k_cell, 1.787231650458, 3),
+], ids=["G-L", "G-R", "K-L", "K-R", "K-M"])
+def test_exhausted_bounds_sit_on_the_proven_end_of_their_crossing(cell, q0, max_depth):
+    # every formula decreases in q0, so a lower bound holds at the hi end
+    # of its crossing's bracket and an upper bound at the lo end
+    c = cell(q0, replace(DEFAULT, max_depth=max_depth))
+    assert c.key is None
+    bounds = [(side, b) for side, b in (("lo", c.lo_bound), ("hi", c.hi_bound)) if b is not None]
+    assert bounds
+    for side, (w, key, at, end) in bounds:
+        crossed, crossed_end = node_mu(w, *_BOUND_CROSSING[side, key])
+        assert end is crossed_end and crossed.lo < crossed.hi
+        assert at == (crossed.hi if side == "lo" else crossed.lo), (side, key, at, crossed)
+
+
+def test_curve_matches_the_parity_corpus():
+    # tests/data/parity_curve.csv is the output of
+    # `doublebase curve --from 1.03 --to 4.539 --samples 320` before the
+    # slope padding gave way to the hull of near roots: every row keeps
+    # its node and case and overlaps its bracket
+    corpus = parse_curve_csv((Path(__file__).parent / "data" / "parity_curve.csv").read_text())
+    rows = sample_curve(1.03, 4.539, 320)
+    assert len(rows) == len(corpus) == 640
+    for row, old in zip(rows, corpus):
+        assert (row.q0, row.which, row.node, row.case) == (old.q0, old.which, old.node, old.case)
+        assert row.value_lo <= old.value_hi and old.value_lo <= row.value_hi, (row, old)
 
 
 def test_depth_exhaustion_brackets():
@@ -556,8 +632,11 @@ _PER_CALL = {  # each entry point with a per-call setting, and that setting
     "ifs_dimension": (lambda **kw: ifs_dimension(0.5, 0.6, **kw), "tol"),
     "s_map": (lambda **kw: s_map(parse_word("(01)"), **kw), "max_depth"),
     "classify_omega": (lambda **kw: classify_omega(parse_word("(01)"), parse_word("(10)"), **kw), "max_depth"),
+    "ks_crosscheck": (lambda **kw: ks_crosscheck(1.9, 1.7, **kw), "depth"),
+    "univoque_dimension_lower_bound": (lambda **kw: univoque_dimension_lower_bound(1.9, 1.8, **kw), "max_depth"),
+    "univoque_dimension_lower_bound-digits": (lambda **kw: univoque_dimension_lower_bound(1.9, 1.8, **kw), "digits"),
 }
-_OUT_OF_RANGE = {"tol": [0.0, -1.0, math.nan, math.inf], "max_depth": [0, -3]}
+_OUT_OF_RANGE = {"tol": [0.0, -1.0, math.nan, math.inf], "max_depth": [0, -3], "depth": [0, -2], "digits": [0, -3]}
 
 
 @pytest.mark.parametrize("name, value", [(name, value) for name, (_, setting) in _PER_CALL.items()
@@ -566,7 +645,8 @@ def test_per_call_settings_follow_the_config_rule(name, value):
     # a per-call tol or max_depth takes the config's place through
     # dataclasses.replace, so Config's own check rejects it, as the CLI's;
     # s_map and classify_omega, called thousands of times a pass, compare
-    # their max_depth with 1 directly
+    # their max_depth with 1 directly, as ks_crosscheck its depth and
+    # univoque_dimension_lower_bound its max_depth and digits
     call, setting = _PER_CALL[name]
     with pytest.raises(ValueError):
         call(**{setting: value})
