@@ -63,7 +63,7 @@ from typing import Optional
 
 from .config import DEFAULT, Config
 from .expansions import _to_fraction, expansion_bounds, regular
-from .series import letter_runs, value_fn
+from .series import letter_runs, value_fn, value_fns
 from .solvers import Bracket, crossing, root_q1, solve_decreasing, _sign, _FLOAT_TOL_FLOOR
 from .substitution import NODE_SEEDS, apply, image_lengths, split_descent
 from .words import Word
@@ -112,6 +112,12 @@ def _node_f(w: str, key: str):
     return value_fn(letter_runs(w + "M"), NODE_SEEDS[key], not key.startswith("s0"))
 
 
+def _node_fns(w: str, *keys: str) -> tuple:
+    """The value functions (_node_f) of several boundary words of node
+    w, sharing one dict of compositions (series.value_fns)."""
+    return value_fns(letter_runs(w + "M"), *((NODE_SEEDS[key], not key.startswith("s0")) for key in keys))
+
+
 MU_CACHE_SIZE = 4096  # crossings kept, the least recently read dropped first
 _last_end = None  # Newton's end of the crossing node_mu returned last
 
@@ -137,7 +143,7 @@ def node_mu(w: str, ukey: str, vkey: str, config: Config = DEFAULT) -> tuple[Bra
 
 @lru_cache(maxsize=MU_CACHE_SIZE)
 def _node_mu(w: str, ukey: str, vkey: str, dps: int, tol: float) -> tuple[Bracket, tuple]:
-    return crossing(_node_f(w, ukey), _node_f(w, vkey), tol, dps, _last_end if w else None)
+    return crossing(*_node_fns(w, ukey, vkey), tol, dps, _last_end if w else None)
 
 
 def _slack(mu: Bracket) -> float:

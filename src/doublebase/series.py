@@ -19,11 +19,15 @@ on four scalars, and builds one AffinePair at the end.
 
 Every word value comes from one evaluator (AffinePair.of_word).  For
 float bases node_f_bound repeats the float evaluation of a value
-function (value_fn, of a node boundary word or a plain word), from its
+function (value_fns, of node boundary words or plain words), from its
 kept composition, with a proven bound on its error: the affine pairs'
 roundings are counted once per directive (directive_roundings, Higham's
 gamma_n), the word's letters add theirs in log form, and a running
-error bound covers the three subtractions that cancel.
+error bound covers the three subtractions that cancel.  The value
+functions of one directive built together, such as a crossing's two,
+keep one dict of compositions, float points under (q0, q1) and mpf
+points under (q0, q1, precision), so a point both are signed at is
+composed once.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import groupby
+
+import mpmath as mp
 
 from .expansions import _check_bases
 from .substitution import PERIODIC, Directive, DirectiveError
@@ -184,25 +190,51 @@ def node_pi(runs, q0, q1, seed, kept=None):
     runs are letter_runs(w + "M") of the node sigma = wM, which a caller
     evaluating one node many times computes once (() give pi of the seed
     itself).  With one seed word, the value of sigma(seed); with a tuple
-    of words, the tuple of their values from the one composition, which
-    a dict kept, if given, stores under (q0, q1) at float bases.
+    of words, the tuple of their values from the one composition.  A
+    dict kept, if given, stores the composition: under (q0, q1) at float
+    bases, where a value function's bound reads it, and under (q0, q1,
+    precision) at mpf bases, where it is read first.  An mpf equal to a
+    float hashes and compares equal to it, so the precision in the key
+    keeps an mp point from a float composition, and one point's
+    compositions at two precisions apart.
     """
-    pair = _compose(_identity(q0, q1), runs)
-    if kept is not None and isinstance(q0, float) and isinstance(q1, float):
-        kept[q0, q1] = pair
+    if kept is not None and isinstance(q0, mp.mpf) and isinstance(q1, mp.mpf):
+        key = (q0, q1, mp.mp.prec)
+        pair = kept[key] = kept.get(key) or _compose(_identity(q0, q1), runs)
+    else:
+        pair = _compose(_identity(q0, q1), runs)
+        if kept is not None and isinstance(q0, float) and isinstance(q1, float):
+            kept[q0, q1] = pair
     if isinstance(seed, tuple):
         return tuple(map(pair.of_word, seed))
     return pair.of_word(seed)
+
+
+def value_fns(runs, *functions) -> tuple:
+    """The value functions (value_fn) of sigma, of letter runs `runs`,
+    one for each (seed, tilde) of functions, sharing one dict of
+    compositions for their life (one crossing): at a float point the
+    first evaluation or bound composes and every later bound there
+    starts from it, and at an mpf point the first evaluation at a
+    precision composes for every later one, so a crossing's two
+    functions signed at one corner compose it once.  Functions of
+    different runs never share it."""
+    kept = {}
+    return tuple(_value_fn_with(runs, seed, tilde, kept) for seed, tilde in functions)
 
 
 def value_fn(runs, seed: Word, tilde: bool):
     """f of sigma(seed), or f~ with tilde, as a function of (q0, q1) via
     node_pi, sigma of letter runs `runs` (() for a plain word); bounded
     is the same float evaluation with a proven error bound (node_f_bound)
-    from the composition either kept there (kept while fn lives: one solve)."""
+    from the composition either kept there, in a dict of fn's own while
+    it lives (one solve); value_fns builds functions that share one."""
+    return _value_fn_with(runs, seed, tilde, {})
+
+
+def _value_fn_with(runs, seed: Word, tilde: bool, kept: dict):
     roundings = directive_roundings(runs)
     from_pi = f_tilde_from_pi if tilde else f_from_pi
-    kept = {}
 
     def fn(q0, q1):
         return from_pi(node_pi(runs, q0, q1, seed, kept), q0, q1)
@@ -217,7 +249,7 @@ def value_fn(runs, seed: Word, tilde: bool):
 
 def value_pair(fu, fv):
     """(q0, q1) -> (fu(q0, q1), fv(q0, q1)), from one node_pi composition
-    where both are value functions (value_fn) of the same runs."""
+    where both are value functions (value_fns) of the same runs."""
     parts = getattr(fu, "parts", None), getattr(fv, "parts", None)
     if None in parts or parts[0][0] != parts[1][0]:
         return lambda q0, q1: (fu(q0, q1), fv(q0, q1))
@@ -305,12 +337,12 @@ def node_f_bound(runs, roundings: AffinePair, seed: Word, tilde: bool, q0: float
     """
     pair = pair or _compose(_identity(q0, q1), runs)
     # the map x -> a + s x of each digit and the log-error bounds of a and s
-    digit = {"0": (pair.a0, pair.s0, roundings.a0 * _U, roundings.s0 * _U),
-             "1": (pair.a1, pair.s1, roundings.a1 * _U, roundings.s1 * _U)}
+    zero = (pair.a0, pair.s0, roundings.a0 * _U, roundings.s0 * _U)
+    one = (pair.a1, pair.s1, roundings.a1 * _U, roundings.s1 * _U)
     low = m = min(pair.s0, pair.s1)  # low: the least nonzero value an s multiplies
-    a, s, ra, rs = digit[seed.per[-1]]
+    a, s, ra, rs = zero if seed.per[-1] == "0" else one
     for c in seed.per[-2::-1]:
-        x, y, rx, ry = digit[c]
+        x, y, rx, ry = zero if c == "0" else one
         low = min(low, a or low, s)
         a, s = x + y * a, y * s
         ra, rs = max(rx, ry + ra + _U) + _U, ry + rs + _U
@@ -319,7 +351,7 @@ def node_f_bound(runs, roundings: AffinePair, seed: Word, tilde: bool, q0: float
     # d is within s (e^rs - 1) + u d of 1 - s_exact
     r = ra + _grown((s * _grown(rs) + _U * d) / d) + _U
     for c in seed.pre[::-1]:
-        x, y, rx, ry = digit[c]
+        x, y, rx, ry = zero if c == "0" else one
         low = min(low, p or low)
         p = x + y * p
         r = max(rx, ry + r + _U) + _U

@@ -9,7 +9,7 @@ hands the two ends it evaluated to one Brent loop (bracket_root), which
 runs on floats and mpf values alike; from a guess and a slope, secant
 steps (_secant) end at two points whose bounded signs prove the bracket.
 Every sign is certified by one routine (_sign: a float value above its
-proven error bound, which the value functions of series.value_fn carry,
+proven error bound, which the value functions of series.value_fns carry,
 proves its sign; else a multiprecision evaluation at config.precision
 digits decides, which is not a proof).  A crossing of two roots is one
 Newton solve in two variables (crossing), its ends proven by the signs
@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import mpmath as mp
 
 from .config import DEFAULT, Config
-from .series import pi_limit, f_from_pi, f_tilde_from_pi, value_fn, value_pair
+from .series import pi_limit, f_from_pi, f_tilde_from_pi, value_fn, value_fns, value_pair
 from .substitution import LimitWordStream, is_primitive, common_node_image
 from .words import Word, sup0, inf1
 
@@ -155,7 +155,7 @@ def _zeroin(fn, a, fa, b, fb, tol):
 def _sign(fn, x, y, dps: int | None):
     """fn(x, y) or a float of the same sign: at float points the float
     value when it exceeds fn's proven error bound (fn.bounded(x, y) ->
-    (value, err), as series.value_fn gives), which proves its sign;
+    (value, err), as series.value_fns gives), which proves its sign;
     otherwise fn on mpf inputs at dps digits, or, with dps None (floats
     only), 0.0, which proves no sign."""
     bounded = getattr(fn, "bounded", None)
@@ -418,17 +418,21 @@ def _newton(both, start=None):
     crossing's end, the first step takes that Jacobian and every later
     one its own.  Steps are cut to keep an eighth of x - 1 and of p at
     least, as _step_out steps toward a floor; after a step below 1e-10
-    of both, one more with the same Jacobian ends.  Where the curves run
+    of both, one more with the same Jacobian ends.  A step that leaves
+    (x, y) where it was evaluates nothing again.  Where the curves run
     parallel x steps out, y kept: to an eighth of x - 1 where the linear
     model puts g_u below g~_v, else to four times it.  x - 1 below 1e-15
     raises PreconditionError, and no end after 60 steps ArithmeticError.
     """
     x, p = start[:2] if start else (1.5, 0.45)
-    close = False
+    close, at = False, None
     for i in range(60):
         if x - 1 < 1e-15:
             raise PreconditionError("no crossing found above 1")
-        a, b = both(x, 1 + p / (x - 1))
+        y = 1 + p / (x - 1)
+        if (x, y) != at:  # else a step rounded away in x and y
+            at = x, y
+            a, b = both(x, y)
         if i == 0 and start:  # a start's Jacobian serves its first step only
             jac = start[2:]
         elif not close:
@@ -465,6 +469,8 @@ def crossing(fu, fv, tol: float, dps: int, start=None) -> tuple[Bracket, tuple]:
     bound such as limit-word streams, an end open at tol / 2) takes a
     Newton step at dps digits and mp corners at d = tol / 4, again while
     they do not decide; the ends stay floats unless tol is below 1e-13.
+    Value functions built together (series.value_fns) compose each
+    corner once for both signs, in floats and in mp.
     """
     both = value_pair(fu, fv)
     try:
@@ -510,4 +516,8 @@ def mu(u, v, tol: float | None = None, config: Config = DEFAULT) -> Bracket:
     """The unique x > 1 where g_u and g~_v cross (see :func:`crossing`)."""
     tol = config.tol if tol is None else replace(config, tol=tol).tol
     _validate_mu_pair(u, v)
-    return crossing(_value_fn(u, False), _value_fn(v, True), tol, config.precision)[0]
+    if isinstance(u, Word):  # one dict of compositions for both words
+        fns = value_fns((), (u, False), (v, True))
+    else:
+        fns = _value_fn(u, False), _value_fn(v, True)
+    return crossing(*fns, tol, config.precision)[0]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -333,8 +334,6 @@ def test_distant_bases_need_depth():
 
 
 def test_random_grid_robustness():
-    import random
-
     rng = random.Random(11)
     for _ in range(60):
         q0 = 1.05 + rng.random() * 4.0
@@ -791,3 +790,73 @@ def test_cold_curve_sweep_crossings_are_proven_in_floats(monkeypatch, cold_mu):
     assert not mp_signs, len(mp_signs)
     assert max(widths) <= 2e-13, max(widths)
     assert evaluations[0] <= 1_850, evaluations[0]
+
+
+def _counted_compositions(monkeypatch):
+    """(crossing, directive, point, precision) of every composition of a
+    directive at a point (series._compose from series._identity), the
+    crossing None outside one; the precision is None at float points."""
+    identity, compose, crossing = series._identity, series._compose, critical.crossing
+    made, current = [], [None]
+
+    class Start(tuple):
+        point = None
+
+    def tagged(x, y):
+        start = Start(identity(x, y))
+        start.point = (type(x), x, type(y), y, mp.mp.prec if isinstance(x, mp.mpf) else None)
+        return start
+
+    def counted(start, w):
+        if isinstance(start, Start):
+            made.append((current[0], w, start.point))
+        return compose(start, w)
+
+    def flagged(*args):
+        current[0] = object()
+        try:
+            return crossing(*args)
+        finally:
+            current[0] = None
+
+    monkeypatch.setattr(series, "_identity", tagged)
+    monkeypatch.setattr(series, "_compose", counted)
+    monkeypatch.setattr(critical, "crossing", flagged)
+    return made
+
+
+def test_cold_deep_spine_round_composes_each_crossing_point_once(monkeypatch, cold_mu):
+    # the seven calls of a seed-1 deep_spine benchmark round from an
+    # empty cache: a crossing's two value functions share one dict of
+    # compositions (series.value_fns), so signing both at a corner
+    # composes the point once, in floats and in mp, and Newton evaluates
+    # no point twice.  The parent composed 70 mp points (44 distinct)
+    # and 801 float ones (725 distinct)
+    made = _counted_compositions(monkeypatch)
+    rng = random.Random(1)
+    for q0 in [q * (1 + 1e-4 * rng.random()) for q in (6.0, 10.0, 16.0)]:
+        far = generalized_golden_ratio(q0, max_depth=100)
+        generalized_golden_ratio(far.value.mid, max_depth=100)
+    generalized_golden_ratio(1.01)
+    within = [m for m in made if m[0] is not None]
+    assert len(set(within)) == len(within)
+    precise = [m for m in made if m[2][-1] is not None]
+    assert 0 < len(precise) <= 44, len(precise)
+    assert len(made) - len(precise) <= 731, len(made) - len(precise)
+
+
+def _crossing_cases():
+    """The 15 crossings node_mu(w, "s0", "s10") of |w| <= 3 and both spine
+    crossings of R^k and L^k, k in (8, 12, 16, 32)."""
+    cases = [("".join(w), "s0", "s10") for n in range(4) for w in itertools.product("LR", repeat=n)]
+    return cases + [(c * k, *pair) for c in "RL" for k in (8, 12, 16, 32) for pair in (("s01", "s1"), ("s0", "s10"))]
+
+
+@pytest.mark.parametrize("w, u, v", _crossing_cases())
+def test_crossing_from_shared_value_functions_is_bit_identical(w, u, v):
+    # two value functions sharing their compositions give the crossing
+    # of two with their own, bit for bit, corners proven in mp included
+    tol = min(DEFAULT.tol, 2e-13)
+    shared = solvers.crossing(*critical._node_fns(w, u, v), tol, DEFAULT.precision)
+    separate = solvers.crossing(critical._node_f(w, u), critical._node_f(w, v), tol, DEFAULT.precision)
+    assert shared == separate

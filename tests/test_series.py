@@ -22,6 +22,7 @@ from doublebase.series import (
     pi_tilde,
     reduce_system,
     value_fn,
+    value_fns,
 )
 from doublebase.substitution import NODE_SEEDS, limit_word, node_boundaries, parse_directive
 from doublebase.words import Word, parse_word, reflect
@@ -270,10 +271,11 @@ def test_node_f_bound_encloses_the_exact_value(w, key, q0, q1):
 def test_bound_from_a_kept_composition_is_bit_identical(rng):
     # a value function keeps the composition of each float point it
     # evaluates, and its bound there starts from it: the same (value,
-    # err) as a bound composed afresh, bit for bit
+    # err) as a bound composed afresh, bit for bit; so does a bound from
+    # the composition kept by another seed's function of the same runs
     for _ in range(200):
         w = _random_directive(rng) if rng.random() < 0.5 else "".join(rng.choice("LMR") for _ in range(rng.randrange(12)))
-        key = rng.choice(sorted(NODE_SEEDS))
+        key, other = rng.sample(sorted(NODE_SEEDS), 2)
         runs, tilde = letter_runs(w + "M"), not key.startswith("s0")
         q0, q1 = 1 + 3 * rng.random(), 1 + 3 * rng.random()
         fn = value_fn(runs, NODE_SEEDS[key], tilde)
@@ -285,6 +287,33 @@ def test_bound_from_a_kept_composition_is_bit_identical(rng):
         assert reused == fresh and fn.bounded(q0, q1) == fresh, w
         fn(q0, q1)  # now kept by fn
         assert fn.bounded(q0, q1) == fresh, w
+        seeds = (NODE_SEEDS[other], not other.startswith("s0")), (NODE_SEEDS[key], tilde)
+        fo, fs = value_fns(runs, *seeds)
+        alone = value_fn(runs, *seeds[0]).bounded(q0, q1)
+        assert fo.bounded(q0, q1) == alone and fs.bounded(q0, q1) == fresh, w  # fs from fo's
+        fo, fs = value_fns(runs, *seeds)
+        fs(q0, q1)
+        assert fo.bounded(q0, q1) == alone and fs.bounded(q0, q1) == fresh, w
+
+
+@pytest.mark.parametrize("w, key", [("", "s0"), ("LRR", "s10"), ("R" * 16, "s01")])
+def test_mp_values_never_read_a_float_composition(w, key):
+    # an mpf equal to a float hashes and compares equal to it, so the
+    # compositions of mpf points are kept under their precision too:
+    # after a float bound and a float value at (2, 1.5), the mp values
+    # there at 30 and at 40 digits are those of a fresh value function
+    runs, seed, tilde = letter_runs(w + "M"), NODE_SEEDS[key], not key.startswith("s0")
+    fn, other = value_fns(runs, (seed, tilde), (seed, tilde))
+    fn.bounded(2.0, 1.5)
+    fn(2.0, 1.5)
+    values = []
+    for dps in (30, 40, 30):
+        with mp.workdps(dps):
+            x, y = mp.mpf(2), mp.mpf(1.5)
+            fresh = value_fn(runs, seed, tilde)(x, y)
+            assert fn(x, y) == fresh and other(x, y) == fresh, dps
+            values.append(fresh)
+    assert len({*values, fn(2.0, 1.5)}) == 3, values  # 30 digits, 40 and floats differ
 
 
 def test_node_f_bound_is_infinite_where_products_underflow():
