@@ -11,9 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
-
-import mpmath as mp
 
 from .classify import Label, classify_omega, classify_sigma, classify_univoque
 from .config import DEFAULT, Config
@@ -59,34 +58,30 @@ def _at_least(low: int):
     return integer
 
 
-def _bracket(value, cfg: Config) -> str:
-    """[lo, hi] with float ends by repr; mpf ends to the config's
-    precision, where their repr would stop at 15 digits."""
-    ends = (mp.nstr(e, cfg.precision) if isinstance(e, mp.mpf) else repr(e)
-            for e in (value.lo, value.hi))
+def _bracket(value) -> str:
+    """[lo, hi] with float ends by repr; Decimal ends by str, which
+    prints the config.precision digits the refinement kept."""
+    ends = (str(e) if isinstance(e, Decimal) else repr(e) for e in (value.lo, value.hi))
     return "[{}, {}]".format(*ends)
 
 
-def _print_critical(res, cfg: Config) -> int:
-    print(f"{_bracket(res.value, cfg)} node={res.node} case={res.case.value}")
+def _print_critical(res) -> int:
+    print(f"{_bracket(res.value)} node={res.node} case={res.case.value}")
     if res.case.value in ("PrimitiveLimit", "DepthExhausted"):
         return EXIT_UNDECIDED if res.value.width > 1e-6 else EXIT_OK
     return EXIT_OK
 
 
 def _cmd_gr(args) -> int:
-    cfg = _config(args)
-    return _print_critical(generalized_golden_ratio(args.q0, config=cfg), cfg)
+    return _print_critical(generalized_golden_ratio(args.q0, config=_config(args)))
 
 
 def _cmd_kl(args) -> int:
-    cfg = _config(args)
-    return _print_critical(komornik_loreti(args.q0, config=cfg), cfg)
+    return _print_critical(komornik_loreti(args.q0, config=_config(args)))
 
 
 def _cmd_mu(args) -> int:
-    cfg = _config(args)
-    print(_bracket(mu(parse_word(args.u), parse_word(args.v), config=cfg), cfg))
+    print(_bracket(mu(parse_word(args.u), parse_word(args.v), config=_config(args))))
     return EXIT_OK
 
 
@@ -191,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-base binary expansions: critical bases, subshift "
         "classification, entropy and dimension bounds.",
     )
-    p.add_argument("--precision", type=int, help="decimal digits for solver certification")
+    p.add_argument("--precision", type=int,
+                   help="digits of the decimal signs that certify what floats cannot (default 30)")
     p.add_argument("--tol", type=float, help="bracket width tolerance")
     p.add_argument("--max-depth", dest="max_depth", type=int, help="directive descent depth")
     sub = p.add_subparsers(dest="command", required=True)

@@ -10,8 +10,11 @@ from dataclasses import dataclass
 class Config:
     """Knobs shared by the solvers and the critical-value descent.
 
-    precision  -- decimal digits used by the multiprecision backend when
-                  certifying or refining root brackets (>= 15)
+    precision  -- significant digits (and two guard digits) of the
+                  decimal.Decimal context in which a sign that floats
+                  cannot prove is taken (a 30-digit decimal sign by
+                  default) and a bracket is refined below the float
+                  floor 1e-13, where its ends are Decimal (>= 15)
     tol        -- default bracket width for root solvers (> 0, finite)
     max_depth  -- default directive-tree descent depth (>= 1)
     """

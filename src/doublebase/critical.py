@@ -56,6 +56,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -69,6 +70,7 @@ from .substitution import NODE_SEEDS, apply, image_lengths, split_descent
 from .words import Word
 
 _BOUNDARY_WORD_CAP = 200_000  # letters; larger node words are not materialized
+_DECIMAL_TOL_FLOOR = Decimal(_FLOAT_TOL_FLOOR)
 
 
 class Case(Enum):
@@ -84,7 +86,7 @@ class CriticalResult:
     node: str                      # directive head w; the node is sigma = wM
     case: Case
     key: Optional[str]             # the formula's NODE_SEEDS key, for formula cases
-    inequality_witness: float      # (q0-1) * (value.mid - 1)
+    inequality_witness: float      # (q0-1) * (value.mid - 1), in floats
 
     @property
     def boundary_word(self) -> Optional[Word]:
@@ -146,9 +148,14 @@ def _node_mu(w: str, ukey: str, vkey: str, dps: int, tol: float) -> tuple[Bracke
     return crossing(*_node_fns(w, ukey, vkey), tol, dps, _last_end if w else None)
 
 
-def _slack(mu: Bracket) -> float:
-    """Distance within which q0 is too close to a crossing to place."""
-    return max(mu.width, _FLOAT_TOL_FLOOR)
+def _slack(mu: Bracket):
+    """Distance within which q0 is too close to a crossing to place: its
+    width, at least 1e-13, a Decimal for a crossing refined below that
+    float floor (read on every descent step, so no property call)."""
+    width = mu.hi - mu.lo
+    if width > _FLOAT_TOL_FLOOR:
+        return width
+    return _FLOAT_TOL_FLOOR if type(width) is float else _DECIMAL_TOL_FLOOR
 
 
 def _near(q0: float, *crossings) -> tuple:
@@ -296,7 +303,7 @@ def _formula_result(cell: _Cell, q0: float, cfg: Config) -> CriticalResult:
     for key, end in cell.near:  # the hull with each near formula's root
         other = _formula_root(cell.node, key, q0, (end, end), cfg)
         val = Bracket(min(val.lo, other.lo), max(val.hi, other.hi))
-    return CriticalResult(val, cell.node, cell.case, cell.key, (q0 - 1.0) * (val.mid - 1.0))
+    return CriticalResult(val, cell.node, cell.case, cell.key, (q0 - 1.0) * (float(val.mid) - 1.0))
 
 
 def _exhausted_result(cell: _Cell, q0: float, cfg: Config) -> CriticalResult:
@@ -312,11 +319,11 @@ def _exhausted_result(cell: _Cell, q0: float, cfg: Config) -> CriticalResult:
         w, key, at, end = cell.hi_bound
         hi_val = _formula_root(w, key, at, (end, end), cfg).hi
     lo_val, hi_val = min(lo_val, hi_val), max(lo_val, hi_val)
-    width = hi_val - lo_val
+    width = float(hi_val) - float(lo_val)
     case = Case.PRIMITIVE_LIMIT if width <= 1e4 * max(cfg.tol, _FLOAT_TOL_FLOOR) else Case.DEPTH_EXHAUSTED
     lo, hi = _chain(cell.curve, q0)
     val = Bracket(max(lo_val, lo), min(hi_val, hi))
-    return CriticalResult(val, "", case, None, (q0 - 1.0) * (val.mid - 1.0))
+    return CriticalResult(val, "", case, None, (q0 - 1.0) * (float(val.mid) - 1.0))
 
 
 def _solve(cell: _Cell, q0: float, cfg: Config) -> CriticalResult:
@@ -340,7 +347,7 @@ def _at_or_below(cell: _Cell, q0: float, q1: float, tol: float, cfg: Config) -> 
         y = q1 - max(tol, cfg.tol)
         return y <= 1.0 or _sign(_node_f(cell.node, cell.key), q0, y, cfg.precision) >= 0
     value = _solve(cell, q0, cfg).value
-    if abs(q1 - value.mid) <= max(tol, value.width):
+    if abs(q1 - float(value.mid)) <= max(tol, value.width):
         return True if cell.key is not None else None
     return q1 < value.mid
 
@@ -436,7 +443,7 @@ def kl_fixed_point(tol: float = 1e-9, lo: float = 1.7, hi: float = 1.9,
     tol = replace(config, tol=tol).tol
 
     def excess(q: float) -> float:
-        return komornik_loreti(q, config=config).value.mid - q
+        return float(komornik_loreti(q, config=config).value.mid) - q
 
     def proven(q: float, dps) -> float:
         # the side of q that K's bracket proves, else 0; dps None asks
@@ -444,9 +451,9 @@ def kl_fixed_point(tol: float = 1e-9, lo: float = 1.7, hi: float = 1.9,
         if dps is None:
             return 0.0
         value = komornik_loreti(q, config=config).value
-        return max(value.lo - q, 0.0) + min(value.hi - q, 0.0)
+        return 1.0 if value.lo > q else -1.0 if value.hi < q else 0.0
 
-    # below 1e-13 an mp refinement would converge onto the plateau where
+    # below 1e-13 a Decimal refinement would converge onto the plateau where
     # proven is 0, about as wide as K's bracket
     return solve_decreasing(excess, proven, 1.0, (lo, lo, hi), max(tol, _FLOAT_TOL_FLOOR), config.precision)
 

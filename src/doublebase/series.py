@@ -5,8 +5,8 @@ pit(q0, q1, v) = sum_k (1 - v_k) / (q_{v_1} ... q_{v_k})
 
 For eventually periodic words the value is a finite sum plus a geometric
 tail, evaluated with whatever scalar type the bases carry (float,
-Fraction, mpmath.mpf), so the same code serves both exact rational work
-and multiprecision solving.
+Fraction, decimal.Decimal, mpmath.mpf), so the same code serves both
+exact rational work and the solvers' 30-digit Decimal signs.
 
 The module also provides the affine forms used by the critical-value
 descent: reading a letter c maps the value of the remaining tail x to
@@ -25,7 +25,7 @@ roundings are counted once per directive (directive_roundings, Higham's
 gamma_n), the word's letters add theirs in log form, and a running
 error bound covers the three subtractions that cancel.  The value
 functions of one directive built together, such as a crossing's two,
-keep one dict of compositions, float points under (q0, q1) and mpf
+keep one dict of compositions, float points under (q0, q1) and Decimal
 points under (q0, q1, precision), so a point both are signed at is
 composed once.
 """
@@ -33,10 +33,9 @@ composed once.
 from __future__ import annotations
 
 import math
+from decimal import Decimal, getcontext
 from functools import lru_cache
 from itertools import groupby
-
-import mpmath as mp
 
 from .expansions import _check_bases
 from .substitution import PERIODIC, Directive, DirectiveError
@@ -193,13 +192,13 @@ def node_pi(runs, q0, q1, seed, kept=None):
     of words, the tuple of their values from the one composition.  A
     dict kept, if given, stores the composition: under (q0, q1) at float
     bases, where a value function's bound reads it, and under (q0, q1,
-    precision) at mpf bases, where it is read first.  An mpf equal to a
-    float hashes and compares equal to it, so the precision in the key
-    keeps an mp point from a float composition, and one point's
-    compositions at two precisions apart.
+    precision) at Decimal bases, where it is read first.  A Decimal equal
+    to a float hashes and compares equal to it, so the digits of the
+    current decimal context in the key keep a Decimal point from a float
+    composition, and one point's compositions at two precisions apart.
     """
-    if kept is not None and isinstance(q0, mp.mpf) and isinstance(q1, mp.mpf):
-        key = (q0, q1, mp.mp.prec)
+    if kept is not None and isinstance(q0, Decimal) and isinstance(q1, Decimal):
+        key = (q0, q1, getcontext().prec)
         pair = kept[key] = kept.get(key) or _compose(_identity(q0, q1), runs)
     else:
         pair = _compose(_identity(q0, q1), runs)
@@ -215,7 +214,7 @@ def value_fns(runs, *functions) -> tuple:
     one for each (seed, tilde) of functions, sharing one dict of
     compositions for their life (one crossing): at a float point the
     first evaluation or bound composes and every later bound there
-    starts from it, and at an mpf point the first evaluation at a
+    starts from it, and at a Decimal point the first evaluation at a
     precision composes for every later one, so a crossing's two
     functions signed at one corner compose it once.  Functions of
     different runs never share it."""

@@ -6,7 +6,7 @@ half-line (proven properties of the value maps).  Every root in q1,
 the critical base, the fixed point of K and the Moran exponent are found
 by one certified solve (solve_decreasing): one start search (_step_out)
 hands the two ends it evaluated to one Brent loop (bracket_root), which
-runs on floats and mpf values alike; from a guess and a slope, secant
+runs on floats and Decimal values alike; from a guess and a slope, secant
 steps (_secant) end at two points whose bounded signs prove the bracket.
 Every sign is certified by one routine (_sign: a float value above its
 proven error bound, which the value functions of series.value_fns carry,
@@ -30,10 +30,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-
-import mpmath as mp
+from decimal import Context, Decimal, getcontext, localcontext
+from functools import lru_cache
 
 from .config import DEFAULT, Config
+from .expansions import _to_fraction
 from .series import pi_limit, f_from_pi, f_tilde_from_pi, value_fn, value_fns, value_pair
 from .substitution import LimitWordStream, is_primitive, common_node_image
 from .words import Word, sup0, inf1
@@ -50,22 +51,31 @@ class Bracket:
     """Closed interval [lo, hi] certified to contain the root.
 
     Endpoints are floats at default tolerances; tolerances below the
-    float64 floor keep the multiprecision endpoints so the width stays
-    meaningful.
+    float64 floor keep the Decimal endpoints of the refinement so the
+    width stays meaningful.  A float end beside a Decimal one (a hull
+    with a float bound) is taken exactly as a Decimal, so mid and width
+    never mix the two types.
     """
 
     lo: float
     hi: float
 
+    def __post_init__(self):
+        if isinstance(self.lo, Decimal) != isinstance(self.hi, Decimal):  # exactly, inf included
+            object.__setattr__(self, "lo", Decimal(self.lo))
+            object.__setattr__(self, "hi", Decimal(self.hi))
+
     @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+    def mid(self):
+        return (self.lo + self.hi) / 2
 
     @property
     def width(self) -> float:
         return self.hi - self.lo
 
     def __contains__(self, x) -> bool:
+        if isinstance(self.lo, Decimal) and not isinstance(x, (float, int, Decimal)):
+            x = _to_fraction(x)  # an mpf, which does not compare with Decimal, exactly
         return self.lo <= x <= self.hi
 
     def __str__(self) -> str:
@@ -82,12 +92,37 @@ class _BelowOne:
 BELOW_ONE = _BelowOne()
 
 
+@lru_cache(maxsize=None)
+def _context(dps: int) -> Context:
+    """The decimal context of a sign at dps digits, for localcontext,
+    which enters a copy of it (Context(prec=...): localcontext's keyword
+    form needs Python 3.11).  It carries two guard digits: the relative
+    spacing of decimal digits varies tenfold across a decade, and with
+    them every rounding is within 10^-(dps+1) relative, as in mpmath's
+    binary precision for dps digits (at 30 digits flat a sign near the
+    root of node L^693 M's formula at q0 = 1.001 comes out wrong)."""
+    return Context(prec=dps + 2)
+
+
+def _decimal(x) -> Decimal:
+    """x as a Decimal in the current context: a float exactly (a binary
+    fraction has a finite decimal expansion), a Decimal and any other
+    finite number (mpf, Fraction, int) rounded once to the context's
+    digits, the latter from its exact rational (expansions._to_fraction)."""
+    if isinstance(x, float):
+        return Decimal(x)
+    if isinstance(x, Decimal):
+        return +x
+    q = _to_fraction(x)
+    return Decimal(q.numerator) / q.denominator
+
+
 def bracket_root(fn, lo, hi, tol):
     """Brent's zeroin (Brent 1973, ch. 4, after Dekker 1969) on a
     continuous fn with fn(lo) > 0 >= fn(hi): evaluated points (lo, hi)
     with the same signs and hi - lo <= tol, or adjacent representable
-    points when tol is below their spacing.  Floats and mpf values (at
-    the caller's working precision) run the same code.  Each step is an
+    points when tol is below their spacing.  Floats and Decimal values
+    (at the caller's decimal context) run the same code.  Each step is an
     inverse quadratic or secant step when it lands well inside the
     bracket and shrinks it fast enough, else a bisection; steps shorter
     than t = eps*|b| + tol/2 are lengthened to t, and a bracket within
@@ -105,7 +140,10 @@ def bracket_root(fn, lo, hi, tol):
 
 def _zeroin(fn, a, fa, b, fb, tol):
     """bracket_root from ends a, b already evaluated: fa = fn(a) > 0 >= fb = fn(b)."""
-    eps = 2 * mp.eps if isinstance(a, mp.mpf) else sys.float_info.epsilon
+    if isinstance(a, Decimal):  # two units in the last digit of 1 at the context's digits
+        eps, tol = Decimal(2).scaleb(1 - getcontext().prec), Decimal(tol)
+    else:
+        eps = sys.float_info.epsilon
     c, fc = a, fa
     d = e = b - a
     z, galloped = 0, False  # the step out of a haze of exact zeros
@@ -116,11 +154,11 @@ def _zeroin(fn, a, fa, b, fb, tol):
         if abs(fc) < abs(fb):  # b is the better of the two ends
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        m = 0.5 * (c - b)
+        m = (c - b) / 2
         mid = b + m
         if abs(c - b) <= tol or mid == b or mid == c:
             break
-        t = eps * abs(b) + 0.5 * tol
+        t = eps * abs(b) + tol / 2
         if fb == 0:  # steps of t, 4t, 16t, ... from b toward c, between bisections
             galloped = not galloped
             z = 2 * z or t
@@ -156,8 +194,8 @@ def _sign(fn, x, y, dps: int | None):
     """fn(x, y) or a float of the same sign: at float points the float
     value when it exceeds fn's proven error bound (fn.bounded(x, y) ->
     (value, err), as series.value_fns gives), which proves its sign;
-    otherwise fn on mpf inputs at dps digits, or, with dps None (floats
-    only), 0.0, which proves no sign."""
+    otherwise fn on Decimal inputs (_decimal) in the context of dps
+    digits (_context), or, with dps None (floats only), 0.0, which proves no sign."""
     bounded = getattr(fn, "bounded", None)
     if bounded is not None and isinstance(x, float) and isinstance(y, float):
         value, err = bounded(x, y)
@@ -165,8 +203,8 @@ def _sign(fn, x, y, dps: int | None):
             return value
     if dps is None:
         return 0.0
-    with mp.workdps(dps):
-        return fn(mp.mpf(x), mp.mpf(y))
+    with localcontext(_context(dps)):
+        return fn(_decimal(x), _decimal(y))
 
 
 def _outward(x: float, up: bool, step: float, n: int, floor: float):
@@ -260,14 +298,15 @@ def solve_decreasing(fn, sign, floor: float, start: tuple, tol: float, dps: int)
     noise), and only then signed at dps digits, stepping outward by half
     the unused budget (the bracket's width where none is left),
     doubling, while that cannot certify it.  Below 1e-13 the same Brent
-    loop refines the certified bracket at mpf points.
+    loop refines the certified bracket at Decimal points, in a context of
+    dps digits, so the bracket's ends are Decimal.
     """
     budget = max(tol, _FLOAT_TOL_FLOOR)
     signs = {}
     ends = (_secant(fn, sign, floor, *start, budget, signs) if len(start) == 2
             else _step_out(fn, floor, *start, budget / 2))
-    if ends is None:
-        return Bracket(1.0, floor)
+    if ends is None:  # Decimal ends below the float floor, as a refined bracket's
+        return Bracket(1.0, floor) if tol >= _FLOAT_TOL_FLOOR else Bracket(Decimal(1), Decimal(floor))
     lo, hi = ends
 
     def end(x: float, up: bool) -> float:
@@ -287,8 +326,8 @@ def solve_decreasing(fn, sign, floor: float, start: tuple, tol: float, dps: int)
         lo = end(lo, False)
         hi = end(hi, True)
     if tol < _FLOAT_TOL_FLOOR:
-        with mp.workdps(dps):
-            lo, hi = bracket_root(lambda y: sign(y, dps), mp.mpf(lo), mp.mpf(hi), tol)
+        with localcontext(_context(dps)):
+            lo, hi = bracket_root(lambda y: sign(y, dps), Decimal(lo), Decimal(hi), tol)
     return Bracket(lo, hi)
 
 
@@ -326,8 +365,9 @@ def root_q1(fn, q0, tol: float, dps: int, start=None) -> Bracket:
     below it, by solve_decreasing from a start: a guess and fn's slope
     in q1 there (p, slope), a guess in an expected bracket (lo, p, hi),
     or cold from that floor with q0/(q0 - 1) + 1 (above the root of every
-    value function met here) as the first upper end.  q0 may be an mpf:
-    the float search then runs at float(q0), the signs at q0 itself."""
+    value function met here) as the first upper end.  q0 may be a
+    Decimal or an mpf: the float search then runs at float(q0), the
+    signs at q0 itself (to dps digits)."""
     qf = float(q0)
     floor = 1.0 + min(tol, 1e-12)
     return solve_decreasing(lambda y: fn(qf, y),  # one lambda a line: a profile keys code by (file, line, name)
@@ -467,10 +507,11 @@ def crossing(fu, fv, tol: float, dps: int, start=None) -> tuple[Bracket, tuple]:
     point, d growing in floats from 2.5e-14 x by 1.25 up to tol / 2.
     What floats cannot close (tol below 1e-13, functions without a float
     bound such as limit-word streams, an end open at tol / 2) takes a
-    Newton step at dps digits and mp corners at d = tol / 4, again while
-    they do not decide; the ends stay floats unless tol is below 1e-13.
-    Value functions built together (series.value_fns) compose each
-    corner once for both signs, in floats and in mp.
+    Newton step on Decimal at dps digits, the float Jacobian taken
+    exactly, and Decimal corners at d = tol / 4, again while they do not
+    decide; the ends stay floats unless tol is below 1e-13, where they
+    are Decimal.  Value functions built together (series.value_fns)
+    compose each corner once for both signs, in floats and in Decimal.
     """
     both = value_pair(fu, fv)
     try:
@@ -482,12 +523,13 @@ def crossing(fu, fv, tol: float, dps: int, start=None) -> tuple[Bracket, tuple]:
     end = (x, p, ux, up, vx, vp)
     slope = -0.5 * (ux / up + vx / vp)  # dp/dx halfway between the curves
 
-    def ends(x, p, ds, dps):
+    def ends(x, p, ds, dps, lift=float):
+        # lift takes the float parts of a point's y to p's type
         found = []
         for side in (1, -1):  # the left end is proven left of the crossing
             for d in ds:
                 end = x - side * d
-                if _corner(fu, fv, end, 1 + (p - side * slope * d) / (end - 1), dps) == side:
+                if _corner(fu, fv, end, 1 + (p - lift(slope) * lift(side * d)) / lift(end - 1), dps) == side:
                     found.append(end)
                     break
             else:
@@ -500,14 +542,14 @@ def crossing(fu, fv, tol: float, dps: int, start=None) -> tuple[Bracket, tuple]:
     grown = [d for d in (2.5e-14 * x * 1.25 ** k for k in range(40)) if d < cap] + [cap]
     if floats and cap > 0 and (br := ends(x, p, grown, None)):
         return br, end
-    det = ux * vp - up * vx
-    with mp.workdps(dps):
-        d = max(half / 2, 2 * math.ulp(x)) if floats else mp.mpf(half) / 2
-        x, p = mp.mpf(x), mp.mpf(p)
+    with localcontext(_context(dps)):  # the float Jacobian, exactly
+        ux, up, vx, vp, det = map(Decimal, (ux, up, vx, vp, ux * vp - up * vx))
+        d = max(half / 2, 2 * math.ulp(x)) if floats else Decimal(half) / 2
+        x, p = Decimal(x), Decimal(p)
         for _ in range(4):
             a, b = both(x, 1 + p / (x - 1))
             x, p = x + (b * up - a * vp) / det, p + (a * vx - b * ux) / det
-            if (br := ends(float(x) if floats else x, p, [d], dps)):
+            if (br := ends(float(x) if floats else x, p, [d], dps, Decimal)):
                 return br, end
     raise ArithmeticError("could not certify the crossing's ends")
 

@@ -12,19 +12,24 @@ part, found from reachability bitsets (one int per state); a one-state
 component's root is its loop count, a larger one's comes from Newton's
 method on its characteristic polynomial, from a Collatz-Wielandt upper
 bound down to the root.
+
+Dimensions are Moran exponents, bracketed by solvers.solve_decreasing:
+a float search, and signs that no float proves, each a 30-digit decimal
+sign (Decimal.ln and Decimal.exp in a decimal context of
+config.precision digits); below tol 1e-13 the bracket's ends are
+Decimal.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-
-import mpmath as mp
+from decimal import Decimal, localcontext
 
 from .config import DEFAULT, Config
 from .critical import komornik_loreti
 from .expansions import expansion_bounds, regular
-from .solvers import Bracket, PreconditionError, solve_decreasing
+from .solvers import Bracket, PreconditionError, solve_decreasing, _context, _decimal
 from .substitution import BR_L, BR_R, apply, image_string, split_descent
 from .words import Word, compare, sup0, inf1
 
@@ -323,7 +328,8 @@ def _moran_exponent(logs, tol: float, dps: int) -> Bracket:
     """The root s > 0 of r0^s + r1^s = 1 (Moran 1946), strictly
     decreasing in s, by solvers.solve_decreasing; logs(log) is the pair
     log r0, log r1 < 0 by the log given: math.log for the float search,
-    mp.log for the signs at dps digits (no sign is proven in floats)."""
+    Decimal.ln for the signs in a decimal context of dps digits (no sign
+    is proven in floats)."""
     def F(s, log=math.log, exp=math.exp):
         log_r0, log_r1 = logs(log)
         return exp(s * log_r0) + exp(s * log_r1) - 1
@@ -331,8 +337,8 @@ def _moran_exponent(logs, tol: float, dps: int) -> Bracket:
     def sign(s, dps):
         if dps is None:
             return 0.0
-        with mp.workdps(dps):
-            return F(mp.mpf(s), mp.log, mp.exp)
+        with localcontext(_context(dps)):
+            return F(_decimal(s), lambda x: _decimal(x).ln(), Decimal.exp)
 
     return solve_decreasing(F, sign, 0.0, (0.0, 0.0, 1.0), tol, dps)  # F(0) = 1 > 0
 

@@ -222,8 +222,8 @@ def test_rejected_counts_name_their_option(capsys, argv):
     ("gr", "1.75"),
 ], ids=" ".join)
 def test_mp_brackets_print_at_the_precision(capsys, argv):
-    # at tol 1e-20 the ends are mpf values about 5e-21 apart: printed at
-    # 15 digits they would read equal
+    # at tol 1e-20 the ends are Decimal values about 5e-21 apart: printed
+    # at 15 digits they would read equal
     code, out, _ = run(capsys, "--tol", "1e-20", "--precision", "40", *argv)
     assert code == 0
     lo, hi = out.split("]")[0].strip("[").split(", ")

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from dataclasses import replace
+from decimal import Decimal, getcontext
 from pathlib import Path
 
 import mpmath as mp
@@ -403,14 +404,14 @@ def test_spine_descent_solves_logarithmically_many_crossings(cold_mu, q0, max_de
 
 
 def _cold_node_evaluations(monkeypatch, q0, max_depth):
-    """Node evaluations (all, and those in mp) of one G call, from an
-    empty crossing cache when the caller takes cold_mu."""
+    """Node evaluations (all, and those at Decimal points) of one G
+    call, from an empty crossing cache when the caller takes cold_mu."""
     calls = [0, 0]
     node_pi = series.node_pi
 
     def counted(*args, **kwargs):
         calls[0] += 1
-        calls[1] += any(isinstance(a, mp.mpf) for a in args)
+        calls[1] += any(isinstance(a, Decimal) for a in args)
         return node_pi(*args, **kwargs)
 
     monkeypatch.setattr(series, "node_pi", counted)
@@ -425,7 +426,7 @@ def test_warm_call_evaluates_no_point_twice(monkeypatch, curve, q0):
     # Brent's loop, and the certification proves signs by the bounded
     # float evaluation of the node's value function (series.value_fn's
     # bounded, through node_f_bound, not node_pi) from the composition
-    # that function kept where it evaluated the point, or in mp: no
+    # that function kept where it evaluated the point, or on Decimal: no
     # point (q0, q1) is composed twice, in node_pi or node_f_bound
     curve(q0)
     points, bounds = [], []
@@ -447,7 +448,7 @@ def test_warm_call_evaluates_no_point_twice(monkeypatch, curve, q0):
 
 def test_cold_deep_descent_evaluation_budget(monkeypatch, cold_mu):
     # 17 crossings, each one Newton solve with both functions of a node
-    # from one evaluation, float and mp together, started below the
+    # from one evaluation, float and Decimal together, started below the
     # root from the end of the crossing read last (296; 518 with every
     # crossing started at (1.5, 0.45)); with a nested search in x over
     # roots in q1 they took 3,265, and 4,894 with every root in q1
@@ -467,13 +468,28 @@ def test_cold_descent_float_budget(monkeypatch, cold_mu, q0, budget):
     assert evaluations <= budget, evaluations
 
 
+def test_cold_spine_descent_signs_on_decimal(monkeypatch, cold_mu):
+    # far out on the R spine the float bound leaves some crossing corners
+    # open: a cold G(10) at depth 100 signs them on 30-digit Decimal
+    # points, and evaluates no node function on an mpf
+    node_pi, types = series.node_pi, set()
+
+    def counted(runs, q0, q1, *rest):
+        types.update((type(q0), type(q1)))
+        return node_pi(runs, q0, q1, *rest)
+
+    monkeypatch.setattr(series, "node_pi", counted)
+    generalized_golden_ratio(10.0, max_depth=100)
+    assert Decimal in types and mp.mpf not in types, types
+
+
 @pytest.mark.parametrize("q0, max_depth, budget", [(1.75, None, 0), (50.0, 100, 75)], ids=["1.75-None", "50.0-100"])
 def test_cold_descent_multiprecision_budget(monkeypatch, cold_mu, q0, max_depth, budget):
     # a crossing end is certified by the signs at one corner point and a
     # formula's ends by one sign each, proven in floats where the error
     # bound decides; a crossing the floats cannot close within tol takes
-    # one mp Newton evaluation and mp corner signs (60 on the R spine of
-    # G(50)).  The nested search with mp signs by side took 6 and 146,
+    # one Newton evaluation and corner signs on Decimal (60 on the R
+    # spine of G(50)).  The nested search with mp signs by side took 6 and 146,
     # G(1.75) 18 when every sign was an mp evaluation, and 77 and 1,234
     # with the nested mp root refinement
     _, evaluations = _cold_node_evaluations(monkeypatch, q0, max_depth)
@@ -482,7 +498,7 @@ def test_cold_descent_multiprecision_budget(monkeypatch, cold_mu, q0, max_depth,
 
 def test_warm_descents_multiprecision_budget(monkeypatch):
     # warm G and K calls solve no crossing, and every formula bracket end
-    # is proven in floats: no mp evaluation (443 when every sign at an
+    # is proven in floats: no Decimal evaluation (443 when every sign at an
     # end was an mp evaluation, up to 200 when an end the float bound
     # left open took one); all their node evaluations are the formula
     # roots, 592 by secant steps from the Hermite guess and slope of
@@ -497,7 +513,7 @@ def test_warm_descents_multiprecision_budget(monkeypatch):
     node_pi, evaluations = series.node_pi, [0, 0]
 
     def counted(*args):
-        mp_args = any(isinstance(a, mp.mpf) for a in args)
+        mp_args = any(isinstance(a, Decimal) for a in args)
         evaluations[mp_args] += 1
         return node_pi(*args)
 
@@ -512,7 +528,7 @@ def test_warm_descents_multiprecision_budget(monkeypatch):
 def test_warm_formula_brackets_are_proven_in_floats(monkeypatch):
     # a warm pass of G, K and classify_univoque queries, as the benchmark's
     # warm_queries makes them (every fifth pair on the diagonal), takes no
-    # mp sign: each formula bracket end is proven by the float bound, at
+    # Decimal sign: each formula bracket end is proven by the float bound, at
     # the end or one nudge outward within tol, and the bracket holds the
     # root (signs checked at 40 digits)
     grid = [1.3 + 0.012 * i for i in range(100)]
@@ -530,7 +546,7 @@ def test_warm_formula_brackets_are_proven_in_floats(monkeypatch):
 
     def counted_sign(fn, x, y, dps):
         value = sign(fn, x, y, dps)
-        signs.append(isinstance(value, mp.mpf))
+        signs.append(isinstance(value, Decimal))
         return value
 
     def kept_root(w, key, q0, *args):
@@ -569,7 +585,7 @@ def test_warm_formula_roots_start_from_the_cell_ends(monkeypatch):
     node_pi, node_f_bound, counts = series.node_pi, series.node_f_bound, {"float": 0, "bounded": 0}
 
     def counted_pi(*args):
-        counts["float"] += not any(isinstance(a, mp.mpf) for a in args)
+        counts["float"] += not any(isinstance(a, Decimal) for a in args)
         return node_pi(*args)
 
     def counted_bound(*args):
@@ -600,7 +616,7 @@ def test_exhausted_roots_start_from_their_crossing(monkeypatch, cold_mu, curve, 
     node_pi, evaluations = series.node_pi, [0]
 
     def counted(*args):
-        evaluations[0] += not any(isinstance(a, mp.mpf) for a in args)
+        evaluations[0] += not any(isinstance(a, Decimal) for a in args)
         return node_pi(*args)
 
     monkeypatch.setattr(series, "node_pi", counted)
@@ -655,7 +671,7 @@ def test_flat_formula_root_evaluates_no_point_again(monkeypatch):
     # G's left formula on node L^11 M at q0 = 1.055308389 is so flat in
     # q1 that the float bound proves neither end of the secant stage's
     # bracket, a quarter of the width budget from the root, nor the
-    # lower end's nudge, so that end is signed in mp; the upper end,
+    # lower end's nudge, so that end is signed on Decimal; the upper end,
     # nudged by all of the budget left, is proven in floats.  The warm
     # call composes no point twice and fewer points than the start
     # search and Brent's loop did from the guess +- a thousandth of the
@@ -674,7 +690,7 @@ def test_flat_formula_root_evaluates_no_point_again(monkeypatch):
     assert (r.node, r.key) == ("L" * 11, "s0")
     assert r.value.width <= DEFAULT.tol
     assert len(set(points)) == len(points) <= 8, points
-    assert sum(t is mp.mpf for t, *_ in points) <= 1, points
+    assert sum(t is Decimal for t, *_ in points) <= 1, points
 
 
 def test_cell_ends_survive_a_wrapper_that_reads_crossings(monkeypatch):
@@ -734,8 +750,8 @@ def test_mu_cache_keeps_the_crossings_every_descent_reads(monkeypatch, cold_mu):
                                      ("R" * 24, "s01", "s1"), ("R" * 32, "s01", "s1")])
 def test_deep_spine_crossings_are_within_tol(cold_mu, w, u, v):
     # crossings far out on the R spine, where the float bound leaves the
-    # corners open at small distances, are closed by the mp stage within
-    # node_mu's 2e-13 (they were up to 4.26e-13 wide when an mp end was
+    # corners open at small distances, are closed by the Decimal stage
+    # within node_mu's 2e-13 (they were up to 4.26e-13 wide when such an end was
     # nudged outward without a cap), and g_u - g~_v changes sign across
     # the bracket at 40 digits
     br = node_mu(w, u, v)[0]
@@ -758,7 +774,7 @@ def test_cold_curve_sweep_crossings_are_proven_in_floats(monkeypatch, cold_mu):
 
     def counted_sign(fn, x, y, dps):
         value = sign(fn, x, y, dps)
-        if in_crossing[0] and isinstance(value, mp.mpf):
+        if in_crossing[0] and isinstance(value, Decimal):
             mp_signs.append((x, y))
         return value
 
@@ -804,7 +820,7 @@ def _counted_compositions(monkeypatch):
 
     def tagged(x, y):
         start = Start(identity(x, y))
-        start.point = (type(x), x, type(y), y, mp.mp.prec if isinstance(x, mp.mpf) else None)
+        start.point = (type(x), x, type(y), y, getcontext().prec if isinstance(x, Decimal) else None)
         return start
 
     def counted(start, w):
@@ -829,8 +845,9 @@ def test_cold_deep_spine_round_composes_each_crossing_point_once(monkeypatch, co
     # the seven calls of a seed-1 deep_spine benchmark round from an
     # empty cache: a crossing's two value functions share one dict of
     # compositions (series.value_fns), so signing both at a corner
-    # composes the point once, in floats and in mp, and Newton evaluates
-    # no point twice.  The parent composed 70 mp points (44 distinct)
+    # composes the point once, in floats and on Decimal, and Newton
+    # evaluates no point twice.  Before that sharing, 70 multiprecision
+    # points were composed (44 distinct)
     # and 801 float ones (725 distinct)
     made = _counted_compositions(monkeypatch)
     rng = random.Random(1)
@@ -855,7 +872,7 @@ def _crossing_cases():
 @pytest.mark.parametrize("w, u, v", _crossing_cases())
 def test_crossing_from_shared_value_functions_is_bit_identical(w, u, v):
     # two value functions sharing their compositions give the crossing
-    # of two with their own, bit for bit, corners proven in mp included
+    # of two with their own, bit for bit, corners signed on Decimal included
     tol = min(DEFAULT.tol, 2e-13)
     shared = solvers.crossing(*critical._node_fns(w, u, v), tol, DEFAULT.precision)
     separate = solvers.crossing(critical._node_f(w, u), critical._node_f(w, v), tol, DEFAULT.precision)

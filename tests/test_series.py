@@ -1,4 +1,5 @@
 import math
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import mpmath as mp
@@ -222,15 +223,21 @@ def test_run_composer_is_exact_on_fractions(rng):
 
 
 def test_run_composer_matches_steps_in_multiprecision(rng):
-    with mp.workdps(30):
-        for _ in range(30):
-            w = _random_directive(rng)
-            q0 = mp.mpf(1.05 + 2.5 * rng.random())
-            q1 = mp.mpf(1.05 + 2.5 * rng.random())
-            got = _entries(directive_affine(w, q0, q1))
-            want = _entries(_stepwise_affine(w, q0, q1))
-            for x, y in zip(got, want):
-                assert abs(x - y) < mp.mpf("1e-25"), w
+    # the run composer at 30 digits, on mpf and on Decimal bases, against
+    # the stepwise composer at 60 digits
+    for _ in range(30):
+        w = _random_directive(rng)
+        x0, x1 = 1.05 + 2.5 * rng.random(), 1.05 + 2.5 * rng.random()
+        with mp.workdps(30):
+            on_mpf = _entries(directive_affine(w, mp.mpf(x0), mp.mpf(x1)))
+        with localcontext(Context(prec=30)):
+            on_decimal = _entries(directive_affine(w, Decimal(x0), Decimal(x1)))
+        assert all(isinstance(x, Decimal) for x in on_decimal)
+        with mp.workdps(60):
+            want = _entries(_stepwise_affine(w, mp.mpf(x0), mp.mpf(x1)))
+            for got in (on_mpf, on_decimal):
+                for x, y in zip(got, want):
+                    assert abs(mp.mpf(str(x)) - y) < mp.mpf("1e-25"), w
 
 
 def test_node_pi_by_key_and_by_runs():
@@ -298,18 +305,19 @@ def test_bound_from_a_kept_composition_is_bit_identical(rng):
 
 @pytest.mark.parametrize("w, key", [("", "s0"), ("LRR", "s10"), ("R" * 16, "s01")])
 def test_mp_values_never_read_a_float_composition(w, key):
-    # an mpf equal to a float hashes and compares equal to it, so the
-    # compositions of mpf points are kept under their precision too:
-    # after a float bound and a float value at (2, 1.5), the mp values
-    # there at 30 and at 40 digits are those of a fresh value function
+    # a Decimal equal to a float hashes and compares equal to it, so the
+    # compositions of Decimal points are kept under their precision too:
+    # after a float bound and a float value at (2, 1.5), the Decimal
+    # values there at 30 and at 40 digits are those of a fresh value
+    # function
     runs, seed, tilde = letter_runs(w + "M"), NODE_SEEDS[key], not key.startswith("s0")
     fn, other = value_fns(runs, (seed, tilde), (seed, tilde))
     fn.bounded(2.0, 1.5)
     fn(2.0, 1.5)
     values = []
     for dps in (30, 40, 30):
-        with mp.workdps(dps):
-            x, y = mp.mpf(2), mp.mpf(1.5)
+        with localcontext(Context(prec=dps)):
+            x, y = Decimal(2), Decimal(1.5)
             fresh = value_fn(runs, seed, tilde)(x, y)
             assert fn(x, y) == fresh and other(x, y) == fresh, dps
             values.append(fresh)

@@ -1,5 +1,8 @@
 import itertools
 import math
+import sys
+import threading
+from decimal import Context, Decimal, localcontext
 from functools import lru_cache
 from unittest import mock
 
@@ -194,13 +197,14 @@ def test_mu_limit_word_streams():
 
 
 def test_tight_tolerance_uses_multiprecision():
+    # below the float floor the ends are Decimal at the config's digits
     br = g(parse_word("(01)"), 1.5, tol=1e-20, config=Config(precision=40))
-    assert br.width <= 1e-20
-    assert abs(br.mid - 2.0) < 1e-19
+    assert isinstance(br.lo, Decimal) and br.width <= 1e-20
+    assert abs(br.mid - 2) < 1e-19
     br = mu(parse_word("(01)"), parse_word("(10)"), tol=1e-18, config=Config(precision=40))
-    assert br.width <= 1e-18
-    with mp.workdps(40):
-        assert abs(mp.mpf(br.mid) - (1 + mp.sqrt(5)) / 2) < mp.mpf("1e-16")
+    assert isinstance(br.lo, Decimal) and br.width <= 1e-18
+    with localcontext(Context(prec=40)):
+        assert abs(br.mid - (1 + Decimal(5).sqrt()) / 2) < Decimal("1e-16")
 
 
 def test_brackets_contain_roots():
@@ -226,7 +230,7 @@ def test_mu_deep_tolerance_at_interval_endpoint():
     br = mu(nb.s01, nb.s101, tol=1e-15, config=Config(precision=35))
     assert br.width <= 1e-15
     expected = poly_root([3, -8, 5, -1], 1.75, 2.0)
-    assert abs(br.mid - expected) < 1e-12
+    assert abs(br.mid - Decimal(expected)) < 1e-12
 
 
 # ---------------------------------------------------------------- corner test
@@ -237,16 +241,16 @@ SIDE_PAIRS = [("s0", "s10"), ("s0", "s1"), ("s01", "s1")]  # the crossings of G
 
 @pytest.mark.parametrize("w", ["", "R", "LMR", "RRLR"])
 def test_node_crossings_below_the_float_floor_are_within_tol(w):
-    # the mp stage refines the certified float bracket on the Brent loop;
-    # the root's crossing mu_{s0,s10} lies exactly at 1.5, where the float
-    # discriminant is 0 on a haze of points around it
+    # the Decimal stage refines the certified float bracket on the Brent
+    # loop; the root's crossing mu_{s0,s10} lies exactly at 1.5, where the
+    # float discriminant is 0 on a haze of points around it
     cfg = Config(tol=1e-20, precision=40)
     for u, v in SIDE_PAIRS:
         br = node_mu(w, u, v, cfg)[0]
-        assert isinstance(br.lo, mp.mpf) and 0 < br.width <= 1e-20, (u, v)
-        with mp.workdps(40):
+        assert isinstance(br.lo, Decimal) and 0 < br.width <= 1e-20, (u, v)
+        with localcontext(Context(prec=40)):
             fu, fv = _node_f(w, u), _node_f(w, v)
-            for x in (br.lo - 1e-18, br.hi + 1e-18):
+            for x in (br.lo - Decimal("1e-18"), br.hi + Decimal("1e-18")):
                 gu = root_q1(fu, x, 1e-30, 40).mid
                 gv = root_q1(fv, x, 1e-30, 40).mid
                 assert (gu > gv) == (x < br.lo), (u, v, x)
@@ -275,8 +279,8 @@ def test_word_mu_is_within_tol(tol):
 def _between(fu, fv, x):
     """A q1 halfway between the roots in q1 of fu(x, .) and fv(x, .),
     each solved to 1e-25 (a root at or below 1 counts as 1)."""
-    with mp.workdps(30):
-        return 0.5 * (root_q1(fu, x, 1e-25, 30).mid + root_q1(fv, x, 1e-25, 30).mid)
+    with localcontext(Context(prec=30)):
+        return (root_q1(fu, x, 1e-25, 30).mid + root_q1(fv, x, 1e-25, 30).mid) / 2
 
 
 @pytest.mark.parametrize("w", SIDE_NODES)
@@ -299,7 +303,7 @@ def test_side_outcomes_on_linear_functions():
     # g_u = 2/x and g~_v = 1: left of the crossing x = 2
     assert _corner(lambda x, y: 2 - x * y, lambda x, y: 1 - y, 1.5, 7 / 6, 30) == 1
     # a tie below the float spacing is too close to call
-    assert _corner(lambda x, y: 2 - x * y, lambda x, y: 2 / x + 1e-25 - y, 1.5, 4 / 3, 30) == 0
+    assert _corner(lambda x, y: 2 - x * y, lambda x, y: 2 / x + Decimal("1e-25") - y, 1.5, 4 / 3, 30) == 0
     # g_u = 1/x < 1 is taken as 1, and the evaluations at y = 1 (a y below
     # it is raised to 1) do not separate the roots: fu(x, 1) < 0 alone
     # puts x on the right
@@ -318,34 +322,78 @@ def test_sign_proves_in_floats_only_at_float_points():
 
     fn.bounded = bounded
     bound = [1e-15]
-    # at float points a bound below |value| decides, with no mp evaluation
+    # at float points a bound below |value| decides, with no Decimal
+    # evaluation
     assert _sign(fn, 1.5, 1.0, 30) == 0.5 and seen == [(1.5, 1.0)]
-    # an mpf x that differs from float(x) is evaluated in mp only
-    with mp.workdps(30):
-        x = mp.mpf(1.5) + mp.mpf(2) ** -80
+    # a Decimal x that differs from float(x) is evaluated in Decimal only,
+    # and so is an mpf, taken at 30 digits
+    with localcontext(Context(prec=30)):
+        x = Decimal(1.5) + Decimal(2) ** -80
         assert float(x) == 1.5 != x
         at = _sign(fn, x, 1.0, 30)
-        assert isinstance(at, mp.mpf) and at == 2 - x
-        assert isinstance(_sign(fn, 1.5, mp.mpf(1), 30), mp.mpf)
+        assert isinstance(at, Decimal) and at == 2 - x
+        with mp.workdps(40):
+            at = _sign(fn, mp.mpf(1.5) + mp.mpf(2) ** -80, mp.mpf(1), 30)
+        assert isinstance(at, Decimal) and abs(at - (2 - x)) < Decimal("1e-29")
     assert seen == [(1.5, 1.0)]
-    # a bound that does not decide falls through to mp
+    # a bound that does not decide falls through to Decimal
     bound[0] = 1.0
-    assert isinstance(_sign(fn, 1.5, 1.0, 30), mp.mpf) and len(seen) == 2
-    # functions without a bound are evaluated in mp
-    assert isinstance(_sign(lambda x, y: 2 - x * y, 1.5, 1.0, 30), mp.mpf)
+    assert isinstance(_sign(fn, 1.5, 1.0, 30), Decimal) and len(seen) == 2
+    # functions without a bound are evaluated in Decimal
+    assert isinstance(_sign(lambda x, y: 2 - x * y, 1.5, 1.0, 30), Decimal)
+
+
+def test_threads_keep_their_own_precision():
+    # a decimal context belongs to one thread: with threads switched
+    # every microsecond, mu at tol 1e-25 at 40 digits in one thread and
+    # roots in q1 at tol 1e-15 at 16 digits in another each certify
+    # their bracket within their own tol.  The crossing of (01) and (10)
+    # is the golden ratio; the other thread's function q0 - q1, its root
+    # q1 = q0, takes signs that rounding cannot flip, so at 16 digits a
+    # bracket holds the root whenever its signs were taken at 16 digits
+    # or more
+    u, v = parse_word("(01)"), parse_word("(10)")
+    found = {"mu": [], "roots": []}
+
+    def crossings():
+        for _ in range(4):
+            found["mu"].append(mu(u, v, tol=1e-25, config=Config(precision=40)))
+
+    def roots():
+        for i in range(200):
+            x = 1.2 + 0.004 * i
+            found["roots"].append((x, root_q1(lambda q0, q1: q0 - q1, x, 1e-15, 16)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=crossings), threading.Thread(target=roots)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(found["mu"]) == 4 and len(found["roots"]) == 200
+    with localcontext(Context(prec=60)):
+        phi = (1 + Decimal(5).sqrt()) / 2
+    for br in found["mu"]:
+        assert isinstance(br.lo, Decimal) and 0 < br.width <= 1e-25 and phi in br, br
+    for x, br in found["roots"]:
+        assert isinstance(br.lo, Decimal) and 0 < br.width <= 1e-15 and x in br, (x, br)
 
 
 def test_word_signs_are_proven_in_floats(monkeypatch):
     # word value functions carry the proven float bound of the node
     # functions, so most certified signs of g, g_tilde, mu and
-    # critical_base on words are floats (every one was an mp evaluation
-    # when words had no bound)
-    in_mp = []
+    # critical_base on words are floats (every one was a multiprecision
+    # evaluation when words had no bound)
+    in_decimal = []
     sign = solvers._sign
 
     def counted(fn, x, y, dps):
         value = sign(fn, x, y, dps)
-        in_mp.append(isinstance(value, mp.mpf))
+        in_decimal.append(isinstance(value, Decimal))
         return value
 
     monkeypatch.setattr(solvers, "_sign", counted)
@@ -355,7 +403,7 @@ def test_word_signs_are_proven_in_floats(monkeypatch):
         g_tilde(nb.s1, 1.7)
         mu(nb.s0, nb.s10)
         critical_base(nb.s010)
-    assert len(in_mp) >= 24 and sum(in_mp) * 3 <= len(in_mp), (sum(in_mp), len(in_mp))
+    assert len(in_decimal) >= 24 and sum(in_decimal) * 3 <= len(in_decimal), (sum(in_decimal), len(in_decimal))
 
 
 @pytest.mark.parametrize("q0", [1.0, 0.5, math.inf, math.nan], ids=repr)
@@ -424,16 +472,12 @@ def _counted(fn):
 
 
 BRACKET_CASES = [
-    # (name, float fn, mpf fn, lo, hi, float evaluations allowed at tol
-    # 1e-13; bisection takes 46, 50 and 57)
+    # (name, float fn, Decimal fn, lo, hi, float evaluations allowed at
+    # tol 1e-13; bisection takes 46, 50 and 57)
     ("2 - x^2", lambda x: 2 - x * x, lambda x: 2 - x * x, 1, 8, 12),
-    ("exp(-x) - 0.3", lambda x: math.exp(-x) - 0.3, lambda x: mp.exp(-x) - mp.mpf("0.3"), 0, 80, 20),
-    ("1/x - 1e-3", lambda x: 1 / x - 1e-3, lambda x: 1 / x - mp.mpf("1e-3"), 1, 10 ** 4, 20),
+    ("exp(-x) - 0.3", lambda x: math.exp(-x) - 0.3, lambda x: (-x).exp() - Decimal("0.3"), 0, 80, 20),
+    ("1/x - 1e-3", lambda x: 1 / x - 1e-3, lambda x: 1 / x - Decimal("1e-3"), 1, 10 ** 4, 20),
 ]
-
-
-def _mp_ulp(x):
-    return mp.ldexp(1, mp.frexp(x)[1] - mp.mp.prec)
 
 
 def _assert_contract(fn, lo, hi, tol, ulp):
@@ -443,8 +487,8 @@ def _assert_contract(fn, lo, hi, tol, ulp):
     assert lo < hi and (hi - lo <= tol or hi - lo <= 2 * ulp)
 
 
-@pytest.mark.parametrize("name, fn, fn_mp, lo, hi, budget", BRACKET_CASES)
-def test_bracket_root_contract_on_floats(name, fn, fn_mp, lo, hi, budget):
+@pytest.mark.parametrize("name, fn, fn_dec, lo, hi, budget", BRACKET_CASES)
+def test_bracket_root_contract_on_floats(name, fn, fn_dec, lo, hi, budget):
     # tol 1e-13 is below one ulp of the root 1000 of 1/x - 1e-3: the
     # routine must still stop, at adjacent floats
     counted, calls = _counted(fn)
@@ -454,16 +498,19 @@ def test_bracket_root_contract_on_floats(name, fn, fn_mp, lo, hi, budget):
     assert len(calls) <= budget, (name, len(calls))
 
 
-@pytest.mark.parametrize("name, fn, fn_mp, lo, hi, budget", BRACKET_CASES)
+@pytest.mark.parametrize("name, fn, fn_dec, lo, hi, budget", BRACKET_CASES)
 @pytest.mark.parametrize("tol", ["1e-25", "1e-40"])
-def test_bracket_root_contract_on_mpf(name, fn, fn_mp, lo, hi, budget, tol):
-    with mp.workdps(30):
-        tol = mp.mpf(tol)
-        counted, calls = _counted(fn_mp)
-        a, b = bracket_root(counted, mp.mpf(lo), mp.mpf(hi), tol)
-        _assert_contract(fn_mp, a, b, tol, _mp_ulp(b))
+def test_bracket_root_contract_on_decimal(name, fn, fn_dec, lo, hi, budget, tol):
+    # at 30 digits, in the caller's decimal context; 1e-40 is below the
+    # spacing of the digits at every root
+    with localcontext(Context(prec=30)):
+        tol = Decimal(tol)
+        counted, calls = _counted(fn_dec)
+        a, b = bracket_root(counted, Decimal(lo), Decimal(hi), tol)
+        ulp = b.next_plus() - b
+        _assert_contract(fn_dec, a, b, tol, ulp)
         assert a in calls and b in calls
-        if tol > _mp_ulp(b):
+        if tol > ulp:
             assert len(calls) <= math.ceil(math.log2((hi - lo) / tol))
 
 
@@ -540,7 +587,7 @@ def test_crossing_search_toward_one():
     def fv(x, y):
         if isinstance(x, float) and x not in xs:
             xs.append(x)
-        return 1 + 1e6 * (x - 1) - y
+        return 1 + 10 ** 6 * (x - 1) - y
 
     br, _ = crossing(lambda x, y: 2 - y, fv, 1e-12, 30)
     assert br.lo <= 1 + 1e-6 <= br.hi
@@ -558,7 +605,7 @@ def test_root_q1_evaluates_each_float_point_once():
     points = []
 
     def fn(x, y):
-        if not isinstance(y, mp.mpf):
+        if not isinstance(y, Decimal):
             points.append(y)
         return 2 - x * y
 
@@ -590,13 +637,13 @@ def test_float_q1_from_a_wrong_guess():
             assert br.lo <= r <= br.hi and br.width <= 1e-12, (x, start)
             assert abs(br.mid - cold.mid) <= 1e-12, (x, start)
     # a root below 1 is reported as 1, as from the cold start
-    assert root_q1(lambda x, y: 0.5 - y, 1.5, 1e-12, 30, start=(1.2, 1.3, 1.4)).lo == 1.0
+    assert root_q1(lambda x, y: 1 - 2 * y, 1.5, 1e-12, 30, start=(1.2, 1.3, 1.4)).lo == 1.0
     # from a guess above it, the search steps down toward the floor
     # 1 + 1e-12 by eighths of the distance and brackets a root just
     # above it
     r = 1 + 1e-9
     for start in [(1.2, 1.3, 1.4), None]:
-        br = root_q1(lambda x, y: r - y, 1.5, 1e-12, 30, start=start)
+        br = root_q1(lambda x, y: 10 ** 9 + 1 - 10 ** 9 * y, 1.5, 1e-12, 30, start=start)
         assert br.lo <= r <= br.hi and br.width <= 1e-12, start
 
 
@@ -607,16 +654,17 @@ def test_root_q1_far_root_below_the_float_spacing():
     q0, k = 1.001, 693
     br = root_q1(_node_f("L" * k, "s0"), q0, 1e-15, 30)
     assert br.width <= 1e-15
+    assert isinstance(br.lo, Decimal)
     with mp.workdps(40):
         q = mp.mpf(q0)
-        assert br.lo <= 1 / (q ** k * (q - 1)) <= br.hi
+        assert 1 / (q ** k * (q - 1)) in br
 
 
 @pytest.mark.parametrize("w, key, q0", [("LLLLLLLL", "s010", 1.1087513367773125), ("LLLLLR", "s101", 1.1051124455196175)])
 def test_root_q1_flat_root_stays_within_tol(w, key, q0):
     # flat in q1: the float bound proves neither one of Brent's ends
-    # nor its nudge, and the mp sign at that end puts the root beyond
-    # it; the mp signs then step out by half the unused budget, not by
+    # nor its nudge, and the Decimal sign at that end puts the root beyond
+    # it; the Decimal signs then step out by half the unused budget, not by
     # the bracket's width, which left these brackets 1.25e-12 wide at
     # tol 1e-12
     fn = _node_f(w, key)
@@ -642,7 +690,7 @@ def _signs_taken(monkeypatch):
 
 def test_root_q1_ends_fall_back_to_mp_when_no_bound_decides(monkeypatch):
     # a bound that never decides leaves both float tries of each end open
-    # (at the end and one nudge outward): the ends are signed in mp and
+    # (at the end and one nudge outward): the ends are signed on Decimal and
     # the bracket still certifies within tol
     def fn(x, y):
         return 2 - x * y
@@ -653,7 +701,7 @@ def test_root_q1_ends_fall_back_to_mp_when_no_bound_decides(monkeypatch):
     assert br.lo <= 4 / 3 <= br.hi and br.width <= 1e-12
     assert all(value == 0.0 for dps, value in taken if dps is None)
     assert sum(dps is None for dps, _ in taken) >= 2
-    assert sum(isinstance(value, mp.mpf) for _, value in taken) >= 2
+    assert sum(isinstance(value, Decimal) for _, value in taken) >= 2
     with mp.workdps(40):
         assert fn(mp.mpf(1.5), mp.mpf(br.lo)) > 0 > fn(mp.mpf(1.5), mp.mpf(br.hi))
 
@@ -716,7 +764,7 @@ def test_root_q1_secant_stage_falls_back_where_a_sign_is_proven_wrong():
 
 def test_root_q1_from_a_guess_and_slope_falls_back_to_mp_when_no_bound_decides(monkeypatch):
     # a bound that never decides proves neither end the secant stage
-    # ends at, nor their nudges: the ends are signed in mp, from a good
+    # ends at, nor their nudges: the ends are signed on Decimal, from a good
     # slope as from a useless one, and the bracket certifies within tol
     def fn(x, y):
         return 2 - x * y
@@ -727,7 +775,7 @@ def test_root_q1_from_a_guess_and_slope_falls_back_to_mp_when_no_bound_decides(m
         br = root_q1(fn, 1.5, 1e-12, 30, start=start)
         assert br.lo <= 4 / 3 <= br.hi and br.width <= 1e-12, start
         assert all(value == 0.0 for dps, value in taken if dps is None)
-        assert sum(isinstance(value, mp.mpf) for _, value in taken) >= 2, start
+        assert sum(isinstance(value, Decimal) for _, value in taken) >= 2, start
         with mp.workdps(40):
             assert fn(mp.mpf(1.5), mp.mpf(br.lo)) > 0 > fn(mp.mpf(1.5), mp.mpf(br.hi))
 
@@ -735,7 +783,8 @@ def test_root_q1_from_a_guess_and_slope_falls_back_to_mp_when_no_bound_decides(m
 def test_root_q1_at_an_mpf_point_certifies_in_mp(monkeypatch):
     # floats prove no sign at an mpf q0, even where the value function
     # carries a bound: G's left formula on the root node, root
-    # 1/(q0 - 1), is certified in mp at q0 itself within tol
+    # 1/(q0 - 1), is certified on Decimal at q0 itself, taken exactly and
+    # rounded to the sign's digits, within tol
     taken = _signs_taken(monkeypatch)
     with mp.workdps(30):
         q0 = mp.mpf(1.55) + mp.mpf(2) ** -80
@@ -743,6 +792,6 @@ def test_root_q1_at_an_mpf_point_certifies_in_mp(monkeypatch):
     br = root_q1(_node_f("", "s0"), q0, 1e-12, 30)
     assert br.width <= 1e-12
     assert all(value == 0.0 for dps, value in taken if dps is None)
-    assert sum(isinstance(value, mp.mpf) for _, value in taken) >= 2
+    assert sum(isinstance(value, Decimal) for _, value in taken) >= 2
     with mp.workdps(40):
         assert br.lo <= 1 / (q0 - 1) <= br.hi
