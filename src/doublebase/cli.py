@@ -11,12 +11,12 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from decimal import Decimal
 from fractions import Fraction
 
 from .classify import Label, classify_omega, classify_sigma, classify_univoque
 from .config import DEFAULT, Config
 from .critical import (
+    _end_text,
     curve_csv,
     generalized_golden_ratio,
     komornik_loreti,
@@ -59,10 +59,8 @@ def _at_least(low: int):
 
 
 def _bracket(value) -> str:
-    """[lo, hi] with float ends by repr; Decimal ends by str, which
-    prints the config.precision digits the refinement kept."""
-    ends = (str(e) if isinstance(e, Decimal) else repr(e) for e in (value.lo, value.hi))
-    return "[{}, {}]".format(*ends)
+    """[lo, hi], each end as curve_csv writes it (critical._end_text)."""
+    return f"[{_end_text(value.lo)}, {_end_text(value.hi)}]"
 
 
 def _print_critical(res) -> int:

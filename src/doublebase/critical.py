@@ -64,7 +64,7 @@ from typing import Optional
 
 from .config import DEFAULT, Config
 from .expansions import _to_fraction, expansion_bounds, regular
-from .series import letter_runs, value_fn, value_fns
+from .series import letter_runs, value_fns
 from .solvers import Bracket, crossing, root_q1, solve_decreasing, _sign, _FLOAT_TOL_FLOOR
 from .substitution import NODE_SEEDS, apply, image_lengths, split_descent
 from .words import Word
@@ -110,11 +110,11 @@ class CriticalResult:
 
 def _node_f(w: str, key: str):
     """f (seeds s0, s010, s01) or f~ (s10, s101, s1) of a node boundary
-    word, with a proven float error bound (series.value_fn)."""
-    return value_fn(letter_runs(w + "M"), NODE_SEEDS[key], not key.startswith("s0"))
+    word, with a proven float error bound (series.value_fns)."""
+    return value_fns(letter_runs(w + "M"), (NODE_SEEDS[key], not key.startswith("s0")))[0]
 
 
-def _node_fns(w: str, *keys: str) -> tuple:
+def _node_fns(w: str, *keys: str) -> list:
     """The value functions (_node_f) of several boundary words of node
     w, sharing one dict of compositions (series.value_fns)."""
     return value_fns(letter_runs(w + "M"), *((NODE_SEEDS[key], not key.startswith("s0")) for key in keys))
@@ -524,12 +524,25 @@ def sample_curve(q0_lo: float, q0_hi: float, n: int, which: str = "both",
     return rows
 
 
+def _end_text(x) -> str:
+    """A number as text that _parse_end reads back as itself: a float by
+    repr, a Decimal (a bracket end below tol 1e-13) by str, with the
+    config.precision digits the refinement kept."""
+    return str(x) if isinstance(x, Decimal) else repr(x)
+
+
+def _parse_end(text: str):
+    # a float's repr reads back as that float; other text is a Decimal's
+    x = float(text)
+    return x if repr(x) == text else Decimal(text)
+
+
 def curve_csv(rows: list[CurveRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for r in rows:
-        writer.writerow([repr(r.q0), r.which, repr(r.value_lo), repr(r.value_hi), r.node, r.case])
+        writer.writerow([_end_text(r.q0), r.which, _end_text(r.value_lo), _end_text(r.value_hi), r.node, r.case])
     return buf.getvalue()
 
 
@@ -539,6 +552,6 @@ def parse_curve_csv(text: str) -> list[CurveRow]:
     if header != CSV_HEADER:
         raise ValueError(f"unexpected header {header!r}")
     return [
-        CurveRow(float(q0), which, float(lo), float(hi), node, case)
+        CurveRow(_parse_end(q0), which, _parse_end(lo), _parse_end(hi), node, case)
         for q0, which, lo, hi, node, case in reader
     ]

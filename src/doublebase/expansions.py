@@ -19,14 +19,12 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator
-
-import mpmath as mp
-from mpmath.libmp import to_rational
 
 from .words import LetterStream
 
@@ -37,13 +35,17 @@ class ExpansionError(ValueError):
 
 def _to_fraction(x) -> Fraction:
     """x as an exact rational (floats of every width and finite mpf
-    values are dyadic rationals); ExpansionError unless x is finite."""
-    if isinstance(x, mp.mpf) and mp.isfinite(x):
-        return Fraction(*to_rational(x._mpf_))
+    values, read by the mpmath loaded to make them, are dyadic
+    rationals); ExpansionError unless x is finite."""
     try:
         return Fraction(x) if isinstance(x, (numbers.Rational, Decimal)) else Fraction(*x.as_integer_ratio())
-    except (AttributeError, OverflowError, ValueError):
-        raise ExpansionError(f"{x} is not a finite number") from None
+    except (OverflowError, ValueError):
+        pass
+    except AttributeError:
+        mp = sys.modules.get("mpmath")
+        if mp is not None and isinstance(x, mp.mpf) and mp.isfinite(x):
+            return Fraction(*mp.libmp.to_rational(x._mpf_))
+    raise ExpansionError(f"{x} is not a finite number")
 
 
 def _check_bases(q0, q1) -> None:

@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-import mpmath as mp
-
+from .expansions import _to_fraction
 from .series import pi
 from .words import Word, shift
 
@@ -161,19 +159,16 @@ def verify_membership(q0, q1, u: Word, n: int | None = None, tol: float = 0.0) -
     """Check the hole condition on the orbit of u: u is a unique
     expansion iff no shifted value lands in [1/q1, 1/(q0(q1-1))].
 
-    Exact rational arithmetic when the bases allow it; returns 'In',
-    'Out', or 'Boundary' when some orbit point sits within tol of (or
-    exactly on) a hole endpoint.
+    Exact rational arithmetic on every finite input (int, float,
+    Fraction, Decimal or mpf, converted by expansions._to_fraction);
+    returns 'In', 'Out', or 'Boundary' when some orbit point sits within
+    tol of (or exactly on) a hole endpoint.
     """
     if not (1 < q0 < math.inf and 1 < q1 < math.inf):
         raise ValueError(f"bases ({q0}, {q1}) must be finite and exceed 1")
     if n is not None and n < 1:
         raise ValueError(f"need at least one shift to check, got {n}")
-    exact = isinstance(q0, (int, float, Fraction))
-    if exact:
-        q0, q1 = Fraction(q0), Fraction(q1)
-    else:
-        q0, q1 = mp.mpf(q0), mp.mpf(q1)
+    q0, q1 = _to_fraction(q0), _to_fraction(q1)
     left = 1 / q1
     right = 1 / (q0 * (q1 - 1))
     if n is None:

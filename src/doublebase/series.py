@@ -5,8 +5,8 @@ pit(q0, q1, v) = sum_k (1 - v_k) / (q_{v_1} ... q_{v_k})
 
 For eventually periodic words the value is a finite sum plus a geometric
 tail, evaluated with whatever scalar type the bases carry (float,
-Fraction, decimal.Decimal, mpmath.mpf), so the same code serves both
-exact rational work and the solvers' 30-digit Decimal signs.
+Fraction or decimal.Decimal), so the same code serves both exact
+rational work and the solvers' 30-digit Decimal signs.
 
 The module also provides the affine forms used by the critical-value
 descent: reading a letter c maps the value of the remaining tail x to
@@ -209,41 +209,31 @@ def node_pi(runs, q0, q1, seed, kept=None):
     return pair.of_word(seed)
 
 
-def value_fns(runs, *functions) -> tuple:
-    """The value functions (value_fn) of sigma, of letter runs `runs`,
-    one for each (seed, tilde) of functions, sharing one dict of
-    compositions for their life (one crossing): at a float point the
-    first evaluation or bound composes and every later bound there
-    starts from it, and at a Decimal point the first evaluation at a
-    precision composes for every later one, so a crossing's two
-    functions signed at one corner compose it once.  Functions of
-    different runs never share it."""
-    kept = {}
-    return tuple(_value_fn_with(runs, seed, tilde, kept) for seed, tilde in functions)
-
-
-def value_fn(runs, seed: Word, tilde: bool):
-    """f of sigma(seed), or f~ with tilde, as a function of (q0, q1) via
-    node_pi, sigma of letter runs `runs` (() for a plain word); bounded
-    is the same float evaluation with a proven error bound (node_f_bound)
-    from the composition either kept there, in a dict of fn's own while
-    it lives (one solve); value_fns builds functions that share one."""
-    return _value_fn_with(runs, seed, tilde, {})
-
-
-def _value_fn_with(runs, seed: Word, tilde: bool, kept: dict):
+def value_fns(runs, *functions) -> list:
+    """For each (seed, tilde) of functions, f of sigma(seed), or f~ with
+    tilde, as a function of (q0, q1) via node_pi, sigma of letter runs
+    `runs` (() for a plain word); its bounded is the same float
+    evaluation with a proven error bound (node_f_bound).  They share one
+    dict of compositions for their life (one solve or crossing): at a
+    float point the first evaluation or bound composes and every later
+    bound there starts from it, and at a Decimal point the first
+    evaluation at a precision composes for every later one, so a
+    crossing's two functions signed at one corner compose it once."""
+    kept, fns = {}, []
     roundings = directive_roundings(runs)
-    from_pi = f_tilde_from_pi if tilde else f_from_pi
+    for seed, tilde in functions:  # defaults bind each function's own seed
+        from_pi = f_tilde_from_pi if tilde else f_from_pi
 
-    def fn(q0, q1):
-        return from_pi(node_pi(runs, q0, q1, seed, kept), q0, q1)
+        def fn(q0, q1, seed=seed, from_pi=from_pi):
+            return from_pi(node_pi(runs, q0, q1, seed, kept), q0, q1)
 
-    def bounded(q0, q1):
-        pair = kept[q0, q1] = kept.get((q0, q1)) or _compose(_identity(q0, q1), runs)
-        return node_f_bound(runs, roundings, seed, tilde, q0, q1, pair)
-    fn.bounded = bounded
-    fn.parts = (runs, seed, from_pi)
-    return fn
+        def bounded(q0, q1, seed=seed, tilde=tilde):
+            pair = kept[q0, q1] = kept.get((q0, q1)) or _compose(_identity(q0, q1), runs)
+            return node_f_bound(runs, roundings, seed, tilde, q0, q1, pair)
+        fn.bounded = bounded
+        fn.parts = (runs, seed, from_pi)
+        fns.append(fn)
+    return fns
 
 
 def value_pair(fu, fv):
@@ -319,7 +309,7 @@ def _grown(r):
 def node_f_bound(runs, roundings: AffinePair, seed: Word, tilde: bool, q0: float, q1: float,
                  pair: AffinePair | None = None) -> tuple:
     """(f_hat, err) with |f - f_hat| <= err, f the function
-    value_fn(runs, seed, tilde) (f of sigma(seed), or f~ with tilde) at
+    value_fns(runs, (seed, tilde)) (f of sigma(seed), or f~ with tilde) at
     floats q0 > 1, q1 >= 1; roundings is directive_roundings(runs), and
     pair directive_affine(runs, q0, q1) where the caller has it.
     f_hat is computed by the operations of AffinePair.of_word and

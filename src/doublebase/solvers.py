@@ -10,7 +10,7 @@ runs on floats and Decimal values alike; from a guess and a slope, secant
 steps (_secant) end at two points whose bounded signs prove the bracket.
 Every sign is certified by one routine (_sign: a float value above its
 proven error bound, which the value functions of series.value_fns carry,
-proves its sign; else a multiprecision evaluation at config.precision
+proves its sign; else a Decimal evaluation at config.precision
 digits decides, which is not a proof).  A crossing of two roots is one
 Newton solve in two variables (crossing), its ends proven by the signs
 of both functions at one corner point each (_corner).
@@ -35,7 +35,7 @@ from functools import lru_cache
 
 from .config import DEFAULT, Config
 from .expansions import _to_fraction
-from .series import pi_limit, f_from_pi, f_tilde_from_pi, value_fn, value_fns, value_pair
+from .series import pi_limit, f_from_pi, f_tilde_from_pi, value_fns, value_pair
 from .substitution import LimitWordStream, is_primitive, common_node_image
 from .words import Word, sup0, inf1
 
@@ -346,10 +346,10 @@ def in_W_tilde(v: Word) -> bool:
 
 
 def _value_fn(u, tilde: bool):
-    """f_u(q0, q1), or f~_u with tilde, of a word (series.value_fn, with
+    """f_u(q0, q1), or f~_u with tilde, of a word (series.value_fns, with
     a proven float error bound) or of a limit word (pi_limit, without)."""
     if isinstance(u, Word):
-        return value_fn((), u, tilde)
+        return value_fns((), (u, tilde))[0]
     from_pi = f_tilde_from_pi if tilde else f_from_pi
     return lambda q0, q1: from_pi(pi_limit(u.directive, u.seed, q0, q1), q0, q1)
 

@@ -204,11 +204,14 @@ def test_sample_curve_values_and_monotonicity():
 
 
 def test_curve_csv_roundtrip(tmp_path):
-    rows = sample_curve(1.5, 2.0, 4, "both")
-    text = curve_csv(rows)
-    assert text.splitlines()[0] == "q0,which,value_lo,value_hi,node,case"
-    again = parse_curve_csv(text)
-    assert again == rows  # bit-for-bit via repr round trip
+    # float rows, and rows below tol 1e-13, whose ends are Decimal
+    for rows in (sample_curve(1.5, 2.0, 4, "both"),
+                 sample_curve(1.5, 2.0, 2, "gr", config=Config(tol=1e-20))):
+        text = curve_csv(rows)
+        assert text.splitlines()[0] == "q0,which,value_lo,value_hi,node,case"
+        again = parse_curve_csv(text)
+        # bit-for-bit and type-for-type: floats via repr, Decimals via str
+        assert again == rows and repr(again) == repr(rows)
 
 
 def test_strict_monotonicity_on_grid():
@@ -424,7 +427,7 @@ def _cold_node_evaluations(monkeypatch, q0, max_depth):
 def test_warm_call_evaluates_no_point_twice(monkeypatch, curve, q0):
     # the search for a root's start bracket hands its evaluated ends to
     # Brent's loop, and the certification proves signs by the bounded
-    # float evaluation of the node's value function (series.value_fn's
+    # float evaluation of the node's value function (series.value_fns'
     # bounded, through node_f_bound, not node_pi) from the composition
     # that function kept where it evaluated the point, or on Decimal: no
     # point (q0, q1) is composed twice, in node_pi or node_f_bound

@@ -2,8 +2,9 @@
 private module-level name is referenced by some module of the package,
 no module but `solvers` reaches the internals of its one certified
 solve, no module but `critical` reaches the solve of a descent cell,
-and every third-party package the library or its tests import is
-declared in `pyproject.toml`.
+every third-party package the library or its tests import is declared
+in `pyproject.toml` (the library imports none), and the library runs
+without mpmath.
 
 `__init__.py` is left out of the unused-import check: it imports names
 to re-export them.
@@ -168,8 +169,38 @@ def test_test_imports_are_declared():
 
 
 def test_import_leaves_numpy_unloaded():
-    # entropy is pure Python: a fresh process pays for mpmath only
+    # entropy is pure Python and the high-precision sign runs on the
+    # standard library's decimal: a fresh process pays for no third-party
+    # package
     env = dict(os.environ, PYTHONPATH=str(Path(doublebase.__file__).parents[1]))
-    code = "import sys, doublebase; print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
+    code = "import sys, doublebase; print(sorted(m for m in ('numpy', 'scipy', 'mpmath') if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+WITHOUT_MPMATH = """
+import sys
+sys.modules["mpmath"] = None  # every import of mpmath now raises ImportError
+import doublebase as d
+from doublebase.cli import main
+from doublebase.config import Config
+words = d.parse_word("(01)"), d.parse_word("(10)")
+assert d.generalized_golden_ratio(1.75).value.width > 0  # cold
+assert d.komornik_loreti(10.0, max_depth=100).value.width > 0
+assert abs(d.mu(*words).mid - (1 + 5 ** 0.5) / 2) < 1e-9
+d.classify_univoque(1.9, 1.8)
+assert d.entropy_estimate(1.9, 1.8) > 0
+assert d.univoque_dimension_lower_bound(1.9, 1.8) > 0
+assert d.generalized_golden_ratio(1.5, config=Config(tol=1e-20)).value.width <= 1e-20
+assert main(["gr", "1.75"]) == 0
+assert main(["verify", "--q0", "2", "--q1", "1.6", "--word", "1(0)"]) == 0
+"""
+
+
+def test_the_library_runs_without_mpmath():
+    # mpmath is a test extra: the public surface, the Decimal tier and
+    # the command line run with every import of it failing
+    env = dict(os.environ, PYTHONPATH=str(Path(doublebase.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", WITHOUT_MPMATH], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "Boundary"

@@ -1,3 +1,7 @@
+from decimal import Decimal
+from fractions import Fraction
+
+import mpmath as mp
 import pytest
 
 from doublebase.oracle import block_count, block_counts, brute_classify, verify_membership
@@ -39,6 +43,20 @@ def test_verify_membership_examples():
     # the hole [0.5882..., 0.7518...], while the (0110) orbit misses it
     assert verify_membership(1.9, 1.7, parse_word("(0010)")) == "Out"
     assert verify_membership(1.9, 1.7, parse_word("(0110)")) == "In"
+
+
+@pytest.mark.parametrize("q0, q1", [
+    (Decimal("2"), Decimal("1.6")),
+    (Fraction(2), Fraction(8, 5)),
+    (mp.mpf(2), mp.mpf(1.6)),
+], ids=["decimal", "fraction", "mpf"])
+def test_verify_membership_is_exact_on_every_input_type(q0, q1):
+    # each base is taken as the exact rational it is: 8/5 as a Decimal
+    # or a Fraction, the dyadic rational nearest it as a float or an
+    # mpf; the verdicts agree with the float call's
+    for text, verdict in (("1(0)", "Boundary"), ("(0110)", "Out")):
+        assert verify_membership(2, 1.6, parse_word(text)) == verdict
+        assert verify_membership(q0, q1, parse_word(text)) == verdict, text
 
 
 @pytest.mark.parametrize("n", [0, -2])

@@ -22,7 +22,6 @@ from doublebase.series import (
     pi_limit,
     pi_tilde,
     reduce_system,
-    value_fn,
     value_fns,
 )
 from doublebase.substitution import NODE_SEEDS, limit_word, node_boundaries, parse_directive
@@ -285,7 +284,7 @@ def test_bound_from_a_kept_composition_is_bit_identical(rng):
         key, other = rng.sample(sorted(NODE_SEEDS), 2)
         runs, tilde = letter_runs(w + "M"), not key.startswith("s0")
         q0, q1 = 1 + 3 * rng.random(), 1 + 3 * rng.random()
-        fn = value_fn(runs, NODE_SEEDS[key], tilde)
+        fn = value_fns(runs, (NODE_SEEDS[key], tilde))[0]
         fresh = node_f_bound(runs, directive_roundings(runs), NODE_SEEDS[key], tilde, q0, q1)
         kept = {}
         node_pi(runs, q0, q1, NODE_SEEDS[key], kept)
@@ -296,7 +295,7 @@ def test_bound_from_a_kept_composition_is_bit_identical(rng):
         assert fn.bounded(q0, q1) == fresh, w
         seeds = (NODE_SEEDS[other], not other.startswith("s0")), (NODE_SEEDS[key], tilde)
         fo, fs = value_fns(runs, *seeds)
-        alone = value_fn(runs, *seeds[0]).bounded(q0, q1)
+        alone = value_fns(runs, seeds[0])[0].bounded(q0, q1)
         assert fo.bounded(q0, q1) == alone and fs.bounded(q0, q1) == fresh, w  # fs from fo's
         fo, fs = value_fns(runs, *seeds)
         fs(q0, q1)
@@ -318,7 +317,7 @@ def test_mp_values_never_read_a_float_composition(w, key):
     for dps in (30, 40, 30):
         with localcontext(Context(prec=dps)):
             x, y = Decimal(2), Decimal(1.5)
-            fresh = value_fn(runs, seed, tilde)(x, y)
+            fresh = value_fns(runs, (seed, tilde))[0](x, y)
             assert fn(x, y) == fresh and other(x, y) == fresh, dps
             values.append(fresh)
     assert len({*values, fn(2.0, 1.5)}) == 3, values  # 30 digits, 40 and floats differ
@@ -341,7 +340,7 @@ def test_word_f_bound_encloses_the_exact_value(u, tilde, q0, q1):
     # a plain word's value function (runs ()) with periods of several
     # letters, against 60 digits; the bounded evaluation repeats the
     # plain one bit for bit
-    fn = value_fn((), u, tilde)
+    fn = value_fns((), (u, tilde))[0]
     value, err = fn.bounded(q0, q1)
     assert value == fn(q0, q1)
     with mp.workdps(60):
@@ -352,7 +351,7 @@ def test_word_f_bound_encloses_the_exact_value(u, tilde, q0, q1):
 def test_word_f_bound_is_infinite_where_products_underflow(u):
     # 2^-1100 underflows, in the period's product or in the preperiod's
     # Horner steps
-    value, err = value_fn((), u, False).bounded(2.0, 1.5)
+    value, err = value_fns((), (u, False))[0].bounded(2.0, 1.5)
     assert math.isfinite(value) and err == math.inf
 
 
