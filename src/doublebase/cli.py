@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Exit status: 0 on success, 2 on precondition or parse errors, 3 when the
-computation ends Undecided.  All numeric results are printed as closed
-brackets [lo, hi]; words use the PRE(PER) text format and directives the
-HEAD(TAIL) format, e.g. 01(10) and LM(R).
+Each subcommand returns a library result, which main prints by its str
+(brackets as [lo, hi], words as PRE(PER), directives as HEAD(TAIL)), or
+a text.  Exit status: 0 on success, 2 on a precondition or parse error
+(a ValueError), 3 when _undecided holds for the result.
 """
 
 from __future__ import annotations
@@ -13,10 +13,12 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
-from .classify import Label, classify_omega, classify_sigma, classify_univoque
+from .classify import Classification, Label, classify_omega, classify_sigma, classify_univoque
 from .config import DEFAULT, Config
 from .critical import (
-    _end_text,
+    Case,
+    CriticalResult,
+    KsResult,
     curve_csv,
     generalized_golden_ratio,
     komornik_loreti,
@@ -25,7 +27,7 @@ from .critical import (
 )
 from .expansions import BasePair, hole, quasi_greedy, quasi_lazy
 from .oracle import verify_membership
-from .series import reduce_system, DegenerateSystemError
+from .series import reduce_system
 from .solvers import PreconditionError, mu
 from .spectral import (
     build_automaton,
@@ -33,8 +35,8 @@ from .spectral import (
     ifs_dimension,
     univoque_dimension_lower_bound,
 )
-from .substitution import DirectiveError, limit_word, parse_directive, s_map
-from .words import WordError, parse_word
+from .substitution import SMapResult, limit_word, parse_directive, s_map
+from .words import parse_word
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -58,50 +60,7 @@ def _at_least(low: int):
     return integer
 
 
-def _bracket(value) -> str:
-    """[lo, hi], each end as curve_csv writes it (critical._end_text)."""
-    return f"[{_end_text(value.lo)}, {_end_text(value.hi)}]"
-
-
-def _print_critical(res) -> int:
-    print(f"{_bracket(res.value)} node={res.node} case={res.case.value}")
-    if res.case.value in ("PrimitiveLimit", "DepthExhausted"):
-        return EXIT_UNDECIDED if res.value.width > 1e-6 else EXIT_OK
-    return EXIT_OK
-
-
-def _cmd_gr(args) -> int:
-    return _print_critical(generalized_golden_ratio(args.q0, config=_config(args)))
-
-
-def _cmd_kl(args) -> int:
-    return _print_critical(komornik_loreti(args.q0, config=_config(args)))
-
-
-def _cmd_mu(args) -> int:
-    print(_bracket(mu(parse_word(args.u), parse_word(args.v), config=_config(args))))
-    return EXIT_OK
-
-
-def _cmd_classify_omega(args) -> int:
-    res = classify_omega(parse_word(args.a), parse_word(args.b), _config(args).max_depth)
-    print(res)
-    return EXIT_UNDECIDED if res.label is Label.UNDECIDED else EXIT_OK
-
-
-def _cmd_classify_sigma(args) -> int:
-    res = classify_sigma(parse_word(args.a), parse_word(args.b), _config(args).max_depth)
-    print(res)
-    return EXIT_UNDECIDED if res.label is Label.UNDECIDED else EXIT_OK
-
-
-def _cmd_classify_u(args) -> int:
-    res = classify_univoque(args.q0, args.q1, config=_config(args))
-    print(res)
-    return EXIT_UNDECIDED if res.label is Label.UNDECIDED else EXIT_OK
-
-
-def _cmd_expand(args) -> int:
+def _cmd_expand(args) -> str:
     fn = quasi_greedy if args.mode == "quasi-greedy" else quasi_lazy
     BasePair(args.q0, args.q1)  # rejects bases <= 1 and infinite ones
     if args.x is not None:
@@ -110,72 +69,54 @@ def _cmd_expand(args) -> int:
         left, right = hole(Fraction(args.q0), Fraction(args.q1))
         x = left if args.mode == "quasi-greedy" else right
     run = fn(args.q0, args.q1, x, args.digits)
+    if not run.boundary:
+        return run.digits
     marks = "".join("^" if run.flagged(i) else " " for i in range(len(run.digits)))
-    print(run.digits)
-    if run.boundary:
-        print(marks.rstrip() + "   (^ = exact boundary hit)")
-    return EXIT_OK
+    return f"{run.digits}\n{marks.rstrip()}   (^ = exact boundary hit)"
 
 
-def _cmd_smap(args) -> int:
-    res = s_map(parse_word(args.word), args.directive_depth)
-    print(res)
-    return EXIT_UNDECIDED if res.truncated else EXIT_OK
-
-
-def _cmd_limit_word(args) -> int:
-    out = limit_word(parse_directive(args.directive), args.seed, args.length)
-    print(out)
-    return EXIT_OK
-
-
-def _cmd_entropy(args) -> int:
+def _cmd_entropy(args) -> str:
     m = build_automaton(parse_word(args.a), parse_word(args.b))
-    h = entropy(m)
-    print(f"{h!r}  (states={len(m)}, live={len(m.live)})")
-    if args.dump:
-        for line in m.dump_lines():
-            print(line)
-    return EXIT_OK
+    return "\n".join([f"{entropy(m)!r}  (states={len(m)}, live={len(m.live)})",
+                      *(m.dump_lines() if args.dump else ())])
 
 
-def _cmd_dim(args) -> int:
+def _cmd_dim(args) -> str:
     if args.r0 is not None and args.r1 is not None:
-        print(repr(ifs_dimension(args.r0, args.r1)))
-        return EXIT_OK
+        return repr(ifs_dimension(args.r0, args.r1))
     if args.q0 is None or args.q1 is None:
         raise PreconditionError("dim needs either --r0/--r1 or --q0/--q1")
-    print(repr(univoque_dimension_lower_bound(args.q0, args.q1, config=_config(args))))
-    return EXIT_OK
+    return repr(univoque_dimension_lower_bound(args.q0, args.q1, config=_config(args)))
 
 
-def _cmd_curve(args) -> int:
+def _cmd_curve(args) -> str:
     rows = sample_curve(args.q0_from, args.q0_to, args.samples, args.what, config=_config(args))
     text = curve_csv(rows)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {len(rows)} rows to {args.out}")
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    if not args.out:
+        return text.removesuffix("\n")  # main prints it with its newline
+    with open(args.out, "w") as fh:
+        fh.write(text)
+    return f"wrote {len(rows)} rows to {args.out}"
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> str:
     offset, scale = reduce_system(args.d0, args.q0, args.d1, args.q1)
-    print(f"offset={offset!r} scale={scale!r}")
-    return EXIT_OK
+    return f"offset={offset!r} scale={scale!r}"
 
 
-def _cmd_ks(args) -> int:
-    res = ks_crosscheck(args.q0, args.q1, args.directive_depth)
-    print(f"{res.order}  node={res.node}")
-    return EXIT_UNDECIDED if res.order == "=" else EXIT_OK
-
-
-def _cmd_verify(args) -> int:
-    print(verify_membership(args.q0, args.q1, parse_word(args.word), args.shifts, args.tol or 0.0))
-    return EXIT_OK
+def _undecided(res) -> bool:
+    """The exit-3 rule: an Undecided classification, a truncated s-map,
+    a ks tie ("=") or a primitive-limit or depth-exhausted critical
+    value whose bracket is wider than 1e-6."""
+    if isinstance(res, Classification):
+        return res.label is Label.UNDECIDED
+    if isinstance(res, SMapResult):
+        return res.truncated
+    if isinstance(res, KsResult):
+        return res.order == "="
+    if isinstance(res, CriticalResult):
+        return res.case in (Case.PRIMITIVE_LIMIT, Case.DEPTH_EXHAUSTED) and res.value.width > 1e-6
+    return False
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,31 +133,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("gr", help="generalized golden ratio G(q0)")
     s.add_argument("q0", type=float)
-    s.set_defaults(fn=_cmd_gr)
+    s.set_defaults(fn=lambda a: generalized_golden_ratio(a.q0, config=_config(a)))
 
     s = sub.add_parser("kl", help="generalized Komornik-Loreti constant K(q0)")
     s.add_argument("q0", type=float)
-    s.set_defaults(fn=_cmd_kl)
+    s.set_defaults(fn=lambda a: komornik_loreti(a.q0, config=_config(a)))
 
     s = sub.add_parser("mu", help="crossing base of g_u and g~_v")
     s.add_argument("--u", required=True, help="word PRE(PER)")
     s.add_argument("--v", required=True, help="word PRE(PER)")
-    s.set_defaults(fn=_cmd_mu)
+    s.set_defaults(fn=lambda a: mu(parse_word(a.u), parse_word(a.v), config=_config(a)))
 
     s = sub.add_parser("classify-omega", help="cardinality of Omega_{a,b}")
     s.add_argument("--a", required=True)
     s.add_argument("--b", required=True)
-    s.set_defaults(fn=_cmd_classify_omega)
+    s.set_defaults(fn=lambda a: classify_omega(parse_word(a.a), parse_word(a.b), _config(a).max_depth))
 
     s = sub.add_parser("classify-sigma", help="cardinality of Sigma_{a,b}")
     s.add_argument("--a", required=True)
     s.add_argument("--b", required=True)
-    s.set_defaults(fn=_cmd_classify_sigma)
+    s.set_defaults(fn=lambda a: classify_sigma(parse_word(a.a), parse_word(a.b), _config(a).max_depth))
 
     s = sub.add_parser("classify-u", help="cardinality of the univoque set U_{q0,q1}")
     s.add_argument("--q0", type=float, required=True)
     s.add_argument("--q1", type=float, required=True)
-    s.set_defaults(fn=_cmd_classify_u)
+    s.set_defaults(fn=lambda a: classify_univoque(a.q0, a.q1, config=_config(a)))
 
     s = sub.add_parser("expand", help="quasi-greedy / quasi-lazy digits")
     s.add_argument("--q0", type=float, required=True)
@@ -229,13 +170,13 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("smap", help="directive sequence of a word's partition cell")
     s.add_argument("--word", required=True)
     s.add_argument("--directive-depth", dest="directive_depth", type=_at_least(1), default=48)
-    s.set_defaults(fn=_cmd_smap)
+    s.set_defaults(fn=lambda a: s_map(parse_word(a.word), a.directive_depth))
 
     s = sub.add_parser("limit-word", help="limit word of a directive sequence")
     s.add_argument("--directive", required=True)
     s.add_argument("--seed", choices=["0", "1"], default="0")
     s.add_argument("--length", type=_at_least(0), default=64)
-    s.set_defaults(fn=_cmd_limit_word)
+    s.set_defaults(fn=lambda a: limit_word(parse_directive(a.directive), a.seed, a.length))
 
     s = sub.add_parser("entropy", help="topological entropy of Omega_{a,b}")
     s.add_argument("--a", required=True)
@@ -269,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--q0", type=float, required=True)
     s.add_argument("--q1", type=float, required=True)
     s.add_argument("--directive-depth", dest="directive_depth", type=_at_least(1), default=24)
-    s.set_defaults(fn=_cmd_ks)
+    s.set_defaults(fn=lambda a: ks_crosscheck(a.q0, a.q1, a.directive_depth))
 
     s = sub.add_parser("verify", help="hole-avoidance check for a word's orbit")
     s.add_argument("--q0", type=float, required=True)
@@ -279,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the global --tol, also accepted after the subcommand; unset, it is 0
     s.add_argument("--tol", type=float, default=argparse.SUPPRESS,
                    help="hole tolerance (default 0)")
-    s.set_defaults(fn=_cmd_verify)
+    s.set_defaults(fn=lambda a: verify_membership(a.q0, a.q1, parse_word(a.word), a.shifts, a.tol or 0.0))
 
     return p
 
@@ -291,11 +232,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_PRECONDITION if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
-    except (WordError, DirectiveError, PreconditionError, DegenerateSystemError,
-            ValueError) as exc:
+        res = args.fn(args)
+    except ValueError as exc:  # WordError, DirectiveError, PreconditionError, ... among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    print(res)
+    return EXIT_UNDECIDED if _undecided(res) else EXIT_OK
 
 
 if __name__ == "__main__":

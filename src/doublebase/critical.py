@@ -65,7 +65,7 @@ from typing import Optional
 from .config import DEFAULT, Config
 from .expansions import _to_fraction, expansion_bounds, regular
 from .series import letter_runs, value_fns
-from .solvers import Bracket, crossing, root_q1, solve_decreasing, _sign, _FLOAT_TOL_FLOOR
+from .solvers import Bracket, crossing, root_q1, solve_decreasing, _end_text, _sign, _FLOAT_TOL_FLOOR
 from .substitution import NODE_SEEDS, apply, image_lengths, split_descent
 from .words import Word
 
@@ -469,6 +469,9 @@ class KsResult:
     node: str           # common directive prefix walked before the verdict
     depth: int          # directive letters examined
 
+    def __str__(self):
+        return f"{self.order}  node={self.node}"
+
 
 def ks_crosscheck(q0, q1, depth: int = 24) -> KsResult:
     """Order of s(a_{q0,q1}) versus s(b_{q0,q1}) from the digit streams.
@@ -522,13 +525,6 @@ def sample_curve(q0_lo: float, q0_hi: float, n: int, which: str = "both",
             r = komornik_loreti(q0, config=config)
             rows.append(CurveRow(q0, "kl", r.value.lo, r.value.hi, r.node, r.case.value))
     return rows
-
-
-def _end_text(x) -> str:
-    """A number as text that _parse_end reads back as itself: a float by
-    repr, a Decimal (a bracket end below tol 1e-13) by str, with the
-    config.precision digits the refinement kept."""
-    return str(x) if isinstance(x, Decimal) else repr(x)
 
 
 def _parse_end(text: str):

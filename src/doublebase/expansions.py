@@ -58,9 +58,16 @@ def _check_bases(q0, q1) -> None:
 def regular(q0, q1) -> bool:
     """The pair admits expansions of every point of [0, 1/(q1-1)]:
     equivalent to the hole left endpoint 1/q1 not exceeding the right
-    endpoint 1/(q0(q1-1)).  ExpansionError for bases outside (1, inf)."""
+    endpoint 1/(q0(q1-1)).  Decided exactly, as q0 + q1 >= q0 q1 on the
+    bases' integer ratios n/d (the digit steps' test, which floats get
+    wrong within an ulp of q1 = q0/(q0-1)).  ExpansionError for bases
+    outside (1, inf)."""
     _check_bases(q0, q1)
-    return q0 + q1 >= q0 * q1
+    try:
+        (n0, d0), (n1, d1) = q0.as_integer_ratio(), q1.as_integer_ratio()
+    except AttributeError:  # an mpf
+        (n0, d0), (n1, d1) = _to_fraction(q0).as_integer_ratio(), _to_fraction(q1).as_integer_ratio()
+    return n0 * d1 + n1 * d0 >= n0 * n1
 
 
 @dataclass(frozen=True)

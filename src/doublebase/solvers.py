@@ -79,7 +79,14 @@ class Bracket:
         return self.lo <= x <= self.hi
 
     def __str__(self) -> str:
-        return f"[{self.lo!r}, {self.hi!r}]"
+        return f"[{_end_text(self.lo)}, {_end_text(self.hi)}]"
+
+
+def _end_text(x) -> str:
+    """A number as text that critical._parse_end reads back as itself: a
+    float by repr, a Decimal (a bracket end below tol 1e-13) by str, with
+    the config.precision digits the refinement kept."""
+    return str(x) if isinstance(x, Decimal) else repr(x)
 
 
 class _BelowOne:

@@ -3,7 +3,10 @@ from fractions import Fraction
 import pytest
 
 from doublebase.cli import build_parser, main
-from doublebase.critical import parse_curve_csv
+from doublebase.config import Config
+from doublebase.critical import generalized_golden_ratio, ks_crosscheck, parse_curve_csv
+from doublebase.solvers import mu
+from doublebase.words import parse_word
 
 
 def run(capsys, *argv):
@@ -229,6 +232,25 @@ def test_mp_brackets_print_at_the_precision(capsys, argv):
     lo, hi = out.split("]")[0].strip("[").split(", ")
     assert lo != hi
     assert 0 < Fraction(hi) - Fraction(lo) <= Fraction("1e-20")
+
+
+@pytest.mark.parametrize("argv, call", [
+    (("--tol", "1e-20", "gr", "1.5"), lambda: generalized_golden_ratio(1.5, config=Config(tol=1e-20))),
+    (("mu", "--u", "(01)", "--v", "10(01)"), lambda: mu(parse_word("(01)"), parse_word("10(01)"))),
+    (("ks", "--q0", "1.9", "--q1", "1.7"), lambda: ks_crosscheck(1.9, 1.7, 24)),
+], ids=["gr", "mu", "ks"])
+def test_stdout_is_the_str_of_the_result(capsys, argv, call):
+    # one text form per result: the CLI prints what the library returns
+    _, out, _ = run(capsys, *argv)
+    assert out == f"{call()}\n"
+    assert "Decimal(" not in out
+
+
+def test_dim_without_a_base_pair_is_a_precondition_error(capsys):
+    for argv in (("dim",), ("dim", "--q0", "1.9"), ("dim", "--r0", "0.5", "--q1", "1.8")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err == "error: dim needs either --r0/--r1 or --q0/--q1\n"
 
 
 def test_smoke_table_covers_every_subcommand():

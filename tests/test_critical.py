@@ -639,6 +639,30 @@ def test_hermite_reads_a_one_crossing_cell_at_its_end(key, k):
         assert critical._hermite(key, (end, end), at) == (1 + p / (at - 1), end[k + 1] * (at - 1))
 
 
+@pytest.mark.parametrize("key, k", [("s0", 2), ("s10", 4)])
+def test_hermite_without_a_slope_starts_cold(key, k):
+    # an end whose f_p is 0 gives no slope: no guess, and the formula
+    # root is solved from the cold start to the same root
+    _, end = node_mu("L", "s0", "s10")
+    flat = end[:k + 1] + (0.0,) + end[k + 2:]
+    assert critical._hermite(key, (flat, flat), end[0]) is None
+    assert critical._hermite(key, (end, flat), end[0] + 1e-6) is None
+    cold = critical._formula_root("L", key, end[0], (flat, flat), DEFAULT)
+    warm = critical._formula_root("L", key, end[0], (end, end), DEFAULT)
+    assert cold.width <= DEFAULT.tol and cold.lo <= warm.hi and warm.lo <= cold.hi
+
+
+def test_exhausted_bracket_with_a_float_end_is_all_decimal():
+    # K(50) at tol 1e-20 exhausts the depth with a float chain bound beside
+    # a Decimal root: the Bracket takes the float exactly as a Decimal
+    exact = komornik_loreti(50.0, config=Config(tol=1e-20))
+    assert exact.case is Case.DEPTH_EXHAUSTED
+    assert isinstance(exact.value.lo, Decimal) and isinstance(exact.value.hi, Decimal)
+    default = komornik_loreti(50.0).value
+    assert exact.value.lo <= Decimal(default.hi) and Decimal(default.lo) <= exact.value.hi
+    assert "Decimal(" not in str(exact)
+
+
 _PER_CALL = {  # each entry point with a per-call setting, and that setting
     "g": (lambda **kw: g(parse_word("(01)"), 1.5, **kw), "tol"),
     "g_tilde": (lambda **kw: g_tilde(parse_word("(10)"), 1.5, **kw), "tol"),

@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doublebase.expansions import (
     BasePair,
@@ -116,6 +117,34 @@ def test_regularity_checks():
     left, right = hole(2.0, 1.5)
     assert left == pytest.approx(2 / 3)
     assert right == pytest.approx(1.0)
+    # an ulp beyond q1 = q0/(q0-1), where q0 + q1 >= q0 q1 holds in floats
+    # but not exactly: the pair is irregular, so the dimension bound is the
+    # full shift's, the Moran exponent s of the words 0 and 001
+    # (q0^-s + (q0^2 q1)^-s = 1), and ks_crosscheck rejects it up front
+    q0, q1 = 1.4030927323372038, 3.480818729233398
+    assert q0 + q1 >= q0 * q1 and not regular(q0, q1)
+    with mp.workdps(30):
+        s = mp.findroot(lambda s: mp.mpf(q0) ** -s + (mp.mpf(q0) ** 2 * q1) ** -s - 1, 0.7)
+    bound = univoque_dimension_lower_bound(q0, q1)
+    assert bound <= s and abs(bound - s) < 1e-9
+    with pytest.raises(ValueError, match=r"pair \(1\.4030927323372038, 3\.480818729233398\) is not regular$"):
+        ks_crosscheck(q0, q1)
+
+
+_AS_TYPE = st.sampled_from([float, Fraction, Decimal, mp.mpf])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1.001, 20.0), st.integers(-1, 1), _AS_TYPE, _AS_TYPE)
+def test_regular_is_the_exact_test_next_to_the_curve(q0, ulps, t0, t1):
+    # on q1 = q0/(q0-1) and one ulp either side, where floats disagree
+    # with exact arithmetic, regular is the digit steps' Fraction test
+    q1 = q0 / (q0 - 1)
+    for _ in range(abs(ulps)):
+        q1 = math.nextafter(q1, math.copysign(math.inf, ulps))
+    exact = Fraction(q0) + Fraction(q1) >= Fraction(q0) * Fraction(q1)
+    assert regular(t0(q0), t1(q1)) is exact
+    assert regular(t1(q1), t0(q0)) is exact
 
 
 def test_stream_determinism():

@@ -288,6 +288,10 @@ def test_is_primitive():
     truncated = s_map(limit_word(parse_directive("(M)"), 0), max_depth=6)
     assert truncated.truncated
     assert is_primitive(truncated) is None
+    # a complete s-map of an eventually periodic word ends L^inf or R^inf
+    complete = s_map(parse_word("(0110)"))
+    assert not complete.truncated and str(complete) == "MM(L)"
+    assert is_primitive(complete) is False
 
 
 # ---------------------------------------------------------------- inverses
