@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from decimal import Context, Decimal, getcontext, localcontext
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal, getcontext, localcontext
 from functools import lru_cache
 
 from .config import DEFAULT, Config
@@ -53,17 +53,21 @@ class Bracket:
     Endpoints are floats at default tolerances; tolerances below the
     float64 floor keep the Decimal endpoints of the refinement so the
     width stays meaningful.  A float end beside a Decimal one (a hull
-    with a float bound) is taken exactly as a Decimal, so mid and width
-    never mix the two types.
+    with a float bound) becomes a Decimal, rounded outward to the
+    Decimal end's significant digits (_rounded_end), so mid and width never
+    mix the two types and the text carries no more digits than the
+    refinement kept.
     """
 
     lo: float
     hi: float
 
     def __post_init__(self):
-        if isinstance(self.lo, Decimal) != isinstance(self.hi, Decimal):  # exactly, inf included
-            object.__setattr__(self, "lo", Decimal(self.lo))
-            object.__setattr__(self, "hi", Decimal(self.hi))
+        if isinstance(self.lo, Decimal) != isinstance(self.hi, Decimal):
+            if isinstance(self.lo, Decimal):
+                object.__setattr__(self, "hi", _rounded_end(self.hi, self.lo, ROUND_CEILING))
+            else:
+                object.__setattr__(self, "lo", _rounded_end(self.lo, self.hi, ROUND_FLOOR))
 
     @property
     def mid(self):
@@ -80,6 +84,17 @@ class Bracket:
 
     def __str__(self) -> str:
         return f"[{_end_text(self.lo)}, {_end_text(self.hi)}]"
+
+
+def _rounded_end(x: float, like: Decimal, rounding: str) -> Decimal:
+    """The float x as a Decimal, rounded by rounding (ROUND_FLOOR for a
+    lower end, ROUND_CEILING for an upper one) to the significant digits
+    of like, and to at least 17, so float() of it is x again; exactly
+    when either is infinite."""
+    d = Decimal(x)
+    if not (d.is_finite() and like.is_finite()):
+        return d
+    return Context(prec=max(len(like.as_tuple().digits), 17), rounding=rounding).plus(d)
 
 
 def _end_text(x) -> str:

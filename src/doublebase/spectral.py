@@ -4,14 +4,15 @@ dimension lower bounds for the value set of unique expansions.
 A word lies in Omega_{a,b} iff every suffix starting 0 is <= a and every
 suffix starting 1 is >= b.  Reading letters left to right, the automaton
 state is the pair of sets of open comparison positions inside a and
-inside b (subset construction); positions beyond the preperiod wrap
-modulo the period, so the state space is finite.  Strictly resolved
-comparisons retire, violations reject.  Entropy is the log of the
-largest Perron root over the strongly connected components of the live
-part, found from reachability bitsets (one int per state); a one-state
-component's root is its loop count, a larger one's comes from Newton's
-method on its characteristic polynomial, from a Collatz-Wielandt upper
-bound down to the root.
+inside b (subset construction), each an int bitmask over the word's
+canonical positions; positions beyond the preperiod wrap modulo the
+period, so the state space is finite.  Strictly resolved comparisons
+retire, violations reject, and the open ones advance by one left
+shift.  Entropy is the log of the largest Perron root over the strongly
+connected components of the live part, found from reachability bitsets
+(one int per state); a one-state component's root is its loop count, a
+larger one's comes from Newton's method on its characteristic
+polynomial, from a Collatz-Wielandt upper bound down to the root.
 
 Dimensions are Moran exponents, bracketed by solvers.solve_decreasing:
 a float search, and signs that no float proves, each a 30-digit decimal
@@ -46,6 +47,17 @@ def _canonical_position(word: Word, i: int) -> int:
     return i if i < lp else lp + (i - lp) % lq
 
 
+def _position_masks(word: Word) -> tuple[int, int, int, int, int]:
+    """Bitmasks over word's canonical positions 0 .. complexity - 1: its
+    0-positions, its 1-positions, the last position, the wrap target
+    1 << len(pre) that the last position advances to, and the bit of
+    canonical position 1, where a new comparison starts."""
+    text = word.pre + word.per
+    ones = int(text[::-1], 2)  # bit i is letter i
+    last = 1 << (len(text) - 1)
+    return (2 * last - 1) ^ ones, ones, last, 1 << len(word.pre), 1 << _canonical_position(word, 1)
+
+
 class SubshiftAutomaton:
     """Deterministic presentation of the factor language of Omega_{a,b}.
 
@@ -55,7 +67,7 @@ class SubshiftAutomaton:
     """
 
     def __init__(self, states, transitions, live, a: Word, b: Word):
-        self.states = states          # list of (frozenset, frozenset)
+        self.states = states          # list of (int, int): open positions of a and b, as bitmasks
         self.transitions = transitions  # list of {letter: state index}
         self.live = live              # frozenset of live state indices
         self.a, self.b = a, b
@@ -64,6 +76,14 @@ class SubshiftAutomaton:
 
     @classmethod
     def build(cls, a: Word, b: Word, validate: bool = True) -> "SubshiftAutomaton":
+        """Subset construction on position bitmasks: bit i of a state's
+        mask for a (or b) is set while the comparison at canonical
+        position i is open.  Reading 0, an open 1 of b rejects, open 1s
+        of a retire and a comparison with a opens; reading 1, an open 0
+        of a rejects, open 0s of b retire and one with b opens.  The open
+        comparisons advance one position: a left shift, the last bit
+        wrapping to len(pre).  States are numbered in the order a stack
+        visits them, letters in the order 0, 1."""
         if validate:
             if sup0(a) != a:
                 raise PreconditionError(f"a = {a} is not sup0-fixed")
@@ -71,60 +91,56 @@ class SubshiftAutomaton:
                 raise PreconditionError(f"b = {b} is not inf1-fixed")
         if a.letter(0) != "0" or b.letter(0) != "1":
             raise PreconditionError("need a in 0{0,1}^inf and b in 1{0,1}^inf")
+        zeros_a, _, last_a, wrap_a, one_a = _position_masks(a)
+        _, ones_b, last_b, wrap_b, one_b = _position_masks(b)
+        keep_a, keep_b = last_a - 1, last_b - 1  # every position but the last
 
-        def step(state, c):
-            sa, sb = state
-            na, nb = [], []
-            for i in sa:
-                x = a.letter(i)
-                if c > x:
-                    return None
-                if c == x:
-                    na.append(_canonical_position(a, i + 1))
-            for i in sb:
-                x = b.letter(i)
-                if c < x:
-                    return None
-                if c == x:
-                    nb.append(_canonical_position(b, i + 1))
-            if c == "0":
-                na.append(_canonical_position(a, 1))
-            else:
-                nb.append(_canonical_position(b, 1))
-            return frozenset(na), frozenset(nb)
-
-        init = (frozenset(), frozenset())
+        init = (0, 0)
         index = {init: 0}
         states = [init]
-        transitions = [dict()]
+        transitions = [{}]
         todo = [init]
         while todo:
             s = todo.pop()
-            si = index[s]
-            for c in "01":
-                t = step(s, c)
-                if t is None:
-                    continue
-                if t not in index:
-                    index[t] = len(states)
+            sa, sb = s
+            row = transitions[index[s]]
+            steps = []
+            if not sb & ones_b:  # reading 0
+                m = sa & zeros_a
+                steps.append(("0", ((m & keep_a) << 1 | (wrap_a if m & last_a else 0) | one_a,
+                                    (sb & keep_b) << 1 | (wrap_b if sb & last_b else 0))))
+            if not sa & zeros_a:  # reading 1
+                m = sb & ones_b
+                steps.append(("1", ((sa & keep_a) << 1 | (wrap_a if sa & last_a else 0),
+                                    (m & keep_b) << 1 | (wrap_b if m & last_b else 0) | one_b)))
+            for c, t in steps:
+                i = index.get(t)
+                if i is None:
+                    i = index[t] = len(states)
                     states.append(t)
-                    transitions.append(dict())
+                    transitions.append({})
                     todo.append(t)
-                transitions[si][c] = index[t]
-        live = cls._live_set(transitions)
-        return cls(states, transitions, frozenset(live), a, b)
+                row[c] = i
+        return cls(states, transitions, cls._live_set(transitions), a, b)
 
     @staticmethod
-    def _live_set(transitions) -> set:
-        live = set(range(len(transitions)))
-        changed = True
-        while changed:
-            changed = False
-            for s in list(live):
-                if not any(t in live for t in transitions[s].values()):
-                    live.discard(s)
-                    changed = True
-        return live
+    def _live_set(transitions) -> frozenset:
+        """The states with an infinite continuation: one peel of the states
+        whose successors are all dead, each edge counted down once over the
+        predecessor lists (an edge per letter, so a state both letters
+        reach is counted twice); a state is live iff edges are left."""
+        out = [len(row) for row in transitions]
+        preds = [[] for _ in transitions]
+        for s, row in enumerate(transitions):
+            for t in row.values():
+                preds[t].append(s)
+        dead = [s for s, k in enumerate(out) if not k]
+        for t in dead:  # grows as states die
+            for s in preds[t]:
+                out[s] -= 1
+                if not out[s]:
+                    dead.append(s)
+        return frozenset(s for s, k in enumerate(out) if k)
 
     # -- derived data ----------------------------------------------------
 

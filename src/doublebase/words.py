@@ -49,9 +49,15 @@ def _canonical(pre: str, per: str) -> tuple[str, str]:
 
 
 class Word:
-    """Canonical eventually periodic binary sequence ``pre (per)^inf``."""
+    """Canonical eventually periodic binary sequence ``pre (per)^inf``.
 
-    __slots__ = ("pre", "per")
+    The hash is computed once, from the canonical form, so words spelled
+    differently but equal as sequences hash equal; a pickled or copied
+    word is rebuilt from its text (__reduce__), so it rehashes where it
+    is loaded.
+    """
+
+    __slots__ = ("pre", "per", "_hash")
 
     def __init__(self, pre: str, per: str):
         if not per:
@@ -59,6 +65,7 @@ class Word:
         if not set(pre + per) <= {"0", "1"}:
             raise WordError(f"letters must be 0/1, got {pre!r}({per!r})")
         self.pre, self.per = _canonical(pre, per)
+        self._hash = hash((self.pre, self.per))
 
     # -- basic access -------------------------------------------------
     def letter(self, i: int) -> str:
@@ -93,7 +100,10 @@ class Word:
         return isinstance(other, Word) and self.pre == other.pre and self.per == other.per
 
     def __hash__(self) -> int:
-        return hash((self.pre, self.per))
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.pre, self.per)
 
     # -- order --------------------------------------------------------
     def __lt__(self, other: "Word") -> bool:

@@ -234,6 +234,16 @@ def test_mp_brackets_print_at_the_precision(capsys, argv):
     assert 0 < Fraction(hi) - Fraction(lo) <= Fraction("1e-20")
 
 
+def test_mixed_bracket_prints_no_more_digits_than_its_decimal_end(capsys):
+    # an exhausted walk's float chain bound beside a Decimal root: both
+    # ends print at the refinement's digits, the float's binary expansion
+    # rounded outward
+    code, out, _ = run(capsys, "--tol", "1e-20", "kl", "50.0")
+    lo, hi = out.split("]")[0].strip("[").split(", ")
+    assert len(lo.replace(".", "")) <= len(hi.replace(".", "")) == 32
+    assert Fraction(lo) <= Fraction(1.010204081632653) < Fraction(lo) + Fraction("1e-31")
+
+
 @pytest.mark.parametrize("argv, call", [
     (("--tol", "1e-20", "gr", "1.5"), lambda: generalized_golden_ratio(1.5, config=Config(tol=1e-20))),
     (("mu", "--u", "(01)", "--v", "10(01)"), lambda: mu(parse_word("(01)"), parse_word("10(01)"))),

@@ -3,6 +3,7 @@ import math
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doublebase.critical import komornik_loreti
 from doublebase.expansions import expansion_bounds
@@ -337,3 +338,92 @@ def test_minimization_preserves_path_counts():
             mm = m.minimized()
             for n in (1, 3, 6, 10):
                 assert m.path_count(n) == mm.path_count(n), (a, b, n)
+
+
+def _reference_build(a: Word, b: Word):
+    """The subset construction on frozensets of positions, each open
+    comparison stepped one letter at a time; live states by sweeping all
+    states until none dies."""
+
+    def position(w, i):
+        lp, lq = len(w.pre), len(w.per)
+        return i if i < lp else lp + (i - lp) % lq
+
+    def step(state, c):
+        sa, sb = state
+        na, nb = set(), set()
+        for i in sa:
+            if c > a.letter(i):
+                return None
+            if c == a.letter(i):
+                na.add(position(a, i + 1))
+        for i in sb:
+            if c < b.letter(i):
+                return None
+            if c == b.letter(i):
+                nb.add(position(b, i + 1))
+        (na if c == "0" else nb).add(position(a if c == "0" else b, 1))
+        return frozenset(na), frozenset(nb)
+
+    init = (frozenset(), frozenset())
+    index, states, transitions, todo = {init: 0}, [init], [{}], [init]
+    while todo:
+        s = todo.pop()
+        for c in "01":
+            t = step(s, c)
+            if t is None:
+                continue
+            if t not in index:
+                index[t] = len(states)
+                states.append(t)
+                transitions.append({})
+                todo.append(t)
+            transitions[index[s]][c] = index[t]
+    return states, transitions, _reference_live(transitions)
+
+
+def _reference_live(transitions) -> set:
+    live = set(range(len(transitions)))
+    changed = True
+    while changed:
+        changed = False
+        for s in list(live):
+            if not any(t in live for t in transitions[s].values()):
+                live.discard(s)
+                changed = True
+    return live
+
+
+def _words_starting(first: str):
+    # eventually periodic words of complexity at most 7 starting `first`
+    return (st.tuples(st.text("01", max_size=6), st.text("01", min_size=1, max_size=7))
+            .filter(lambda t: len(t[0]) + len(t[1]) <= 7)
+            .map(lambda t: Word(*t))
+            .filter(lambda w: w.letter(0) == first))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_words_starting("0"), _words_starting("1"))
+def test_bitmask_automaton_matches_the_frozenset_construction(a, b):
+    # same numbering, transitions and live states as stepping frozensets
+    # of positions; each state's masks are its position sets as bits
+    states, transitions, live = _reference_build(a, b)
+    m = build_automaton(a, b, validate=False)
+    assert m.transitions == transitions
+    assert m.live == live
+    assert len(m.states) == len(states)
+    assert m.states == [tuple(sum(1 << i for i in side) for side in s) for s in states]
+
+
+def test_live_set_peels_dead_chains_only():
+    # 0 -> 1 -> 2 is a chain feeding the cycle 3 <-> 4, which feeds the
+    # dead end 5 -> 6 -> 7 (6 reaches 7 by both letters); 8 loops on itself
+    transitions = [
+        {"0": 1}, {"1": 2}, {"0": 3},
+        {"1": 4}, {"0": 3, "1": 5},
+        {"0": 6}, {"0": 7, "1": 7}, {},
+        {"0": 8, "1": 7},
+    ]
+    live = SubshiftAutomaton._live_set(transitions)
+    assert live == {0, 1, 2, 3, 4, 8} == _reference_live(transitions)
+    assert SubshiftAutomaton._live_set([{}]) == set()

@@ -1,8 +1,15 @@
+import copy
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import doublebase
 from doublebase.words import (
     Word,
     WordError,
@@ -188,3 +195,36 @@ def test_minimal_period_matches_brute_force(alphabet, max_len):
         for letters in itertools.product(alphabet, repeat=n):
             s = "".join(letters)
             assert _minimal_period(s) == _brute_minimal_period(s), s
+
+
+@pytest.mark.parametrize("spelled, canonical", [
+    (("0101", "01"), ("", "01")),
+    (("", "0101"), ("", "01")),
+    (("1", "01"), ("", "10")),
+    (("0110", "10"), ("01", "10")),
+])
+def test_equal_words_hash_equal(spelled, canonical):
+    # the hash is taken once, from the canonical form
+    u, v = Word(*spelled), Word(*canonical)
+    assert u == v and hash(u) == hash(v) == hash((v.pre, v.per))
+
+
+@pytest.mark.parametrize("clone", [
+    lambda w: pickle.loads(pickle.dumps(w)),
+    copy.copy,
+    copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_copied_words_hash_equal(clone):
+    for w in (Word("0110", "10"), Word("", "1"), parse_word("10(011)")):
+        c = clone(w)
+        assert c == w and hash(c) == hash(w) and {c: 1}[w] == 1
+
+
+def test_pickled_word_rehashes_where_it_is_loaded():
+    # a word pickled under another string hash seed hashes as this
+    # process's words do
+    env = dict(os.environ, PYTHONPATH=str(Path(doublebase.__file__).parents[1]), PYTHONHASHSEED="12345")
+    code = "import pickle, sys; from doublebase.words import Word; sys.stdout.buffer.write(pickle.dumps(Word('01', '10')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+    w = pickle.loads(out.stdout)
+    assert w == Word("01", "10") and hash(w) == hash(Word("01", "10"))
