@@ -56,7 +56,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, replace
-from decimal import Decimal
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -65,7 +65,7 @@ from typing import Optional
 from .config import DEFAULT, Config
 from .expansions import _to_fraction, expansion_bounds, regular
 from .series import letter_runs, value_fns
-from .solvers import Bracket, crossing, root_q1, solve_decreasing, _end_text, _sign, _FLOAT_TOL_FLOOR
+from .solvers import Bracket, crossing, root_q1, solve_decreasing, _context, _end_text, _sign, _FLOAT_TOL_FLOOR
 from .substitution import NODE_SEEDS, apply, image_lengths, split_descent
 from .words import Word
 
@@ -229,17 +229,22 @@ def _spine_bound(w: str, key: str, cfg: Config) -> tuple:
     return (last, key, mu.hi if letter == "L" else mu.lo, end)
 
 
-def _chain(curve: str, q0: float) -> tuple[float, float]:
+def _chain(curve: str, q0: float, dps: int | None) -> tuple:
     """The curve's enclosure at q0 by the product chain 1/(q0+1) <=
     (q0-1)(G-1) <= 1/2 <= (q0-1)(K-1) < q0/(q0+1): the ends 1 + p/(q0 - 1)
-    of its two products p, exact, each rounded outward to a float."""
+    of its two products p, exact, each rounded outward once: to a float,
+    or with dps to a Decimal of a refined root's digits (solvers._context)."""
     x, half = _to_fraction(q0), Fraction(1, 2)
     ends = []
     for p, up in zip((1 / (x + 1), half) if curve == "G" else (half, x / (x + 1)), (False, True)):
         exact = 1 + p / (x - 1)
-        near = float(exact)
-        if (near < exact) if up else (near > exact):
-            near = math.nextafter(near, math.inf if up else -math.inf)
+        if dps is None:
+            near = float(exact)
+            if (near < exact) if up else (near > exact):
+                near = math.nextafter(near, math.inf if up else -math.inf)
+        else:  # Context.divide rounds the exact quotient once, in its rounding
+            outward = Context(prec=_context(dps).prec, rounding=ROUND_CEILING if up else ROUND_FLOOR)
+            near = outward.divide(exact.numerator, exact.denominator)
         ends.append(near)
     return tuple(ends)
 
@@ -321,8 +326,8 @@ def _exhausted_result(cell: _Cell, q0: float, cfg: Config) -> CriticalResult:
     lo_val, hi_val = min(lo_val, hi_val), max(lo_val, hi_val)
     width = float(hi_val) - float(lo_val)
     case = Case.PRIMITIVE_LIMIT if width <= 1e4 * max(cfg.tol, _FLOAT_TOL_FLOOR) else Case.DEPTH_EXHAUSTED
-    lo, hi = _chain(cell.curve, q0)
-    val = Bracket(max(lo_val, lo), min(hi_val, hi))
+    lo, hi = _chain(cell.curve, q0, cfg.precision if cfg.tol < _FLOAT_TOL_FLOOR else None)
+    val = Bracket(max(lo, lo_val), min(hi, hi_val))  # a tie keeps the chain's end, of the solve's type
     return CriticalResult(val, "", case, None, (q0 - 1.0) * (float(val.mid) - 1.0))
 
 

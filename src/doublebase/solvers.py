@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal, getcontext, localcontext
+from decimal import Context, Decimal, getcontext, localcontext
 from functools import lru_cache
 
 from .config import DEFAULT, Config
@@ -52,11 +52,10 @@ class Bracket:
 
     Endpoints are floats at default tolerances; tolerances below the
     float64 floor keep the Decimal endpoints of the refinement so the
-    width stays meaningful.  A float end beside a Decimal one (a hull
-    with a float bound) becomes a Decimal, rounded outward to the
-    Decimal end's significant digits (_rounded_end), so mid and width never
-    mix the two types and the text carries no more digits than the
-    refinement kept.
+    width stays meaningful.  Both ends are one type: every producer
+    rounds an exact bound outward to the type of its solve (the product
+    chain of critical._chain), so mid and width never mix the two, and
+    a float beside a Decimal raises TypeError.
     """
 
     lo: float
@@ -64,10 +63,7 @@ class Bracket:
 
     def __post_init__(self):
         if isinstance(self.lo, Decimal) != isinstance(self.hi, Decimal):
-            if isinstance(self.lo, Decimal):
-                object.__setattr__(self, "hi", _rounded_end(self.hi, self.lo, ROUND_CEILING))
-            else:
-                object.__setattr__(self, "lo", _rounded_end(self.lo, self.hi, ROUND_FLOOR))
+            raise TypeError(f"bracket ends of two types: {self.lo!r}, {self.hi!r}")
 
     @property
     def mid(self):
@@ -84,17 +80,6 @@ class Bracket:
 
     def __str__(self) -> str:
         return f"[{_end_text(self.lo)}, {_end_text(self.hi)}]"
-
-
-def _rounded_end(x: float, like: Decimal, rounding: str) -> Decimal:
-    """The float x as a Decimal, rounded by rounding (ROUND_FLOOR for a
-    lower end, ROUND_CEILING for an upper one) to the significant digits
-    of like, and to at least 17, so float() of it is x again; exactly
-    when either is infinite."""
-    d = Decimal(x)
-    if not (d.is_finite() and like.is_finite()):
-        return d
-    return Context(prec=max(len(like.as_tuple().digits), 17), rounding=rounding).plus(d)
 
 
 def _end_text(x) -> str:
@@ -319,9 +304,10 @@ def solve_decreasing(fn, sign, floor: float, start: tuple, tol: float, dps: int)
     is proven first (at the default tol about 100 times the float
     noise), and only then signed at dps digits, stepping outward by half
     the unused budget (the bracket's width where none is left),
-    doubling, while that cannot certify it.  Below 1e-13 the same Brent
-    loop refines the certified bracket at Decimal points, in a context of
-    dps digits, so the bracket's ends are Decimal.
+    doubling, while that cannot certify it, and halved back to the budget
+    at signed float midpoints until one has no sign.  Below 1e-13 the
+    same Brent loop refines the certified bracket at Decimal points, in
+    a context of dps digits, so the bracket's ends are Decimal.
     """
     budget = max(tol, _FLOAT_TOL_FLOOR)
     signs = {}
@@ -347,6 +333,10 @@ def solve_decreasing(fn, sign, floor: float, start: tuple, tol: float, dps: int)
     if not signs.get(lo, 0) > 0 > signs.get(hi, 0):  # else _secant proved both
         lo = end(lo, False)
         hi = end(hi, True)
+    while tol >= _FLOAT_TOL_FLOOR and hi - lo > budget and lo < (m := (lo + hi) / 2) < hi:
+        if not (s := sign(m, dps)):  # no sign: kl_fixed_point's plateau
+            break
+        lo, hi = (m, hi) if s > 0 else (lo, m)
     if tol < _FLOAT_TOL_FLOOR:
         with localcontext(_context(dps)):
             lo, hi = bracket_root(lambda y: sign(y, dps), Decimal(lo), Decimal(hi), tol)

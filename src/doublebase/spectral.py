@@ -146,17 +146,18 @@ class SubshiftAutomaton:
 
     def path_count(self, n: int) -> int:
         """Number of length-n words readable from the start state that end
-        in a live state; equals the block count A_n of Omega_{a,b}."""
-        if 0 not in self.live:
-            return 0
-        counts = {0: 1}
+        in a live state; equals the block count A_n of Omega_{a,b}.  A dead
+        state reaches no live one, so each step keeps live states only."""
+        live = self.live
+        counts = {0: 1} if 0 in live else {}
         for _ in range(n):
             nxt: dict[int, int] = {}
             for s, k in counts.items():
                 for t in self.transitions[s].values():
-                    nxt[t] = nxt.get(t, 0) + k
+                    if t in live:
+                        nxt[t] = nxt.get(t, 0) + k
             counts = nxt
-        return sum(k for s, k in counts.items() if s in self.live)
+        return sum(counts.values())
 
     def minimized(self) -> "SubshiftAutomaton":
         """Moore partition refinement over the live part.  Classes are

@@ -235,13 +235,13 @@ def test_mp_brackets_print_at_the_precision(capsys, argv):
 
 
 def test_mixed_bracket_prints_no_more_digits_than_its_decimal_end(capsys):
-    # an exhausted walk's float chain bound beside a Decimal root: both
-    # ends print at the refinement's digits, the float's binary expansion
-    # rounded outward
+    # an exhausted walk's chain bound beside a Decimal root: the exact
+    # chain end 1 + 1/98 is rounded down once to the refinement's digits,
+    # so both ends print at those digits
     code, out, _ = run(capsys, "--tol", "1e-20", "kl", "50.0")
     lo, hi = out.split("]")[0].strip("[").split(", ")
     assert len(lo.replace(".", "")) <= len(hi.replace(".", "")) == 32
-    assert Fraction(lo) <= Fraction(1.010204081632653) < Fraction(lo) + Fraction("1e-31")
+    assert Fraction(lo) <= 1 + Fraction(1, 98) < Fraction(lo) + Fraction("1e-31")
 
 
 @pytest.mark.parametrize("argv, call", [

@@ -653,14 +653,52 @@ def test_hermite_without_a_slope_starts_cold(key, k):
 
 
 def test_exhausted_bracket_with_a_float_end_is_all_decimal():
-    # K(50) at tol 1e-20 exhausts the depth with a float chain bound beside
-    # a Decimal root: the Bracket takes the float exactly as a Decimal
+    # K(50) at tol 1e-20 exhausts the depth with a chain bound beside a
+    # Decimal root: the chain's exact end is rounded to a Decimal too
     exact = komornik_loreti(50.0, config=Config(tol=1e-20))
     assert exact.case is Case.DEPTH_EXHAUSTED
     assert isinstance(exact.value.lo, Decimal) and isinstance(exact.value.hi, Decimal)
     default = komornik_loreti(50.0).value
     assert exact.value.lo <= Decimal(default.hi) and Decimal(default.lo) <= exact.value.hi
     assert "Decimal(" not in str(exact)
+
+
+@pytest.mark.parametrize("curve, q0, max_depth", [
+    (generalized_golden_ratio, 1.01, None),
+    (generalized_golden_ratio, 50.0, None),
+    (komornik_loreti, 1.01, None),
+    (komornik_loreti, 50.0, None),
+    (komornik_loreti, 1.787231650458, 3),
+], ids=["G-1.01", "G-50", "K-1.01", "K-50", "K-M"])
+def test_exhausted_brackets_below_the_float_floor_have_two_decimal_ends(curve, q0, max_depth):
+    # at tol 1e-20 the product chain is rounded once to Decimal ends, also
+    # where it wins on both sides (G(1.01), G(50), K(1.01)), and the
+    # bracket overlaps the one at the default tol
+    exact = curve(q0, max_depth=max_depth, config=Config(tol=1e-20))
+    assert exact.case is Case.DEPTH_EXHAUSTED and exact.boundary_word is None
+    assert isinstance(exact.value.lo, Decimal) and isinstance(exact.value.hi, Decimal)
+    default = curve(q0, max_depth=max_depth).value
+    assert exact.value.lo <= default.hi and default.lo <= exact.value.hi
+
+
+@pytest.mark.parametrize("q0, max_depth, run", [(1.001, 2000, 692), (1.0005, 2000, 1385), (1.0001, 20000, 6930)])
+def test_deep_spine_formula_brackets_are_within_tol(q0, max_depth, run):
+    # the float search of so long a node's formula ends in noise and its
+    # ends step outward until a sign certifies them; the solve then halves
+    # the bracket back to tol at signed float midpoints
+    r = generalized_golden_ratio(q0, max_depth=max_depth)
+    assert r.node == "L" * run and r.key is not None
+    assert r.value.width <= DEFAULT.tol
+    exact = generalized_golden_ratio(q0, max_depth=max_depth, config=Config(tol=1e-20)).value
+    assert r.value.lo <= exact.lo and exact.hi <= r.value.hi
+
+
+def test_boundary_word_over_the_cap_is_not_built():
+    # node M^17 M applied to 0^inf has 2^18 = 262,144 letters, over
+    # _BOUNDARY_WORD_CAP: the property returns None instead of the word
+    r = critical.CriticalResult(solvers.Bracket(1.5, 1.6), "M" * 17, Case.LEFT_FORMULA, "s0", 0.0)
+    assert critical.image_lengths("M" * 18)[0] == 262_144 > critical._BOUNDARY_WORD_CAP
+    assert r.boundary_word is None
 
 
 _PER_CALL = {  # each entry point with a per-call setting, and that setting

@@ -62,6 +62,16 @@ def test_full_shift_automaton():
     assert len(m.minimized()) == 1
 
 
+def test_an_automaton_with_a_dead_start_counts_no_paths():
+    # the start reads 0 into a state with no edge: no state is live, so no
+    # block of any length, and minimizing leaves the automaton as it is
+    transitions = [{"0": 1}, {}]
+    dead = SubshiftAutomaton([0, 1], transitions, SubshiftAutomaton._live_set(transitions), None, None)
+    assert dead.live == frozenset()
+    assert [dead.path_count(n) for n in range(4)] == [0, 0, 0, 0]
+    assert dead.minimized() is dead
+
+
 def test_one_state_components_are_read_exactly(monkeypatch):
     # a one-state component's Perron root is its loop count: the full
     # shift's automaton is a chain of single states, the last with two

@@ -30,7 +30,7 @@ from doublebase.substitution import (
     split_descent,
     walk,
 )
-from doublebase.words import Word, parse_word, sup0, inf1
+from doublebase.words import LetterStream, Word, parse_word, sup0, inf1
 
 from conftest import directive_compare, naive_image, naive_expand, random_word, word_corpus
 
@@ -76,6 +76,15 @@ def test_limit_word_repeat_tails():
     assert limit_word(parse_directive("(R)"), 0) == parse_word("0(1)")
     assert limit_word(parse_directive("(L)"), 0) == Word("", "0")
     assert limit_word(parse_directive("(R)"), 1) == Word("", "1")
+
+
+def test_limit_word_of_a_finite_directive_is_its_image_of_the_seed():
+    # a finite directive applies its head to seed^inf: LR(0^inf) = (010),
+    # LR(1^inf) = (10); its letters stop at the head
+    d = Directive("LR")
+    assert limit_word(d, 0) == parse_word("(010)")
+    assert limit_word(d, 1) == parse_word("(10)")
+    assert d.letters(5) == "LR"
 
 
 def test_limit_word_thue_morse_prefix():
@@ -142,6 +151,15 @@ def test_s_map_corner_examples():
     assert str(s_map(Word("", "01")).directive) == "M(L)"
     assert str(s_map(Word("1", "0")).directive) == "(L)"
     assert str(s_map(Word("", "1")).directive) == "(R)"
+
+
+def test_s_map_of_a_stream_on_a_cut_word_is_truncated():
+    # (01)^inf = M(0^inf) is a cut word: the Word lands in M(L), while a
+    # stream of the same letters ties it at every prefix and comes back
+    # truncated, with no directive letter decided
+    assert str(s_map(parse_word("(01)")).directive) == "M(L)"
+    res = s_map(LetterStream(lambda: itertools.cycle("01"), "(01)"))
+    assert res.truncated and str(res) == "..."
 
 
 def test_s_map_figure_values():
