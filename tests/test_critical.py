@@ -681,13 +681,13 @@ def test_exhausted_brackets_below_the_float_floor_have_two_decimal_ends(curve, q
     assert exact.value.lo <= default.hi and default.lo <= exact.value.hi
 
 
-@pytest.mark.parametrize("q0, max_depth, run", [(1.001, 2000, 692), (1.0005, 2000, 1385), (1.0001, 20000, 6930)])
-def test_deep_spine_formula_brackets_are_within_tol(q0, max_depth, run):
+@pytest.mark.parametrize("q0, max_depth, k", [(1.001, 2000, 692), (1.0005, 2000, 1385), (1.0001, 20000, 6930)])
+def test_deep_spine_formula_brackets_are_within_tol(q0, max_depth, k):
     # the float search of so long a node's formula ends in noise and its
     # ends step outward until a sign certifies them; the solve then halves
     # the bracket back to tol at signed float midpoints
     r = generalized_golden_ratio(q0, max_depth=max_depth)
-    assert r.node == "L" * run and r.key is not None
+    assert r.node == "L" * k and r.key is not None
     assert r.value.width <= DEFAULT.tol
     exact = generalized_golden_ratio(q0, max_depth=max_depth, config=Config(tol=1e-20)).value
     assert r.value.lo <= exact.lo and exact.hi <= r.value.hi
