@@ -514,8 +514,8 @@ class CurveRow:
 def sample_curve(q0_lo: float, q0_hi: float, n: int, which: str = "both",
                  config: Config = DEFAULT) -> list[CurveRow]:
     """Evaluate the critical maps on a uniform grid; rows are independent."""
-    if not (1 < q0_lo < q0_hi):
-        raise ValueError("need 1 < q0_lo < q0_hi")
+    if not 1 < q0_lo < q0_hi < math.inf:
+        raise ValueError("need 1 < q0_lo < q0_hi < inf")
     if n < 2:
         raise ValueError("need at least two samples")
     if which not in ("gr", "kl", "both"):

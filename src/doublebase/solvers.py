@@ -7,7 +7,8 @@ the critical base, the fixed point of K and the Moran exponent are found
 by one certified solve (solve_decreasing): one start search (_step_out)
 hands the two ends it evaluated to one Brent loop (bracket_root), which
 runs on floats and Decimal values alike; from a guess and a slope, secant
-steps (_secant) end at two points whose bounded signs prove the bracket.
+steps (_secant) end at two points either side of the root.  The searches
+only search: one pass of signs certifies the float ends of each.
 Every sign is certified by one routine (_sign: a float value above its
 proven error bound, which the value functions of series.value_fns carry,
 proves its sign; else a Decimal evaluation at config.precision
@@ -214,16 +215,6 @@ def _sign(fn, x, y, dps: int | None):
         return fn(_decimal(x), _decimal(y))
 
 
-def _outward(x: float, up: bool, step: float, n: int, floor: float):
-    """x and the n - 1 points after it stepping outward, above x (up) or
-    below it, by step, 2 step, 4 step, ... (never below (x + floor) / 2,
-    the root lying above floor)."""
-    for _ in range(n):
-        yield x
-        x = x + step if up else max(x - step, 0.5 * (x + floor))
-        step *= 2
-
-
 def _step_out(fn, floor, lo, p, hi, tol):
     """The ends (lo, hi) that bracket_root returns for the root of a
     strictly decreasing fn, searched from a guess p in an expected
@@ -257,14 +248,13 @@ def _step_out(fn, floor, lo, p, hi, tol):
     raise ArithmeticError("no sign change found while expanding the bracket")
 
 
-def _secant(fn, sign, floor, y, slope, tol, signs):
+def _secant(fn, floor, y, slope, tol):
     """The ends of the root of a strictly decreasing fn from a guess y
     and fn's slope there: a Newton step, secant steps until one is below
-    tol / 8, then the points tol / 4 either side of its end, whose
-    floats-only signs (sign(., None), put in signs) check the bracket and
-    prove it where they can.  A failed step (not finite, near floor, onto
-    a point evaluated, a repeated value), no short step in six or a wrong
-    sign hands all values taken to _step_out, from the one nearest 0."""
+    tol / 8, then the points tol / 4 either side of its end, unsigned
+    (solve_decreasing certifies them).  A failed step (not finite, near
+    floor, onto a point evaluated, a repeated value) or no short step in
+    six hands all values taken to _step_out, from the one nearest 0."""
     seen = {y: fn(y)}
     x = y - seen[y] / slope if slope else y
     for _ in range(6):  # the Newton step and five secant steps at most
@@ -272,11 +262,7 @@ def _secant(fn, sign, floor, y, slope, tol, signs):
         if not floor < lo < hi < math.inf:
             break
         if len(seen) > 1 and abs(x - y) < tol / 8:
-            signs[lo], signs[hi] = sign(lo, None), sign(hi, None)
-            if signs[lo] >= 0 >= signs[hi]:
-                return lo, hi
-            seen.update((z, v) for z, v in signs.items() if v)
-            break
+            return lo, hi
         if x in seen:
             break
         seen[x] = fx = fn(x)
@@ -295,44 +281,48 @@ def solve_decreasing(fn, sign, floor: float, start: tuple, tol: float, dps: int)
 
     fn is the float evaluation, sign(y, dps) the certified sign (_sign;
     with dps None a sign that only proves, 0 where it cannot).  The
-    float search brackets the root to half of the budget max(tol,
-    1e-13), by _secant from start = (p, slope), a guess and fn's slope
-    there, or by _step_out from start = (lo, p, hi), a guess in an
-    expected bracket.  Each end is then proven in floats, at the end
-    (where _secant took its sign, not again) or one nudge outward by
-    the unused budget less one ulp, half of it at the lower end, which
-    is proven first (at the default tol about 100 times the float
-    noise), and only then signed at dps digits, stepping outward by half
-    the unused budget (the bracket's width where none is left),
-    doubling, while that cannot certify it, and halved back to the budget
-    at signed float midpoints until one has no sign.  Below 1e-13 the
-    same Brent loop refines the certified bracket at Decimal points, in
-    a context of dps digits, so the bracket's ends are Decimal.
+    float search only searches: it brackets the root to half of the
+    budget max(tol, 1e-13), by _secant from start = (p, slope), a guess
+    and fn's slope there, or by _step_out from start = (lo, p, hi), a
+    guess in an expected bracket.  Then one pass certifies each end, the
+    lower one first: its floats-only sign, the floats-only sign one
+    nudge outward by the unused budget less one ulp (half of it at the
+    lower end; at the default tol about 100 times the float noise), and
+    only then signs at dps digits, stepping outward by half the unused
+    budget (the bracket's width where none is left), doubling.  Signed
+    float midpoints halve a bracket that stepped out back to the budget
+    until one has no sign.  Below 1e-13 the same Brent loop refines the
+    certified bracket at Decimal points, in a context of dps digits, so
+    the bracket's ends are Decimal.
     """
     budget = max(tol, _FLOAT_TOL_FLOOR)
-    signs = {}
-    ends = (_secant(fn, sign, floor, *start, budget, signs) if len(start) == 2
+    ends = (_secant(fn, floor, *start, budget) if len(start) == 2
             else _step_out(fn, floor, *start, budget / 2))
     if ends is None:  # Decimal ends below the float floor, as a refined bracket's
         return Bracket(1.0, floor) if tol >= _FLOAT_TOL_FLOOR else Bracket(Decimal(1), Decimal(floor))
     lo, hi = ends
 
     def end(x: float, up: bool) -> float:
+        side = -1 if up else 1  # the sign that proves the end
+        if side * sign(x, None) > 0:
+            return x
+
+        def out(y, step):  # never below (y + floor) / 2, the root lying above floor
+            return y + step if up else max(y - step, 0.5 * (y + floor))
+
         spare = budget - (hi - lo) - math.ulp(hi)
         pad = spare if up else spare / 2  # the upper end, proven last, may take all of it
-        value = signs.get(x)
-        for at, points in ((None, _outward(x, up, pad, 2 if pad > 0 else 1, floor)),
-                           (dps, _outward(x, up, spare / 2 if spare > 0 else max(hi - lo, 1e-15), 80, floor))):
-            for y in points:
-                value = sign(y, at) if value is None else value
-                if value < 0 if up else value > 0:
-                    return y
-                value = None
+        if pad > 0 and side * sign(y := out(x, pad), None) > 0:
+            return y
+        step = spare / 2 if spare > 0 else max(hi - lo, 1e-15)
+        for _ in range(80):
+            if side * sign(x, dps) > 0:
+                return x
+            x, step = out(x, step), 2 * step
         raise ArithmeticError(f"could not certify {'upper' if up else 'lower'} bracket endpoint")
 
-    if not signs.get(lo, 0) > 0 > signs.get(hi, 0):  # else _secant proved both
-        lo = end(lo, False)
-        hi = end(hi, True)
+    lo = end(lo, False)
+    hi = end(hi, True)
     while tol >= _FLOAT_TOL_FLOOR and hi - lo > budget and lo < (m := (lo + hi) / 2) < hi:
         if not (s := sign(m, dps)):  # no sign: kl_fixed_point's plateau
             break

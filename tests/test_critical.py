@@ -130,6 +130,18 @@ def test_critical_maps_reject_bases_that_are_not_finite_above_one(q0):
             fn(q0)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: sample_curve(2.0, 1.5, 3), "q0_lo < q0_hi"),
+    (lambda: sample_curve(1.5, math.inf, 3), "q0_hi < inf"),  # not G's check on a grid point
+    (lambda: sample_curve(1.5, 2.0, 1), "two samples"),
+    (lambda: sample_curve(1.5, 2.0, 3, "gk"), "which"),
+    (lambda: parse_curve_csv("q0,which\n"), "header"),
+], ids=["reversed", "infinite", "one sample", "which", "header"])
+def test_curve_entry_points_reject_bad_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_kl_fixed_point_brackets_the_constant():
     # the Komornik-Loreti constant, root of sum_{k>=1} t_k q^-k = 1 with
     # t the Thue-Morse sequence; the ends are verified against K's bracket

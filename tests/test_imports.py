@@ -94,7 +94,7 @@ def test_no_unreferenced_private_names():
     assert unreferenced_private_names({p.name: p.read_text() for p in PACKAGE}) == []
 
 
-SOLVE_INTERNALS = {"_zeroin", "_step_out", "_secant", "_outward"}
+SOLVE_INTERNALS = {"_zeroin", "_step_out", "_secant"}
 
 
 def imported_names(source: str) -> set[str]:

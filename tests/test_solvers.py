@@ -195,6 +195,12 @@ def test_mu_limit_word_streams():
     assert abs(crossing.mid - 1.787231650) < 2e-9
     with pytest.raises(PreconditionError):
         mu(tm0, limit_word(parse_directive("(LR)"), 1))
+    with pytest.raises(PreconditionError, match="seeds"):
+        mu(tm1, tm0)
+    with pytest.raises(PreconditionError, match="two words"):
+        mu(parse_word("(01)"), tm1)
+    with pytest.raises(PreconditionError, match="common"):
+        mu(parse_word("(01)"), parse_word("(100)"))
 
 
 def test_tight_tolerance_uses_multiprecision():
@@ -743,12 +749,14 @@ def test_root_q1_from_a_guess_and_slope_keeps_the_cold_contract(w, key, q0, offs
         assert fn(mp.mpf(q0), mp.mpf(br.lo)) > 0 > fn(mp.mpf(q0), mp.mpf(br.hi))
 
 
-def test_root_q1_secant_stage_falls_back_where_a_sign_is_proven_wrong():
+def test_root_q1_certifies_a_secant_end_proven_on_the_wrong_side():
     # (r - y)^3 is steep at the guess r - 1/4 and flat near r: the slope
     # given sends the Newton step to r - 1e-5, where the secant step is
-    # below tol / 8 with the root 1e-5 on, so both ends' signs are
-    # proven positive; every value taken goes on to the start search and
-    # Brent's loop, and no point is evaluated twice
+    # below tol / 8 with the root 1e-5 on, so the secant ends at two
+    # points both below the root; the certification pass proves the
+    # lower end, steps the upper one out past the root and halves the
+    # bracket back to tol by signs alone, so the float search evaluates
+    # two points and no more
     r, y = 1.3, 1.3 - 0.25
     points = []
 
@@ -761,6 +769,26 @@ def test_root_q1_secant_stage_falls_back_where_a_sign_is_proven_wrong():
     assert points[:2] == [y, r - 1e-5]
     assert br.lo <= r <= br.hi and br.width <= 1e-12, br
     assert len(set(points)) == len(points)
+    assert len(points) == 2
+
+
+def test_solve_decreasing_stops_halving_at_a_midpoint_with_no_sign():
+    # floats prove nothing and the dps signs are 0 within 4e-12 of the
+    # root 1.5, while the float search sits 1e-9 below it: the upper end
+    # steps out past the root by doubling steps, and the halving back to
+    # the budget stops at the first midpoint with no sign, so the bracket
+    # is proven but wider than tol
+    taken = []
+
+    def sign(y, dps):
+        value = 0.0 if dps is None else 1 if y < 1.5 - 4e-12 else -1 if y > 1.5 + 4e-12 else 0
+        taken.append((y, dps, value))
+        return value
+
+    br = solvers.solve_decreasing(lambda y: (1.5 - 1e-9) - y, sign, 1.0, (1.0, 1.0, 2.0), 1e-12, 30)
+    assert taken[-1] == (br.mid, 30, 0)  # the halving's last midpoint
+    assert (sign(br.lo, 30), sign(br.hi, 30)) == (1, -1)
+    assert br.lo <= 1.5 <= br.hi and br.width > 1e-12, br
 
 
 def test_root_q1_from_a_guess_and_slope_falls_back_to_mp_when_no_bound_decides(monkeypatch):

@@ -19,9 +19,11 @@ from doublebase.substitution import (
     REPEAT_R,
     apply,
     common_node_image,
+    WordTooLong,
     decode,
     desubstitute,
     image_lengths,
+    image_string,
     is_primitive,
     limit_word,
     node_boundaries,
@@ -262,6 +264,23 @@ def test_directive_parse_and_str():
     assert str(parse_directive("LMR")) == "LMR"
     with pytest.raises(DirectiveError):
         parse_directive("LX")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: parse_directive("LM(R"),
+    lambda: Directive("L", "bogus"),
+    lambda: Directive("", PERIODIC, ""),
+    lambda: limit_word(parse_directive("LR"), 2),
+], ids=["unbalanced", "tail", "empty block", "seed"])
+def test_directive_entry_points_reject_bad_input(call):
+    with pytest.raises(DirectiveError):
+        call()
+
+
+def test_image_string_refuses_an_image_past_the_length_cap():
+    # |M^22(0)| grows past the cap, which raises before the image is built
+    with pytest.raises(WordTooLong):
+        image_string("M" * 22, "0")
 
 
 def test_parse_directive_is_directive_of_the_block():

@@ -16,6 +16,7 @@ from doublebase.words import (
     _minimal_period,
     parse_word,
     compare,
+    extremal_suffix,
     reflect,
     shift,
     sup0,
@@ -54,6 +55,17 @@ def test_extremal_suffix_examples():
         sup0(Word("", "1"))
     with pytest.raises(WordError):
         inf1(Word("", "0"))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Word("1", ""),
+    lambda: Word("", "012"),
+    lambda: shift(parse_word("(01)"), -1),
+    lambda: extremal_suffix(parse_word("(01)"), "sup1"),
+], ids=["empty period", "letters", "negative shift", "side"])
+def test_word_entry_points_reject_bad_input(call):
+    with pytest.raises(WordError):
+        call()
 
 
 def test_reflect_examples():
