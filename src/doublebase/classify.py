@@ -11,13 +11,13 @@ sequences of a and b:
     s(a) = s(b) repeat tail     countable, nontrivial
     s(a) = s(b) primitive       uncountable with zero entropy
 
-The walk starts in the root's corner cells (substitution.corner):
+The walk starts in the root's corner cells (substitution.corner_walk):
 s(a) = L^inf for a <= 01 0^inf and R^inf for a = 0 1^inf, s(b) = L^inf
 for b = 1 0^inf and R^inf for b >= 10 1^inf, otherwise the tree under
 the root node M.  Corners are ordered as the descent orders its
 branches: a ahead of b gives positive entropy, a behind b a trivial set,
 equal stops a countable nontrivial one, and two M corners go on to the
-joint descent (substitution.split_descent).
+joint descent of the two walks (substitution.joint_descent).
 
 The trivial/nontrivial refinement depends only on the walk before the
 first M step: a node sigma = wM with w over {L,R} witnesses nontriviality
@@ -42,11 +42,11 @@ from .substitution import (
     BR_STOP_L,
     BR_STOP_R,
     LimitWordStream,
-    corner,
+    corner_walk,
     is_primitive,
-    split_descent,
+    joint_descent,
 )
-from .words import Word, LetterStream
+from .words import Word, LetterStream, first_letter
 
 
 class Label(Enum):
@@ -71,6 +71,16 @@ class Classification:
         return self.label.value
 
 
+# Every settled result is one shared constant (Classification is frozen),
+# so a classifier builds nothing but an Undecided result's depth.
+TRIVIAL = Classification(Label.TRIVIAL)
+COUNTABLE_NONTRIVIAL = Classification(Label.COUNTABLE_NONTRIVIAL)
+UNCOUNTABLE_ZERO_ENTROPY = Classification(Label.UNCOUNTABLE_ZERO_ENTROPY)
+POSITIVE_ENTROPY = Classification(Label.POSITIVE_ENTROPY)
+EMPTY = Classification(Label.EMPTY)
+COUNTABLE = Classification(Label.COUNTABLE)
+
+
 def classify_omega(a, b, max_depth: int = 48) -> Classification:
     """Classify Omega_{a,b} for a starting 0 and b starting 1.
 
@@ -80,43 +90,42 @@ def classify_omega(a, b, max_depth: int = 48) -> Classification:
     """
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
-    if a.prefix(1) != "0":
+    if first_letter(a) != "0":
         raise ValueError("a must start with 0")
-    if b.prefix(1) != "1":
+    if first_letter(b) != "1":
         raise ValueError("b must start with 1")
 
     if isinstance(a, LimitWordStream) and isinstance(b, LimitWordStream):
         if a.directive == b.directive and is_primitive(a.directive) and (a.seed, b.seed) == ("0", "1"):
-            return Classification(Label.UNCOUNTABLE_ZERO_ENTROPY)
+            return UNCOUNTABLE_ZERO_ENTROPY
 
     # the root's corner cells, ordered as the descent orders its branches
-    ca, cb = corner(a, "0"), corner(b, "1")
+    ca, walk_a = corner_walk(a, "0")
+    cb, walk_b = corner_walk(b, "1")
     if ca is None or cb is None:
         return Classification(Label.UNDECIDED, 0)
     if ca > cb:
-        return Classification(Label.POSITIVE_ENTROPY)
+        return POSITIVE_ENTROPY
     if ca < cb:
         # s(a) = L^inf below every window, or s(b) = R^inf above it
-        return Classification(Label.TRIVIAL)
+        return TRIVIAL
     if ca != BR_M:
         # s(a) = s(b) = L^inf or R^inf, a repeat tail
-        return Classification(Label.COUNTABLE_NONTRIVIAL)
+        return COUNTABLE_NONTRIVIAL
 
-    order, w, ba, bb = split_descent(a, b, max_depth)
+    order, w, ba, bb = joint_descent(walk_a, walk_b, max_depth)
     if order == ">":
-        return Classification(Label.POSITIVE_ENTROPY)
+        return POSITIVE_ENTROPY
     if order == "<":
         # some {L,R}*M node has a >= sigma(0^inf) and b <= sigma(1^inf):
         # a joint M step before the split, or the split node itself
         witness = "M" in w or (ba >= BR_STOP_L and bb <= BR_STOP_R)
-        return Classification(
-            Label.COUNTABLE_NONTRIVIAL if witness else Label.TRIVIAL
-        )
+        return COUNTABLE_NONTRIVIAL if witness else TRIVIAL
     if ba is None:
         return Classification(Label.UNDECIDED, len(w))
     # s(a) = s(b) ends with a repeat tail: countable, and the stop node
     # itself (or the first M step) witnesses nontriviality
-    return Classification(Label.COUNTABLE_NONTRIVIAL)
+    return COUNTABLE_NONTRIVIAL
 
 
 PREPEND_CACHE_SIZE = 1024  # words kept with a letter prepended, least recently used dropped
@@ -138,18 +147,16 @@ def _prepend(letter: str, x):
     return LetterStream(factory, f"{letter}+{x!r}")
 
 
-_SIGMA_LABEL = {
-    Label.TRIVIAL: Label.EMPTY,
-    Label.COUNTABLE_NONTRIVIAL: Label.COUNTABLE,
-}
-
-
 def classify_sigma(a, b, max_depth: int = 48) -> Classification:
     """Classify Sigma_{a,b}, the sequences whose every suffix stays in the
     closed interval [a, b]; reduces to Omega_{0b,1a} (whose elements are
     exactly 0*Sigma, 1*Sigma and the two constants)."""
     res = classify_omega(_prepend("0", b), _prepend("1", a), max_depth)
-    return Classification(_SIGMA_LABEL.get(res.label, res.label), res.depth)
+    if res is TRIVIAL:
+        return EMPTY
+    if res is COUNTABLE_NONTRIVIAL:
+        return COUNTABLE
+    return res
 
 
 def classify_univoque(q0: float, q1: float, tol: float = 1e-9,
@@ -171,14 +178,14 @@ def classify_univoque(q0: float, q1: float, tol: float = 1e-9,
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
     if not regular(q0, q1):  # which rejects bases outside (1, inf)
-        return Classification(Label.POSITIVE_ENTROPY)
+        return POSITIVE_ENTROPY
     below_g = _at_or_below(_g_cell(q0, config), q0, q1, tol, config)
     if below_g is not None:
         if below_g:
-            return Classification(Label.TRIVIAL)
+            return TRIVIAL
         below_k = _at_or_below(_k_cell(q0, config), q0, q1, tol, config)
         if below_k is not None:
-            return Classification(Label.COUNTABLE_NONTRIVIAL if below_k else Label.POSITIVE_ENTROPY)
+            return COUNTABLE_NONTRIVIAL if below_k else POSITIVE_ENTROPY
     # at G over a primitive Sturmian point the set is already uncountable,
     # but that cannot be certified from a numeric q0
     return Classification(Label.UNDECIDED, config.max_depth)

@@ -62,14 +62,17 @@ class SubshiftAutomaton:
     """Deterministic presentation of the factor language of Omega_{a,b}.
 
     states[0] is the empty-constraint start state; `live` marks states
-    with an infinite continuation.  Length-n paths from the start ending
-    in live states biject with the n-blocks of Omega_{a,b}.
+    with an infinite continuation, and succ[s] lists the live successors
+    of state s, once per letter (none for a dead state, whose successors
+    are all dead), for path_count and entropy.  Length-n paths from the
+    start ending in live states biject with the n-blocks of Omega_{a,b}.
     """
 
     def __init__(self, states, transitions, live, a: Word, b: Word):
         self.states = states          # list of (int, int): open positions of a and b, as bitmasks
         self.transitions = transitions  # list of {letter: state index}
         self.live = live              # frozenset of live state indices
+        self.succ = [[t for t in row.values() if t in live] for row in transitions]
         self.a, self.b = a, b
 
     # -- construction ---------------------------------------------------
@@ -147,15 +150,14 @@ class SubshiftAutomaton:
     def path_count(self, n: int) -> int:
         """Number of length-n words readable from the start state that end
         in a live state; equals the block count A_n of Omega_{a,b}.  A dead
-        state reaches no live one, so each step keeps live states only."""
-        live = self.live
-        counts = {0: 1} if 0 in live else {}
+        state reaches no live one, so each step follows live edges only."""
+        succ = self.succ
+        counts = {0: 1} if 0 in self.live else {}
         for _ in range(n):
             nxt: dict[int, int] = {}
             for s, k in counts.items():
-                for t in self.transitions[s].values():
-                    if t in live:
-                        nxt[t] = nxt.get(t, 0) + k
+                for t in succ[s]:
+                    nxt[t] = nxt.get(t, 0) + k
             counts = nxt
         return sum(counts.values())
 
@@ -234,7 +236,7 @@ def entropy(m: SubshiftAutomaton) -> float:
     comes from `_perron_root`.
     """
     live = sorted(m.live)
-    succ = {s: [t for t in m.transitions[s].values() if t in m.live] for s in live}
+    succ = m.succ
     reach = {s: 1 << s for s in live}
     changed = True
     while changed:

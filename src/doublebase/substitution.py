@@ -45,6 +45,7 @@ from .words import (
     W_010,
     W_101,
     _minimal_period,
+    first_letter,
 )
 
 SUBS = {
@@ -86,12 +87,18 @@ def image_lengths(w: str) -> tuple[int, int]:
 
 
 def image_string(w: str, s: str) -> str:
-    """w(s) for a finite word s, w acting as w1(w2(...(s)))."""
+    """w(s) for a finite word s, w acting as w1(w2(...(s))).
+
+    Each letter maps to one or two letters, so no image on the way is
+    longer than w(s), whose length image_lengths gives: one past
+    MAX_IMAGE_LEN raises WordTooLong before any image is built.
+    """
+    n0, n1 = image_lengths(w)
+    if s.count("0") * n0 + s.count("1") * n1 > MAX_IMAGE_LEN:
+        raise WordTooLong(f"|{w}(...)| exceeds {MAX_IMAGE_LEN}")
     for letter in reversed(w):
         table = SUBS[letter]
         s = "".join(table[c] for c in s)
-        if len(s) > MAX_IMAGE_LEN:
-            raise WordTooLong(f"|{w}(...)| exceeds {MAX_IMAGE_LEN}")
     return s
 
 
@@ -443,14 +450,15 @@ def _word_walk(u: Word, side: str) -> tuple:
     return _locate(u, _CORNER_CUTS[side]), _Record(u, side)
 
 
-def corner(u, side: str):
-    """The root's corner cell holding u, a word starting with `side`:
-    BR_STOP_L for s(u) = L^inf, BR_STOP_R for R^inf, BR_M for the tree
-    under the root node M, None on a stream tie.  A Word's corner is
-    cached with its walk."""
+def corner_walk(u, side: str) -> tuple:
+    """The root's corner cell holding u, a word starting with `side`, and
+    u's walk (`walk`): BR_STOP_L for s(u) = L^inf, BR_STOP_R for R^inf,
+    BR_M for the tree under the root node M, None on a stream tie.  A
+    Word's pair is one lookup of its cached walk; a stream's walk is
+    lazy, read only if the corner is BR_M."""
     if isinstance(u, Word):
-        return _word_walk(u, side)[0]
-    return _locate(u, _CORNER_CUTS[side])
+        return _word_walk(u, side)
+    return _locate(u, _CORNER_CUTS[side]), _steps(u, side)
 
 
 def walk(u, side: str):
@@ -485,12 +493,13 @@ def s_map(u, max_depth: int = 48) -> SMapResult:
     """
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
-    side = u.letter(0) if isinstance(u, Word) else u.prefix(1)
-    b, w = corner(u, side), ""
+    side = first_letter(u)
+    b, branches = corner_walk(u, side)
+    w = ""
     if b in _TAILS:
         return SMapResult(Directive("", _TAILS[b]), False)
     if b == BR_M:
-        for _, b in zip(range(max_depth), walk(u, side)):
+        for _, b in zip(range(max_depth), branches):
             if b in _TAILS:
                 return SMapResult(Directive(w + "M", _TAILS[b]), False)
             if b is None:
@@ -500,20 +509,25 @@ def s_map(u, max_depth: int = 48) -> SMapResult:
 
 
 def split_descent(a, b, max_depth: int):
-    """Joint s-map descent of a 0-word a and a 1-word b.
+    """Joint s-map descent of a 0-word a and a 1-word b: joint_descent
+    of their walks (`walk`), for callers that skip the corner cells."""
+    return joint_descent(walk(a, "0"), walk(b, "1"), max_depth)
 
-    Reads the walks of a and b (`walk`) side by side: each depends on
-    one word only, so a Word's walk is computed once however many
-    partners it is paired with, and streams are read only up to the
-    first difference.  Returns (order, w, ba, bb): order ">" when
-    s(a) > s(b) certified at node w with branch pair (ba, bb), "<"
-    symmetrically, "=" when the walks stayed joint (including
+
+def joint_descent(walk_a, walk_b, max_depth: int):
+    """The walks of a 0-word a and a 1-word b read side by side.
+
+    Each walk depends on one word only, so a Word's walk is computed
+    once however many partners it is paired with, and streams are read
+    only up to the first difference.  Returns (order, w, ba, bb): order
+    ">" when s(a) > s(b) certified at node w with branch pair (ba, bb),
+    "<" symmetrically, "=" when the walks stayed joint (including
     repeat-tail stops, which keep their branch pair) for max_depth
     levels or hit undecidable stream ties (ba = bb = None, with len(w)
     the depth reached).
     """
     w = ""
-    for _, ba, bb in zip(range(max_depth), walk(a, "0"), walk(b, "1")):
+    for _, ba, bb in zip(range(max_depth), walk_a, walk_b):
         if ba is None or bb is None:
             return "=", w, None, None
         if ba > bb:

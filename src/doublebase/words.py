@@ -225,6 +225,12 @@ class LetterStream:
         return f"LetterStream({self._describe})"
 
 
+def first_letter(u) -> str:
+    """u's first letter: a Word's read from its text, a stream's from
+    its letters."""
+    return (u.pre or u.per)[0] if isinstance(u, Word) else u.prefix(1)
+
+
 # frequently used constants
 ZERO = Word("", "0")        # 0^inf
 ONE = Word("", "1")         # 1^inf

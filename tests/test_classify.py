@@ -66,6 +66,9 @@ def test_classify_sigma_limit_word_streams():
     assert _sigma_blocks(parse_word("0(1)"), parse_word("1(0)"), 3) == 0
 
 
+_SIGMA_OF_OMEGA = {Label.TRIVIAL: Label.EMPTY, Label.COUNTABLE_NONTRIVIAL: Label.COUNTABLE}
+
+
 def test_classify_sigma_prepends_each_word_once():
     # a corpus of pairs meets each word many times: its prepended Word is
     # built once (a bounded LRU) and equals the one built afresh, while
@@ -75,7 +78,7 @@ def test_classify_sigma_prepends_each_word_once():
     for a in a_words:
         for b in b_words:
             fresh = classify_omega(Word("0" + b.pre, b.per), Word("1" + a.pre, a.per))
-            assert classify_sigma(a, b).label is classify._SIGMA_LABEL.get(fresh.label, fresh.label)
+            assert classify_sigma(a, b).label is _SIGMA_OF_OMEGA.get(fresh.label, fresh.label)
     info = classify._prepend_word.cache_info()
     assert info.misses == len(a_words) + len(b_words)
     assert info.currsize <= classify.PREPEND_CACHE_SIZE
@@ -215,7 +218,7 @@ def test_classify_omega_stream_tie_at_a_root_corner_is_undecided():
     # a stream of 01 0^inf reaches no corner cell at the root, where the
     # Word itself is decided
     a = Word("01", "0")
-    assert substitution.corner(LetterStream(a.letters), "0") is None
+    assert substitution.corner_walk(LetterStream(a.letters), "0")[0] is None
     assert classify_omega(LetterStream(a.letters), parse_word("1(0)")) == Classification(Label.UNDECIDED, 0)
     assert classify_omega(a, parse_word("1(0)")).label is Label.COUNTABLE_NONTRIVIAL
 
@@ -286,11 +289,27 @@ def test_classify_rejects_bad_sides():
         classify_omega(parse_word("(10)"), parse_word("(10)"))
     with pytest.raises(ValueError):
         classify_omega(parse_word("(01)"), parse_word("(01)"))
+    with pytest.raises(ValueError):  # a stream's first letter is read from its letters
+        classify_omega(limit_word(parse_directive("(M)"), 1), parse_word("(10)"))
 
 
 def test_classification_str():
     assert str(Classification(Label.TRIVIAL)) == "Trivial"
     assert str(Classification(Label.UNDECIDED, 7)) == "Undecided(7)"
+
+
+@pytest.mark.parametrize("max_depth", [1, 3, 48])
+def test_corpus_results_equal_freshly_built_classifications(max_depth):
+    # settled results are shared constants and an Undecided one carries
+    # the depth its descent reached: each equals, hashes and prints as a
+    # Classification built afresh
+    undecided = 0
+    for a, b in product(word_corpus("0", 5), word_corpus("1", 5)):
+        for res in (classify_omega(a, b, max_depth), classify_sigma(a, b, max_depth)):
+            fresh = Classification(res.label, max_depth if res.label is Label.UNDECIDED else None)
+            assert res == fresh and hash(res) == hash(fresh) and str(res) == str(fresh), (a, b)
+            undecided += res.label is Label.UNDECIDED
+    assert (undecided > 0) == (max_depth < 48)
 
 
 def test_classify_omega_double_corner():

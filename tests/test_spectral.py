@@ -68,6 +68,7 @@ def test_an_automaton_with_a_dead_start_counts_no_paths():
     transitions = [{"0": 1}, {}]
     dead = SubshiftAutomaton([0, 1], transitions, SubshiftAutomaton._live_set(transitions), None, None)
     assert dead.live == frozenset()
+    assert dead.succ == [[], []]
     assert [dead.path_count(n) for n in range(4)] == [0, 0, 0, 0]
     assert dead.minimized() is dead
 
@@ -437,3 +438,20 @@ def test_live_set_peels_dead_chains_only():
     live = SubshiftAutomaton._live_set(transitions)
     assert live == {0, 1, 2, 3, 4, 8} == _reference_live(transitions)
     assert SubshiftAutomaton._live_set([{}]) == set()
+
+
+def _live_successors(m) -> list:
+    # each state's successors in letter order, kept where the reference
+    # peel finds them live; a dead state keeps none
+    live = _reference_live(m.transitions)
+    return [[t for t in row.values() if t in live] if s in live else [] for s, row in enumerate(m.transitions)]
+
+
+def test_live_successor_lists_are_the_live_filtered_transitions():
+    # entropy and path_count read succ, made once with the live set, on
+    # built and on minimized automata (whose states are all live)
+    for a, b in itertools.product(word_corpus("0", 5), word_corpus("1", 5)):
+        m = build_automaton(a, b, validate=False)
+        assert m.succ == _live_successors(m), (a, b)
+        small = m.minimized()
+        assert small.succ == _live_successors(small), (a, b)

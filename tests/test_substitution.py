@@ -1,6 +1,7 @@
 import itertools
 import sys
 import threading
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -277,10 +278,22 @@ def test_directive_entry_points_reject_bad_input(call):
         call()
 
 
-def test_image_string_refuses_an_image_past_the_length_cap():
-    # |M^22(0)| grows past the cap, which raises before the image is built
+def test_image_string_refuses_an_image_past_the_length_cap(monkeypatch):
+    # |M^22(0)| = 2^22 is past the cap, which raises before any image is
+    # built: the call allocates nothing near the 2^21 letters of M^21(0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(WordTooLong):
+            image_string("M" * 22, "0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000
+    # the cap holds the final image's length: |M^3(0)| = 8, |M^3(01)| = 16
+    monkeypatch.setattr(substitution, "MAX_IMAGE_LEN", 8)
+    assert image_string("MMM", "0") == "01101001"
     with pytest.raises(WordTooLong):
-        image_string("M" * 22, "0")
+        image_string("MMM", "01")
 
 
 def test_parse_directive_is_directive_of_the_block():
@@ -416,10 +429,24 @@ def test_classifiers_on_cached_walks_match_the_uncached_joint_walk(monkeypatch):
     # each distinct word is walked once, whatever it is paired with
     assert info.misses == len(walked)
     assert info.currsize <= info.maxsize == substitution.WALK_CACHE_SIZE
-    monkeypatch.setattr(classify, "corner", _corner)
-    monkeypatch.setattr(classify, "split_descent", _joint_descent)
+    # the classifiers again, each word's corner located and the pair
+    # descended by the uncached reference: the seam hands the word itself
+    # on as its "walk", for the reference to desubstitute level by level
+    calls = {"corner": 0, "descent": 0}
+
+    def reference_corner(u, side):
+        calls["corner"] += 1
+        return _corner(u, side), u
+
+    def reference_descent(a, b, max_depth):
+        calls["descent"] += 1
+        return _joint_descent(a, b, max_depth)
+
+    monkeypatch.setattr(classify, "corner_walk", reference_corner)
+    monkeypatch.setattr(classify, "joint_descent", reference_descent)
     assert [classify_omega(a, b) for a, b in pairs] == omega
     assert [classify_sigma(a, b) for a, b in pairs] == sigma
+    assert calls["corner"] == 4 * len(pairs) and calls["descent"] > 0
 
 
 @pytest.mark.parametrize("text", ["(M)", "(LR)", "(RL)", "(LMR)", "(RRL)", "L(MR)", "(LLM)"])
