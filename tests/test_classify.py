@@ -14,7 +14,7 @@ from doublebase.classify import (
 from doublebase.config import DEFAULT
 from doublebase.critical import Case, generalized_golden_ratio, komornik_loreti
 from doublebase.expansions import regular
-from doublebase.oracle import block_counts
+from doublebase.oracle import block_counts, brute_classify
 from doublebase.spectral import build_automaton, entropy
 from doublebase.substitution import limit_word, parse_directive, s_map
 from doublebase.words import LetterStream, Word, parse_word
@@ -310,6 +310,16 @@ def test_corpus_results_equal_freshly_built_classifications(max_depth):
             assert res == fresh and hash(res) == hash(fresh) and str(res) == str(fresh), (a, b)
             undecided += res.label is Label.UNDECIDED
     assert (undecided > 0) == (max_depth < 48)
+
+
+@pytest.mark.parametrize("a, b", [("(0110)", "(100110)"), ("(011001)", "(1001)"), ("0(11001)", "(100110)")])
+def test_a_joint_m_step_witnesses_nontriviality(a, b):
+    # the walks take M together, then split at a branch pair that is no
+    # window of its own: only the joint M step makes the set nontrivial
+    # (no pair of the complexity-5 corpus needs that witness)
+    a, b = parse_word(a), parse_word(b)
+    assert classify_omega(a, b).label is Label.COUNTABLE_NONTRIVIAL
+    assert brute_classify(a, b, 18) == "SubexponentialLike"
 
 
 def test_classify_omega_double_corner():
